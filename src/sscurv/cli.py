@@ -8,6 +8,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .catalog import BUILTIN_NAMES, builtin
@@ -19,6 +20,52 @@ from .rat import parse_rat
 from .report import build_report, emit_report, exit_code, verdict_to_dict
 from .solitons import SolitonKind, SolitonProblem, proof_step_probes, residual
 from .suite import DEFAULT_POOL, FuzzConfig, fuzz, run_suite
+
+_SIGNED_VALUE = re.compile(r"-\d")
+
+
+def _attach_signed_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Rewrite "--lambda -1/2" as "--lambda=-1/2" for the subcommand's rational options.
+
+    argparse takes a dash-led value such as "-1/2" or "-1,0,1" for an option
+    name unless it is attached with "=". The options rewritten are those of
+    the subcommand named in argv whose type is `_rational` or `_rational_list`,
+    so the parser stays the one place that says which options take rationals.
+    """
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    start = next((pos + 1 for pos, token in enumerate(argv)
+                  if token in subparsers.choices), len(argv))
+    if start == len(argv):
+        return argv
+    options = {opt for action in subparsers.choices[argv[start - 1]]._actions
+               if action.type in (_rational, _rational_list)
+               for opt in action.option_strings}
+    out = argv[:start]
+    i = start
+    while i < len(argv):
+        if argv[i] == "--":
+            out.extend(argv[i:])
+            break
+        if (argv[i] in options and i + 1 < len(argv)
+                and _SIGNED_VALUE.match(argv[i + 1])):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def _rational(text: str):
+    try:
+        return parse_rat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _rational_list(text: str) -> tuple:
+    return tuple(_rational(x.strip()) for x in text.split(","))
 
 
 def _add_geometry_args(parser):
@@ -88,7 +135,7 @@ def _cmd_soliton(args) -> int:
         jet = ScalarJet.zero(spec.dim)
     kind = SolitonKind(args.type)
     m = args.m if kind is SolitonKind.M_QUASI else None
-    problem = SolitonProblem(kind, parse_rat(args.lam), jet, m)
+    problem = SolitonProblem(kind, args.lam, jet, m)
     verdict = residual(spec, problem)
     steps = proof_step_probes(spec, problem)
     doc = build_report(spec, notes=notes, include_tables=args.tables,
@@ -98,10 +145,7 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    pool = DEFAULT_POOL
-    if args.pool:
-        pool = tuple(parse_rat(x.strip()) for x in args.pool.split(","))
-    config = FuzzConfig(count=args.count, seed=args.seed, pool=pool,
+    config = FuzzConfig(count=args.count, seed=args.seed, pool=args.pool or DEFAULT_POOL,
                         require_parallel_xi=args.require_parallel_xi)
     doc = fuzz(config)
     sys.stdout.write(emit_report(doc, args.format, args.out))
@@ -149,7 +193,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_geometry_args(p)
     _add_output_args(p)
     p.add_argument("--type", choices=[k.value for k in SolitonKind], required=True)
-    p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
+    p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True, type=_rational,
                    help="the soliton constant, as an exact rational")
     p.add_argument("--m", type=int, help="nonzero integer for the m-quasi kind")
     p.add_argument("--jet", metavar="PATH",
@@ -162,7 +206,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--pool", help="comma-separated rational coefficients")
+    p.add_argument("--pool", type=_rational_list,
+                   help="comma-separated rational coefficients")
     p.add_argument("--require-parallel-xi", action="store_true")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=_cmd_fuzz)
@@ -177,7 +222,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(
+        parser, sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except InputError as exc:

@@ -43,27 +43,35 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
     2 g(nabla_{e_i} e_j, e_k) = -g(e_i,[e_j,e_k]) - g(e_j,[e_i,e_k]) + g(e_k,[e_i,e_j])
     """
     n = frame.dim
-    c, g, g_inv = frame.c, metric.g, metric.g_inv
+    c, g, g_inv = frame.c.comps, metric.g.comps, metric.g_inv.comps
     half = rat(1, 2)
-    comps = []
-    # koszul[i][j][k] = 2 g(nabla_i e_j, e_k)
-    koszul = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = ZERO
-                for m in range(n):
-                    total = total + (-g[i, m] * c[m, j, k]
-                                     - g[j, m] * c[m, i, k]
-                                     + g[k, m] * c[m, i, j])
-                koszul[i][j][k] = total
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                total = ZERO
-                for k in range(n):
-                    total = total + koszul[i][j][k] * g_inv[k, l]
-                comps.append(half * total)
+    # koszul[(i * n + j) * n + k] = 2 g(nabla_i e_j, e_k), scattered from
+    # each nonzero C^m_ab: it enters the three terms at (x, a, b), (a, x, b)
+    # and (a, b, x) with the factor g_xm.
+    koszul = [ZERO] * n ** 3
+    for m in range(n):
+        for a in range(n):
+            for b in range(n):
+                cm = c[(m * n + a) * n + b]
+                if not cm:
+                    continue
+                for x in range(n):
+                    gxm = g[x * n + m]
+                    if gxm:
+                        p = gxm * cm
+                        koszul[(x * n + a) * n + b] -= p
+                        koszul[(a * n + x) * n + b] -= p
+                        koszul[(a * n + b) * n + x] += p
+    comps = [ZERO] * n ** 3
+    for ij in range(n * n):
+        for k in range(n):
+            kz = koszul[ij * n + k]
+            if kz:
+                kz = half * kz
+                for l in range(n):
+                    gkl = g_inv[k * n + l]
+                    if gkl:
+                        comps[l * n * n + ij] += kz * gkl
     conn = Connection(Tensor((UP, DOWN, DOWN), n, comps), ConnectionKind.LEVI_CIVITA)
     _check_levi_civita(conn, frame, metric)
     return conn
@@ -81,18 +89,30 @@ def ssnmc(lc: Connection, dist: DistinguishedField) -> Connection:
     """Gammahat^k_ij = Gamma^k_ij + psi_j delta^k_i."""
     if lc.kind is not ConnectionKind.LEVI_CIVITA:
         raise SscurvError("the semi-symmetric non-metric connection extends Levi-Civita")
-    psi = dist.psi
-    gamma = Tensor.build(
-        (UP, DOWN, DOWN), lc.dim,
-        lambda k, i, j: lc.gamma[k, i, j] + (psi[j] if k == i else ZERO))
-    return Connection(gamma, ConnectionKind.SSNMC)
+    n, psi = lc.dim, dist.psi.comps
+    comps = list(lc.gamma.comps)
+    for i in range(n):
+        for j in range(n):
+            if psi[j]:
+                comps[(i * n + i) * n + j] += psi[j]
+    return Connection(Tensor((UP, DOWN, DOWN), n, comps), ConnectionKind.SSNMC)
 
 
 def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
     """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij."""
-    g, c = conn.gamma, frame.c
-    return Tensor.build((UP, DOWN, DOWN), conn.dim,
-                        lambda k, i, j: g[k, i, j] - g[k, j, i] - c[k, i, j])
+    n, g, c = conn.dim, conn.gamma.comps, frame.c.comps
+    comps = []
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                ij = (k * n + i) * n + j
+                t, swapped, bracket = g[ij], g[(k * n + j) * n + i], c[ij]
+                if swapped:
+                    t = t - swapped
+                if bracket:
+                    t = t - bracket
+                comps.append(t)
+    return Tensor((UP, DOWN, DOWN), n, comps)
 
 
 def is_semi_symmetric(t: Tensor, dist: DistinguishedField) -> bool:
@@ -102,38 +122,50 @@ def is_semi_symmetric(t: Tensor, dist: DistinguishedField) -> bool:
 
 def semi_symmetric_torsion(dist: DistinguishedField) -> Tensor:
     """The torsion shape psi(V)U - psi(U)V as a (1,2) tensor."""
-    psi = dist.psi
-    n = psi.dim
-    return Tensor.build(
-        (UP, DOWN, DOWN), n,
-        lambda k, i, j: (psi[j] if k == i else ZERO) - (psi[i] if k == j else ZERO))
+    psi = dist.psi.comps
+    n = len(psi)
+    comps = [ZERO] * n ** 3
+    for k in range(n):
+        for j in range(n):
+            if psi[j]:
+                comps[(k * n + k) * n + j] += psi[j]
+                comps[(k * n + j) * n + k] -= psi[j]
+    return Tensor((UP, DOWN, DOWN), n, comps)
 
 
 def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
     """(nabla_{e_i} g)(e_j, e_k) = -Gamma^m_ij g_mk - Gamma^m_ik g_jm."""
-    gam, g = conn.gamma, metric.g
-    n = conn.dim
-
-    def entry(i, j, k):
-        total = ZERO
-        for m in range(n):
-            total = total - gam[m, i, j] * g[m, k] - gam[m, i, k] * g[j, m]
-        return total
-
-    return Tensor.build((DOWN, DOWN, DOWN), n, entry)
+    n, gam, g = conn.dim, conn.gamma.comps, metric.g.comps
+    comps = [ZERO] * n ** 3
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                a = gam[(m * n + i) * n + j]
+                if not a:
+                    continue
+                for k in range(n):
+                    b = g[m * n + k]    # Gamma^m_ij g_mk at (i, j, k)
+                    if b:
+                        comps[(i * n + j) * n + k] -= a * b
+                    b = g[k * n + m]    # Gamma^m_ij g_km at (i, k, j)
+                    if b:
+                        comps[(i * n + k) * n + j] -= a * b
+    return Tensor((DOWN, DOWN, DOWN), n, comps)
 
 
 def is_parallel(lc: Connection, dist: DistinguishedField) -> bool:
     """True iff nabla_{e_i} xi = 0 for every i, i.e. Gamma^k_ij xi^j = 0."""
-    xi = dist.xi
-    n = lc.dim
-    for k in range(n):
-        for i in range(n):
-            total = ZERO
-            for j in range(n):
-                total = total + lc.gamma[k, i, j] * xi[j]
-            if total != 0:
-                return False
+    xi = dist.xi.comps
+    n, gam = lc.dim, lc.gamma.comps
+    for ki in range(n * n):
+        total = ZERO
+        for j in range(n):
+            if xi[j]:
+                a = gam[ki * n + j]
+                if a:
+                    total = total + a * xi[j]
+        if total:
+            return False
     return True
 
 
@@ -144,13 +176,14 @@ def alpha_star(lc: Connection, dist: DistinguishedField) -> Tensor:
     """
     if lc.kind is not ConnectionKind.LEVI_CIVITA:
         raise SscurvError("alpha* is defined through the Levi-Civita connection")
-    psi = dist.psi
-    n = lc.dim
-
-    def entry(i, j):
-        total = -psi[i] * psi[j]
-        for m in range(n):
-            total = total - psi[m] * lc.gamma[m, i, j]
-        return total
-
-    return Tensor.build((DOWN, DOWN), n, entry)
+    psi = dist.psi.comps
+    n, gam = lc.dim, lc.gamma.comps
+    nn = n * n
+    comps = [-psi[i] * psi[j] for i in range(n) for j in range(n)]
+    for m in range(n):
+        if psi[m]:
+            for ij in range(nn):
+                a = gam[m * nn + ij]
+                if a:
+                    comps[ij] -= psi[m] * a
+    return Tensor((DOWN, DOWN), n, comps)

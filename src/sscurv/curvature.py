@@ -40,35 +40,66 @@ class CurvatureBundle:
 def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> CurvatureBundle:
     """Full curvature bundle of a connection on the frame geometry."""
     n = conn.dim
-    gam = conn.gamma
-    c = frame.c
-    g_inv = metric.g_inv
+    gam, c, g_inv = conn.gamma.comps, frame.c.comps, metric.g_inv.comps
+    nn = n * n
+    n3 = nn * n
+    # Nonzero Gamma^l_pq: by_last[q] holds (l, p, value), by_first[p] holds (l, q, value).
+    by_last = [[] for _ in range(n)]
+    by_first = [[] for _ in range(n)]
+    for flat, v in enumerate(gam):
+        if v:
+            l, p, q = flat // nn, flat // n % n, flat % n
+            by_last[q].append((l, p, v))
+            by_first[p].append((l, q, v))
 
-    riemann = []
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    total = ZERO
-                    for m in range(n):
-                        total = total + (gam[m, j, k] * gam[l, i, m]
-                                         - gam[m, i, k] * gam[l, j, m]
-                                         - c[m, i, j] * gam[l, m, k])
-                    riemann.append(total)
+    riemann = [ZERO] * (n3 * n)
+    for flat, a in enumerate(gam):
+        if not a:
+            continue
+        m, j, k = flat // nn, flat // n % n, flat % n
+        # Gamma^m_jk Gamma^l_im enters R[l, k, i, j] and, with i and j
+        # swapped, the second term of R[l, k, j, i].
+        for l, i, b in by_last[m]:
+            if i != j:
+                prod = a * b
+                riemann[l * n3 + k * nn + i * n + j] += prod
+                riemann[l * n3 + k * nn + j * n + i] -= prod
+    for flat, cm in enumerate(c):
+        if not cm:
+            continue
+        m, i, j = flat // nn, flat // n % n, flat % n
+        for l, k, b in by_first[m]:  # C^m_ij Gamma^l_mk
+            riemann[l * n3 + k * nn + i * n + j] -= cm * b
     r = Tensor((UP, DOWN, DOWN, DOWN), n, riemann)
 
-    ricci = Tensor.build((DOWN, DOWN), n,
-                         lambda a, b: sum((r[i, b, i, a] for i in range(n)), ZERO))
-
-    scalar = ZERO
+    # S(e_a, e_b) = R[i, b, i, a] summed over i.
+    ricci = [ZERO] * nn
     for a in range(n):
         for b in range(n):
-            scalar = scalar + g_inv[a, b] * ricci[a, b]
+            total = ZERO
+            for i in range(n):
+                x = riemann[i * n3 + b * nn + i * n + a]
+                if x:
+                    total = total + x
+            ricci[a * n + b] = total
 
-    ricci_op = Tensor.build((UP, DOWN), n,
-                            lambda l, a: sum((ricci[a, b] * g_inv[b, l] for b in range(n)), ZERO))
+    scalar = ZERO
+    ricci_op = [ZERO] * nn
+    for a in range(n):
+        for b in range(n):
+            s_ab = ricci[a * n + b]
+            if not s_ab:
+                continue
+            g_ab = g_inv[a * n + b]
+            if g_ab:
+                scalar = scalar + g_ab * s_ab
+            for l in range(n):
+                g_bl = g_inv[b * n + l]
+                if g_bl:
+                    ricci_op[l * n + a] += s_ab * g_bl
 
-    return CurvatureBundle(r, ricci, scalar, ricci_op, conn.kind)
+    return CurvatureBundle(r, Tensor((DOWN, DOWN), n, ricci), scalar,
+                           Tensor((UP, DOWN), n, ricci_op), conn.kind)
 
 
 def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor) -> Rat:
@@ -90,13 +121,42 @@ def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor
     return num / denom
 
 
+def add_wedge(out: list, n: int, a, q=None) -> None:
+    """Add a_jk q^l_i - a_ik q^l_j to out[l, k, i, j], flat (1,3) components.
+
+    a holds flat (0,2) and q flat (1,1) components; q=None stands for the
+    Kronecker delta, which places a_jk instead of multiplying by 0 or 1.
+    Zero factors and the i = j entries, where the two terms cancel, are
+    skipped.
+    """
+    nn = n * n
+    n3 = nn * n
+    for j in range(n):
+        for k in range(n):
+            x = a[j * n + k]
+            if not x:
+                continue
+            for l in range(n):
+                lk = l * n3 + k * nn
+                if q is None:
+                    if l != j:
+                        out[lk + l * n + j] += x
+                        out[lk + j * n + l] -= x
+                    continue
+                for i in range(n):
+                    y = q[l * n + i]
+                    if y and i != j:
+                        p = x * y
+                        out[lk + i * n + j] += p
+                        out[lk + j * n + i] -= p
+
+
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:
     """kappa if R^l_kij = kappa (g_jk delta^l_i - g_ik delta^l_j), else None."""
     n = bundle.dim
-    g = metric.g
-    basis = Tensor.build(
-        (UP, DOWN, DOWN, DOWN), n,
-        lambda l, k, i, j: (g[j, k] if l == i else ZERO) - (g[i, k] if l == j else ZERO))
+    comps = [ZERO] * n ** 4
+    add_wedge(comps, n, metric.g.comps)
+    basis = Tensor((UP, DOWN, DOWN, DOWN), n, comps)
     kappa = ZERO
     for br, rr in zip(basis.comps, bundle.riemann.comps):
         if br != 0:
@@ -116,14 +176,11 @@ def _require_dim3(bundle: CurvatureBundle):
 def projective(bundle: CurvatureBundle) -> Tensor:
     """P = R - (1/2)[S(V,Y) U - S(U,Y) V]."""
     _require_dim3(bundle)
-    r, s = bundle.riemann, bundle.ricci
-    half = rat(1, 2)
-
-    def entry(l, k, i, j):
-        corr = (s[j, k] if l == i else ZERO) - (s[i, k] if l == j else ZERO)
-        return r[l, k, i, j] - half * corr
-
-    return Tensor.build((UP, DOWN, DOWN, DOWN), bundle.dim, entry)
+    n = bundle.dim
+    minus_half = rat(-1, 2)
+    comps = list(bundle.riemann.comps)
+    add_wedge(comps, n, [minus_half * x for x in bundle.ricci.comps])
+    return Tensor((UP, DOWN, DOWN, DOWN), n, comps)
 
 
 def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
@@ -132,14 +189,10 @@ def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
     For a Levi-Civita bundle in dimension 3 this vanishes identically.
     """
     _require_dim3(bundle)
-    r, s, q = bundle.riemann, bundle.ricci, bundle.ricci_op
-    g = metric.g
+    n = bundle.dim
+    g = metric.g.comps
     half_r = bundle.scalar * rat(1, 2)
-
-    def entry(l, k, i, j):
-        corr = ((s[j, k] if l == i else ZERO) - (s[i, k] if l == j else ZERO)
-                + g[j, k] * q[l, i] - g[i, k] * q[l, j])
-        vol = (g[j, k] if l == i else ZERO) - (g[i, k] if l == j else ZERO)
-        return r[l, k, i, j] - corr + half_r * vol
-
-    return Tensor.build((UP, DOWN, DOWN, DOWN), bundle.dim, entry)
+    comps = list(bundle.riemann.comps)
+    add_wedge(comps, n, [half_r * gx - sx for gx, sx in zip(g, bundle.ricci.comps)])
+    add_wedge(comps, n, [-gx for gx in g], bundle.ricci_op.comps)
+    return Tensor((UP, DOWN, DOWN, DOWN), n, comps)

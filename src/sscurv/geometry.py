@@ -32,7 +32,7 @@ def _det(rows: list[list[Rat]]) -> Rat:
 def _invert(g: Tensor) -> Tensor:
     """Exact Gauss-Jordan inverse of a rank-2 tensor; raises if singular."""
     n = g.dim
-    a = [[g[i, j] for j in range(n)] for i in range(n)]
+    a = [list(g.comps[i * n:(i + 1) * n]) for i in range(n)]
     inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -78,26 +78,55 @@ class FrameAlgebra:
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
         """1-based (i, j, k) where C^k_ij != -C^k_ji."""
+        n, c = self.dim, self.c.comps
         bad = []
-        for k, i, j in itertools.product(range(self.dim), repeat=3):
-            if i <= j and self.c[k, i, j] != -self.c[k, j, i]:
-                bad.append((i + 1, j + 1, k + 1))
+        for k in range(n):
+            for i in range(n):
+                for j in range(i, n):
+                    x, y = c[(k * n + i) * n + j], c[(k * n + j) * n + i]
+                    if (x or y) and x != -y:
+                        bad.append((i + 1, j + 1, k + 1))
         return bad
 
     def jacobi_violations(self) -> list[tuple[int, int, int, int]]:
-        """1-based (i, j, k, l) where the cyclic Jacobi sum is nonzero."""
-        bad = []
-        c = self.c
-        rng = range(self.dim)
-        for i, j, k, l in itertools.product(rng, repeat=4):
-            total = ZERO
-            for m in rng:
-                total = total + (c[m, i, j] * c[l, m, k]
-                                 + c[m, j, k] * c[l, m, i]
-                                 + c[m, k, i] * c[l, m, j])
-            if total != 0:
-                bad.append((i + 1, j + 1, k + 1, l + 1))
-        return bad
+        """1-based (i, j, k, l) where the cyclic Jacobi sum is nonzero.
+
+        For antisymmetric C the cyclic sum is totally antisymmetric in
+        (i, j, k): it vanishes on a repeated index, and a permutation of a
+        violating triple violates too. So it is evaluated for i < j < k
+        only and expanded to every ordering, in the same lexicographic
+        order as the full loop that any other C gets.
+        """
+        n, c = self.dim, self.c.comps
+        rng = range(n)
+        antisymmetric = all(c[(k * n + i) * n + j] == -c[(k * n + j) * n + i]
+                            for k in rng for i in rng for j in range(i, n))
+        if not antisymmetric:
+            return [(i + 1, j + 1, k + 1, l + 1)
+                    for i, j, k, l in itertools.product(rng, repeat=4)
+                    if _jacobi_sum(c, n, i, j, k, l)]
+        bad = {(i, j, k, l) for i, j, k in itertools.combinations(rng, 3) for l in rng
+               if _jacobi_sum(c, n, i, j, k, l)}
+        if not bad:
+            return []
+        return [(i + 1, j + 1, k + 1, l + 1)
+                for i, j, k in itertools.permutations(rng, 3) for l in rng
+                if (*sorted((i, j, k)), l) in bad]
+
+
+def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> Rat:
+    """sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj over flat components c."""
+    total = ZERO
+    cyclic = ((i * n + j, k), (j * n + k, i), (k * n + i, j))
+    for m in range(n):
+        low, out = m * n * n, (l * n + m) * n
+        for ab, z in cyclic:
+            x = c[low + ab]
+            if x:
+                y = c[out + z]
+                if y:
+                    total = total + x * y
+    return total
 
 
 @dataclass(frozen=True)
@@ -123,22 +152,28 @@ class MetricFrame:
         return self.g.dim
 
     def is_symmetric(self) -> bool:
-        return all(self.g[i, j] == self.g[j, i] for i in range(self.dim) for j in range(self.dim))
+        n, g = self.dim, self.g.comps
+        return all(g[i * n + j] == g[j * n + i] for i in range(n) for j in range(n))
 
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: all leading principal minors positive."""
-        for k in range(1, self.dim + 1):
-            rows = [[self.g[i, j] for j in range(k)] for i in range(k)]
+        n, g = self.dim, self.g.comps
+        for k in range(1, n + 1):
+            rows = [list(g[i * n:i * n + k]) for i in range(k)]
             if not _det(rows) > 0:
                 return False
         return True
 
     def inner(self, u: Tensor, v: Tensor) -> Rat:
         """g(u, v) for two vectors."""
+        n, g = self.dim, self.g.comps
+        u, v = u.comps, v.comps
         total = ZERO
-        for i in range(self.dim):
-            for j in range(self.dim):
-                total = total + self.g[i, j] * u[i] * v[j]
+        for i in range(n):
+            if u[i]:
+                for j in range(n):
+                    if v[j]:
+                        total = total + g[i * n + j] * u[i] * v[j]
         return total
 
 
@@ -190,13 +225,16 @@ class ScalarJet:
 
 def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tuple[int, int]]:
     """1-based (i, j) where dd_ij - dd_ji != C^k_ij d_k."""
+    n, c, d, dd = frame.dim, frame.c.comps, jet.d.comps, jet.dd.comps
+    w = jet.dim
     bad = []
-    for i in range(frame.dim):
-        for j in range(frame.dim):
+    for i in range(n):
+        for j in range(n):
             bracket = ZERO
-            for k in range(frame.dim):
-                bracket = bracket + frame.c[k, i, j] * jet.d[k]
-            if jet.dd[i, j] - jet.dd[j, i] != bracket:
+            for k in range(n):
+                if d[k]:
+                    bracket = bracket + c[(k * n + i) * n + j] * d[k]
+            if dd[i * w + j] - dd[j * w + i] != bracket:
                 bad.append((i + 1, j + 1))
     return bad
 

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
-from .curvature import CurvatureBundle, conformal, curvature, projective
+from .curvature import CurvatureBundle, add_wedge, conformal, curvature, projective
 from .errors import UnknownProbeError
 from .geometry import GeometrySpec
 from .rat import ZERO, Rat, rat
@@ -53,6 +53,8 @@ class ProbeResult:
 def deviation(lhs: Value, rhs: Value) -> Rat:
     """Largest componentwise |lhs - rhs|; zero means exact equality."""
     if isinstance(lhs, Tensor) and isinstance(rhs, Tensor):
+        if lhs == rhs:
+            return ZERO
         return (lhs - rhs).max_abs()
     if isinstance(lhs, dict) and isinstance(rhs, dict):
         if lhs.keys() != rhs.keys():
@@ -130,8 +132,7 @@ class ProbeContext:
         return self.spec.dim
 
 
-def _d(cond) -> Rat:
-    return rat(1) if cond else ZERO
+_RANK4 = (UP, DOWN, DOWN, DOWN)
 
 
 def _probe_a1(ctx: ProbeContext):
@@ -139,18 +140,24 @@ def _probe_a1(ctx: ProbeContext):
 
 
 def _probe_b2(ctx: ProbeContext):
-    psi, g = ctx.psi, ctx.g
-    rhs = Tensor.build((DOWN, DOWN, DOWN), ctx.dim,
-                       lambda i, j, k: -psi[j] * g[i, k] - psi[k] * g[i, j])
-    return ctx.non_metricity_hat, rhs
+    psi, g, n = ctx.psi.comps, ctx.g.comps, ctx.dim
+    rhs = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                # -psi_j g_ik - psi_k g_ij
+                total = ZERO
+                for p, q in ((psi[j], g[i * n + k]), (psi[k], g[i * n + j])):
+                    if p and q:
+                        total = total - p * q
+                rhs.append(total)
+    return ctx.non_metricity_hat, Tensor((DOWN, DOWN, DOWN), n, rhs)
 
 
 def _probe_b3(ctx: ProbeContext):
-    r, a = ctx.lc_bundle.riemann, ctx.alpha
-    rhs = Tensor.build(
-        (UP, DOWN, DOWN, DOWN), ctx.dim,
-        lambda l, k, i, j: r[l, k, i, j] - a[j, k] * _d(l == i) + a[i, k] * _d(l == j))
-    return ctx.hat_bundle.riemann, rhs
+    rhs = list(ctx.lc_bundle.riemann.comps)
+    add_wedge(rhs, ctx.dim, [-x for x in ctx.alpha.comps])
+    return ctx.hat_bundle.riemann, Tensor(_RANK4, ctx.dim, rhs)
 
 
 def _probe_b5(ctx: ProbeContext):
@@ -164,26 +171,21 @@ def _probe_b6(ctx: ProbeContext):
 
 
 def _probe_b7(ctx: ProbeContext):
-    psi, gamma = ctx.psi, ctx.lc.gamma
-    n = ctx.dim
-    lhs = Tensor.build((DOWN, DOWN), n,
-                       lambda i, j: -sum((psi[m] * gamma[m, i, j] for m in range(n)), ZERO))
-    return lhs, Tensor.zeros((DOWN, DOWN), n)
+    lhs = -ctx.lc.gamma.contract_with(0, ctx.psi)
+    return lhs, Tensor.zeros((DOWN, DOWN), ctx.dim)
 
 
 def _probe_b8(ctx: ProbeContext):
-    r, psi = ctx.lc_bundle.riemann, ctx.psi
-    rhs = Tensor.build(
-        (UP, DOWN, DOWN, DOWN), ctx.dim,
-        lambda l, k, i, j: r[l, k, i, j] + psi[k] * (psi[j] * _d(l == i) - psi[i] * _d(l == j)))
-    return ctx.hat_bundle.riemann, rhs
+    psi, n = ctx.psi.comps, ctx.dim
+    rhs = list(ctx.lc_bundle.riemann.comps)
+    add_wedge(rhs, n, [psi[j] * psi[k] for j in range(n) for k in range(n)])
+    return ctx.hat_bundle.riemann, Tensor(_RANK4, n, rhs)
 
 
 def _probe_b9(ctx: ProbeContext):
-    s, psi = ctx.lc_bundle.ricci, ctx.psi
-    rhs = Tensor.build((DOWN, DOWN), ctx.dim,
-                       lambda a, b: s[a, b] + 2 * psi[a] * psi[b])
-    return ctx.hat_bundle.ricci, rhs
+    s, psi, n = ctx.lc_bundle.ricci.comps, ctx.psi.comps, ctx.dim
+    rhs = [s[a * n + b] + 2 * psi[a] * psi[b] for a in range(n) for b in range(n)]
+    return ctx.hat_bundle.ricci, Tensor((DOWN, DOWN), n, rhs)
 
 
 def _probe_b10(ctx: ProbeContext):
@@ -191,11 +193,9 @@ def _probe_b10(ctx: ProbeContext):
 
 
 def _probe_b11(ctx: ProbeContext):
-    psi = ctx.psi
+    # psi_j delta^l_i - psi_i delta^l_j is the semi-symmetric torsion shape.
     lhs = ctx.hat_bundle.riemann.contract_with(1, ctx.xi)
-    rhs = Tensor.build((UP, DOWN, DOWN), ctx.dim,
-                       lambda l, i, j: psi[j] * _d(l == i) - psi[i] * _d(l == j))
-    return lhs, rhs
+    return lhs, semi_symmetric_torsion(ctx.spec.distinguished)
 
 
 def _probe_b12(ctx: ProbeContext):
@@ -218,39 +218,45 @@ def _probe_b14(ctx: ProbeContext):
 
 
 def _probe_b15(ctx: ProbeContext):
-    b = ctx.lc_bundle
-    s, q, g = b.ricci, b.ricci_op, ctx.g
+    b, g, n = ctx.lc_bundle, ctx.g.comps, ctx.dim
     half_r = b.scalar * rat(1, 2)
-
-    def entry(l, k, i, j):
-        return (g[j, k] * q[l, i] - g[i, k] * q[l, j]
-                + s[j, k] * _d(l == i) - s[i, k] * _d(l == j)
-                - half_r * (g[j, k] * _d(l == i) - g[i, k] * _d(l == j)))
-
-    return b.riemann, Tensor.build((UP, DOWN, DOWN, DOWN), ctx.dim, entry)
+    rhs = [ZERO] * n ** 4
+    add_wedge(rhs, n, g, b.ricci_op.comps)
+    add_wedge(rhs, n, [sx - half_r * gx for gx, sx in zip(g, b.ricci.comps)])
+    return b.riemann, Tensor(_RANK4, n, rhs)
 
 
 def _probe_b17(ctx: ProbeContext):
     rhat = ctx.hat_bundle.scalar
-    psi, xi = ctx.psi, ctx.xi
+    psi, xi, n = ctx.psi.comps, ctx.xi.comps, ctx.dim
     a_coef = rhat * rat(1, 2) + 1
     b_coef = rhat * rat(1, 2) - 1
-    rhs = Tensor.build((UP, DOWN), ctx.dim,
-                       lambda l, a: a_coef * _d(l == a) - b_coef * psi[a] * xi[l])
-    return ctx.hat_bundle.ricci_op, rhs
+    rhs = [(a_coef if l == a else ZERO) - b_coef * psi[a] * xi[l]
+           for l in range(n) for a in range(n)]
+    return ctx.hat_bundle.ricci_op, Tensor((UP, DOWN), n, rhs)
 
 
 def _probe_b18(ctx: ProbeContext):
-    qhat, gamma = ctx.hat_bundle.ricci_op, ctx.lc.gamma
+    qhat, gamma = ctx.hat_bundle.ricci_op.comps, ctx.lc.gamma.comps
     n = ctx.dim
-
-    def entry(l, i, j):  # ((nabla_{e_j} Qhat) e_i)^l
-        total = ZERO
-        for m in range(n):
-            total = total + qhat[m, i] * gamma[l, j, m] - gamma[m, j, i] * qhat[l, m]
-        return total
-
-    return Tensor.build((UP, DOWN, DOWN), n, entry), Tensor.zeros((UP, DOWN, DOWN), n)
+    nn = n * n
+    lhs = [ZERO] * n ** 3  # ((nabla_{e_j} Qhat) e_i)^l at (l, i, j)
+    for m in range(n):
+        for l in range(n):
+            for x in range(n):
+                q = qhat[m * n + x]      # Qhat^m_i with i = x
+                if q:
+                    for j in range(n):
+                        a = gamma[(l * n + j) * n + m]
+                        if a:
+                            lhs[l * nn + x * n + j] += q * a
+                q = qhat[l * n + m]      # Qhat^l_m against Gamma^m_ji, i = x
+                if q:
+                    for j in range(n):
+                        a = gamma[(m * n + j) * n + x]
+                        if a:
+                            lhs[l * nn + x * n + j] -= a * q
+    return Tensor((UP, DOWN, DOWN), n, lhs), Tensor.zeros((UP, DOWN, DOWN), n)
 
 
 def _probe_b20(ctx: ProbeContext):
@@ -258,15 +264,11 @@ def _probe_b20(ctx: ProbeContext):
 
 
 def _probe_b22(ctx: ProbeContext):
-    c, psi, xi, g = ctx.conformal_lc, ctx.psi, ctx.xi, ctx.g
-
-    def entry(l, k, i, j):
-        return (c[l, k, i, j]
-                - psi[j] * psi[k] * _d(l == i) + psi[i] * psi[k] * _d(l == j)
-                - 2 * g[j, k] * psi[i] * xi[l] + 2 * g[i, k] * psi[j] * xi[l]
-                + g[j, k] * _d(l == i) - g[i, k] * _d(l == j))
-
-    return ctx.conformal_hat, Tensor.build((UP, DOWN, DOWN, DOWN), ctx.dim, entry)
+    psi, xi, g, n = ctx.psi.comps, ctx.xi.comps, ctx.g.comps, ctx.dim
+    rhs = list(ctx.conformal_lc.comps)
+    add_wedge(rhs, n, [g[j * n + k] - psi[j] * psi[k] for j in range(n) for k in range(n)])
+    add_wedge(rhs, n, [-2 * gx for gx in g], [xi[l] * psi[i] for l in range(n) for i in range(n)])
+    return ctx.conformal_hat, Tensor(_RANK4, n, rhs)
 
 
 def _probe_b23(ctx: ProbeContext):
@@ -276,14 +278,24 @@ def _probe_b23(ctx: ProbeContext):
 
 
 def _probe_bianchi(ctx: ProbeContext):
-    r = ctx.lc_bundle.riemann
-    lhs = Tensor.build((UP, DOWN, DOWN, DOWN), ctx.dim,
-                       lambda l, k, i, j: r[l, k, i, j] + r[l, i, j, k] + r[l, j, k, i])
-    return lhs, Tensor.zeros((UP, DOWN, DOWN, DOWN), ctx.dim)
+    r, n = ctx.lc_bundle.riemann.comps, ctx.dim
+    nn = n * n
+    n3 = nn * n
+    lhs = []
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    total = r[l * n3 + k * nn + i * n + j]
+                    for x in (r[l * n3 + i * nn + j * n + k], r[l * n3 + j * nn + k * n + i]):
+                        if x:
+                            total = total + x
+                    lhs.append(total)
+    return Tensor(_RANK4, n, lhs), Tensor.zeros(_RANK4, n)
 
 
 def _probe_cflat(ctx: ProbeContext):
-    return ctx.conformal_lc, Tensor.zeros((UP, DOWN, DOWN, DOWN), ctx.dim)
+    return ctx.conformal_lc, Tensor.zeros(_RANK4, ctx.dim)
 
 
 @dataclass(frozen=True)

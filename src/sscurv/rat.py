@@ -1,8 +1,9 @@
 """Exact rational scalars, the only number type in the engine core.
 
-Backed by gmpy2.mpq when available (about 9x faster on this workload),
-falling back to fractions.Fraction. Both store lowest terms with a
-positive denominator, so every identity check is an exact equality.
+Backed by gmpy2.mpq when it is installed, otherwise by fractions.Fraction.
+Both store lowest terms with a positive denominator, so every identity
+check is an exact equality and both give the same report bytes. The engine
+kernels use only bool, +, -, * and == on them, which both types provide.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ try:
     from gmpy2 import mpq as Rat
 
     RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - CI image ships gmpy2
+except ImportError:  # gmpy2 is not installed everywhere; Fraction is always there
     from fractions import Fraction as Rat
 
     RAT_BACKEND = "fractions"

@@ -2,8 +2,10 @@
 
 Slots carry their own variance marker (UP or DOWN) and keep their position
 through raising and lowering, so a raise/lower round trip is the identity
-by construction. Storage is a flat row-major tuple; at dim <= 4 a dense
-layout beats any sparse scheme.
+by construction. Storage is a flat row-major tuple and stays dense: at
+dim <= 4 a dense layout beats any sparse scheme. The engine loops read that
+tuple by flat offset and skip every product with a zero factor, since frame
+geometries are mostly zeros; `t[idx]` stays the checked accessor.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class Tensor:
         return f"Tensor({self.variance}, dim={self.dim}, {list(map(str, self.comps))})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.comps)
+        return not any(self.comps)
 
     def max_abs(self) -> Rat:
         return max((abs(c) for c in self.comps), default=ZERO)
@@ -235,19 +237,22 @@ class Tensor:
             raise ValenceError("contract_with expects a rank-1 tensor of equal dim")
         if one.variance[0] == self.variance[slot]:
             raise ValenceError("contract_with requires opposite variance")
-        keep = [s for s in range(self.rank) if s != slot]
-        variance = tuple(self.variance[s] for s in keep)
+        variance = self.variance[:slot] + self.variance[slot + 1:]
+        dim, src, vec = self.dim, self.comps, one.comps
+        # Flat offset = outer * block + m * stride + inner, m the contracted index.
+        stride = dim ** (self.rank - 1 - slot)
+        block = stride * dim
+        terms = [(m * stride, v) for m, v in enumerate(vec) if v]
         comps = []
-        for out_idx in itertools.product(range(self.dim), repeat=len(keep)):
-            full = [0] * self.rank
-            for pos, s in enumerate(keep):
-                full[s] = out_idx[pos]
-            total = ZERO
-            for m in range(self.dim):
-                full[slot] = m
-                total = total + self.comps[self._flat(tuple(full))] * one.comps[m]
-            comps.append(total)
-        return Tensor(variance, self.dim, comps)
+        for outer in range(0, len(src), block):
+            for base in range(outer, outer + stride):
+                total = ZERO
+                for off, v in terms:
+                    a = src[base + off]
+                    if a:
+                        total = total + a * v
+                comps.append(total)
+        return Tensor(variance, dim, comps)
 
     def apply_metric(self, matrix: "Tensor", slot: int) -> "Tensor":
         """Flip one slot's variance in place by contracting with g or g-inverse.
@@ -267,14 +272,20 @@ class Tensor:
             raise ValenceError("metric slots must share variance")
         variance = list(self.variance)
         variance[slot] = new_mark
-        dim = self.dim
+        dim, src, g = self.dim, self.comps, matrix.comps
+        # Flat offset = outer * block + b * stride + inner, b the contracted index.
+        stride = dim ** (self.rank - 1 - slot)
+        block = stride * dim
         comps = []
-        for idx in itertools.product(range(dim), repeat=self.rank):
-            total = ZERO
-            src = list(idx)
-            a = idx[slot]
-            for b in range(dim):
-                src[slot] = b
-                total = total + self.comps[self._flat(tuple(src))] * matrix.comps[b * dim + a]
-            comps.append(total)
+        for outer in range(0, len(src), block):
+            for a in range(dim):
+                for base in range(outer, outer + stride):
+                    total = ZERO
+                    for b in range(dim):
+                        x = src[base + b * stride]
+                        if x:
+                            m = g[b * dim + a]
+                            if m:
+                                total = total + x * m
+                    comps.append(total)
         return Tensor(tuple(variance), dim, comps)

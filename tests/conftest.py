@@ -1,7 +1,8 @@
 """Shared independent oracles and hypothesis strategies.
 
 Oracles here are written against fractions.Fraction and straight from the
-defining formulas, independent of the engine's gmpy2-backed code paths.
+defining formulas, independent of the engine's kernels and of its rational
+backend (gmpy2's mpq when installed, otherwise fractions.Fraction).
 """
 
 from __future__ import annotations

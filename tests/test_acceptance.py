@@ -5,12 +5,15 @@ criterion; every comparison below is exact equality, zero tolerance.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sscurv
 from sscurv import (ProbeStatus, ScalarJet, SolitonKind, SolitonProblem,
                     Tensor, builtin, fuzz, FuzzConfig, rat, residual, run_suite)
 from sscurv.probes import PROBE_ORDER, ProbeContext, run_probe
@@ -24,9 +27,14 @@ def announce(number, text):
     print(f"\n[criterion {number}] PASS: {text}")
 
 
+# The CLI child imports the same sscurv as these tests, installed or not.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(sscurv.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "sscurv.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 

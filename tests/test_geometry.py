@@ -1,5 +1,8 @@
 """Geometry validation, gradients, and jet consistency."""
 
+from fractions import Fraction
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -34,21 +37,58 @@ def test_jacobi_violation_reported_with_triple():
     assert "(1, 2, 3)" in jac.detail
 
 
+def brute_force_jacobi(frame):
+    """Every 1-based (i, j, k, l) with a nonzero cyclic sum, from the full expansion."""
+    c = c_rows_of(frame)
+    n = frame.dim
+    found = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    s = sum(c[m][i][j] * c[l][m][k] + c[m][j][k] * c[l][m][i]
+                            + c[m][k][i] * c[l][m][j] for m in range(n))
+                    if s != 0:
+                        found.append((i + 1, j + 1, k + 1, l + 1))
+    return found
+
+
 def test_jacobi_brute_force_agreement():
     # Engine's violation finder against a from-scratch expansion.
     spec = make_spec("bad", {(2, 0, 1): 1, (0, 0, 2): 1})
-    c = c_rows_of(spec.frame)
-    found = []
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                for l in range(DIM):
-                    s = sum(c[m][i][j] * c[l][m][k] + c[m][j][k] * c[l][m][i]
-                            + c[m][k][i] * c[l][m][j] for m in range(DIM))
-                    if s != 0:
-                        found.append((i + 1, j + 1, k + 1, l + 1))
+    found = brute_force_jacobi(spec.frame)
     assert found
     assert spec.frame.jacobi_violations() == found
+
+
+@st.composite
+def antisymmetric_frames(draw):
+    """Random antisymmetric structure constants in dims 1-4, zeros common."""
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(st.just(Fraction(0)), small_rats)
+    entries = {(k, i, j): rat(str(draw(coeff)))
+               for k in range(n) for i in range(n) for j in range(i + 1, n)}
+    return FrameAlgebra.from_entries(n, entries)
+
+
+@given(antisymmetric_frames())
+def test_jacobi_triples_match_full_expansion(frame):
+    # Antisymmetric C takes the i < j < k evaluation; the expanded list must
+    # equal the 81-term (dim 3) expansion entry for entry, in order.
+    assert not frame.antisymmetry_violations()
+    assert frame.jacobi_violations() == brute_force_jacobi(frame)
+
+
+def test_jacobi_non_antisymmetric_keeps_repeated_indices():
+    # C^1_11 = 1 is not antisymmetric, so the cyclic sum need not vanish on
+    # repeated indices: (1, 1, 1, 1) gives 3 C^1_11 C^1_11 = 3.
+    c = Tensor.build(("u", "d", "d"), DIM,
+                     lambda k, i, j: rat(1) if (k, i, j) in ((0, 0, 0), (2, 0, 1)) else rat(0))
+    frame = FrameAlgebra(DIM, c)
+    assert frame.antisymmetry_violations()
+    found = frame.jacobi_violations()
+    assert (1, 1, 1, 1) in found
+    assert found == brute_force_jacobi(frame)
 
 
 def test_antisymmetry_violation_reported():

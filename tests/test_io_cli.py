@@ -7,7 +7,7 @@ import pytest
 
 from sscurv import (InputError, builtin, dumps_geometry, geometry_from_dict,
                     geometry_to_dict, load_geometry, parse_geometry, rat)
-from sscurv.cli import main
+from sscurv.cli import _attach_signed_values, main, make_parser
 
 
 def write(tmp_path, name, data):
@@ -217,6 +217,42 @@ def test_cli_soliton_with_jet_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["solitons"][0]["is_soliton"] is True
     assert doc["solitons"][0]["classification"] == "shrinking"
+
+
+@pytest.mark.parametrize("spelling", (("--lambda", "-1/2"), ("--lambda=-1/2",)))
+def test_cli_soliton_negative_lambda(capsys, spelling):
+    code, out, _ = run_cli(capsys, "soliton", "--builtin", "h2xr", "--type", "ricci",
+                           *spelling, "--format", "json")
+    assert code == 0
+    sol = json.loads(out)["solitons"][0]
+    assert sol["lambda"] == "-1/2"
+    assert sol["classification"] == "shrinking"
+
+
+def test_cli_bad_lambda_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "soliton", "--builtin", "h2xr", "--type", "ricci", "--lambda", "abc")
+    assert exc.value.code == 2
+    assert "not a rational literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", (("--pool", "-1,0,1"), ("--pool=-1,0,1",)))
+def test_cli_fuzz_negative_pool(capsys, spelling):
+    code, out, _ = run_cli(capsys, "fuzz", "--seed", "7", "--count", "20", *spelling,
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["fuzz"]["pool"] == ["-1", "0", "1"]
+
+
+def test_signed_values_attach_only_to_the_subcommands_rational_options():
+    parser = make_parser()
+    assert _attach_signed_values(parser, ["soliton", "--lambda", "-1/2", "--m", "-3"]) == \
+        ["soliton", "--lambda=-1/2", "--m", "-3"]
+    assert _attach_signed_values(parser, ["fuzz", "--pool", "-1,0", "--seed", "-2"]) == \
+        ["fuzz", "--pool=-1,0", "--seed", "-2"]
+    for argv in (["fuzz", "--lambda", "-1/2"], ["soliton", "--pool", "-1"],
+                 ["soliton", "--", "--lambda", "-1/2"], ["--lambda", "-1/2"]):
+        assert _attach_signed_values(parser, argv) == argv
 
 
 def test_cli_soliton_mquasi_requires_m(capsys):

@@ -53,6 +53,29 @@ def test_tensor_shape_checks():
         t[0, 5]
 
 
+def test_indexing_keeps_its_checks():
+    t = Tensor.build((UP, DOWN, DOWN), DIM, lambda a, b, c: rat(a * 9 + b * 3 + c))
+    assert t[2, 1, 0] == t[[2, 1, 0]] == rat(21)
+    for bad_rank in ((0, 1), (0, 1, 2, 0), 0):
+        with pytest.raises(ValenceError):
+            t[bad_rank]
+    for bad_range in ((0, -1, 2), (0, 1, DIM), (-1, 0, 0)):
+        with pytest.raises(IndexError):
+            t[bad_range]
+
+    v = Tensor.vector([rat(4), rat(5), rat(6)])
+    assert v[1] == v[(1,)] == rat(5)
+    with pytest.raises(IndexError):
+        v[-1]
+    with pytest.raises(IndexError):
+        v[DIM]
+    with pytest.raises(ValenceError):
+        Tensor.zeros((UP, DOWN), DIM)[1]
+    with pytest.raises(TypeError):
+        v[1.0]
+    assert Tensor((), DIM, [rat(7)])[()] == rat(7)
+
+
 def test_trace_of_identity_is_dim():
     assert Tensor.delta(DIM).contract(0, 1).scalar() == 3
 
