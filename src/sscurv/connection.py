@@ -4,6 +4,10 @@ Coefficients follow the convention nabla_{e_i} e_j = Gamma^k_ij e_k: the
 first lower index is the differentiation direction. Under homogeneity the
 metric-derivative terms of the Koszul formula vanish, leaving the three
 bracket terms.
+
+levi_civita, torsion and non_metricity are fraction-free integer kernels: they scale
+their inputs to integers over one common denominator (rat.common_denominator),
+accumulate in plain ints and build each nonzero component once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
-from .rat import ZERO, rat
+from .rat import ZERO, common_denominator, over_denominator
 from .tensor import DOWN, UP, Tensor
 
 
@@ -41,14 +45,19 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
     """Koszul formula, constant-frame case.
 
     2 g(nabla_{e_i} e_j, e_k) = -g(e_i,[e_j,e_k]) - g(e_j,[e_i,e_k]) + g(e_k,[e_i,e_j])
+
+    Fraction-free: C, g and g^-1 are each scaled to integers over one
+    denominator, the scatter and the raise run in plain ints, and each
+    coefficient is divided once, by 2 dc dg dh.
     """
     n = frame.dim
-    c, g, g_inv = frame.c.comps, metric.g.comps, metric.g_inv.comps
-    half = rat(1, 2)
-    # koszul[(i * n + j) * n + k] = 2 g(nabla_i e_j, e_k), scattered from
-    # each nonzero C^m_ab: it enters the three terms at (x, a, b), (a, x, b)
-    # and (a, b, x) with the factor g_xm.
-    koszul = [ZERO] * n ** 3
+    c, dc = common_denominator(frame.c.comps)
+    g, dg = common_denominator(metric.g.comps)
+    g_inv, dh = common_denominator(metric.g_inv.comps)
+    # koszul[(i * n + j) * n + k] = 2 dc dg g(nabla_i e_j, e_k), scattered
+    # from each nonzero C^m_ab: it enters the three terms at (x, a, b),
+    # (a, x, b) and (a, b, x) with the factor g_xm.
+    koszul = [0] * n ** 3
     for m in range(n):
         for a in range(n):
             for b in range(n):
@@ -62,17 +71,17 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
                         koszul[(x * n + a) * n + b] -= p
                         koszul[(a * n + x) * n + b] -= p
                         koszul[(a * n + b) * n + x] += p
-    comps = [ZERO] * n ** 3
+    nums = [0] * n ** 3
     for ij in range(n * n):
         for k in range(n):
             kz = koszul[ij * n + k]
             if kz:
-                kz = half * kz
                 for l in range(n):
                     gkl = g_inv[k * n + l]
                     if gkl:
-                        comps[l * n * n + ij] += kz * gkl
-    conn = Connection(Tensor((UP, DOWN, DOWN), n, comps), ConnectionKind.LEVI_CIVITA)
+                        nums[l * n * n + ij] += kz * gkl
+    gamma = Tensor((UP, DOWN, DOWN), n, over_denominator(nums, 2 * dc * dg * dh))
+    conn = Connection(gamma, ConnectionKind.LEVI_CIVITA)
     _check_levi_civita(conn, frame, metric)
     return conn
 
@@ -99,20 +108,14 @@ def ssnmc(lc: Connection, dist: DistinguishedField) -> Connection:
 
 
 def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
-    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij."""
-    n, g, c = conn.dim, conn.gamma.comps, frame.c.comps
-    comps = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                ij = (k * n + i) * n + j
-                t, swapped, bracket = g[ij], g[(k * n + j) * n + i], c[ij]
-                if swapped:
-                    t = t - swapped
-                if bracket:
-                    t = t - bracket
-                comps.append(t)
-    return Tensor((UP, DOWN, DOWN), n, comps)
+    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij, fraction-free over one denominator."""
+    n = conn.dim
+    n3 = n ** 3
+    ints, d = common_denominator(conn.gamma.comps + frame.c.comps)
+    g, c = ints[:n3], ints[n3:]
+    nums = [g[(k * n + i) * n + j] - g[(k * n + j) * n + i] - c[(k * n + i) * n + j]
+            for k in range(n) for i in range(n) for j in range(n)]
+    return Tensor((UP, DOWN, DOWN), n, over_denominator(nums, d))
 
 
 def is_semi_symmetric(t: Tensor, dist: DistinguishedField) -> bool:
@@ -134,9 +137,14 @@ def semi_symmetric_torsion(dist: DistinguishedField) -> Tensor:
 
 
 def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
-    """(nabla_{e_i} g)(e_j, e_k) = -Gamma^m_ij g_mk - Gamma^m_ik g_jm."""
-    n, gam, g = conn.dim, conn.gamma.comps, metric.g.comps
-    comps = [ZERO] * n ** 3
+    """(nabla_{e_i} g)(e_j, e_k) = -Gamma^m_ij g_mk - Gamma^m_ik g_jm.
+
+    Fraction-free like levi_civita: integer sums over the denominator dG dg.
+    """
+    n = conn.dim
+    gam, d_gam = common_denominator(conn.gamma.comps)
+    g, dg = common_denominator(metric.g.comps)
+    nums = [0] * n ** 3
     for m in range(n):
         for i in range(n):
             for j in range(n):
@@ -146,11 +154,11 @@ def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
                 for k in range(n):
                     b = g[m * n + k]    # Gamma^m_ij g_mk at (i, j, k)
                     if b:
-                        comps[(i * n + j) * n + k] -= a * b
+                        nums[(i * n + j) * n + k] -= a * b
                     b = g[k * n + m]    # Gamma^m_ij g_km at (i, k, j)
                     if b:
-                        comps[(i * n + k) * n + j] -= a * b
-    return Tensor((DOWN, DOWN, DOWN), n, comps)
+                        nums[(i * n + k) * n + j] -= a * b
+    return Tensor((DOWN, DOWN, DOWN), n, over_denominator(nums, d_gam * dg))
 
 
 def is_parallel(lc: Connection, dist: DistinguishedField) -> bool:

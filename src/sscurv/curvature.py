@@ -10,6 +10,10 @@ argument Y, then the pair (U, V). With constant coefficients
 The Ricci convention is S(V, Y) = trace of U -> R(U, V) Y; hatted
 quantities are always contracted from their own curvature tensor, never
 substituted from a cross-relation.
+
+curvature() is a fraction-free integer kernel: it scales its inputs to
+integers over one common denominator (rat.common_denominator), accumulates
+in plain ints and builds each nonzero component once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 from .connection import Connection, ConnectionKind
 from .errors import DegeneratePlaneError, UnsupportedDimensionError, ValenceError
 from .geometry import FrameAlgebra, MetricFrame
-from .rat import ZERO, Rat, rat
+from .rat import ZERO, Rat, common_denominator, over_denominator, rat
 from .tensor import DOWN, UP, Tensor
 
 
@@ -38,21 +42,30 @@ class CurvatureBundle:
 
 
 def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> CurvatureBundle:
-    """Full curvature bundle of a connection on the frame geometry."""
+    """Full curvature bundle of a connection on the frame geometry.
+
+    Fraction-free: Gamma, C and g^-1 are scaled to integers over one
+    denominator each (dG, dc, dh). Riemann and Ricci are integer sums over
+    dG^2 dc, the scalar and the Ricci operator over dG^2 dc dh, and each
+    nonzero component is divided once.
+    """
     n = conn.dim
-    gam, c, g_inv = conn.gamma.comps, frame.c.comps, metric.g_inv.comps
+    gam, d_gam = common_denominator(conn.gamma.comps)
+    c, dc = common_denominator(frame.c.comps)
+    g_inv, dh = common_denominator(metric.g_inv.comps)
     nn = n * n
     n3 = nn * n
-    # Nonzero Gamma^l_pq: by_last[q] holds (l, p, value), by_first[p] holds (l, q, value).
+    # Nonzero Gamma^l_pq: by_last[q] holds (l, p, value * dc), by_first[p]
+    # holds (l, q, value); the dc brings the Gamma Gamma products to dG^2 dc.
     by_last = [[] for _ in range(n)]
     by_first = [[] for _ in range(n)]
     for flat, v in enumerate(gam):
         if v:
             l, p, q = flat // nn, flat // n % n, flat % n
-            by_last[q].append((l, p, v))
+            by_last[q].append((l, p, v * dc))
             by_first[p].append((l, q, v))
 
-    riemann = [ZERO] * (n3 * n)
+    riemann = [0] * (n3 * n)
     for flat, a in enumerate(gam):
         if not a:
             continue
@@ -68,23 +81,17 @@ def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> Cur
         if not cm:
             continue
         m, i, j = flat // nn, flat // n % n, flat % n
+        cm *= d_gam
         for l, k, b in by_first[m]:  # C^m_ij Gamma^l_mk
             riemann[l * n3 + k * nn + i * n + j] -= cm * b
-    r = Tensor((UP, DOWN, DOWN, DOWN), n, riemann)
+    den = d_gam * d_gam * dc
 
     # S(e_a, e_b) = R[i, b, i, a] summed over i.
-    ricci = [ZERO] * nn
-    for a in range(n):
-        for b in range(n):
-            total = ZERO
-            for i in range(n):
-                x = riemann[i * n3 + b * nn + i * n + a]
-                if x:
-                    total = total + x
-            ricci[a * n + b] = total
+    ricci = [sum(riemann[i * n3 + b * nn + i * n + a] for i in range(n))
+             for a in range(n) for b in range(n)]
 
-    scalar = ZERO
-    ricci_op = [ZERO] * nn
+    scalar = 0
+    ricci_op = [0] * nn
     for a in range(n):
         for b in range(n):
             s_ab = ricci[a * n + b]
@@ -92,14 +99,18 @@ def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> Cur
                 continue
             g_ab = g_inv[a * n + b]
             if g_ab:
-                scalar = scalar + g_ab * s_ab
+                scalar += g_ab * s_ab
             for l in range(n):
                 g_bl = g_inv[b * n + l]
                 if g_bl:
                     ricci_op[l * n + a] += s_ab * g_bl
 
-    return CurvatureBundle(r, Tensor((DOWN, DOWN), n, ricci), scalar,
-                           Tensor((UP, DOWN), n, ricci_op), conn.kind)
+    return CurvatureBundle(
+        Tensor((UP, DOWN, DOWN, DOWN), n, over_denominator(riemann, den)),
+        Tensor((DOWN, DOWN), n, over_denominator(ricci, den)),
+        Rat(scalar, den * dh),
+        Tensor((UP, DOWN), n, over_denominator(ricci_op, den * dh)),
+        conn.kind)
 
 
 def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor) -> Rat:

@@ -26,7 +26,7 @@ from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
 from .curvature import CurvatureBundle, add_wedge, conformal, curvature, projective
 from .errors import UnknownProbeError
-from .geometry import GeometrySpec
+from .geometry import GeometrySpec, ValidationReport, validate
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
 
@@ -68,6 +68,10 @@ class ProbeContext:
 
     def __init__(self, spec: GeometrySpec):
         self.spec = spec
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate(self.spec)
 
     @cached_property
     def lc(self) -> Connection:
@@ -236,26 +240,35 @@ def _probe_b17(ctx: ProbeContext):
     return ctx.hat_bundle.ricci_op, Tensor((UP, DOWN), n, rhs)
 
 
-def _probe_b18(ctx: ProbeContext):
-    qhat, gamma = ctx.hat_bundle.ricci_op.comps, ctx.lc.gamma.comps
-    n = ctx.dim
+def operator_derivative(q, gamma, n: int) -> list:
+    """Flat components at (l, i, j) of ((nabla_{e_j} Q) e_i)^l for a (1,1) tensor Q.
+
+    q holds flat Q^l_i and gamma flat Gamma^k_ij of the connection:
+    Q^m_i Gamma^l_jm - Gamma^m_ji Q^l_m, summed over m.
+    """
     nn = n * n
-    lhs = [ZERO] * n ** 3  # ((nabla_{e_j} Qhat) e_i)^l at (l, i, j)
+    out = [ZERO] * n ** 3
     for m in range(n):
         for l in range(n):
             for x in range(n):
-                q = qhat[m * n + x]      # Qhat^m_i with i = x
-                if q:
+                a = q[m * n + x]      # Q^m_i with i = x
+                if a:
                     for j in range(n):
-                        a = gamma[(l * n + j) * n + m]
-                        if a:
-                            lhs[l * nn + x * n + j] += q * a
-                q = qhat[l * n + m]      # Qhat^l_m against Gamma^m_ji, i = x
-                if q:
+                        b = gamma[(l * n + j) * n + m]
+                        if b:
+                            out[l * nn + x * n + j] += a * b
+                a = q[l * n + m]      # Q^l_m against Gamma^m_ji, i = x
+                if a:
                     for j in range(n):
-                        a = gamma[(m * n + j) * n + x]
-                        if a:
-                            lhs[l * nn + x * n + j] -= a * q
+                        b = gamma[(m * n + j) * n + x]
+                        if b:
+                            out[l * nn + x * n + j] -= b * a
+    return out
+
+
+def _probe_b18(ctx: ProbeContext):
+    n = ctx.dim
+    lhs = operator_derivative(ctx.hat_bundle.ricci_op.comps, ctx.lc.gamma.comps, n)
     return Tensor((UP, DOWN, DOWN), n, lhs), Tensor.zeros((UP, DOWN, DOWN), n)
 
 

@@ -12,11 +12,10 @@ import json
 from typing import Iterable
 
 from ._version import __version__
-from .connection import alpha_star, is_parallel, levi_civita, non_metricity, ssnmc, torsion
-from .curvature import constant_sectional, curvature
-from .geometry import GeometrySpec, ValidationReport, validate
+from .curvature import constant_sectional
+from .geometry import GeometrySpec, ValidationReport
 from .geomio import geometry_to_dict
-from .probes import ProbeResult, ProbeStatus
+from .probes import ProbeContext, ProbeResult, ProbeStatus
 from .rat import format_rat
 from .solitons import SolitonProblem, SolitonVerdict
 from .tensor import Tensor
@@ -27,7 +26,7 @@ def serialize_value(value):
     if value is None:
         return None
     if isinstance(value, Tensor):
-        return _nested(value, ())
+        return _nested(value)
     if isinstance(value, dict):
         return {k: serialize_value(value[k]) for k in sorted(value)}
     if isinstance(value, bool):
@@ -35,10 +34,14 @@ def serialize_value(value):
     return format_rat(value)
 
 
-def _nested(t: Tensor, prefix: tuple[int, ...]):
-    if len(prefix) == t.rank:
-        return format_rat(t[prefix])
-    return [_nested(t, prefix + (i,)) for i in range(t.dim)]
+def _nested(t: Tensor):
+    """Canonical strings of the components, nested by slot in row-major order."""
+    out = [format_rat(x) for x in t.comps]
+    if t.rank == 0:
+        return out[0]
+    for _ in range(t.rank - 1):
+        out = [out[i:i + t.dim] for i in range(0, len(out), t.dim)]
+    return out
 
 
 def geometry_digest(spec: GeometrySpec) -> str:
@@ -96,22 +99,23 @@ def verdict_to_dict(problem: SolitonProblem, verdict: SolitonVerdict,
 
 def compute_tables(spec: GeometrySpec) -> dict:
     """The full computed apparatus of a geometry, serialized."""
-    lc = levi_civita(spec.frame, spec.metric)
-    hat = ssnmc(lc, spec.distinguished)
-    blc = curvature(lc, spec.frame, spec.metric)
-    bhat = curvature(hat, spec.frame, spec.metric)
+    return _compute_tables(ProbeContext(spec))
+
+
+def _compute_tables(ctx: ProbeContext) -> dict:
+    spec, blc, bhat = ctx.spec, ctx.lc_bundle, ctx.hat_bundle
     return {
         "structure_constants": serialize_value(spec.frame.c),
         "metric": serialize_value(spec.metric.g),
         "xi": serialize_value(spec.distinguished.xi),
         "psi": serialize_value(spec.distinguished.psi),
         "xi_unit": spec.distinguished.is_unit,
-        "xi_parallel": is_parallel(lc, spec.distinguished),
-        "levi_civita": serialize_value(lc.gamma),
-        "ssnmc": serialize_value(hat.gamma),
-        "torsion_ssnmc": serialize_value(torsion(hat, spec.frame)),
-        "non_metricity_ssnmc": serialize_value(non_metricity(hat, spec.metric)),
-        "alpha_star": serialize_value(alpha_star(lc, spec.distinguished)),
+        "xi_parallel": ctx.parallel,
+        "levi_civita": serialize_value(ctx.lc.gamma),
+        "ssnmc": serialize_value(ctx.hat.gamma),
+        "torsion_ssnmc": serialize_value(ctx.torsion_hat),
+        "non_metricity_ssnmc": serialize_value(ctx.non_metricity_hat),
+        "alpha_star": serialize_value(ctx.alpha),
         "riemann_lc": serialize_value(blc.riemann),
         "ricci_lc": serialize_value(blc.ricci),
         "scalar_lc": format_rat(blc.scalar),
@@ -130,17 +134,28 @@ def build_report(spec: GeometrySpec, *, suite: str | None = None,
                  solitons: Iterable[dict] = (),
                  notes: Iterable[str] = (),
                  include_tables: bool = True) -> dict:
+    return _build_report(ProbeContext(spec), suite=suite, probes=probes,
+                         solitons=solitons, notes=notes, include_tables=include_tables)
+
+
+def _build_report(ctx: ProbeContext, *, suite: str | None = None,
+                  probes: Iterable[ProbeResult] = (),
+                  solitons: Iterable[dict] = (),
+                  notes: Iterable[str] = (),
+                  include_tables: bool = True) -> dict:
+    """build_report on a context whose validation and tables a caller may share."""
+    spec = ctx.spec
     report = {
         "geometry": spec.name,
         "engine": {"name": "sscurv", "version": __version__},
         "input_digest": geometry_digest(spec),
         "notes": list(notes),
-        "validation": validation_to_dict(validate(spec)),
+        "validation": validation_to_dict(ctx.validation),
     }
     if suite is not None:
         report["suite"] = suite
     if include_tables:
-        report["tables"] = compute_tables(spec)
+        report["tables"] = _compute_tables(ctx)
     report["probes"] = [probe_to_dict(r) for r in probes]
     report["solitons"] = list(solitons)
     return report

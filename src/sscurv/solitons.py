@@ -16,12 +16,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .connection import Connection, ConnectionKind, is_parallel, levi_civita, ssnmc
-from .curvature import constant_sectional, curvature
-from .errors import GeometryError, InvalidJetError, SscurvError
-from .geometry import (DistinguishedField, GeometrySpec, MetricFrame, ScalarJet,
-                       gradient, validate)
-from .probes import ProbeResult, ProbeStatus, deviation
+from .connection import Connection, ConnectionKind
+from .curvature import constant_sectional
+from .errors import GeometryError, InvalidJetError, SscurvError, ValenceError
+from .geometry import DistinguishedField, GeometrySpec, MetricFrame, ScalarJet, gradient
+from .probes import ProbeContext, ProbeResult, ProbeStatus, deviation, operator_derivative
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
 
@@ -98,23 +97,33 @@ class SolitonVerdict:
 def _check_jet(jet: ScalarJet, lc: Connection):
     # LC torsion-freeness makes Gamma^k_ij - Gamma^k_ji = C^k_ij, so the
     # bracket-commutator constraint can be checked from the connection alone.
-    g = lc.gamma
+    # Both sides change sign under i <-> j and vanish for i = j, so the first
+    # violating (i, j) in row-major order has i < j.
     n = lc.dim
+    if jet.dim != n:
+        raise ValenceError(f"jet dimension {jet.dim} != connection dimension {n}")
+    gam, d, dd = lc.gamma.comps, jet.d.comps, jet.dd.comps
+    nn = n * n
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             bracket = ZERO
             for k in range(n):
-                bracket = bracket + (g[k, i, j] - g[k, j, i]) * jet.d[k]
-            if jet.dd[i, j] - jet.dd[j, i] != bracket:
+                if d[k]:
+                    a = gam[k * nn + i * n + j] - gam[k * nn + j * n + i]
+                    if a:
+                        bracket = bracket + a * d[k]
+            if dd[i * n + j] - dd[j * n + i] != bracket:
                 raise InvalidJetError(
                     f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = ({i + 1}, {j + 1})")
 
 
 def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:
     """xi f = d_k xi^k."""
+    d, xi = jet.d.comps, dist.xi.comps
     total = ZERO
     for k in range(jet.dim):
-        total = total + jet.d[k] * dist.xi[k]
+        if d[k] and xi[k]:
+            total = total + d[k] * xi[k]
     return total
 
 
@@ -131,20 +140,30 @@ def hat_hessian(jet: ScalarJet, lc: Connection, dist: DistinguishedField,
         raise SscurvError("hat_hessian builds on the Levi-Civita coefficients")
     _check_jet(jet, lc)
     n = lc.dim
-    gamma, psi = lc.gamma, dist.psi
-
-    def lc_hess(i, j):
-        total = jet.dd[i, j]
-        for k in range(n):
-            total = total - gamma[k, i, j] * jet.d[k]
-        return total
-
+    nn = n * n
+    gam, d = lc.gamma.comps, jet.d.comps
+    hess = list(jet.dd.comps)  # Hess_ij = dd_ij - Gamma^k_ij d_k
+    for k in range(n):
+        if d[k]:
+            for ij in range(nn):
+                a = gam[k * nn + ij]
+                if a:
+                    hess[ij] -= a * d[k]
     if one_form:
-        return Tensor.build((DOWN, DOWN), n,
-                            lambda i, j: lc_hess(i, j) - psi[j] * jet.d[i])
-    xf = xi_derivative(jet, dist)
-    return Tensor.build((DOWN, DOWN), n,
-                        lambda i, j: lc_hess(i, j) + xf * metric.g[i, j])
+        psi = dist.psi.comps
+        for i in range(n):
+            if d[i]:
+                for j in range(n):
+                    if psi[j]:
+                        hess[i * n + j] -= psi[j] * d[i]
+    else:
+        xf = xi_derivative(jet, dist)
+        if xf:
+            g = metric.g.comps
+            for ij in range(nn):
+                if g[ij]:
+                    hess[ij] += xf * g[ij]
+    return Tensor((DOWN, DOWN), n, hess)
 
 
 def _residual_tensor(kind: SolitonKind, hess: Tensor, ricci_hat: Tensor,
@@ -163,32 +182,38 @@ def _residual_tensor(kind: SolitonKind, hess: Tensor, ricci_hat: Tensor,
     raise SscurvError(f"unknown soliton kind {kind!r}")
 
 
+def _validated_context(spec: GeometrySpec) -> ProbeContext:
+    ctx = ProbeContext(spec)
+    if not ctx.validation.ok:
+        failed = ", ".join(c.name for c in ctx.validation.checks if not c.passed)
+        raise GeometryError(f"geometry fails structural validation: {failed}")
+    return ctx
+
+
 def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:
     """Exact residual of the soliton equation, with classification and,
     when the equation holds, the conclusion checks."""
-    report = validate(spec)
-    if not report.ok:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
-        raise GeometryError(f"geometry fails structural validation: {failed}")
-    lc = levi_civita(spec.frame, spec.metric)
-    hat = ssnmc(lc, spec.distinguished)
-    bundle = curvature(hat, spec.frame, spec.metric)
-    hess = hat_hessian(problem.jet, lc, spec.distinguished, spec.metric)
+    return _residual(_validated_context(spec), problem)
+
+
+def _residual(ctx: ProbeContext, problem: SolitonProblem) -> SolitonVerdict:
+    spec, bundle = ctx.spec, ctx.hat_bundle
+    hess = hat_hessian(problem.jet, ctx.lc, spec.distinguished, spec.metric)
     res = _residual_tensor(problem.kind, hess, bundle.ricci, bundle.scalar,
                            spec.metric, problem.lam, problem.m, problem.jet)
     is_soliton = res.is_zero()
-    checks = conclusion_check(spec, problem) if is_soliton else ()
+    checks = _conclusion_check(ctx, problem) if is_soliton else ()
     return SolitonVerdict(res, is_soliton, classify(problem.kind, problem.lam),
                           tuple(checks))
 
 
-def _hypothesis_failures(spec: GeometrySpec, lc: Connection) -> list[str]:
+def _hypothesis_failures(ctx: ProbeContext) -> list[str]:
     reasons = []
-    if spec.distinguished.is_zero:
+    if ctx.spec.distinguished.is_zero:
         reasons.append("psi = 0")
-    if not spec.distinguished.is_unit:
+    if not ctx.spec.distinguished.is_unit:
         reasons.append("xi not unit")
-    if not is_parallel(lc, spec.distinguished):
+    if not ctx.parallel:
         reasons.append("xi not parallel")
     return reasons
 
@@ -200,10 +225,12 @@ def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedC
     unit-parallel-xi hypotheses, the failure is annotated as out of scope
     rather than treated as a counterexample.
     """
-    lc = levi_civita(spec.frame, spec.metric)
-    hat = ssnmc(lc, spec.distinguished)
-    bundle = curvature(hat, spec.frame, spec.metric)
-    kappa = constant_sectional(bundle, spec.metric)
+    return _conclusion_check(ProbeContext(spec), problem)
+
+
+def _conclusion_check(ctx: ProbeContext, problem: SolitonProblem) -> list[NamedCheck]:
+    bundle = ctx.hat_bundle
+    kappa = constant_sectional(bundle, ctx.spec.metric)
     rhat = bundle.scalar
     trivial = problem.jet.is_zero
 
@@ -237,7 +264,7 @@ def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedC
 
     note = ""
     if not holds:
-        reasons = _hypothesis_failures(spec, lc)
+        reasons = _hypothesis_failures(ctx)
         if reasons:
             note = ("conclusion disjunct not satisfied; geometry outside the "
                     f"standing hypotheses ({', '.join(reasons)})")
@@ -259,15 +286,14 @@ _CONTRACTION_NOTE = ("directional derivatives of the hat scalar curvature vanish
 def proof_step_probes(spec: GeometrySpec, problem: SolitonProblem) -> list[ProbeResult]:
     """Check the proof-step identities that follow from the soliton equation."""
     ids = PROOF_STEP_IDS[problem.kind]
-    verdict = residual(spec, problem)
+    ctx = _validated_context(spec)
+    verdict = _residual(ctx, problem)
     if not verdict.is_soliton:
         return [ProbeResult(pid, ProbeStatus.SKIPPED, None, None, ZERO,
                             note="hypothesis: soliton equation not satisfied")
                 for pid in ids]
 
-    lc = levi_civita(spec.frame, spec.metric)
-    hat = ssnmc(lc, spec.distinguished)
-    bundle = curvature(hat, spec.frame, spec.metric)
+    bundle = ctx.hat_bundle
     df = gradient(problem.jet, spec.metric)
     n = spec.dim
     results = []
@@ -283,28 +309,39 @@ def proof_step_probes(spec: GeometrySpec, problem: SolitonProblem) -> list[Probe
             finish(pid, lhs, Tensor.zeros((DOWN,), n), note=_CONTRACTION_NOTE)
         elif pid == "M61":
             lhs = bundle.riemann.contract_with(1, df)
-            qhat, gam, d = bundle.ricci_op, hat.gamma, problem.jet.d
-            lam_m = problem.lam * rat(1, problem.m)
-            inv_m = rat(1, problem.m)
-
-            def cov_q(l, arg, direction):
-                total = ZERO
-                for mm in range(n):
-                    total = total + (qhat[mm, arg] * gam[l, direction, mm]
-                                     - gam[mm, direction, arg] * qhat[l, mm])
-                return total
-
-            def entry(l, i, j):
-                kron_i = rat(1) if l == i else ZERO
-                kron_j = rat(1) if l == j else ZERO
-                return (cov_q(l, i, j) - cov_q(l, j, i)
-                        + lam_m * (d[j] * kron_i - d[i] * kron_j)
-                        + inv_m * (d[i] * qhat[l, j] - d[j] * qhat[l, i]))
-
-            finish(pid, lhs, Tensor.build((UP, DOWN, DOWN), n, entry))
+            rhs = _m61_rhs(bundle.ricci_op.comps, ctx.hat.gamma.comps, problem.jet.d.comps,
+                           problem.lam, problem.m, n)
+            finish(pid, lhs, Tensor((UP, DOWN, DOWN), n, rhs))
         elif pid == "M68":
             xf = xi_derivative(problem.jet, spec.distinguished)
             coeff = 2 * problem.m + bundle.scalar - 2 * problem.lam + 2
             finish(pid, coeff * xf, ZERO,
                    note=f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}")
     return results
+
+
+def _m61_rhs(qhat, gam, d, lam: Rat, m: int, n: int) -> list:
+    """Flat (l, i, j) components of the M61 right side, from flat Qhat, Gamma-hat, d.
+
+    ((nabla_j Qhat) e_i - (nabla_i Qhat) e_j)^l + (lambda/m)(d_j delta^l_i - d_i delta^l_j)
+    + (1/m)(d_i Qhat^l_j - d_j Qhat^l_i)
+    """
+    nn = n * n
+    cov = operator_derivative(qhat, gam, n)
+    inv_m = rat(1, m)
+    lam_m = lam * inv_m
+    rhs = []
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                total = cov[l * nn + i * n + j] - cov[l * nn + j * n + i]
+                if l == i and d[j]:
+                    total = total + lam_m * d[j]
+                if l == j and d[i]:
+                    total = total - lam_m * d[i]
+                if d[i] and qhat[l * n + j]:
+                    total = total + inv_m * d[i] * qhat[l * n + j]
+                if d[j] and qhat[l * n + i]:
+                    total = total - inv_m * d[j] * qhat[l * n + i]
+                rhs.append(total)
+    return rhs

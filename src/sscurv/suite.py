@@ -12,7 +12,7 @@ from .geomio import geometry_to_dict
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
 from .rat import ONE, ZERO, Rat, format_rat, rat
-from .report import build_report, config_digest
+from .report import _build_report, config_digest
 from ._version import __version__
 from .tensor import Tensor
 
@@ -28,7 +28,8 @@ def run_suite(spec: GeometrySpec, suite: str = "all",
     Gated probes skip themselves when xi is not unit parallel, so "all" is
     always safe to request.
     """
-    report = validate(spec)
+    ctx = ProbeContext(spec)
+    report = ctx.validation
     if not report.ok:
         failed = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
         raise GeometryError(f"geometry fails structural validation ({failed})")
@@ -42,10 +43,8 @@ def run_suite(spec: GeometrySpec, suite: str = "all",
         unknown = [pid for pid in ids if pid not in PROBE_ORDER]
         if unknown:
             raise SscurvError(f"unknown probe ids: {', '.join(unknown)}")
-    ctx = ProbeContext(spec)
     results = [run_probe(ctx, pid) for pid in ids]
-    return build_report(spec, suite=suite, probes=results,
-                        include_tables=include_tables)
+    return _build_report(ctx, suite=suite, probes=results, include_tables=include_tables)
 
 
 @dataclass(frozen=True)

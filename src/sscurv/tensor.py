@@ -5,7 +5,11 @@ through raising and lowering, so a raise/lower round trip is the identity
 by construction. Storage is a flat row-major tuple and stays dense: at
 dim <= 4 a dense layout beats any sparse scheme. The engine loops read that
 tuple by flat offset and skip every product with a zero factor, since frame
-geometries are mostly zeros; `t[idx]` stays the checked accessor.
+geometries are mostly zeros; `t[idx]` stays the checked accessor. The
+hottest kernels (Levi-Civita, torsion, non-metricity, curvature) are
+fraction-free: they scale the tuples to integers over one common
+denominator (rat.common_denominator), accumulate in plain ints and build
+each nonzero component once (rat.over_denominator).
 """
 
 from __future__ import annotations

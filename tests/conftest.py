@@ -115,11 +115,11 @@ small_nonzero_rats = small_rats.filter(lambda x: x != 0)
 
 
 @st.composite
-def spd_metrics(draw):
-    """Exactly positive-definite rational metric: B^T B + I."""
-    b = [[draw(small_rats) for _ in range(DIM)] for _ in range(DIM)]
-    rows = [[sum(b[k][i] * b[k][j] for k in range(DIM)) + Fraction(int(i == j))
-             for j in range(DIM)] for i in range(DIM)]
+def spd_metrics(draw, dim=DIM, entries=small_rats):
+    """Exactly positive-definite rational metric: B^T B + I, B drawn from entries."""
+    b = [[draw(entries) for _ in range(dim)] for _ in range(dim)]
+    rows = [[sum(b[k][i] * b[k][j] for k in range(dim)) + Fraction(int(i == j))
+             for j in range(dim)] for i in range(dim)]
     return MetricFrame.from_tensor(
         Tensor.from_rows((DOWN, DOWN), [[rat(str(x)) for x in r] for r in rows]))
 

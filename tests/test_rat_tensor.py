@@ -143,3 +143,17 @@ def test_tensor_immutable():
         t.dim = 4
     with pytest.raises(TypeError):
         t.comps[0] = rat(2)
+
+
+@given(st.integers(0, 4), st.integers(1, 3), st.data())
+def test_serialized_tensor_nests_row_major(rank, dim, data):
+    from sscurv.report import serialize_value
+    comps = data.draw(st.lists(small_rats, min_size=dim ** rank, max_size=dim ** rank))
+    t = Tensor((UP,) * rank, dim, [rat(str(x)) for x in comps])
+
+    def by_index(prefix):
+        if len(prefix) == rank:
+            return format_rat(t[prefix])
+        return [by_index(prefix + (i,)) for i in range(dim)]
+
+    assert serialize_value(t) == by_index(())

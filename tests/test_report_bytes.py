@@ -7,11 +7,17 @@ no room for a sum taken in another order to differ.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
-from sscurv import BUILTIN_NAMES, FuzzConfig, builtin, fuzz, run_suite
-from sscurv.report import emit_report
+from conftest import DIM, c_rows_of, oracle_inverse
+from sscurv import (BUILTIN_NAMES, DistinguishedField, FrameAlgebra, FuzzConfig,
+                    GeometrySpec, MetricFrame, ScalarJet, SolitonKind, SolitonProblem,
+                    Tensor, builtin, fuzz, proof_step_probes, rat, residual, run_suite)
+from sscurv.report import emit_report, verdict_to_dict
+from sscurv.tensor import DOWN, UP
 
 SUITE_DIGESTS = {
     ("example1", "json"): "dffb31a8a7158a07f97a892de06b7ba7df54faabfec66c01516e56c30bcc95c7",
@@ -47,3 +53,153 @@ def test_fuzz_report_bytes(parallel):
     doc = fuzz(FuzzConfig(count=100, seed=42, require_parallel_xi=parallel))
     for fmt in ("json", "text"):
         assert digest(doc, fmt) == FUZZ_DIGESTS[parallel, fmt], (parallel, fmt)
+
+
+# -- general metrics --------------------------------------------------------
+#
+# Two geometries off the identity metric, built here from a normal form
+# pushed forward by a fixed rational B (new frame e'_a = B^c_a e_c):
+# C'^k_ab = (B^-1)^k_m C^m_cd B^c_a B^d_b, g' = B^T B, xi' = B^-1 xi.
+# Their digests were recorded at commit d5ab679, before the integer kernels.
+
+def _push_forward(name, c_rows, b_rows, xi):
+    n = DIM
+    b = [[Fraction(x) for x in row] for row in b_rows]
+    b_inv = oracle_inverse(b)
+    c = [sum(b_inv[k][m] * c_rows[m][p][q] * b[p][i] * b[q][j]
+             for m in range(n) for p in range(n) for q in range(n))
+         for k in range(n) for i in range(n) for j in range(n)]
+    g = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    xi = [sum(b_inv[k][m] * Fraction(xi[m]) for m in range(n)) for k in range(n)]
+    frame = FrameAlgebra(n, Tensor((UP, DOWN, DOWN), n, [rat(str(x)) for x in c]))
+    metric = MetricFrame.from_tensor(
+        Tensor.from_rows((DOWN, DOWN), [[rat(str(x)) for x in row] for row in g]))
+    dist = DistinguishedField.from_xi(Tensor.vector([rat(str(x)) for x in xi]), metric)
+    return GeometrySpec(name, frame, metric, dist)
+
+
+def _structure(entries):
+    """Nested C^k_ij from 0-based {(k, i, j): value}, completed antisymmetrically."""
+    c = [[[Fraction(0)] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for (k, i, j), v in entries.items():
+        c[k][i][j] = Fraction(v)
+        c[k][j][i] = -Fraction(v)
+    return c
+
+
+def milnor_pushed():
+    # Unimodular [e2,e3] = 2 e1, [e3,e1] = -e2, [e1,e2] = 1/2 e3; xi = e3 (unit, not parallel).
+    c = _structure({(0, 1, 2): 2, (1, 2, 0): -1, (2, 0, 1): Fraction(1, 2)})
+    b = [[1, Fraction(1, 2), 0], [Fraction(-1, 3), 1, 1], [0, 2, 1]]
+    return _push_forward("milnor-pushed", c, b, (0, 0, 1))
+
+
+def solvable_pushed():
+    # Non-unimodular [e3, e_a] = A e_a with A = [[1, 2], [-1/2, 1/3]]; xi not unit.
+    c = _structure({(0, 2, 0): 1, (1, 2, 0): Fraction(-1, 2),
+                    (0, 2, 1): 2, (1, 2, 1): Fraction(1, 3)})
+    b = [[2, 0, 1], [1, 1, 0], [0, Fraction(-1, 3), 1]]
+    return _push_forward("solvable-pushed", c, b, (1, -1, 2))
+
+
+GENERAL_GEOMETRIES = {"milnor-pushed": milnor_pushed, "solvable-pushed": solvable_pushed}
+
+GENERAL_SUITE_DIGESTS = {
+    "milnor-pushed": "b38fbb52f290ed26757004bf8aa7d65ed190a0f661c35250bc27ddfd3e753723",
+    "solvable-pushed": "fd4e0c7ab2e9d1376e659f41e6dfd1013931da177ac6de8c751a5f2ffb88c67f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_GEOMETRIES))
+def test_general_metric_suite_report_bytes(name):
+    spec = GENERAL_GEOMETRIES[name]()
+    assert spec.metric.g != MetricFrame.identity(DIM).g
+    doc = run_suite(spec, "all")
+    assert digest(doc, "json") == GENERAL_SUITE_DIGESTS[name], name
+
+
+def _jet(spec, d, sym):
+    """Consistent jet dd = sym + 1/2 C^k_ij d_k."""
+    c = c_rows_of(spec.frame)
+    d = [Fraction(x) for x in d]
+    dd = [[Fraction(sym[i][j]) + sum(c[k][i][j] * d[k] for k in range(DIM)) / 2
+           for j in range(DIM)] for i in range(DIM)]
+    return ScalarJet(Tensor.covector([rat(str(x)) for x in d]),
+                     Tensor.from_rows((DOWN, DOWN), [[rat(str(x)) for x in r] for r in dd]))
+
+
+def milnor_problems(spec):
+    """One problem per kind; only the zero-jet Yamabe one at lambda = r-hat is a soliton."""
+    eye = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    zero = [[0] * DIM for _ in range(DIM)]
+    sym = [[1, 0, Fraction(1, 3)], [0, -1, 0], [Fraction(1, 3), 0, 2]]
+    return [
+        SolitonProblem(SolitonKind.RICCI, rat(-1), _jet(spec, (1, 0, Fraction(-1, 2)), sym)),
+        SolitonProblem(SolitonKind.YAMABE, rat(-17, 8), ScalarJet.zero(DIM)),
+        SolitonProblem(SolitonKind.EINSTEIN, rat(1, 2), _jet(spec, (0, 2, 1), zero)),
+        SolitonProblem(SolitonKind.M_QUASI, rat(3, 2), _jet(spec, (-1, Fraction(1, 3), 0), eye),
+                       m=2),
+    ]
+
+
+def _literal_jet(d, dd):
+    return ScalarJet(Tensor.covector([rat(x) for x in d]),
+                     Tensor.from_rows((DOWN, DOWN), [[rat(x) for x in row] for row in dd]))
+
+
+def h2xr_problems(spec):
+    """A soliton of each kind with a nonzero jet, so every proof step is evaluated.
+
+    The jets solve the soliton equation and the commutator constraint, but
+    constant first derivatives are not integrable here, so the proof steps
+    report fail; the digests pin those deviations too.
+    """
+    return [
+        SolitonProblem(SolitonKind.RICCI, rat(-1), _literal_jet(
+            ("1", "0", "-1/2"), [["5/2", "-1", "0"], ["0", "5/2", "0"], ["0", "0", "-1/2"]])),
+        SolitonProblem(SolitonKind.YAMABE, rat(1, 2), _literal_jet(
+            ("0", "2", "1"), [["1/2", "0", "0"], ["0", "-3/2", "0"], ["0", "0", "-3/2"]])),
+        SolitonProblem(SolitonKind.EINSTEIN, rat(2), _literal_jet(
+            ("1/3", "-1", "0"), [["-2", "-1/3", "0"], ["0", "-1", "0"], ["0", "0", "-4"]])),
+        SolitonProblem(SolitonKind.M_QUASI, rat(3, 2), _literal_jet(
+            ("-1", "1/3", "2"),
+            [["4/3", "5/6", "-1"], ["-1/6", "5/9", "1/3"], ["-1", "1/3", "-1/2"]]), m=2),
+    ]
+
+
+SOLITON_GEOMETRIES = {
+    "h2xr": (lambda: builtin("h2xr"), h2xr_problems),
+    "milnor-pushed": (milnor_pushed, milnor_problems),
+}
+
+VERDICT_DIGESTS = {
+    ("h2xr", "ricci"):
+        "6866f55f3facce6a286b37b834fe436e74150cb4360b854384aef848c1ca79f0",
+    ("h2xr", "yamabe"):
+        "209487dc1910cad395bcefa5e4472a8721e07cf54e4a306a90a2e99b44d5ecce",
+    ("h2xr", "einstein"):
+        "d47e44110a6174c5e4dc66ff11354f9eb367be3bcca1bec796f6e6e05c9e0cb3",
+    ("h2xr", "mquasi"):
+        "f64e880a0cd566a59c0b43f7840d6c80faf87da694800d291837f1f4a83981ad",
+    ("milnor-pushed", "ricci"):
+        "8869ab10081a985fbc6318a3a4422c0dcd94a9b9e2c42254c5f5189b3a4de115",
+    ("milnor-pushed", "yamabe"):
+        "2c75a049c713df91a45910aa53d4a74c01a1bcc4c0560dc735a7ef72d9c7fdd3",
+    ("milnor-pushed", "einstein"):
+        "8d7954cec5403394413f2844550fea6bdd56c6698031dd88fc9a42d4e9a410d0",
+    ("milnor-pushed", "mquasi"):
+        "7a6ceaa6b68a6a0940e2707cb0f8e6614450f28faab27eab01c3e56dbd8ee5fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLITON_GEOMETRIES))
+def test_soliton_verdict_bytes(name):
+    build, problems = SOLITON_GEOMETRIES[name]
+    spec = build()
+    for problem in problems(spec):
+        doc = verdict_to_dict(problem, residual(spec, problem),
+                              proof_step_probes(spec, problem))
+        assert doc["is_soliton"] == (name == "h2xr" or problem.kind is SolitonKind.YAMABE)
+        text = json.dumps(doc, indent=2)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == VERDICT_DIGESTS[name, problem.kind.value]), (name, problem.kind)

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from conftest import DIM, geometries, make_spec, small_rats
 from sscurv import (InvalidJetError, ProbeStatus, ScalarJet, SolitonKind,
-                    SolitonProblem, SscurvError, Tensor, builtin, classify,
+                    SolitonProblem, SscurvError, Tensor, ValenceError, builtin, classify,
                     conclusion_check, hat_hessian, levi_civita,
                     proof_step_probes, rat, residual, xi_derivative)
 from sscurv.tensor import DOWN
@@ -69,6 +69,27 @@ def test_hat_hessian_rejects_inconsistent_jet():
     fixed = make_jet([1, 0, 0], [[0, rat(-1, 2), 0], [rat(1, 2), 0, 0], [0, 0, 0]])
     h = hat_hessian(fixed, lc, spec.distinguished, spec.metric)
     assert h == h.permute((1, 0))  # symmetric
+
+
+def test_invalid_jet_names_first_violation():
+    # Milnor [e2,e3] = e1, [e3,e1] = 2 e2, [e1,e2] = 3 e3 with d = (1, 1, 1) and
+    # dd = 0 violates the constraint at (1,2), (1,3) and (2,3); (1, 2) is named.
+    spec = make_spec("milnor", {(0, 1, 2): 1, (1, 2, 0): 2, (2, 0, 1): 3})
+    lc = levi_civita(spec.frame, spec.metric)
+    bad = make_jet([1, 1, 1], [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(InvalidJetError, match=r"at \(i, j\) = \(1, 2\)$"):
+        hat_hessian(bad, lc, spec.distinguished, spec.metric)
+    # Fix (1, 2) only: the next violation in row-major order is (1, 3).
+    partly = make_jet([1, 1, 1], [[0, rat(3, 2), 0], [rat(-3, 2), 0, 0], [0, 0, 0]])
+    with pytest.raises(InvalidJetError, match=r"at \(i, j\) = \(1, 3\)$"):
+        hat_hessian(partly, lc, spec.distinguished, spec.metric)
+
+
+def test_hat_hessian_rejects_jet_of_other_dimension():
+    spec = builtin("h2xr")
+    lc = levi_civita(spec.frame, spec.metric)
+    with pytest.raises(ValenceError):
+        hat_hessian(ScalarJet.zero(2), lc, spec.distinguished, spec.metric)
 
 
 def test_hat_hessian_one_form_variant():
@@ -245,3 +266,26 @@ def test_psi_zero_reduces_to_classical(spec):
         else:
             expected = bl.ricci - spec0.metric.g.scale(rat(1, 2)) + h
         assert res == expected
+
+
+def test_proof_step_probes_builds_levi_civita_once(monkeypatch):
+    # residual, the conclusion checks and the proof steps of one call share
+    # one context: a genuine soliton reaches all three.
+    import sys
+
+    import sscurv.connection
+    original = sscurv.connection.levi_civita
+    calls = []
+
+    def counting(frame, metric):
+        calls.append(frame)
+        return original(frame, metric)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sscurv") and getattr(module, "levi_civita", None) is original:
+            monkeypatch.setattr(module, "levi_civita", counting)
+    spec = builtin("h2xr")
+    problem = SolitonProblem(SolitonKind.YAMABE, rat(0), zero_jet())
+    steps = proof_step_probes(spec, problem)
+    assert [r.status for r in steps] == [ProbeStatus.PASS]
+    assert len(calls) == 1
