@@ -13,9 +13,9 @@ import sys
 
 from .catalog import BUILTIN_NAMES, builtin
 from .errors import InputError, SscurvError
-from .geometry import GeometrySpec, validate
+from .geometry import ScalarJet
 from .geomio import dumps_geometry, load_geometry, load_jet
-from .probes import SUITES
+from .probes import SUITES, ProbeContext
 from .rat import parse_rat
 from .report import build_report, emit_report, exit_code, verdict_to_dict
 from .solitons import SolitonKind, SolitonProblem, proof_step_probes, residual
@@ -81,43 +81,41 @@ def _add_output_args(parser):
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
 
 
-def _resolve_geometry(args) -> tuple[GeometrySpec, list[str]]:
+def _resolve_geometry(args) -> tuple[ProbeContext, list[str]]:
+    """The one context of the command's geometry, and its loader notes."""
     if args.builtin:
-        return builtin(args.builtin), []
+        return ProbeContext(builtin(args.builtin)), []
     loaded = load_geometry(args.geometry)
-    return loaded.spec, list(loaded.notes)
+    return ProbeContext(loaded.spec), list(loaded.notes)
 
 
-def _validate_or_die(spec: GeometrySpec, notes, args) -> None:
-    report = validate(spec)
-    if not report.ok:
-        doc = build_report(spec, notes=notes, include_tables=False)
+def _validate_or_die(ctx: ProbeContext, notes, args) -> None:
+    if not ctx.validation.ok:
+        doc = build_report(ctx, notes=notes, include_tables=False)
         sys.stdout.write(emit_report(doc, args.format, args.out))
-        failed = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
-        raise InputError(f"geometry fails validation ({failed})")
+        raise InputError(f"geometry fails validation ({ctx.validation.failures})")
 
 
 def _cmd_validate(args) -> int:
-    spec, notes = _resolve_geometry(args)
-    report = validate(spec)
-    doc = build_report(spec, notes=notes, include_tables=False)
+    ctx, notes = _resolve_geometry(args)
+    doc = build_report(ctx, notes=notes, include_tables=False)
     sys.stdout.write(emit_report(doc, args.format, args.out))
-    return 0 if report.ok else 2
+    return 0 if ctx.validation.ok else 2
 
 
 def _cmd_compute(args) -> int:
-    spec, notes = _resolve_geometry(args)
-    _validate_or_die(spec, notes, args)
-    doc = build_report(spec, notes=notes)
+    ctx, notes = _resolve_geometry(args)
+    _validate_or_die(ctx, notes, args)
+    doc = build_report(ctx, notes=notes)
     sys.stdout.write(emit_report(doc, args.format, args.out))
     return 0
 
 
 def _cmd_probe(args) -> int:
-    spec, notes = _resolve_geometry(args)
-    _validate_or_die(spec, notes, args)
+    ctx, notes = _resolve_geometry(args)
+    _validate_or_die(ctx, notes, args)
     ids = tuple(x.strip() for x in args.ids.split(",")) if args.ids else None
-    doc = run_suite(spec, suite=args.suite, ids=ids, include_tables=args.tables)
+    doc = run_suite(ctx, suite=args.suite, ids=ids, include_tables=args.tables)
     if notes:
         doc["notes"] = notes
     sys.stdout.write(emit_report(doc, args.format, args.out))
@@ -125,20 +123,20 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_soliton(args) -> int:
-    spec, notes = _resolve_geometry(args)
-    _validate_or_die(spec, notes, args)
+    ctx, notes = _resolve_geometry(args)
+    _validate_or_die(ctx, notes, args)
+    spec = ctx.spec
     jet = spec.jet
     if args.jet:
         jet = load_jet(args.jet, spec.dim)
     if jet is None:
-        from .geometry import ScalarJet
         jet = ScalarJet.zero(spec.dim)
     kind = SolitonKind(args.type)
     m = args.m if kind is SolitonKind.M_QUASI else None
     problem = SolitonProblem(kind, args.lam, jet, m)
-    verdict = residual(spec, problem)
-    steps = proof_step_probes(spec, problem)
-    doc = build_report(spec, notes=notes, include_tables=args.tables,
+    verdict = residual(ctx, problem)
+    steps = proof_step_probes(ctx, problem)
+    doc = build_report(ctx, notes=notes, include_tables=args.tables,
                        solitons=[verdict_to_dict(problem, verdict, steps)])
     sys.stdout.write(emit_report(doc, args.format, args.out))
     return exit_code(doc, strict=args.strict)

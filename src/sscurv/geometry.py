@@ -9,7 +9,7 @@ exact arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, ValenceError
 from .rat import ONE, ZERO, Rat, rat
@@ -183,14 +183,13 @@ class DistinguishedField:
 
     xi: Tensor   # (UP,)
     psi: Tensor  # (DOWN,)
-    is_unit: bool
 
     @classmethod
     def from_xi(cls, xi: Tensor, metric: MetricFrame) -> "DistinguishedField":
         if xi.variance != (UP,):
             raise ValenceError("xi must be a (1,0) tensor")
         psi = xi.apply_metric(metric.g, 0)
-        return cls(xi, psi, metric.inner(xi, xi) == 1)
+        return cls(xi, psi)
 
     @property
     def is_zero(self) -> bool:
@@ -226,15 +225,17 @@ class ScalarJet:
 def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tuple[int, int]]:
     """1-based (i, j) where dd_ij - dd_ji != C^k_ij d_k."""
     n, c, d, dd = frame.dim, frame.c.comps, jet.d.comps, jet.dd.comps
-    w = jet.dim
+    if jet.dim != n:
+        raise ValenceError(f"jet dimension {jet.dim} != frame dimension {n}")
     bad = []
     for i in range(n):
         for j in range(n):
             bracket = ZERO
             for k in range(n):
-                if d[k]:
-                    bracket = bracket + c[(k * n + i) * n + j] * d[k]
-            if dd[i * w + j] - dd[j * w + i] != bracket:
+                x = c[(k * n + i) * n + j]
+                if x and d[k]:
+                    bracket = bracket + x * d[k]
+            if dd[i * n + j] - dd[j * n + i] != bracket:
                 bad.append((i + 1, j + 1))
     return bad
 
@@ -279,6 +280,11 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def failures(self) -> str:
+        """The failed checks as "name: detail", joined by "; "."""
+        return "; ".join(f"{c.name}: {c.detail}" for c in self.checks if not c.passed)
 
     def check(self, name: str) -> Check:
         for c in self.checks:
@@ -331,12 +337,3 @@ def validate(spec: GeometrySpec) -> ValidationReport:
 def gradient(jet: ScalarJet, metric: MetricFrame) -> Tensor:
     """Frame components of the gradient: (Df)^k = g^kj d_j."""
     return jet.d.apply_metric(metric.g_inv, 0)
-
-
-def raise_lower(t: Tensor, metric: MetricFrame, slot: int, direction: str) -> Tensor:
-    """Flip the variance of one slot with g ("down") or its inverse ("up")."""
-    if direction == "up":
-        return t.apply_metric(metric.g_inv, slot)
-    if direction == "down":
-        return t.apply_metric(metric.g, slot)
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")

@@ -166,33 +166,24 @@ def jet_from_dict(data, dim: int, *, path: str | None = None,
     return ScalarJet(d, dd)
 
 
-def load_geometry(path: str | Path) -> LoadedGeometry:
-    path = Path(path)
+def _read_json(path: Path):
     if not path.exists():
         raise InputError("file not found", path=str(path))
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          path=str(path)) from None
-    return geometry_from_dict(data, path=str(path), default_name=path.stem)
 
 
-def parse_geometry(path: str | Path) -> GeometrySpec:
-    """Parse a geometry file; normalization notes are dropped."""
-    return load_geometry(path).spec
+def load_geometry(path: str | Path) -> LoadedGeometry:
+    path = Path(path)
+    return geometry_from_dict(_read_json(path), path=str(path), default_name=path.stem)
 
 
 def load_jet(path: str | Path, dim: int) -> ScalarJet:
     path = Path(path)
-    if not path.exists():
-        raise InputError("file not found", path=str(path))
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                         path=str(path)) from None
-    return jet_from_dict(data, dim, path=str(path), field="jet")
+    return jet_from_dict(_read_json(path), dim, path=str(path), field="jet")
 
 
 def geometry_to_dict(spec: GeometrySpec) -> dict:
@@ -225,7 +216,3 @@ def geometry_to_dict(spec: GeometrySpec) -> dict:
 
 def dumps_geometry(spec: GeometrySpec) -> str:
     return json.dumps(geometry_to_dict(spec), indent=2) + "\n"
-
-
-def write_geometry(spec: GeometrySpec, path: str | Path):
-    Path(path).write_text(dumps_geometry(spec))

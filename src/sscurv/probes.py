@@ -25,7 +25,7 @@ from typing import Callable, Union
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
 from .curvature import CurvatureBundle, add_wedge, conformal, curvature, projective
-from .errors import UnknownProbeError
+from .errors import GeometryError, UnknownProbeError
 from .geometry import GeometrySpec, ValidationReport, validate
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
@@ -64,14 +64,32 @@ def deviation(lhs: Value, rhs: Value) -> Rat:
 
 
 class ProbeContext:
-    """Shared computations for one geometry; probes reuse everything here."""
+    """Shared computations for one geometry; probes reuse everything here.
+
+    run_probe, run_suite, build_report, compute_tables and the soliton
+    functions take either a bare GeometrySpec or a ProbeContext. A caller
+    that passes one context to several of them validates the geometry and
+    builds each quantity once.
+    """
 
     def __init__(self, spec: GeometrySpec):
         self.spec = spec
 
+    @classmethod
+    def of(cls, geometry: GeometrySpec | ProbeContext) -> ProbeContext:
+        """The context itself, or a fresh context around a bare spec."""
+        return geometry if isinstance(geometry, ProbeContext) else cls(geometry)
+
     @cached_property
     def validation(self) -> ValidationReport:
         return validate(self.spec)
+
+    def require_valid(self) -> ProbeContext:
+        """Return self if the geometry passes validation; raise GeometryError if not."""
+        if not self.validation.ok:
+            raise GeometryError(
+                f"geometry fails structural validation ({self.validation.failures})")
+        return self
 
     @cached_property
     def lc(self) -> Connection:
@@ -112,11 +130,6 @@ class ProbeContext:
     @cached_property
     def parallel(self) -> bool:
         return is_parallel(self.lc, self.spec.distinguished)
-
-    @cached_property
-    def unit(self) -> bool:
-        d = self.spec.distinguished
-        return self.spec.metric.inner(d.xi, d.xi) == 1
 
     # Shorthand accessors used all over the probe bodies.
     @property
@@ -376,7 +389,9 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
-def run_probe(ctx: ProbeContext, probe_id: str) -> ProbeResult:
+def run_probe(geometry: GeometrySpec | ProbeContext, probe_id: str) -> ProbeResult:
+    """Run one identity probe on a spec or a shared context."""
+    ctx = ProbeContext.of(geometry)
     try:
         defn = REGISTRY[probe_id]
     except KeyError:
@@ -385,7 +400,7 @@ def run_probe(ctx: ProbeContext, probe_id: str) -> ProbeResult:
         if not ctx.parallel:
             return ProbeResult(probe_id, ProbeStatus.SKIPPED, None, None, ZERO,
                                note="parallel-xi hypothesis fails: nabla xi != 0")
-        if not ctx.unit:
+        if not ctx.validation.unit_xi:
             return ProbeResult(probe_id, ProbeStatus.SKIPPED, None, None, ZERO,
                                note="unit-xi hypothesis fails: g(xi, xi) != 1")
     lhs, rhs = defn.fn(ctx)
@@ -397,8 +412,3 @@ def run_probe(ctx: ProbeContext, probe_id: str) -> ProbeResult:
     else:
         status = ProbeStatus.FAIL
     return ProbeResult(probe_id, status, lhs, rhs, dev, note=defn.note)
-
-
-def probe(spec: GeometrySpec, probe_id: str) -> ProbeResult:
-    """Run a single identity probe on a geometry."""
-    return run_probe(ProbeContext(spec), probe_id)

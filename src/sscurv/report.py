@@ -3,6 +3,8 @@
 Reports are plain dicts built in a fixed key order with every rational
 rendered as a canonical string, so identical inputs produce byte-identical
 JSON. No timestamps, no environment data, no set iteration anywhere.
+compute_tables and build_report take a bare GeometrySpec or a shared
+probes.ProbeContext.
 """
 
 from __future__ import annotations
@@ -44,15 +46,13 @@ def _nested(t: Tensor):
     return out
 
 
-def geometry_digest(spec: GeometrySpec) -> str:
-    blob = json.dumps(geometry_to_dict(spec), sort_keys=True,
-                      separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def config_digest(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def geometry_digest(spec: GeometrySpec) -> str:
+    return config_digest(geometry_to_dict(spec))
 
 
 def validation_to_dict(report: ValidationReport) -> dict:
@@ -97,19 +97,16 @@ def verdict_to_dict(problem: SolitonProblem, verdict: SolitonVerdict,
     return out
 
 
-def compute_tables(spec: GeometrySpec) -> dict:
-    """The full computed apparatus of a geometry, serialized."""
-    return _compute_tables(ProbeContext(spec))
-
-
-def _compute_tables(ctx: ProbeContext) -> dict:
+def compute_tables(geometry: GeometrySpec | ProbeContext) -> dict:
+    """The full computed apparatus of a spec or a context, serialized."""
+    ctx = ProbeContext.of(geometry)
     spec, blc, bhat = ctx.spec, ctx.lc_bundle, ctx.hat_bundle
     return {
         "structure_constants": serialize_value(spec.frame.c),
         "metric": serialize_value(spec.metric.g),
         "xi": serialize_value(spec.distinguished.xi),
         "psi": serialize_value(spec.distinguished.psi),
-        "xi_unit": spec.distinguished.is_unit,
+        "xi_unit": ctx.validation.unit_xi,
         "xi_parallel": ctx.parallel,
         "levi_civita": serialize_value(ctx.lc.gamma),
         "ssnmc": serialize_value(ctx.hat.gamma),
@@ -129,21 +126,14 @@ def _compute_tables(ctx: ProbeContext) -> dict:
     }
 
 
-def build_report(spec: GeometrySpec, *, suite: str | None = None,
+def build_report(geometry: GeometrySpec | ProbeContext, *, suite: str | None = None,
                  probes: Iterable[ProbeResult] = (),
                  solitons: Iterable[dict] = (),
                  notes: Iterable[str] = (),
                  include_tables: bool = True) -> dict:
-    return _build_report(ProbeContext(spec), suite=suite, probes=probes,
-                         solitons=solitons, notes=notes, include_tables=include_tables)
-
-
-def _build_report(ctx: ProbeContext, *, suite: str | None = None,
-                  probes: Iterable[ProbeResult] = (),
-                  solitons: Iterable[dict] = (),
-                  notes: Iterable[str] = (),
-                  include_tables: bool = True) -> dict:
-    """build_report on a context whose validation and tables a caller may share."""
+    """The report of a spec or a shared context, with its validation and,
+    unless include_tables is false, its computed tables."""
+    ctx = ProbeContext.of(geometry)
     spec = ctx.spec
     report = {
         "geometry": spec.name,
@@ -155,7 +145,7 @@ def _build_report(ctx: ProbeContext, *, suite: str | None = None,
     if suite is not None:
         report["suite"] = suite
     if include_tables:
-        report["tables"] = _compute_tables(ctx)
+        report["tables"] = compute_tables(ctx)
     report["probes"] = [probe_to_dict(r) for r in probes]
     report["solitons"] = list(solitons)
     return report

@@ -7,8 +7,8 @@ The hat Hessian follows the vector-gradient convention
 
     Hhat_ij = dd_ij - Gamma^k_ij d_k + (xi f) g_ij,
 
-which is symmetric for every consistent jet; the one-form convention
-(which differs under non-metricity) is available behind a diagnostic flag.
+which is symmetric for every consistent jet. Each public function takes a
+bare GeometrySpec or a shared ProbeContext; see probes.ProbeContext.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .connection import Connection, ConnectionKind
 from .curvature import constant_sectional
-from .errors import GeometryError, InvalidJetError, SscurvError, ValenceError
-from .geometry import DistinguishedField, GeometrySpec, MetricFrame, ScalarJet, gradient
+from .errors import InvalidJetError, SscurvError
+from .geometry import (DistinguishedField, GeometrySpec, MetricFrame, ScalarJet,
+                       gradient, jet_consistency_violations)
 from .probes import ProbeContext, ProbeResult, ProbeStatus, deviation, operator_derivative
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
@@ -32,36 +32,13 @@ class SolitonKind(enum.Enum):
     M_QUASI = "mquasi"
 
 
-# Sign conventions for the constant lambda, kept in one table rather than
-# inline. Ricci uses its own cataloged sentence; the other kinds reuse the
-# m-quasi one. Both sentences give the same mapping.
-CLASSIFICATION_CONVENTIONS: dict[SolitonKind, dict[str, str]] = {
-    SolitonKind.RICCI: {
-        "negative": "shrinking", "zero": "steady", "positive": "expanding",
-        "note": "ricci convention",
-    },
-    SolitonKind.YAMABE: {
-        "negative": "shrinking", "zero": "steady", "positive": "expanding",
-        "note": "reuses the m-quasi sign convention",
-    },
-    SolitonKind.EINSTEIN: {
-        "negative": "shrinking", "zero": "steady", "positive": "expanding",
-        "note": "reuses the m-quasi sign convention",
-    },
-    SolitonKind.M_QUASI: {
-        "negative": "shrinking", "zero": "steady", "positive": "expanding",
-        "note": "m-quasi convention",
-    },
-}
-
-
-def classify(kind: SolitonKind, lam: Rat) -> str:
-    table = CLASSIFICATION_CONVENTIONS[kind]
+def classify(lam: Rat) -> str:
+    """Sign of the soliton constant; the cataloged convention of every kind."""
     if lam < 0:
-        return table["negative"]
+        return "shrinking"
     if lam == 0:
-        return table["zero"]
-    return table["positive"]
+        return "steady"
+    return "expanding"
 
 
 @dataclass(frozen=True)
@@ -94,29 +71,6 @@ class SolitonVerdict:
     conclusion_checks: tuple[NamedCheck, ...]
 
 
-def _check_jet(jet: ScalarJet, lc: Connection):
-    # LC torsion-freeness makes Gamma^k_ij - Gamma^k_ji = C^k_ij, so the
-    # bracket-commutator constraint can be checked from the connection alone.
-    # Both sides change sign under i <-> j and vanish for i = j, so the first
-    # violating (i, j) in row-major order has i < j.
-    n = lc.dim
-    if jet.dim != n:
-        raise ValenceError(f"jet dimension {jet.dim} != connection dimension {n}")
-    gam, d, dd = lc.gamma.comps, jet.d.comps, jet.dd.comps
-    nn = n * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = ZERO
-            for k in range(n):
-                if d[k]:
-                    a = gam[k * nn + i * n + j] - gam[k * nn + j * n + i]
-                    if a:
-                        bracket = bracket + a * d[k]
-            if dd[i * n + j] - dd[j * n + i] != bracket:
-                raise InvalidJetError(
-                    f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = ({i + 1}, {j + 1})")
-
-
 def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:
     """xi f = d_k xi^k."""
     d, xi = jet.d.comps, dist.xi.comps
@@ -127,21 +81,21 @@ def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:
     return total
 
 
-def hat_hessian(jet: ScalarJet, lc: Connection, dist: DistinguishedField,
-                metric: MetricFrame, *, one_form: bool = False) -> Tensor:
-    """Hessian of the jet with respect to the hat connection.
+def hat_hessian(jet: ScalarJet, geometry: GeometrySpec | ProbeContext) -> Tensor:
+    """Hessian of the jet with respect to the hat connection, on a spec or a context.
 
-    Default is the vector-gradient form g(nablahat_U Df, V), equal to the
-    metric Hessian plus (xi f) g and symmetric. With one_form=True the
-    covariant derivative of df is returned instead, Hess_ij - psi_j d_i,
-    which is generally asymmetric under non-metricity.
+    This is the vector-gradient form g(nablahat_U Df, V), equal to the
+    metric Hessian plus (xi f) g and symmetric. A jet that breaks the
+    bracket constraint raises InvalidJetError naming its first violation.
     """
-    if lc.kind is not ConnectionKind.LEVI_CIVITA:
-        raise SscurvError("hat_hessian builds on the Levi-Civita coefficients")
-    _check_jet(jet, lc)
-    n = lc.dim
+    ctx = ProbeContext.of(geometry)
+    spec = ctx.spec
+    bad = jet_consistency_violations(jet, spec.frame)
+    if bad:
+        raise InvalidJetError(f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = {bad[0]}")
+    n = spec.dim
     nn = n * n
-    gam, d = lc.gamma.comps, jet.d.comps
+    gam, d = ctx.lc.gamma.comps, jet.d.comps
     hess = list(jet.dd.comps)  # Hess_ij = dd_ij - Gamma^k_ij d_k
     for k in range(n):
         if d[k]:
@@ -149,20 +103,12 @@ def hat_hessian(jet: ScalarJet, lc: Connection, dist: DistinguishedField,
                 a = gam[k * nn + ij]
                 if a:
                     hess[ij] -= a * d[k]
-    if one_form:
-        psi = dist.psi.comps
-        for i in range(n):
-            if d[i]:
-                for j in range(n):
-                    if psi[j]:
-                        hess[i * n + j] -= psi[j] * d[i]
-    else:
-        xf = xi_derivative(jet, dist)
-        if xf:
-            g = metric.g.comps
-            for ij in range(nn):
-                if g[ij]:
-                    hess[ij] += xf * g[ij]
+    xf = xi_derivative(jet, spec.distinguished)
+    if xf:
+        g = spec.metric.g.comps
+        for ij in range(nn):
+            if g[ij]:
+                hess[ij] += xf * g[ij]
     return Tensor((DOWN, DOWN), n, hess)
 
 
@@ -182,53 +128,40 @@ def _residual_tensor(kind: SolitonKind, hess: Tensor, ricci_hat: Tensor,
     raise SscurvError(f"unknown soliton kind {kind!r}")
 
 
-def _validated_context(spec: GeometrySpec) -> ProbeContext:
-    ctx = ProbeContext(spec)
-    if not ctx.validation.ok:
-        failed = ", ".join(c.name for c in ctx.validation.checks if not c.passed)
-        raise GeometryError(f"geometry fails structural validation: {failed}")
-    return ctx
-
-
-def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:
-    """Exact residual of the soliton equation, with classification and,
-    when the equation holds, the conclusion checks."""
-    return _residual(_validated_context(spec), problem)
-
-
-def _residual(ctx: ProbeContext, problem: SolitonProblem) -> SolitonVerdict:
+def residual(geometry: GeometrySpec | ProbeContext,
+             problem: SolitonProblem) -> SolitonVerdict:
+    """Exact residual of the soliton equation on a valid spec or context, with
+    classification and, when the equation holds, the conclusion checks."""
+    ctx = ProbeContext.of(geometry).require_valid()
     spec, bundle = ctx.spec, ctx.hat_bundle
-    hess = hat_hessian(problem.jet, ctx.lc, spec.distinguished, spec.metric)
+    hess = hat_hessian(problem.jet, ctx)
     res = _residual_tensor(problem.kind, hess, bundle.ricci, bundle.scalar,
                            spec.metric, problem.lam, problem.m, problem.jet)
     is_soliton = res.is_zero()
-    checks = _conclusion_check(ctx, problem) if is_soliton else ()
-    return SolitonVerdict(res, is_soliton, classify(problem.kind, problem.lam),
-                          tuple(checks))
+    checks = conclusion_check(ctx, problem) if is_soliton else ()
+    return SolitonVerdict(res, is_soliton, classify(problem.lam), tuple(checks))
 
 
 def _hypothesis_failures(ctx: ProbeContext) -> list[str]:
     reasons = []
-    if ctx.spec.distinguished.is_zero:
+    if ctx.validation.degenerate_xi:
         reasons.append("psi = 0")
-    if not ctx.spec.distinguished.is_unit:
+    if not ctx.validation.unit_xi:
         reasons.append("xi not unit")
     if not ctx.parallel:
         reasons.append("xi not parallel")
     return reasons
 
 
-def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedCheck]:
-    """Evaluate the cataloged conclusion disjunction for the soliton kind.
+def conclusion_check(geometry: GeometrySpec | ProbeContext,
+                     problem: SolitonProblem) -> list[NamedCheck]:
+    """Evaluate the cataloged conclusion disjunction on a spec or a context.
 
     When the disjunction fails on a geometry that violates the standing
     unit-parallel-xi hypotheses, the failure is annotated as out of scope
     rather than treated as a counterexample.
     """
-    return _conclusion_check(ProbeContext(spec), problem)
-
-
-def _conclusion_check(ctx: ProbeContext, problem: SolitonProblem) -> list[NamedCheck]:
+    ctx = ProbeContext.of(geometry)
     bundle = ctx.hat_bundle
     kappa = constant_sectional(bundle, ctx.spec.metric)
     rhat = bundle.scalar
@@ -283,17 +216,18 @@ _CONTRACTION_NOTE = ("directional derivatives of the hat scalar curvature vanish
                      "on a homogeneous frame")
 
 
-def proof_step_probes(spec: GeometrySpec, problem: SolitonProblem) -> list[ProbeResult]:
-    """Check the proof-step identities that follow from the soliton equation."""
+def proof_step_probes(geometry: GeometrySpec | ProbeContext,
+                      problem: SolitonProblem) -> list[ProbeResult]:
+    """Check the proof-step identities that follow from the soliton equation,
+    on a valid spec or context."""
     ids = PROOF_STEP_IDS[problem.kind]
-    ctx = _validated_context(spec)
-    verdict = _residual(ctx, problem)
-    if not verdict.is_soliton:
+    ctx = ProbeContext.of(geometry)
+    if not residual(ctx, problem).is_soliton:
         return [ProbeResult(pid, ProbeStatus.SKIPPED, None, None, ZERO,
                             note="hypothesis: soliton equation not satisfied")
                 for pid in ids]
 
-    bundle = ctx.hat_bundle
+    spec, bundle = ctx.spec, ctx.hat_bundle
     df = gradient(problem.jet, spec.metric)
     n = spec.dim
     results = []

@@ -5,14 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import GeometryError, SscurvError
-from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
-                       MetricFrame, validate)
+from .errors import SscurvError
+from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
 from .geomio import geometry_to_dict
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
 from .rat import ONE, ZERO, Rat, format_rat, rat
-from .report import _build_report, config_digest
+from .report import build_report, config_digest
 from ._version import __version__
 from .tensor import Tensor
 
@@ -20,19 +19,15 @@ DEFAULT_POOL: tuple[Rat, ...] = (rat(-2), rat(-1), rat(-1, 2), rat(0),
                                  rat(1, 2), rat(1), rat(2))
 
 
-def run_suite(spec: GeometrySpec, suite: str = "all",
+def run_suite(geometry: GeometrySpec | ProbeContext, suite: str = "all",
               ids: tuple[str, ...] | None = None,
               include_tables: bool = True) -> dict:
-    """Run a probe suite on a validated geometry and assemble its report.
+    """Run a probe suite on a valid spec or context and assemble its report.
 
     Gated probes skip themselves when xi is not unit parallel, so "all" is
     always safe to request.
     """
-    ctx = ProbeContext(spec)
-    report = ctx.validation
-    if not report.ok:
-        failed = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
-        raise GeometryError(f"geometry fails structural validation ({failed})")
+    ctx = ProbeContext.of(geometry).require_valid()
     if ids is None:
         try:
             ids = SUITES[suite]
@@ -44,7 +39,7 @@ def run_suite(spec: GeometrySpec, suite: str = "all",
         if unknown:
             raise SscurvError(f"unknown probe ids: {', '.join(unknown)}")
     results = [run_probe(ctx, pid) for pid in ids]
-    return _build_report(ctx, suite=suite, probes=results, include_tables=include_tables)
+    return build_report(ctx, suite=suite, probes=results, include_tables=include_tables)
 
 
 @dataclass(frozen=True)
@@ -115,9 +110,9 @@ def fuzz(config: FuzzConfig) -> dict:
         if frame.jacobi_violations():
             continue
         spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
-        if not validate(spec).ok:
-            continue
         ctx = ProbeContext(spec)
+        if not ctx.validation.ok:
+            continue
         if config.require_parallel_xi and not ctx.parallel:
             continue
         accepted += 1

@@ -18,7 +18,7 @@ import itertools
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValenceError
-from .rat import ONE, ZERO, Rat, rat
+from .rat import ZERO, Rat, rat
 
 UP = "u"
 DOWN = "d"
@@ -66,11 +66,6 @@ class Tensor:
         return cls(variance, dim, comps)
 
     @classmethod
-    def delta(cls, dim: int) -> "Tensor":
-        """Identity (1,1) tensor."""
-        return cls.build((UP, DOWN), dim, lambda a, b: ONE if a == b else ZERO)
-
-    @classmethod
     def vector(cls, comps: Sequence) -> "Tensor":
         return cls((UP,), len(tuple(comps)), comps)
 
@@ -93,12 +88,6 @@ class Tensor:
     def rank(self) -> int:
         return len(self.variance)
 
-    @property
-    def valence(self) -> tuple[int, int]:
-        """(contravariant count, covariant count)."""
-        p = sum(1 for v in self.variance if v == UP)
-        return p, len(self.variance) - p
-
     def _flat(self, idx: tuple[int, ...]) -> int:
         flat = 0
         for i in idx:
@@ -115,9 +104,6 @@ class Tensor:
             if not 0 <= i < self.dim:
                 raise IndexError(f"index {i} out of range 0..{self.dim - 1}")
         return self.comps[self._flat(idx)]
-
-    def indices(self):
-        return itertools.product(range(self.dim), repeat=self.rank)
 
     def scalar(self) -> Rat:
         if self.rank != 0:
@@ -210,29 +196,6 @@ class Tensor:
             raise ValenceError("tensor product requires equal dimensions")
         comps = [a * b for a in self.comps for b in other.comps]
         return Tensor(self.variance + other.variance, self.dim, comps)
-
-    def permute(self, order: Sequence[int]) -> "Tensor":
-        """Reorder slots; order[k] names the source slot for output slot k."""
-        order = tuple(order)
-        if sorted(order) != list(range(self.rank)):
-            raise ValenceError(f"bad slot permutation {order!r}")
-        variance = tuple(self.variance[s] for s in order)
-        comps = []
-        for idx in itertools.product(range(self.dim), repeat=self.rank):
-            src = [0] * self.rank
-            for k, s in enumerate(order):
-                src[s] = idx[k]
-            comps.append(self.comps[self._flat(tuple(src))])
-        return Tensor(variance, self.dim, comps)
-
-    def symmetrize(self, slot_a: int, slot_b: int) -> "Tensor":
-        self._check_slot(slot_a)
-        self._check_slot(slot_b)
-        if self.variance[slot_a] != self.variance[slot_b]:
-            raise ValenceError("can only symmetrize slots of equal variance")
-        order = list(range(self.rank))
-        order[slot_a], order[slot_b] = order[slot_b], order[slot_a]
-        return (self + self.permute(order)).scale(rat(1, 2))
 
     def contract_with(self, slot: int, one: "Tensor") -> "Tensor":
         """Contract a slot against a rank-1 tensor of opposite variance."""

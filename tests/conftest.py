@@ -164,3 +164,19 @@ def rat_tensor(variance):
     n_comp = DIM ** len(variance)
     return st.lists(small_rats, min_size=n_comp, max_size=n_comp).map(
         lambda xs: Tensor(variance, DIM, [rat(str(x)) for x in xs]))
+
+
+def count_calls(monkeypatch, module, attr):
+    """Record every call of module.attr, in each sscurv module that imported it by name."""
+    import sys
+    original = getattr(module, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, holder in list(sys.modules.items()):
+        if name.startswith("sscurv") and getattr(holder, attr, None) is original:
+            monkeypatch.setattr(holder, attr, counting)
+    return calls

@@ -7,7 +7,7 @@ from conftest import (DIM, c_rows_of, geometries, oracle_curvature,
                       tensor_to_rows)
 from sscurv import (DegeneratePlaneError, Tensor, UnsupportedDimensionError,
                     builtin, conformal, constant_sectional, curvature,
-                    levi_civita, projective, raise_lower, rat, sectional, ssnmc)
+                    levi_civita, projective, rat, sectional, ssnmc)
 from sscurv.probes import ProbeContext
 
 E1 = Tensor.vector([1, 0, 0])
@@ -48,12 +48,12 @@ def test_example1_ricci_and_scalar():
     assert b.ricci == spec.metric.g.scale(rat(-2))
     assert b.scalar == rat(-6)
     # Raising S = -2 g gives Q = -2 id (slot kept in place, variance (d, u)).
-    q = raise_lower(b.ricci, spec.metric, 1, "up")
+    q = b.ricci.apply_metric(spec.metric.g_inv, 1)
     assert q.variance == ("d", "u")
     for a in range(DIM):
         for l in range(DIM):
             assert q[a, l] == (rat(-2) if a == l else 0)
-    assert b.ricci_op == Tensor.delta(DIM).scale(rat(-2))
+    assert b.ricci_op == Tensor.build(("u", "d"), DIM, lambda l, a: -2 * (l == a))
 
 
 def test_flat_curvature_vanishes():

@@ -5,8 +5,9 @@ from importlib import resources
 
 import pytest
 
+from conftest import count_calls
 from sscurv import (InputError, builtin, dumps_geometry, geometry_from_dict,
-                    geometry_to_dict, load_geometry, parse_geometry, rat)
+                    load_geometry, rat)
 from sscurv.cli import _attach_signed_values, main, make_parser
 
 
@@ -29,7 +30,7 @@ def test_shipped_fixture_matches_builtin():
 def test_emit_parse_round_trip(tmp_path):
     spec = builtin("example1")
     path = write(tmp_path, "g.json", dumps_geometry(spec))
-    assert parse_geometry(path) == spec
+    assert load_geometry(path).spec == spec
 
 
 def test_round_trip_with_jet(tmp_path):
@@ -41,7 +42,7 @@ def test_round_trip_with_jet(tmp_path):
                                      [[1, 0, 0], [0, 1, 0], [0, 0, rat(-2, 3)]]))
     spec = GeometrySpec(base.name, base.frame, base.metric, base.distinguished, jet)
     path = write(tmp_path, "g.json", dumps_geometry(spec))
-    assert parse_geometry(path) == spec
+    assert load_geometry(path).spec == spec
 
 
 def test_antisymmetric_completion_note(tmp_path):
@@ -181,6 +182,22 @@ def test_cli_jacobi_violation_exit_2(capsys, tmp_path):
     assert "(1, 2, 3)" in out
 
 
+@pytest.mark.parametrize("argv, lc_builds", [
+    (("validate", "--builtin", "h2xr"), 0),
+    (("compute", "--builtin", "h2xr"), 1),
+    (("probe", "--builtin", "h2xr"), 1),
+    (("soliton", "--builtin", "h2xr", "--type", "yamabe", "--lambda", "0"), 1),
+])
+def test_cli_command_validates_once(monkeypatch, capsys, argv, lc_builds):
+    import sscurv.connection
+    import sscurv.geometry
+    validations = count_calls(monkeypatch, sscurv.geometry, "validate")
+    builds = count_calls(monkeypatch, sscurv.connection, "levi_civita")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "validation: ok" in out
+    assert (len(validations), len(builds)) == (1, lc_builds)
+
+
 def test_cli_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "--geometry", "/nonexistent.json")
     assert code == 2
@@ -266,7 +283,7 @@ def test_cli_builtin_round_trip(capsys, tmp_path):
     out_path = tmp_path / "e.json"
     code, _, _ = run_cli(capsys, "builtin", "example1", "--out", str(out_path))
     assert code == 0
-    assert parse_geometry(out_path) == builtin("example1")
+    assert load_geometry(out_path).spec == builtin("example1")
 
 
 def test_cli_fuzz_smoke(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import geometries, make_spec
 from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, ProbeStatus,
-                    UnknownProbeError, builtin, probe, rat, run_suite)
+                    UnknownProbeError, builtin, rat, run_suite)
 from sscurv.probes import DISCREPANCY_PROBES, ProbeContext, run_probe
 
 
@@ -16,30 +16,30 @@ def statuses(spec, ids=PROBE_ORDER):
 
 def test_unknown_probe_id():
     with pytest.raises(UnknownProbeError):
-        probe(builtin("flat"), "B99")
+        run_probe(builtin("flat"), "B99")
 
 
 def test_example1_b3_passes():
-    result = probe(builtin("example1"), "B3")
+    result = run_probe(builtin("example1"), "B3")
     assert result.status is ProbeStatus.PASS
     assert result.max_abs_deviation == 0
 
 
 def test_example1_b13_skipped_not_parallel():
-    result = probe(builtin("example1"), "B13")
+    result = run_probe(builtin("example1"), "B13")
     assert result.status is ProbeStatus.SKIPPED
     assert "parallel" in result.note
 
 
 def test_h2xr_b9_values():
-    result = probe(builtin("h2xr"), "B9")
+    result = run_probe(builtin("h2xr"), "B9")
     assert result.status is ProbeStatus.PASS
     # Shat = diag(-1,-1,2) = diag(-1,-1,0) + 2 psi x psi
     assert [result.lhs[i, i] for i in range(3)] == [rat(-1), rat(-1), rat(2)]
 
 
 def test_h2xr_b10_paper_mismatch_values():
-    result = probe(builtin("h2xr"), "B10")
+    result = run_probe(builtin("h2xr"), "B10")
     assert result.status is ProbeStatus.PAPER_MISMATCH
     assert result.lhs == rat(0)
     assert result.rhs == rat(-4)
@@ -47,7 +47,7 @@ def test_h2xr_b10_paper_mismatch_values():
 
 
 def test_h2xr_b17_paper_mismatch_values():
-    result = probe(builtin("h2xr"), "B17")
+    result = run_probe(builtin("h2xr"), "B17")
     assert result.status is ProbeStatus.PAPER_MISMATCH
     # Direct operator sends e1 to -e1; the closed form at the computed
     # hat scalar (0) sends it to +e1.
@@ -56,7 +56,7 @@ def test_h2xr_b17_paper_mismatch_values():
 
 
 def test_h2xr_b15_passes():
-    assert probe(builtin("h2xr"), "B15").status is ProbeStatus.PASS
+    assert run_probe(builtin("h2xr"), "B15").status is ProbeStatus.PASS
 
 
 def test_h2xr_all_statuses():

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import DIM, rat_tensor, small_rats, spd_metrics
-from sscurv import Tensor, ValenceError, rat, raise_lower
+from sscurv import MetricFrame, Tensor, ValenceError, rat
 from sscurv.rat import format_rat, parse_rat
 from sscurv.tensor import DOWN, UP
 
@@ -77,7 +77,8 @@ def test_indexing_keeps_its_checks():
 
 
 def test_trace_of_identity_is_dim():
-    assert Tensor.delta(DIM).contract(0, 1).scalar() == 3
+    delta = Tensor.build((UP, DOWN), DIM, lambda a, b: int(a == b))
+    assert delta.contract(0, 1).scalar() == 3
 
 
 def test_psi_tensor_xi_trace_is_one():
@@ -94,10 +95,9 @@ def test_contract_requires_opposite_kinds():
 
 
 def test_lower_vector_identity_metric():
-    from sscurv import MetricFrame
     metric = MetricFrame.identity(DIM)
     v = Tensor.vector([0, 0, 1])
-    low = raise_lower(v, metric, 0, "down")
+    low = v.apply_metric(metric.g, 0)
     assert low == Tensor.covector([0, 0, 1])
 
 
@@ -117,28 +117,13 @@ def test_contraction_linear(a, b, s1, s2):
 @given(rat_tensor((DOWN, DOWN)), spd_metrics())
 def test_raise_lower_round_trip(t, metric):
     for slot in (0, 1):
-        up = raise_lower(t, metric, slot, "up")
-        assert raise_lower(up, metric, slot, "down") == t
-
-
-@given(rat_tensor((DOWN, DOWN)))
-def test_symmetrize(t):
-    s = t.symmetrize(0, 1)
-    for i in range(DIM):
-        for j in range(DIM):
-            assert s[i, j] == s[j, i]
-            assert s[i, j] == (t[i, j] + t[j, i]) * rat(1, 2)
-
-
-def test_permute_round_trip():
-    t = Tensor.build((UP, DOWN, DOWN), DIM, lambda a, b, c: rat(a * 9 + b * 3 + c))
-    swapped = t.permute((0, 2, 1))
-    assert swapped[1, 2, 0] == t[1, 0, 2]
-    assert swapped.permute((0, 2, 1)) == t
+        up = t.apply_metric(metric.g_inv, slot)
+        assert up.variance[slot] == UP
+        assert up.apply_metric(metric.g, slot) == t
 
 
 def test_tensor_immutable():
-    t = Tensor.delta(DIM)
+    t = MetricFrame.identity(DIM).g
     with pytest.raises(AttributeError):
         t.dim = 4
     with pytest.raises(TypeError):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import DIM, geometries, make_spec, small_rats
-from sscurv import (InvalidJetError, ProbeStatus, ScalarJet, SolitonKind,
-                    SolitonProblem, SscurvError, Tensor, ValenceError, builtin, classify,
-                    conclusion_check, hat_hessian, levi_civita,
-                    proof_step_probes, rat, residual, xi_derivative)
+from conftest import DIM, count_calls, geometries, make_spec, small_rats
+from sscurv import (InvalidJetError, ProbeContext, ProbeStatus, ScalarJet, SolitonKind,
+                    SolitonProblem, SscurvError, Tensor, ValenceError, build_report,
+                    builtin, classify, conclusion_check, hat_hessian, levi_civita,
+                    proof_step_probes, rat, residual)
+from sscurv.report import verdict_to_dict
 from sscurv.tensor import DOWN
 
 
@@ -36,25 +37,25 @@ def test_problem_validation():
 
 
 def test_classification_table():
-    for kind in SolitonKind:
-        assert classify(kind, rat(-1)) == "shrinking"
-        assert classify(kind, rat(0)) == "steady"
-        assert classify(kind, rat(1, 2)) == "expanding"
+    assert classify(rat(-1)) == "shrinking"
+    assert classify(rat(0)) == "steady"
+    assert classify(rat(1, 2)) == "expanding"
+
+
+def is_symmetric(h):
+    return all(h[i, j] == h[j, i] for i in range(h.dim) for j in range(h.dim))
 
 
 def test_hat_hessian_zero_jet():
-    spec = builtin("h2xr")
-    lc = levi_civita(spec.frame, spec.metric)
-    h = hat_hessian(zero_jet(), lc, spec.distinguished, spec.metric)
+    h = hat_hessian(zero_jet(), builtin("h2xr"))
     assert h.is_zero()
 
 
 def test_hat_hessian_flat_quadratic():
     spec = flat_psi0()
-    lc = levi_civita(spec.frame, spec.metric)
     c = rat(5, 3)
     jet = make_jet([0, 0, 0], [[c, 0, 0], [0, c, 0], [0, 0, c]])
-    h = hat_hessian(jet, lc, spec.distinguished, spec.metric)
+    h = hat_hessian(jet, spec)
     assert h == spec.metric.g.scale(c)
 
 
@@ -62,47 +63,29 @@ def test_hat_hessian_rejects_inconsistent_jet():
     # On h2xr the commutator constraint forces dd_12 - dd_21 = -d_1, so a
     # zero dd with d = (1,0,0) is invalid.
     spec = builtin("h2xr")
-    lc = levi_civita(spec.frame, spec.metric)
     bad = make_jet([1, 0, 0], [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidJetError):
-        hat_hessian(bad, lc, spec.distinguished, spec.metric)
+        hat_hessian(bad, spec)
     fixed = make_jet([1, 0, 0], [[0, rat(-1, 2), 0], [rat(1, 2), 0, 0], [0, 0, 0]])
-    h = hat_hessian(fixed, lc, spec.distinguished, spec.metric)
-    assert h == h.permute((1, 0))  # symmetric
+    assert is_symmetric(hat_hessian(fixed, spec))
 
 
 def test_invalid_jet_names_first_violation():
     # Milnor [e2,e3] = e1, [e3,e1] = 2 e2, [e1,e2] = 3 e3 with d = (1, 1, 1) and
     # dd = 0 violates the constraint at (1,2), (1,3) and (2,3); (1, 2) is named.
     spec = make_spec("milnor", {(0, 1, 2): 1, (1, 2, 0): 2, (2, 0, 1): 3})
-    lc = levi_civita(spec.frame, spec.metric)
     bad = make_jet([1, 1, 1], [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidJetError, match=r"at \(i, j\) = \(1, 2\)$"):
-        hat_hessian(bad, lc, spec.distinguished, spec.metric)
+        hat_hessian(bad, spec)
     # Fix (1, 2) only: the next violation in row-major order is (1, 3).
     partly = make_jet([1, 1, 1], [[0, rat(3, 2), 0], [rat(-3, 2), 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidJetError, match=r"at \(i, j\) = \(1, 3\)$"):
-        hat_hessian(partly, lc, spec.distinguished, spec.metric)
+        hat_hessian(partly, spec)
 
 
 def test_hat_hessian_rejects_jet_of_other_dimension():
-    spec = builtin("h2xr")
-    lc = levi_civita(spec.frame, spec.metric)
     with pytest.raises(ValenceError):
-        hat_hessian(ScalarJet.zero(2), lc, spec.distinguished, spec.metric)
-
-
-def test_hat_hessian_one_form_variant():
-    spec = builtin("h2xr")
-    lc = levi_civita(spec.frame, spec.metric)
-    jet = make_jet([0, 0, 1], [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    psi, d = spec.distinguished.psi, jet.d
-    sym = hat_hessian(jet, lc, spec.distinguished, spec.metric)
-    one_form = hat_hessian(jet, lc, spec.distinguished, spec.metric, one_form=True)
-    xf = xi_derivative(jet, spec.distinguished)
-    diff = Tensor.build((DOWN, DOWN), DIM,
-                        lambda i, j: xf * spec.metric.g[i, j] + psi[j] * d[i])
-    assert sym - one_form == diff
+        hat_hessian(ScalarJet.zero(2), builtin("h2xr"))
 
 
 def test_yamabe_trivial_soliton_h2xr():
@@ -195,7 +178,6 @@ def test_einstein_flat_psi0_nonzero_lambda_not_soliton():
 def test_hat_hessian_symmetric_for_consistent_jets(spec, d_comps):
     # Build a consistent jet: choose d freely, take the symmetric part of dd
     # freely (zero here) and set the antisymmetric part from the brackets.
-    lc = levi_civita(spec.frame, spec.metric)
     d = Tensor.covector([rat(str(x)) for x in d_comps])
     c = spec.frame.c
 
@@ -206,8 +188,7 @@ def test_hat_hessian_symmetric_for_consistent_jets(spec, d_comps):
         return total * rat(1, 2)
 
     jet = ScalarJet(d, Tensor.build((DOWN, DOWN), DIM, dd_entry))
-    h = hat_hessian(jet, lc, spec.distinguished, spec.metric)
-    assert h == h.permute((1, 0))
+    assert is_symmetric(hat_hessian(jet, spec))
 
 
 @settings(max_examples=30, deadline=None)
@@ -226,7 +207,6 @@ def test_residual_linear_in_lambda(spec, kind, l1, l2):
 @given(geometries(), st.lists(small_rats, min_size=3, max_size=3),
        st.integers(1, 5), st.integers(1, 5))
 def test_m_quasi_residual_m_dependence(spec, d_comps, m1, m2):
-    lc = levi_civita(spec.frame, spec.metric)
     d = Tensor.covector([rat(str(x)) for x in d_comps])
     c = spec.frame.c
     jet = ScalarJet(d, Tensor.build(
@@ -255,7 +235,7 @@ def test_psi_zero_reduces_to_classical(spec):
     for kind in SolitonKind:
         m = 2 if kind is SolitonKind.M_QUASI else None
         res = residual(spec0, SolitonProblem(kind, rat(1, 2), jet, m)).residual
-        h = hat_hessian(jet, lc, spec0.distinguished, spec0.metric)
+        h = hat_hessian(jet, spec0)
         if kind is SolitonKind.RICCI:
             expected = h + bl.ricci + spec0.metric.g.scale(rat(1, 2))
         elif kind is SolitonKind.YAMABE:
@@ -271,21 +251,22 @@ def test_psi_zero_reduces_to_classical(spec):
 def test_proof_step_probes_builds_levi_civita_once(monkeypatch):
     # residual, the conclusion checks and the proof steps of one call share
     # one context: a genuine soliton reaches all three.
-    import sys
-
     import sscurv.connection
-    original = sscurv.connection.levi_civita
-    calls = []
-
-    def counting(frame, metric):
-        calls.append(frame)
-        return original(frame, metric)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sscurv") and getattr(module, "levi_civita", None) is original:
-            monkeypatch.setattr(module, "levi_civita", counting)
+    import sscurv.geometry
+    builds = count_calls(monkeypatch, sscurv.connection, "levi_civita")
+    validations = count_calls(monkeypatch, sscurv.geometry, "validate")
     spec = builtin("h2xr")
     problem = SolitonProblem(SolitonKind.YAMABE, rat(0), zero_jet())
     steps = proof_step_probes(spec, problem)
     assert [r.status for r in steps] == [ProbeStatus.PASS]
-    assert len(calls) == 1
+    assert (len(builds), len(validations)) == (1, 1)
+
+    # One context handed to every call of a soliton command is shared too.
+    builds.clear()
+    validations.clear()
+    ctx = ProbeContext(spec)
+    verdict = residual(ctx, problem)
+    steps = proof_step_probes(ctx, problem)
+    doc = build_report(ctx, solitons=[verdict_to_dict(problem, verdict, steps)])
+    assert doc["solitons"][0]["proof_steps"][0]["status"] == "pass"
+    assert (len(builds), len(validations)) == (1, 1)
