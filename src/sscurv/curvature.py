@@ -13,7 +13,9 @@ substituted from a cross-relation.
 
 curvature() is a fraction-free integer kernel: it scales its inputs to
 integers over one common denominator (rat.common_denominator), accumulates
-in plain ints and builds each nonzero component once.
+in plain ints and builds each nonzero component once. constant_sectional()
+decides R = kappa B on the same kind of scaled components, by
+cross-multiplication, and builds kappa as one rational.
 """
 
 from __future__ import annotations
@@ -163,18 +165,24 @@ def add_wedge(out: list, n: int, a, q=None) -> None:
 
 
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:
-    """kappa if R^l_kij = kappa (g_jk delta^l_i - g_ik delta^l_j), else None."""
+    """kappa if R^l_kij = kappa (g_jk delta^l_i - g_ik delta^l_j), else None.
+
+    Fraction-free: B = g_jk delta^l_i - g_ik delta^l_j is built from g
+    scaled to ints over dg, R is scaled over dR, and R = kappa B holds iff
+    R_x B_f == R_f B_x for every component x, f the first nonzero entry of
+    B. Then kappa = R_f dg / (B_f dR). With B = 0 (dim 1) kappa is 0 when R is.
+    """
     n = bundle.dim
-    comps = [ZERO] * n ** 4
-    add_wedge(comps, n, metric.g.comps)
-    basis = Tensor((UP, DOWN, DOWN, DOWN), n, comps)
-    kappa = ZERO
-    for br, rr in zip(basis.comps, bundle.riemann.comps):
-        if br != 0:
-            kappa = rr / br
-            break
-    if bundle.riemann == basis.scale(kappa):
-        return kappa
+    g, dg = common_denominator(metric.g.comps)
+    basis = [0] * n ** 4
+    add_wedge(basis, n, g)
+    r, dr = common_denominator(bundle.riemann.comps)
+    f = next((x for x, b in enumerate(basis) if b), None)
+    if f is None:
+        return None if any(r) else ZERO
+    r_f, b_f = r[f], basis[f]
+    if all(rx * b_f == r_f * bx for rx, bx in zip(r, basis)):
+        return Rat(r_f * dg, b_f * dr)
     return None
 
 

@@ -4,6 +4,14 @@ Everything is homogeneous: structure constants, metric components, the
 distinguished field and scalar 2-jets are constant over the frame, so frame
 derivatives of stored components vanish and all identities are decidable by
 exact arithmetic.
+
+The hypothesis checks are fraction-free: each input is scaled to integers
+over one common denominator (rat.common_denominator) and every yes/no
+question is decided in plain ints. A zero test survives positive scaling,
+so antisymmetry, Jacobi and jet consistency read the scaled components;
+positive-definiteness reads the pivots of Bareiss's fraction-free
+elimination, which are the leading principal minors; psi = g xi and
+g(xi, xi) = 1 compare cross-multiplied sums.
 """
 
 from __future__ import annotations
@@ -12,21 +20,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, ValenceError
-from .rat import ONE, ZERO, Rat, rat
+from .rat import ONE, ZERO, Rat, common_denominator, rat
 from .tensor import DOWN, UP, Tensor
-
-
-def _det(rows: list[list[Rat]]) -> Rat:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    sign = ONE
-    for col in range(n):
-        minor = [r[:col] + r[col + 1:] for r in rows[1:]]
-        total = total + sign * rows[0][col] * _det(minor)
-        sign = -sign
-    return total
 
 
 def _invert(g: Tensor) -> Tensor:
@@ -77,8 +72,8 @@ class FrameAlgebra:
         return cls(dim, Tensor((UP, DOWN, DOWN), dim, comps))
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
-        """1-based (i, j, k) where C^k_ij != -C^k_ji."""
-        n, c = self.dim, self.c.comps
+        """1-based (i, j, k) where C^k_ij != -C^k_ji, decided on C scaled to ints."""
+        n, c = self.dim, common_denominator(self.c.comps)[0]
         bad = []
         for k in range(n):
             for i in range(n):
@@ -95,9 +90,10 @@ class FrameAlgebra:
         (i, j, k): it vanishes on a repeated index, and a permutation of a
         violating triple violates too. So it is evaluated for i < j < k
         only and expanded to every ordering, in the same lexicographic
-        order as the full loop that any other C gets.
+        order as the full loop that any other C gets. The sums run on C
+        scaled to ints, which leaves every zero test as it is.
         """
-        n, c = self.dim, self.c.comps
+        n, c = self.dim, common_denominator(self.c.comps)[0]
         rng = range(n)
         antisymmetric = all(c[(k * n + i) * n + j] == -c[(k * n + j) * n + i]
                             for k in rng for i in rng for j in range(i, n))
@@ -114,9 +110,9 @@ class FrameAlgebra:
                 if (*sorted((i, j, k)), l) in bad]
 
 
-def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> Rat:
-    """sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj over flat components c."""
-    total = ZERO
+def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> int:
+    """sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj over flat integer components c."""
+    total = 0
     cyclic = ((i * n + j, k), (j * n + k, i), (k * n + i, j))
     for m in range(n):
         low, out = m * n * n, (l * n + m) * n
@@ -125,7 +121,7 @@ def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> Rat:
             if x:
                 y = c[out + z]
                 if y:
-                    total = total + x * y
+                    total += x * y
     return total
 
 
@@ -156,12 +152,27 @@ class MetricFrame:
         return all(g[i * n + j] == g[j * n + i] for i in range(n) for j in range(n))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: all leading principal minors positive."""
-        n, g = self.dim, self.g.comps
-        for k in range(1, n + 1):
-            rows = [list(g[i * n:i * n + k]) for i in range(k)]
-            if not _det(rows) > 0:
+        """Sylvester criterion: all leading principal minors positive.
+
+        Bareiss's fraction-free elimination without row swaps on g scaled to
+        ints: its k-th pivot is the k-th leading principal minor (times a
+        positive power of the scale), and every division is exact. The first
+        pivot that is not positive ends the elimination.
+        """
+        n = self.dim
+        g = common_denominator(self.g.comps)[0]
+        a = [g[i * n:(i + 1) * n] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            pivot = a[k][k]
+            if pivot <= 0:
                 return False
+            row_k = a[k]
+            for i in range(k + 1, n):
+                row, f = a[i], a[i][k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - f * row_k[j]) // prev
+            prev = pivot
         return True
 
     def inner(self, u: Tensor, v: Tensor) -> Rat:
@@ -223,19 +234,27 @@ class ScalarJet:
 
 
 def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tuple[int, int]]:
-    """1-based (i, j) where dd_ij - dd_ji != C^k_ij d_k."""
-    n, c, d, dd = frame.dim, frame.c.comps, jet.d.comps, jet.dd.comps
+    """1-based (i, j) where dd_ij - dd_ji != C^k_ij d_k.
+
+    With C = c / dc, d = e / de and dd = h / dh scaled to ints, the test is
+    (h_ij - h_ji) dc de != dh sum_k c^k_ij e_k.
+    """
+    n = frame.dim
     if jet.dim != n:
         raise ValenceError(f"jet dimension {jet.dim} != frame dimension {n}")
+    c, dc = common_denominator(frame.c.comps)
+    d, de = common_denominator(jet.d.comps)
+    dd, dh = common_denominator(jet.dd.comps)
+    scale = dc * de
     bad = []
     for i in range(n):
         for j in range(n):
-            bracket = ZERO
+            bracket = 0
             for k in range(n):
                 x = c[(k * n + i) * n + j]
                 if x and d[k]:
-                    bracket = bracket + x * d[k]
-            if dd[i * n + j] - dd[j * n + i] != bracket:
+                    bracket += x * d[k]
+            if (dd[i * n + j] - dd[j * n + i]) * scale != dh * bracket:
                 bad.append((i + 1, j + 1))
     return bad
 
@@ -318,8 +337,9 @@ def validate(spec: GeometrySpec) -> ValidationReport:
     checks.append(Check("metric-positive-definite", pos,
                         "" if pos else "a leading principal minor is not positive"))
 
-    expected_psi = spec.distinguished.xi.apply_metric(spec.metric.g, 0)
-    compat = expected_psi == spec.distinguished.psi
+    g, dg = common_denominator(spec.metric.g.comps)
+    xi, dx = common_denominator(spec.distinguished.xi.comps)
+    compat = _is_metric_dual(spec.distinguished.psi, g, xi, dg * dx)
     checks.append(Check("psi-xi-compatibility", compat,
                         "" if compat else "psi_i != g_ij xi^j"))
 
@@ -329,9 +349,21 @@ def validate(spec: GeometrySpec) -> ValidationReport:
                             "" if not jet_bad else
                             f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = {jet_bad[0]}"))
 
-    unit = spec.metric.inner(spec.distinguished.xi, spec.distinguished.xi) == 1
+    n = spec.dim
+    unit = sum(g[i * n + j] * xi[i] * xi[j]
+               for i in range(n) if xi[i] for j in range(n) if xi[j]) == dg * dx * dx
     return ValidationReport(tuple(checks), unit_xi=unit,
                             degenerate_xi=spec.distinguished.is_zero)
+
+
+def _is_metric_dual(psi: Tensor, g: list[int], xi: list[int], scale: int) -> bool:
+    """psi_a == g_ba xi^b for g and xi scaled to ints with product denominator scale."""
+    n = len(xi)
+    if psi.variance != (DOWN,) or psi.dim != n:
+        return False
+    p, dp = common_denominator(psi.comps)
+    return all(p[a] * scale == dp * sum(g[b * n + a] * xi[b] for b in range(n) if xi[b])
+               for a in range(n))
 
 
 def gradient(jet: ScalarJet, metric: MetricFrame) -> Tensor:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .curvature import constant_sectional
 from .errors import InvalidJetError, SscurvError
-from .geometry import (DistinguishedField, GeometrySpec, MetricFrame, ScalarJet,
-                       gradient, jet_consistency_violations)
+from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
+                       jet_consistency_violations)
 from .probes import ProbeContext, ProbeResult, ProbeStatus, deviation, operator_derivative
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
@@ -112,31 +112,29 @@ def hat_hessian(jet: ScalarJet, geometry: GeometrySpec | ProbeContext) -> Tensor
     return Tensor((DOWN, DOWN), n, hess)
 
 
-def _residual_tensor(kind: SolitonKind, hess: Tensor, ricci_hat: Tensor,
-                     scalar_hat: Rat, metric: MetricFrame, lam: Rat,
-                     m: int | None, jet: ScalarJet) -> Tensor:
-    g = metric.g
-    if kind is SolitonKind.RICCI:
-        return hess + ricci_hat + g.scale(lam)
-    if kind is SolitonKind.YAMABE:
-        return hess - g.scale(scalar_hat - lam)
-    if kind is SolitonKind.EINSTEIN:
-        return ricci_hat - g.scale(scalar_hat * rat(1, 2)) + hess + g.scale(lam)
-    if kind is SolitonKind.M_QUASI:
+def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
+    """The residual of the soliton equation on a context that must be valid."""
+    ctx.require_valid()
+    g, bundle, lam, jet = ctx.spec.metric.g, ctx.hat_bundle, problem.lam, problem.jet
+    hess = hat_hessian(jet, ctx)
+    if problem.kind is SolitonKind.RICCI:
+        return hess + bundle.ricci + g.scale(lam)
+    if problem.kind is SolitonKind.YAMABE:
+        return hess - g.scale(bundle.scalar - lam)
+    if problem.kind is SolitonKind.EINSTEIN:
+        return bundle.ricci - g.scale(bundle.scalar * rat(1, 2)) + hess + g.scale(lam)
+    if problem.kind is SolitonKind.M_QUASI:
         df_df = jet.d.tensor_product(jet.d)
-        return ricci_hat - g.scale(lam) + hess - df_df.scale(rat(1, m))
-    raise SscurvError(f"unknown soliton kind {kind!r}")
+        return bundle.ricci - g.scale(lam) + hess - df_df.scale(rat(1, problem.m))
+    raise SscurvError(f"unknown soliton kind {problem.kind!r}")
 
 
 def residual(geometry: GeometrySpec | ProbeContext,
              problem: SolitonProblem) -> SolitonVerdict:
     """Exact residual of the soliton equation on a valid spec or context, with
     classification and, when the equation holds, the conclusion checks."""
-    ctx = ProbeContext.of(geometry).require_valid()
-    spec, bundle = ctx.spec, ctx.hat_bundle
-    hess = hat_hessian(problem.jet, ctx)
-    res = _residual_tensor(problem.kind, hess, bundle.ricci, bundle.scalar,
-                           spec.metric, problem.lam, problem.m, problem.jet)
+    ctx = ProbeContext.of(geometry)
+    res = _residual_tensor(ctx, problem)
     is_soliton = res.is_zero()
     checks = conclusion_check(ctx, problem) if is_soliton else ()
     return SolitonVerdict(res, is_soliton, classify(problem.lam), tuple(checks))
@@ -222,7 +220,7 @@ def proof_step_probes(geometry: GeometrySpec | ProbeContext,
     on a valid spec or context."""
     ids = PROOF_STEP_IDS[problem.kind]
     ctx = ProbeContext.of(geometry)
-    if not residual(ctx, problem).is_soliton:
+    if not _residual_tensor(ctx, problem).is_zero():
         return [ProbeResult(pid, ProbeStatus.SKIPPED, None, None, ZERO,
                             note="hypothesis: soliton equation not satisfied")
                 for pid in ids]

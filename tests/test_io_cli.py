@@ -198,6 +198,17 @@ def test_cli_command_validates_once(monkeypatch, capsys, argv, lc_builds):
     assert (len(validations), len(builds)) == (1, lc_builds)
 
 
+def test_cli_soliton_checks_conclusion_once(monkeypatch, capsys):
+    # proof_step_probes decides its hypothesis from the residual tensor; it
+    # does not run residual, and with it conclusion_check, a second time.
+    import sscurv.solitons
+    checks = count_calls(monkeypatch, sscurv.solitons, "conclusion_check")
+    code, out, _ = run_cli(capsys, "soliton", "--builtin", "h2xr",
+                           "--type", "yamabe", "--lambda", "0")
+    assert code == 0 and "validation: ok" in out
+    assert len(checks) == 1
+
+
 def test_cli_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "--geometry", "/nonexistent.json")
     assert code == 2

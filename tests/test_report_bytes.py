@@ -14,9 +14,10 @@ import pytest
 
 from conftest import DIM, c_rows_of, oracle_inverse
 from sscurv import (BUILTIN_NAMES, DistinguishedField, FrameAlgebra, FuzzConfig,
-                    GeometrySpec, MetricFrame, ScalarJet, SolitonKind, SolitonProblem,
-                    Tensor, builtin, fuzz, proof_step_probes, rat, residual, run_suite)
-from sscurv.report import emit_report, verdict_to_dict
+                    GeometrySpec, MetricFrame, ProbeContext, ScalarJet, SolitonKind,
+                    SolitonProblem, Tensor, build_report, builtin, constant_sectional, fuzz,
+                    proof_step_probes, rat, residual, run_suite)
+from sscurv.report import emit_report, serialize_value, verdict_to_dict
 from sscurv.tensor import DOWN, UP
 
 SUITE_DIGESTS = {
@@ -203,3 +204,123 @@ def test_soliton_verdict_bytes(name):
         text = json.dumps(doc, indent=2)
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == VERDICT_DIGESTS[name, problem.kind.value]), (name, problem.kind)
+
+
+# -- failure text and constant sectional curvature --------------------------
+#
+# Geometries that fail validation, reported with include_tables=False, and
+# the constant sectional curvature of both connections on three geometries.
+# The digests were recorded at commit 45276a3, whose checks ran in Fraction
+# arithmetic; the integer checks must reproduce every detail string and kappa.
+
+def _tensor(variance, n, values):
+    return Tensor(variance, n, [rat(str(x)) for x in values])
+
+
+def _spec(name, c, g_rows, xi, psi=None, jet=None):
+    n = len(g_rows)
+    frame = FrameAlgebra(n, _tensor((UP, DOWN, DOWN), n, c))
+    metric = MetricFrame.from_tensor(_tensor((DOWN, DOWN), n, [x for r in g_rows for x in r]))
+    xi = _tensor((UP,), n, xi)
+    dist = (DistinguishedField.from_xi(xi, metric) if psi is None
+            else DistinguishedField(xi, _tensor((DOWN,), n, psi)))
+    return GeometrySpec(name, frame, metric, dist, jet)
+
+
+def _antisymmetric(n, entries):
+    c = [Fraction(0)] * n ** 3
+    for (k, i, j), v in entries.items():
+        c[(k * n + i) * n + j] = Fraction(v)
+        c[(k * n + j) * n + i] = -Fraction(v)
+    return c
+
+
+GENERAL_G = [[2, Fraction(1, 3), 0], [Fraction(1, 3), 1, Fraction(-1, 5)], [0, Fraction(-1, 5), 3]]
+
+
+def failing_geometries():
+    # [e1,e2] = 1/2 e3, [e1,e3] = 2/3 e1: the cyclic sum at (1, 2, 3) is nonzero.
+    jacobi = _antisymmetric(3, {(2, 0, 1): Fraction(1, 2), (0, 0, 2): Fraction(2, 3)})
+    skew = _antisymmetric(3, {(0, 1, 2): Fraction(1, 7), (1, 2, 0): Fraction(-3, 11)})
+    lopsided = list(skew)
+    lopsided[(1 * 3 + 0) * 3 + 1] = Fraction(1, 3)   # C^2_12 = 1/3 but C^2_21 = 0
+    lopsided[(2 * 3 + 2) * 3 + 2] = Fraction(-2, 5)  # C^3_33 != 0
+    h2xr = _antisymmetric(3, {(0, 0, 1): -1})
+    jet = ScalarJet(_tensor((DOWN,), 3, [Fraction(1, 3), 2, 0]),
+                    _tensor((DOWN, DOWN), 3, [1, Fraction(1, 2), 0, Fraction(1, 2), 0, 0, 0, 0, 5]))
+    return {
+        "jacobi": _spec("jacobi", jacobi, GENERAL_G, (0, Fraction(1, 2), 1)),
+        "non-antisymmetric": _spec("non-antisymmetric", lopsided, GENERAL_G, (1, 0, 0)),
+        "non-symmetric-metric": _spec(
+            "non-symmetric-metric", skew, [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, 1]], (0, 0, 1)),
+        "indefinite-metric": _spec(
+            "indefinite-metric", skew,
+            [[1, Fraction(1, 3), 0], [Fraction(1, 3), Fraction(-1, 2), 0], [0, 0, 3]], (0, 0, 1)),
+        "semidefinite-metric": _spec(
+            "semidefinite-metric", skew, [[1, 1, 0], [1, 1, 1], [0, 1, 1]], (0, 0, 1)),
+        "psi-mismatch": _spec("psi-mismatch", h2xr, GENERAL_G, (0, 0, 1), psi=(0, Fraction(1, 5), 1)),
+        "inconsistent-jet": _spec("inconsistent-jet", h2xr,
+                                  [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 1), jet=jet),
+        "dim2-lopsided": _spec("dim2-lopsided", [1, Fraction(1, 2), 0, 0, 0, 0, Fraction(2, 7), 0],
+                               [[0, 1], [1, 0]], (1, 1)),
+    }
+
+
+FAILURE_DIGESTS = {
+    "jacobi":
+        "7ffdf7d75936f133ea86e703f5e0dad69e7ffd1f4ec32e19db78b67bb6b5e4bd",
+    "non-antisymmetric":
+        "b04acdc47faabbf0d5623eb148d0aedc13f02891d808124b185fb363aebf8921",
+    "non-symmetric-metric":
+        "6561380572ef9099837d60554427d98e7523853b6de9cbeceac09493ae06313a",
+    "indefinite-metric":
+        "5e92525f90aa8e595fc915d143694d45b4946273076c289362b5cd6e41b18f4d",
+    "semidefinite-metric":
+        "2abcb0b1d61a7376e256eaeaf45481ca34ee26e930c9be2e7422e06e645b2e10",
+    "psi-mismatch":
+        "f8bcc5bee46e2141e4b6b63eac9586a44b67f1415f6f8b9b0e032cec56e5e377",
+    "inconsistent-jet":
+        "4ec10d567c483a3f15019ef501c782c5d599e1019d83e5f444b7804de8e66e47",
+    "dim2-lopsided":
+        "f2d4d5d5e2feac9be19304eaba9a4f32d0bdfb90517f9452a62a028fafb5b35b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_DIGESTS))
+def test_failing_validation_report_bytes(name):
+    spec = failing_geometries()[name]
+    doc = build_report(spec, include_tables=False)
+    assert not doc["validation"]["ok"]
+    assert digest(doc, "json") == FAILURE_DIGESTS[name], name
+
+
+def round_su2_pushed():
+    # [e2,e3] = e1, [e3,e1] = e2, [e1,e2] = e3 with g = I has constant
+    # curvature 1/4; pushed forward it keeps kappa on a general metric.
+    c = _structure({(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1})
+    b = [[1, Fraction(1, 2), 0], [Fraction(-1, 3), 1, 1], [0, 2, 1]]
+    return _push_forward("round-su2-pushed", c, b, (0, 0, 1))
+
+
+SECTIONAL_GEOMETRIES = {
+    "h2xr": lambda: builtin("h2xr"),
+    "flat": lambda: builtin("flat"),
+    "milnor-pushed": milnor_pushed,
+    "round-su2-pushed": round_su2_pushed,
+}
+
+SECTIONAL_DIGESTS = {
+    "h2xr": "cedc62c407d514a02f8b3c14b030a5916d85c5f36d4ddffa7d7f94adc54e3489",
+    "flat": "bb225b52a480ba12140e58a9570f4407d7d8d949cef372f94717fa4aef42c1f9",
+    "milnor-pushed": "cedc62c407d514a02f8b3c14b030a5916d85c5f36d4ddffa7d7f94adc54e3489",
+    "round-su2-pushed": "0ec2769694b91a5f57e5367482002bef9719bb40e483f03f7dba10c8d374999b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONAL_DIGESTS))
+def test_constant_sectional_bytes(name):
+    ctx = ProbeContext(SECTIONAL_GEOMETRIES[name]())
+    doc = {kind: serialize_value(constant_sectional(bundle, ctx.spec.metric))
+           for kind, bundle in (("lc", ctx.lc_bundle), ("ssnmc", ctx.hat_bundle))}
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SECTIONAL_DIGESTS[name], (name, text)
