@@ -1,4 +1,4 @@
-"""Exact-arithmetic curvature engine for 3D homogeneous frame geometries.
+"""Exact-arithmetic curvature engine for homogeneous frame geometries, dims 1-4.
 
 Builds Levi-Civita and semi-symmetric non-metric connections from constant
 structure data, computes the full curvature apparatus, machine-checks a

@@ -21,40 +21,17 @@ from .report import build_report, emit_report, exit_code, verdict_to_dict
 from .solitons import SolitonKind, SolitonProblem, proof_step_probes, residual
 from .suite import DEFAULT_POOL, FuzzConfig, fuzz, run_suite
 
-_SIGNED_VALUE = re.compile(r"-\d")
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Takes a dash-led value such as "-1/2" or "-1,0,1" as a value, not an option.
 
-def _attach_signed_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Rewrite "--lambda -1/2" as "--lambda=-1/2" for the subcommand's rational options.
-
-    argparse takes a dash-led value such as "-1/2" or "-1,0,1" for an option
-    name unless it is attached with "=". The options rewritten are those of
-    the subcommand named in argv whose type is `_rational` or `_rational_list`,
-    so the parser stays the one place that says which options take rationals.
+    argparse's own matcher accepts only plain negative numbers; no option
+    name starts with a dash and a digit, so the wider one is unambiguous.
     """
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    start = next((pos + 1 for pos, token in enumerate(argv)
-                  if token in subparsers.choices), len(argv))
-    if start == len(argv):
-        return argv
-    options = {opt for action in subparsers.choices[argv[start - 1]]._actions
-               if action.type in (_rational, _rational_list)
-               for opt in action.option_strings}
-    out = argv[:start]
-    i = start
-    while i < len(argv):
-        if argv[i] == "--":
-            out.extend(argv[i:])
-            break
-        if (argv[i] in options and i + 1 < len(argv)
-                and _SIGNED_VALUE.match(argv[i + 1])):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
 
 def _rational(text: str):
@@ -164,8 +141,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sscurv",
         description="Exact curvature, identity probes, and gradient-soliton "
-                    "residuals for 3D homogeneous frame geometries.")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "residuals for homogeneous frame geometries of dimension 1-4.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("validate", help="structural checks only")
     _add_geometry_args(p)
@@ -219,9 +197,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(_attach_signed_values(
-        parser, sys.argv[1:] if argv is None else list(argv)))
+    args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -15,7 +15,9 @@ curvature() is a fraction-free integer kernel: it scales its inputs to
 integers over one common denominator (rat.common_denominator), accumulates
 in plain ints and builds each nonzero component once. constant_sectional()
 decides R = kappa B on the same kind of scaled components, by
-cross-multiplication, and builds kappa as one rational.
+cross-multiplication, and builds kappa as one rational. projective() and
+conformal() read their coefficients from the dimension n and raise
+UnsupportedDimensionError where they are undefined.
 """
 
 from __future__ import annotations
@@ -186,32 +188,35 @@ def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional
     return None
 
 
-def _require_dim3(bundle: CurvatureBundle):
-    if bundle.dim != 3:
-        raise UnsupportedDimensionError(
-            f"defined with the dim-3 coefficients only, got dim {bundle.dim}")
-
-
 def projective(bundle: CurvatureBundle) -> Tensor:
-    """P = R - (1/2)[S(V,Y) U - S(U,Y) V]."""
-    _require_dim3(bundle)
+    """P = R - (1/(n-1))[S(V,Y) U - S(U,Y) V], defined for n >= 2.
+
+    The coefficient makes it trace-free: sum_i P[i, k, i, j] = 0.
+    """
     n = bundle.dim
-    minus_half = rat(-1, 2)
+    if n < 2:
+        raise UnsupportedDimensionError(f"projective tensor needs dim >= 2, got dim {n}")
+    c = rat(-1, n - 1)
     comps = list(bundle.riemann.comps)
-    add_wedge(comps, n, [minus_half * x for x in bundle.ricci.comps])
+    add_wedge(comps, n, [c * x if x else ZERO for x in bundle.ricci.comps])
     return Tensor((UP, DOWN, DOWN, DOWN), n, comps)
 
 
 def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
-    """C = R - [S(V,Y)U - S(U,Y)V + g(V,Y)QU - g(U,Y)QV] + (r/2)[g(V,Y)U - g(U,Y)V].
+    """C = R - (1/(n-2))[S(V,Y)U - S(U,Y)V + g(V,Y)QU - g(U,Y)QV]
+           + (r/((n-1)(n-2)))[g(V,Y)U - g(U,Y)V], defined for n >= 3.
 
-    For a Levi-Civita bundle in dimension 3 this vanishes identically.
+    The coefficients make it trace-free, sum_i C[i, k, i, j] = 0, and for a
+    Levi-Civita bundle in dimension 3 it vanishes identically.
     """
-    _require_dim3(bundle)
     n = bundle.dim
+    if n < 3:
+        raise UnsupportedDimensionError(f"conformal tensor needs dim >= 3, got dim {n}")
     g = metric.g.comps
-    half_r = bundle.scalar * rat(1, 2)
+    c = rat(1, n - 2)
+    r_c = bundle.scalar * rat(1, (n - 1) * (n - 2))
     comps = list(bundle.riemann.comps)
-    add_wedge(comps, n, [half_r * gx - sx for gx, sx in zip(g, bundle.ricci.comps)])
-    add_wedge(comps, n, [-gx for gx in g], bundle.ricci_op.comps)
+    add_wedge(comps, n, [(r_c * gx if gx else ZERO) - (c * sx if sx else ZERO)
+                         for gx, sx in zip(g, bundle.ricci.comps)])
+    add_wedge(comps, n, [-c * gx if gx else ZERO for gx in g], bundle.ricci_op.comps)
     return Tensor((UP, DOWN, DOWN, DOWN), n, comps)

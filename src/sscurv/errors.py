@@ -20,7 +20,7 @@ class DegeneratePlaneError(SscurvError):
 
 
 class UnsupportedDimensionError(SscurvError):
-    """Operation defined only in dimension 3."""
+    """A formula undefined in the geometry's dimension."""
 
 
 class GeometryError(SscurvError):

@@ -25,7 +25,7 @@ from typing import Callable, Union
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
 from .curvature import CurvatureBundle, add_wedge, conformal, curvature, projective
-from .errors import GeometryError, UnknownProbeError
+from .errors import GeometryError, UnknownProbeError, UnsupportedDimensionError
 from .geometry import GeometrySpec, ValidationReport, validate
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
@@ -131,6 +131,19 @@ class ProbeContext:
     def parallel(self) -> bool:
         return is_parallel(self.lc, self.spec.distinguished)
 
+    @cached_property
+    def unmet(self) -> dict[str, str]:
+        """The skip note of each hypothesis this geometry fails, by name."""
+        unmet = {}
+        if not self.parallel:
+            unmet["unit-parallel-xi"] = "parallel-xi hypothesis fails: nabla xi != 0"
+        elif not self.validation.unit_xi:
+            unmet["unit-parallel-xi"] = "unit-xi hypothesis fails: g(xi, xi) != 1"
+        if self.dim != 3:
+            unmet["dim-3"] = ("dim-3 hypothesis fails: derived in dimension 3 only, "
+                              f"got dim {self.dim}")
+        return unmet
+
     # Shorthand accessors used all over the probe bodies.
     @property
     def psi(self) -> Tensor:
@@ -201,7 +214,7 @@ def _probe_b8(ctx: ProbeContext):
 
 def _probe_b9(ctx: ProbeContext):
     s, psi, n = ctx.lc_bundle.ricci.comps, ctx.psi.comps, ctx.dim
-    rhs = [s[a * n + b] + 2 * psi[a] * psi[b] for a in range(n) for b in range(n)]
+    rhs = [s[a * n + b] + (n - 1) * psi[a] * psi[b] for a in range(n) for b in range(n)]
     return ctx.hat_bundle.ricci, Tensor((DOWN, DOWN), n, rhs)
 
 
@@ -225,7 +238,7 @@ def _probe_b13(ctx: ProbeContext):
         "ricci_xi": ctx.hat_bundle.ricci.contract_with(1, ctx.xi),
         "operator_xi": ctx.hat_bundle.ricci_op.contract_with(1, ctx.xi),
     }
-    rhs = {"ricci_xi": ctx.psi.scale(2), "operator_xi": ctx.xi.scale(2)}
+    rhs = {"ricci_xi": ctx.psi.scale(ctx.dim - 1), "operator_xi": ctx.xi.scale(ctx.dim - 1)}
     return lhs, rhs
 
 
@@ -324,11 +337,16 @@ def _probe_cflat(ctx: ProbeContext):
     return ctx.conformal_lc, Tensor.zeros(_RANK4, ctx.dim)
 
 
+# Hypotheses a probe can require, by name; ProbeContext.unmet lists the failed ones.
+_PARALLEL = frozenset({"unit-parallel-xi"})
+_DIM3 = frozenset({"dim-3"})
+
+
 @dataclass(frozen=True)
 class ProbeDef:
     fn: Callable[[ProbeContext], tuple[Value, Value]]
     description: str
-    gated: bool = False          # requires unit parallel xi
+    requires: frozenset[str] = frozenset()   # hypotheses; the probe skips if one fails
     discrepancy: bool = False    # expected to disagree with the cataloged constant
     note: str = ""
 
@@ -337,48 +355,47 @@ REGISTRY: dict[str, ProbeDef] = {
     "A1": ProbeDef(_probe_a1, "torsion of the hat connection has the semi-symmetric form"),
     "B2": ProbeDef(_probe_b2, "non-metricity equals -psi_j g_ik - psi_k g_ij"),
     "B3": ProbeDef(_probe_b3, "hat curvature equals curvature shifted by alpha* terms"),
-    "B5": ProbeDef(_probe_b5, "R(U,V)xi = 0", gated=True),
-    "B6": ProbeDef(_probe_b6, "S(U,xi) = 0", gated=True),
-    "B7": ProbeDef(_probe_b7, "nabla psi = 0", gated=True),
+    "B5": ProbeDef(_probe_b5, "R(U,V)xi = 0", _PARALLEL),
+    "B6": ProbeDef(_probe_b6, "S(U,xi) = 0", _PARALLEL),
+    "B7": ProbeDef(_probe_b7, "nabla psi = 0", _PARALLEL),
     "B8": ProbeDef(_probe_b8, "hat curvature equals curvature plus psi(Y)[psi(V)U - psi(U)V]",
-                   gated=True),
-    "B9": ProbeDef(_probe_b9, "hat Ricci equals Ricci plus 2 psi x psi", gated=True),
+                   _PARALLEL),
+    "B9": ProbeDef(_probe_b9, "hat Ricci equals Ricci plus (n-1) psi x psi", _PARALLEL),
     "B10": ProbeDef(_probe_b10, "hat scalar curvature against the cataloged value r - 2",
-                    gated=True, discrepancy=True,
+                    _PARALLEL | _DIM3, discrepancy=True,
                     note="direct trace of the B9 relation gives r + 2 for unit psi"),
-    "B11": ProbeDef(_probe_b11, "hat R(U,V)xi = psi(V)U - psi(U)V", gated=True),
-    "B12": ProbeDef(_probe_b12, "psi(hat R(U,V)Y) = 0", gated=True),
-    "B13": ProbeDef(_probe_b13, "hat S(U,xi) = 2 psi(U) and hat Q xi = 2 xi", gated=True),
+    "B11": ProbeDef(_probe_b11, "hat R(U,V)xi = psi(V)U - psi(U)V", _PARALLEL),
+    "B12": ProbeDef(_probe_b12, "psi(hat R(U,V)Y) = 0", _PARALLEL),
+    "B13": ProbeDef(_probe_b13, "hat S(U,xi) = (n-1) psi(U) and hat Q xi = (n-1) xi",
+                    _PARALLEL),
     "B14": ProbeDef(_probe_b14, "xi-derivative of the hat scalar curvature vanishes",
-                    gated=True,
+                    _PARALLEL,
                     note="hat scalar curvature is frame-constant here, so the "
                          "derivative vanishes identically"),
-    "B15": ProbeDef(_probe_b15, "dimension-3 decomposition of the curvature tensor"),
+    "B15": ProbeDef(_probe_b15, "dimension-3 decomposition of the curvature tensor", _DIM3),
     "B17": ProbeDef(_probe_b17, "hat Ricci operator against its cataloged closed form",
-                    gated=True, discrepancy=True,
+                    _PARALLEL | _DIM3, discrepancy=True,
                     note="closed form evaluated at the directly computed hat scalar; "
                          "it inherits the B10 constant"),
     "B18": ProbeDef(_probe_b18, "covariant derivative of the hat Ricci operator vanishes",
-                    gated=True,
+                    _PARALLEL | _DIM3,
                     note="both sides vanish identically on a homogeneous frame with "
                          "unit parallel xi"),
-    "B20": ProbeDef(_probe_b20, "projective tensors of both connections coincide", gated=True),
+    "B20": ProbeDef(_probe_b20, "projective tensors of both connections coincide", _PARALLEL),
     "B22": ProbeDef(_probe_b22, "hat conformal tensor equals conformal plus correction terms",
-                    gated=True,
+                    _PARALLEL | _DIM3,
                     note="correction terms re-derived from B8/B9; the cataloged "
                          "xi-term signs are corrected"),
-    "B23": ProbeDef(_probe_b23, "hat C(U,V)xi = C(U,V)xi", gated=True),
+    "B23": ProbeDef(_probe_b23, "hat C(U,V)xi = C(U,V)xi", _PARALLEL),
     "BIANCHI": ProbeDef(_probe_bianchi, "first Bianchi identity for the curvature tensor"),
-    "CFLAT": ProbeDef(_probe_cflat, "conformal tensor of the metric connection vanishes"),
+    "CFLAT": ProbeDef(_probe_cflat, "conformal tensor of the metric connection vanishes",
+                      _DIM3),
 }
 
-PROBE_ORDER: tuple[str, ...] = (
-    "A1", "B2", "B3", "B5", "B6", "B7", "B8", "B9", "B10", "B11", "B12", "B13",
-    "B14", "B15", "B17", "B18", "B20", "B22", "B23", "BIANCHI", "CFLAT",
-)
-
-GENERAL_SUITE: tuple[str, ...] = ("A1", "B2", "B3", "B15", "BIANCHI", "CFLAT")
-PARALLEL_SUITE: tuple[str, ...] = tuple(pid for pid in PROBE_ORDER if REGISTRY[pid].gated)
+PROBE_ORDER: tuple[str, ...] = tuple(REGISTRY)
+GENERAL_SUITE: tuple[str, ...] = tuple(
+    pid for pid, d in REGISTRY.items() if _PARALLEL.isdisjoint(d.requires))
+PARALLEL_SUITE: tuple[str, ...] = tuple(pid for pid in REGISTRY if pid not in GENERAL_SUITE)
 DISCREPANCY_PROBES: frozenset[str] = frozenset(
     pid for pid, d in REGISTRY.items() if d.discrepancy)
 
@@ -396,14 +413,15 @@ def run_probe(geometry: GeometrySpec | ProbeContext, probe_id: str) -> ProbeResu
         defn = REGISTRY[probe_id]
     except KeyError:
         raise UnknownProbeError(f"unknown probe id {probe_id!r}") from None
-    if defn.gated:
-        if not ctx.parallel:
-            return ProbeResult(probe_id, ProbeStatus.SKIPPED, None, None, ZERO,
-                               note="parallel-xi hypothesis fails: nabla xi != 0")
-        if not ctx.validation.unit_xi:
-            return ProbeResult(probe_id, ProbeStatus.SKIPPED, None, None, ZERO,
-                               note="unit-xi hypothesis fails: g(xi, xi) != 1")
-    lhs, rhs = defn.fn(ctx)
+    skip = [note for hyp, note in ctx.unmet.items() if hyp in defn.requires]
+    if not skip:
+        try:
+            lhs, rhs = defn.fn(ctx)
+        except UnsupportedDimensionError as exc:
+            skip = [str(exc)]
+    if skip:
+        return ProbeResult(probe_id, ProbeStatus.SKIPPED, None, None, ZERO,
+                           note="; ".join(skip))
     dev = deviation(lhs, rhs)
     if dev == 0:
         status = ProbeStatus.PASS

@@ -1,13 +1,16 @@
 """Curvature bundles, sectional curvature, projective and conformal tensors."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import (DIM, c_rows_of, geometries, oracle_curvature,
-                      tensor_to_rows)
-from sscurv import (DegeneratePlaneError, Tensor, UnsupportedDimensionError,
-                    builtin, conformal, constant_sectional, curvature,
-                    levi_civita, projective, rat, sectional, ssnmc)
+                      small_nonzero_rats, small_rats, spd_metrics, tensor_to_rows,
+                      valid_frames)
+from sscurv import (DegeneratePlaneError, FrameAlgebra, Tensor,
+                    UnsupportedDimensionError, builtin, conformal,
+                    constant_sectional, curvature, levi_civita, projective, rat,
+                    sectional, ssnmc)
 from sscurv.probes import ProbeContext
 
 E1 = Tensor.vector([1, 0, 0])
@@ -182,18 +185,51 @@ def test_conformal_hat_correction_terms_h2xr():
 
 
 def test_dim_guard_for_projective_and_conformal():
-    from sscurv import (DistinguishedField, FrameAlgebra, GeometrySpec,
-                        MetricFrame)
-    frame = FrameAlgebra.abelian(2)
-    metric = MetricFrame.identity(2)
-    dist = DistinguishedField.from_xi(Tensor.vector([0, 1]), metric)
-    spec = GeometrySpec("flat2", frame, metric, dist)
-    lc = levi_civita(spec.frame, spec.metric)
-    b = curvature(lc, spec.frame, spec.metric)
-    with pytest.raises(UnsupportedDimensionError):
+    from sscurv import MetricFrame
+
+    def bundle(frame):
+        metric = MetricFrame.identity(frame.dim)
+        return curvature(levi_civita(frame, metric), frame, metric), metric
+
+    # Dim 2 (the hyperbolic plane): projective has its coefficient 1/(n-1)
+    # and vanishes, since R = (r/2) g-wedge there; conformal needs n >= 3.
+    b, metric = bundle(FrameAlgebra.from_entries(2, {(0, 0, 1): rat(-1)}))
+    assert not b.riemann.is_zero()
+    assert projective(b).is_zero()
+    with pytest.raises(UnsupportedDimensionError, match="dim >= 3, got dim 2"):
+        conformal(b, metric)
+    b, _ = bundle(FrameAlgebra.abelian(1))
+    with pytest.raises(UnsupportedDimensionError, match="dim >= 2, got dim 1"):
         projective(b)
-    with pytest.raises(UnsupportedDimensionError):
-        conformal(b, spec.metric)
+
+
+@st.composite
+def lc_bundles(draw, dim):
+    """Levi-Civita bundle of a Jacobi-closed frame in dim 3 or 4 under a
+    positive-definite metric that is not the identity."""
+    frame = draw(valid_frames())
+    entries = {(k, i, j): frame.c[k, i, j] for k in range(3)
+               for i in range(3) for j in range(i + 1, 3) if frame.c[k, i, j]}
+    if dim == 4 and draw(st.booleans()):
+        # [e_i, e4] = a_i e_i: e4 acts diagonally on an abelian ideal.
+        entries = {(i, i, 3): rat(str(draw(small_rats))) for i in range(3)}
+    frame = FrameAlgebra.from_entries(dim, entries)
+    metric = draw(spd_metrics(dim, small_nonzero_rats))
+    return curvature(levi_civita(frame, metric), frame, metric), metric
+
+
+def trace(t):
+    n = t.dim
+    return [sum(t[i, k, i, j] for i in range(n)) for k in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_projective_and_conformal_are_trace_free(dim, data):
+    b, metric = data.draw(lc_bundles(dim))
+    assert not any(trace(projective(b)))
+    assert not any(trace(conformal(b, metric)))
 
 
 @settings(max_examples=40)

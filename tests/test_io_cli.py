@@ -8,7 +8,7 @@ import pytest
 from conftest import count_calls
 from sscurv import (InputError, builtin, dumps_geometry, geometry_from_dict,
                     load_geometry, rat)
-from sscurv.cli import _attach_signed_values, main, make_parser
+from sscurv.cli import main
 
 
 def write(tmp_path, name, data):
@@ -227,6 +227,32 @@ def test_cli_soliton_yamabe(capsys):
     assert sol["proof_steps"][0]["id"] == "Y44"
 
 
+def test_cli_h2xr_yamabe_linear_potential_is_recorded_as_failing(capsys, tmp_path):
+    """Pins today's output on a genuine soliton the catalog does not cover.
+
+    On h2xr, f = -t along xi (d = (0, 0, -1), dd = 0) solves the Yamabe
+    equation with lambda = 1 globally, inside the standing hypotheses (unit
+    parallel xi). The hat scalar curvature is constant on any homogeneous
+    frame, so the paper's disjunction holds; what fails is the catalog's
+    constant r-hat = 2 and the proof step Y44 (hat S(Df) = (0, 0, -2)), which
+    looks like the B10 constant again (r - 2 cataloged, r + 2 computed).
+    Whether these become paper-mismatch changes pinned statuses, so the
+    test records them as they are.
+    """
+    jet = write(tmp_path, "jet.json", {"d": ["0", "0", "-1"], "dd": [["0"] * 3] * 3})
+    code, out, _ = run_cli(capsys, "soliton", "--builtin", "h2xr", "--type", "yamabe",
+                           "--lambda", "1", "--jet", jet, "--format", "json")
+    assert code == 1
+    sol = json.loads(out)["solitons"][0]
+    assert sol["is_soliton"] is True
+    checks = {c["name"]: c for c in sol["conclusion_checks"]}
+    assert checks["constant-scalar-curvature"]["holds"] is False
+    assert checks["constant-scalar-curvature"]["note"] == "r-hat = 0"
+    assert checks["trivial"]["holds"] is False
+    (y44,) = sol["proof_steps"]
+    assert (y44["id"], y44["status"], y44["lhs"]) == ("Y44", "fail", ["0", "0", "-2"])
+
+
 def test_cli_soliton_with_jet_file(capsys, tmp_path):
     # Flat frame with xi = 0 (hat objects reduce to the metric ones) plus a
     # Euclidean quadratic potential: a genuine shrinking-type instance.
@@ -272,15 +298,26 @@ def test_cli_fuzz_negative_pool(capsys, spelling):
     assert json.loads(out)["fuzz"]["pool"] == ["-1", "0", "1"]
 
 
-def test_signed_values_attach_only_to_the_subcommands_rational_options():
-    parser = make_parser()
-    assert _attach_signed_values(parser, ["soliton", "--lambda", "-1/2", "--m", "-3"]) == \
-        ["soliton", "--lambda=-1/2", "--m", "-3"]
-    assert _attach_signed_values(parser, ["fuzz", "--pool", "-1,0", "--seed", "-2"]) == \
-        ["fuzz", "--pool=-1,0", "--seed", "-2"]
-    for argv in (["fuzz", "--lambda", "-1/2"], ["soliton", "--pool", "-1"],
-                 ["soliton", "--", "--lambda", "-1/2"], ["--lambda", "-1/2"]):
-        assert _attach_signed_values(parser, argv) == argv
+def test_cli_dash_led_ints_stay_ints(capsys):
+    code, out, _ = run_cli(capsys, "soliton", "--builtin", "h2xr", "--type", "mquasi",
+                           "--lambda", "-1/2", "--m", "-3", "--format", "json")
+    assert code == 0
+    sol = json.loads(out)["solitons"][0]
+    assert (sol["lambda"], sol["m"]) == ("-1/2", -3)
+    code, out, _ = run_cli(capsys, "fuzz", "--pool", "-1,0", "--seed", "-5", "--count", "5",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["fuzz"]["seed"] == -5
+
+
+@pytest.mark.parametrize("argv", (("fuzz", "--lambda", "-1/2"),
+                                  ("soliton", "--builtin", "h2xr", "--type", "ricci",
+                                   "--lambda", "0", "--pool", "-1")))
+def test_cli_rational_option_of_another_subcommand_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_soliton_mquasi_requires_m(capsys):
@@ -339,3 +376,40 @@ def test_cli_soliton_uses_embedded_jet(capsys, tmp_path):
                            "--type", "ricci", "--lambda", "-1", "--format", "json")
     assert code == 0
     assert json.loads(out)["solitons"][0]["is_soliton"] is True
+
+
+# Unit-parallel-xi frames off dimension 3, xi = e_n, identity metric:
+# (dim, 1-based [e_i, e_j] = value e_k entries as (i, j, k, value)).
+OTHER_DIMS = {
+    "R1": (1, []),
+    "R2": (2, []),
+    "R4": (4, []),
+    "H2xR2": (4, [(1, 2, 1, "-1")]),
+    "H3xR": (4, [(1, 3, 1, "-1"), (2, 3, 2, "-1")]),
+    "HeisenbergxR": (4, [(1, 2, 3, "1")]),
+}
+DIM3_PROBES = {"B10", "B15", "B17", "B18", "B22", "CFLAT"}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_DIMS))
+def test_cli_probe_all_off_dimension_3(capsys, tmp_path, name):
+    n, brackets = OTHER_DIMS[name]
+    geo = {"name": name, "dim": n,
+           "structure_constants": [{"i": i, "j": j, "k": k, "value": v}
+                                   for i, j, k, v in brackets],
+           "metric": [[int(i == j) for j in range(n)] for i in range(n)],
+           "xi": [int(i == n - 1) for i in range(n)]}
+    code, out, err = run_cli(capsys, "probe", "--geometry", write(tmp_path, "g.json", geo),
+                             "--suite", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    by_id = {p["id"]: p for p in json.loads(out)["probes"]}
+    assert not [pid for pid, p in by_id.items() if p["status"] in ("fail", "paper-mismatch")]
+    for pid in DIM3_PROBES:
+        assert by_id[pid]["status"] == "skipped", pid
+        assert f"dimension 3 only, got dim {n}" in by_id[pid]["note"], pid
+    if n in (2, 4):
+        assert by_id["B9"]["status"] == by_id["B13"]["status"] == "pass"
+    # Projective needs n >= 2 and conformal n >= 3; the rest run everywhere.
+    undefined = {1: {"B20", "B23"}, 2: {"B23"}, 4: set()}[n]
+    skipped = {pid for pid, p in by_id.items() if p["status"] == "skipped"}
+    assert skipped == DIM3_PROBES | undefined

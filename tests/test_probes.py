@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import geometries, make_spec
-from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, ProbeStatus,
+from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, DistinguishedField,
+                    FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, Tensor,
                     UnknownProbeError, builtin, rat, run_suite)
-from sscurv.probes import DISCREPANCY_PROBES, ProbeContext, run_probe
+from sscurv.probes import DISCREPANCY_PROBES, REGISTRY, ProbeContext, run_probe
 
 
 def statuses(spec, ids=PROBE_ORDER):
@@ -100,6 +101,32 @@ def test_non_unit_xi_skips_gated_probes():
     for pid, r in results.items():
         assert r.status is ProbeStatus.SKIPPED, pid
         assert "unit" in r.note
+
+
+def test_suites_follow_the_requires_sets():
+    assert PROBE_ORDER == (
+        "A1", "B2", "B3", "B5", "B6", "B7", "B8", "B9", "B10", "B11", "B12", "B13",
+        "B14", "B15", "B17", "B18", "B20", "B22", "B23", "BIANCHI", "CFLAT")
+    assert GENERAL_SUITE == ("A1", "B2", "B3", "B15", "BIANCHI", "CFLAT")
+    assert PARALLEL_SUITE == tuple(pid for pid in PROBE_ORDER if pid not in GENERAL_SUITE)
+    assert {pid for pid, d in REGISTRY.items() if "dim-3" in d.requires} == {
+        "B10", "B15", "B17", "B18", "B22", "CFLAT"}
+
+
+def test_every_unmet_hypothesis_is_named_in_order():
+    # The hyperbolic plane with xi = e2: nabla xi != 0 and dim 2.
+    frame = FrameAlgebra.from_entries(2, {(0, 0, 1): rat(-1)})
+    metric = MetricFrame.identity(2)
+    spec = GeometrySpec("h2", frame, metric,
+                        DistinguishedField.from_xi(Tensor.vector([0, 1]), metric))
+    results = statuses(spec)
+    assert results["B10"].note == ("parallel-xi hypothesis fails: nabla xi != 0; "
+                                   "dim-3 hypothesis fails: derived in dimension 3 only, "
+                                   "got dim 2")
+    assert results["B9"].note == "parallel-xi hypothesis fails: nabla xi != 0"
+    assert results["CFLAT"].status is ProbeStatus.SKIPPED
+    for pid in ("A1", "B2", "B3", "BIANCHI"):
+        assert results[pid].status is ProbeStatus.PASS, pid
 
 
 def test_run_suite_general_example1():
