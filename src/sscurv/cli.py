@@ -92,7 +92,7 @@ def _cmd_probe(args) -> int:
     ctx, notes = _resolve_geometry(args)
     _validate_or_die(ctx, notes, args)
     ids = tuple(x.strip() for x in args.ids.split(",")) if args.ids else None
-    doc = run_suite(ctx, suite=args.suite, ids=ids, include_tables=args.tables)
+    doc = run_suite(ctx, None if ids else args.suite, ids=ids, include_tables=args.tables)
     if notes:
         doc["notes"] = notes
     sys.stdout.write(emit_report(doc, args.format, args.out))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .connection import Connection, ConnectionKind
+from .connection import Connection
 from .errors import DegeneratePlaneError, UnsupportedDimensionError, ValenceError
 from .geometry import FrameAlgebra, MetricFrame
 from .rat import ZERO, Rat, common_denominator, over_denominator, rat
@@ -38,7 +38,6 @@ class CurvatureBundle:
     ricci: Tensor      # (DOWN, DOWN): ricci[a, b] = S(e_a, e_b)
     scalar: Rat
     ricci_op: Tensor   # (UP, DOWN): ricci_op[l, a] = (Q e_a)^l, g(QU, V) = S(U, V)
-    source: ConnectionKind
 
     @property
     def dim(self) -> int:
@@ -113,8 +112,7 @@ def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> Cur
         Tensor((UP, DOWN, DOWN, DOWN), n, over_denominator(riemann, den)),
         Tensor((DOWN, DOWN), n, over_denominator(ricci, den)),
         Rat(scalar, den * dh),
-        Tensor((UP, DOWN), n, over_denominator(ricci_op, den * dh)),
-        conn.kind)
+        Tensor((UP, DOWN), n, over_denominator(ricci_op, den * dh)))
 
 
 def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor) -> Rat:

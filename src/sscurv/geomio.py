@@ -1,10 +1,11 @@
-"""Geometry and jet JSON files.
+"""Geometry and jet JSON files, and the canonical strings of every value.
 
 Rationals are encoded as strings "p/q" (or bare integers); float literals
 are rejected outright since the engine admits no rounding. Structure
 constants are a list of {i, j, k, value} entries for C^k_ij with 1-based
-indices; the antisymmetric partner of every entry is filled in
-automatically and conflicts are diagnosed field by field.
+indices; conflicts are diagnosed field by field and FrameAlgebra.from_entries
+fills in each antisymmetric partner. serialize_value, which reports use too,
+writes rationals and tensors as canonical (nested) strings.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .errors import InputError
 from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
                        MetricFrame, ScalarJet)
-from .rat import Rat, ZERO, format_rat, parse_rat, rat
+from .rat import Rat, format_rat, parse_rat, rat
 from .tensor import DOWN, UP, Tensor
 
 
@@ -111,9 +112,7 @@ def geometry_from_dict(data: dict, *, path: str | None = None,
                 path=path, field=field)
         explicit[key] = v
 
-    full: dict[tuple[int, int, int], Rat] = {}
     for (k, i, j), v in sorted(explicit.items()):
-        full[(k, i, j)] = v
         mirror = (k, j, i)
         if mirror in explicit:
             if explicit[mirror] != -v:
@@ -122,13 +121,9 @@ def geometry_from_dict(data: dict, *, path: str | None = None,
                     f"but C^{k + 1}_({j + 1},{i + 1}) = {format_rat(explicit[mirror])}",
                     path=path, field="structure_constants")
         elif v != 0:
-            full[mirror] = -v
             notes.append(
                 f"completed C^{k + 1}_({j + 1},{i + 1}) = {format_rat(-v)} by antisymmetry")
-    comps = [ZERO] * dim ** 3
-    for (k, i, j), v in full.items():
-        comps[(k * dim + i) * dim + j] = v
-    frame = FrameAlgebra(dim, Tensor((UP, DOWN, DOWN), dim, comps))
+    frame = FrameAlgebra.from_entries(dim, explicit)
 
     if "metric" not in data:
         raise InputError("missing required field", path=path, field="metric")
@@ -186,14 +181,35 @@ def load_jet(path: str | Path, dim: int) -> ScalarJet:
     return jet_from_dict(_read_json(path), dim, path=str(path), field="jet")
 
 
+def serialize_value(value):
+    """Rationals to strings, tensors to nested lists, dicts recursively."""
+    if value is None:
+        return None
+    if isinstance(value, Tensor):
+        return _nested(value)
+    if isinstance(value, dict):
+        return {k: serialize_value(value[k]) for k in sorted(value)}
+    return format_rat(value)
+
+
+def _nested(t: Tensor):
+    """Canonical strings of the components, nested by slot in row-major order."""
+    out = [format_rat(x) for x in t.comps]
+    if t.rank == 0:
+        return out[0]
+    for _ in range(t.rank - 1):
+        out = [out[i:i + t.dim] for i in range(0, len(out), t.dim)]
+    return out
+
+
 def geometry_to_dict(spec: GeometrySpec) -> dict:
     """Canonical emission: entries with i < j only, sorted, lowest-term strings."""
-    dim = spec.dim
+    dim, c = spec.dim, spec.frame.c.comps
     entries = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(dim):
-                v = spec.frame.c[k, i, j]
+                v = c[(k * dim + i) * dim + j]
                 if v != 0:
                     entries.append({"i": i + 1, "j": j + 1, "k": k + 1,
                                     "value": format_rat(v)})
@@ -201,16 +217,11 @@ def geometry_to_dict(spec: GeometrySpec) -> dict:
         "name": spec.name,
         "dim": dim,
         "structure_constants": entries,
-        "metric": [[format_rat(spec.metric.g[i, j]) for j in range(dim)]
-                   for i in range(dim)],
-        "xi": [format_rat(spec.distinguished.xi[i]) for i in range(dim)],
+        "metric": serialize_value(spec.metric.g),
+        "xi": serialize_value(spec.distinguished.xi),
     }
     if spec.jet is not None:
-        out["jet"] = {
-            "d": [format_rat(spec.jet.d[i]) for i in range(dim)],
-            "dd": [[format_rat(spec.jet.dd[i, j]) for j in range(dim)]
-                   for i in range(dim)],
-        }
+        out["jet"] = {"d": serialize_value(spec.jet.d), "dd": serialize_value(spec.jet.dd)}
     return out
 
 

@@ -63,6 +63,19 @@ def deviation(lhs: Value, rhs: Value) -> Rat:
     return abs(lhs - rhs)
 
 
+def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
+          discrepancy: bool = False) -> ProbeResult:
+    """Pass on exact equality; else paper-mismatch if a designated discrepancy, else fail."""
+    dev = deviation(lhs, rhs)
+    if dev == 0:
+        status = ProbeStatus.PASS
+    elif discrepancy:
+        status = ProbeStatus.PAPER_MISMATCH
+    else:
+        status = ProbeStatus.FAIL
+    return ProbeResult(probe_id, status, lhs, rhs, dev, note=note)
+
+
 class ProbeContext:
     """Shared computations for one geometry; probes reuse everything here.
 
@@ -422,11 +435,4 @@ def run_probe(geometry: GeometrySpec | ProbeContext, probe_id: str) -> ProbeResu
     if skip:
         return ProbeResult(probe_id, ProbeStatus.SKIPPED, None, None, ZERO,
                            note="; ".join(skip))
-    dev = deviation(lhs, rhs)
-    if dev == 0:
-        status = ProbeStatus.PASS
-    elif defn.discrepancy:
-        status = ProbeStatus.PAPER_MISMATCH
-    else:
-        status = ProbeStatus.FAIL
-    return ProbeResult(probe_id, status, lhs, rhs, dev, note=defn.note)
+    return judge(probe_id, lhs, rhs, defn.note, defn.discrepancy)

@@ -1,8 +1,9 @@
 """Deterministic report assembly and rendering.
 
 Reports are plain dicts built in a fixed key order with every rational
-rendered as a canonical string, so identical inputs produce byte-identical
-JSON. No timestamps, no environment data, no set iteration anywhere.
+rendered as a canonical string by geomio.serialize_value, the writer that
+geometry files use too, so identical inputs produce byte-identical JSON.
+No timestamps, no environment data, no set iteration anywhere.
 compute_tables and build_report take a bare GeometrySpec or a shared
 probes.ProbeContext.
 """
@@ -16,34 +17,10 @@ from typing import Iterable
 from ._version import __version__
 from .curvature import constant_sectional
 from .geometry import GeometrySpec, ValidationReport
-from .geomio import geometry_to_dict
+from .geomio import geometry_to_dict, serialize_value
 from .probes import ProbeContext, ProbeResult, ProbeStatus
 from .rat import format_rat
 from .solitons import SolitonProblem, SolitonVerdict
-from .tensor import Tensor
-
-
-def serialize_value(value):
-    """Rationals to strings, tensors to nested lists, dicts recursively."""
-    if value is None:
-        return None
-    if isinstance(value, Tensor):
-        return _nested(value)
-    if isinstance(value, dict):
-        return {k: serialize_value(value[k]) for k in sorted(value)}
-    if isinstance(value, bool):
-        return value
-    return format_rat(value)
-
-
-def _nested(t: Tensor):
-    """Canonical strings of the components, nested by slot in row-major order."""
-    out = [format_rat(x) for x in t.comps]
-    if t.rank == 0:
-        return out[0]
-    for _ in range(t.rank - 1):
-        out = [out[i:i + t.dim] for i in range(0, len(out), t.dim)]
-    return out
 
 
 def config_digest(config: dict) -> str:
@@ -166,10 +143,6 @@ def emit_report(report: dict, format: str = "text", path=None) -> str:
 
 
 def _fmt_matrix(rows, indent="  "):
-    if isinstance(rows, str):
-        return [indent + rows]
-    if rows and isinstance(rows[0], str):
-        return [indent + "[ " + "  ".join(x.rjust(6) for x in rows) + " ]"]
     lines = []
     for row in rows:
         lines.append(indent + "[ " + "  ".join(x.rjust(6) for x in row) + " ]")
@@ -284,18 +257,13 @@ def _render_fuzz_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def collect_statuses(report: dict) -> list[str]:
+def exit_code(report: dict, strict: bool = False) -> int:
+    """0 all pass/skip (mismatch tolerated unless strict), 1 otherwise."""
+    if "fuzz" in report and not report.get("ok", True):
+        return 1
     statuses = [p["status"] for p in report.get("probes", [])]
     for sol in report.get("solitons", []):
         statuses.extend(p["status"] for p in sol.get("proof_steps", []))
-    return statuses
-
-
-def exit_code(report: dict, strict: bool = False) -> int:
-    """0 all pass/skip (mismatch tolerated unless strict), 1 otherwise."""
-    statuses = collect_statuses(report)
-    if "fuzz" in report and not report.get("ok", True):
-        return 1
     if ProbeStatus.FAIL.value in statuses:
         return 1
     if strict and ProbeStatus.PAPER_MISMATCH.value in statuses:

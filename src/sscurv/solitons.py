@@ -20,7 +20,7 @@ from .curvature import constant_sectional
 from .errors import InvalidJetError, SscurvError
 from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
-from .probes import ProbeContext, ProbeResult, ProbeStatus, deviation, operator_derivative
+from .probes import ProbeContext, ProbeResult, ProbeStatus, judge, operator_derivative
 from .rat import ZERO, Rat, rat
 from .tensor import DOWN, UP, Tensor
 
@@ -165,10 +165,11 @@ def conclusion_check(geometry: GeometrySpec | ProbeContext,
     rhat = bundle.scalar
     trivial = problem.jet.is_zero
 
+    sectional_check = NamedCheck("constant-sectional-curvature", kappa is not None,
+                                 "" if kappa is None else f"kappa = {kappa}")
     checks: list[NamedCheck] = []
     if problem.kind is SolitonKind.RICCI:
-        checks.append(NamedCheck("constant-sectional-curvature", kappa is not None,
-                                 "" if kappa is None else f"kappa = {kappa}"))
+        checks.append(sectional_check)
         checks.append(NamedCheck("potential-constant", trivial))
         holds = kappa is not None and trivial
     elif problem.kind is SolitonKind.YAMABE:
@@ -179,16 +180,14 @@ def conclusion_check(geometry: GeometrySpec | ProbeContext,
     elif problem.kind is SolitonKind.EINSTEIN:
         checks.append(NamedCheck("constant-scalar-curvature", rhat == 0,
                                  f"r-hat = {rhat}"))
-        checks.append(NamedCheck("constant-sectional-curvature", kappa is not None,
-                                 "" if kappa is None else f"kappa = {kappa}"))
+        checks.append(sectional_check)
         holds = rhat == 0 or kappa is not None
     else:
         expanding = problem.lam == problem.m + 2
         side = 2 * problem.m + rhat - 2 * problem.lam + 2
         checks.append(NamedCheck("expanding-lambda", expanding,
                                  f"lambda = {problem.lam}, m + 2 = {problem.m + 2}"))
-        checks.append(NamedCheck("constant-sectional-curvature", kappa is not None,
-                                 "" if kappa is None else f"kappa = {kappa}"))
+        checks.append(sectional_check)
         checks.append(NamedCheck("side-condition-nonzero", side != 0,
                                  f"2m + r-hat - 2 lambda + 2 = {side}"))
         holds = expanding or kappa is not None
@@ -229,26 +228,20 @@ def proof_step_probes(geometry: GeometrySpec | ProbeContext,
     df = gradient(problem.jet, spec.metric)
     n = spec.dim
     results = []
-
-    def finish(pid, lhs, rhs, note=""):
-        dev = deviation(lhs, rhs)
-        status = ProbeStatus.PASS if dev == 0 else ProbeStatus.FAIL
-        results.append(ProbeResult(pid, status, lhs, rhs, dev, note=note))
-
     for pid in ids:
         if pid in ("C4", "Y44", "E54"):
             lhs = bundle.ricci.contract_with(1, df)
-            finish(pid, lhs, Tensor.zeros((DOWN,), n), note=_CONTRACTION_NOTE)
+            results.append(judge(pid, lhs, Tensor.zeros((DOWN,), n), _CONTRACTION_NOTE))
         elif pid == "M61":
             lhs = bundle.riemann.contract_with(1, df)
             rhs = _m61_rhs(bundle.ricci_op.comps, ctx.hat.gamma.comps, problem.jet.d.comps,
                            problem.lam, problem.m, n)
-            finish(pid, lhs, Tensor((UP, DOWN, DOWN), n, rhs))
+            results.append(judge(pid, lhs, Tensor((UP, DOWN, DOWN), n, rhs)))
         elif pid == "M68":
             xf = xi_derivative(problem.jet, spec.distinguished)
             coeff = 2 * problem.m + bundle.scalar - 2 * problem.lam + 2
-            finish(pid, coeff * xf, ZERO,
-                   note=f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}")
+            results.append(judge(pid, coeff * xf, ZERO,
+                                 f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}"))
     return results
 
 

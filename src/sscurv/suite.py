@@ -19,10 +19,11 @@ DEFAULT_POOL: tuple[Rat, ...] = (rat(-2), rat(-1), rat(-1, 2), rat(0),
                                  rat(1, 2), rat(1), rat(2))
 
 
-def run_suite(geometry: GeometrySpec | ProbeContext, suite: str = "all",
+def run_suite(geometry: GeometrySpec | ProbeContext, suite: str | None = "all",
               ids: tuple[str, ...] | None = None,
               include_tables: bool = True) -> dict:
-    """Run a probe suite on a valid spec or context and assemble its report.
+    """Run a probe suite, or the listed ids, on a valid spec or context and
+    assemble its report, which names the suite unless it is None.
 
     A probe whose hypotheses fail (unit parallel xi, dimension 3) or whose
     formula is undefined in this dimension skips itself with the reason, so

@@ -137,11 +137,6 @@ class Tensor:
         f = _as_rat(factor)
         return Tensor(self.variance, self.dim, [f * a for a in self.comps])
 
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor)
                 and self.variance == other.variance

@@ -1,10 +1,13 @@
 """Fuzzer determinism and status expectations."""
 
+import dataclasses
 import json
 
 import pytest
 
-from sscurv import FuzzConfig, SscurvError, fuzz, rat
+from sscurv import (FuzzConfig, ProbeStatus, SscurvError, emit_report, exit_code,
+                    format_rat, fuzz, rat, run_probe)
+from sscurv import probes
 from sscurv.geomio import geometry_from_dict
 from sscurv.geometry import validate
 from sscurv.suite import DEFAULT_POOL
@@ -82,3 +85,35 @@ def test_accepted_geometries_reconstructible():
         assert validate(spec).ok
         round_tripped = geometry_from_dict(geometry_to_dict(spec))
         assert round_tripped.spec == spec
+
+
+def test_wrong_probe_yields_reproducible_certificates(monkeypatch):
+    # A B2 whose right side is doubled fails on every accepted candidate,
+    # since psi = e3 makes the true right side nonzero.
+    defn = probes.REGISTRY["B2"]
+
+    def doubled(ctx):
+        lhs, rhs = defn.fn(ctx)
+        return lhs, rhs.scale(2)
+
+    monkeypatch.setitem(probes.REGISTRY, "B2", dataclasses.replace(defn, fn=doubled))
+    doc = fuzz(FuzzConfig(count=20, seed=42))
+    certs = doc["unexpected"]
+    assert doc["accepted"] >= 1
+    assert len(certs) == doc["accepted"] == doc["probe_counts"]["B2"]["fail"]
+    assert {(c["probe_id"], c["status"]) for c in certs} == {("B2", "fail")}
+    assert len({c["candidate_index"] for c in certs}) == len(certs)
+    assert doc["ok"] is False
+    assert exit_code(doc) == 1
+    text = emit_report(doc, "text")
+    assert f"UNEXPECTED failures: {len(certs)}" in text
+    for cert in certs:
+        assert f"candidate {cert['candidate_index']} probe B2 status fail" in text
+
+    specs = [geometry_from_dict(c["geometry"]).spec for c in certs]
+    for cert, spec in zip(certs, specs):
+        result = run_probe(spec, "B2")
+        assert result.status is ProbeStatus.FAIL
+        assert format_rat(result.max_abs_deviation) == cert["max_abs_deviation"]
+    monkeypatch.undo()
+    assert all(run_probe(spec, "B2").status is ProbeStatus.PASS for spec in specs)

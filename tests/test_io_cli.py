@@ -121,6 +121,64 @@ def test_unknown_field_rejected(tmp_path):
         load_geometry(write(tmp_path, "g.json", data))
 
 
+def entry(i, j, k, value):
+    return {"i": i, "j": j, "k": k, "value": value}
+
+
+_EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("change, message, field", [
+    ({"structure_constants": [entry(1, 2, 3, "1"), entry(1, 2, 3, "2")]},
+     "conflicting values for C^3_(1,2): 1 vs 2", "structure_constants[1]"),
+    ({"structure_constants": [entry(2, 2, 1, "1")]},
+     "antisymmetry forces C^1_(2,2) = 0", "structure_constants[0]"),
+    ({"structure_constants": [entry(1, 2, 3, True)]},
+     "expected a rational, got a boolean", "structure_constants[0].value"),
+    ({"structure_constants": entry(1, 2, 3, "1")},
+     "structure_constants must be a list", "structure_constants"),
+    ({"dim": 5}, "dim must be an integer in 1..4, got 5", "dim"),
+    ({"metric": None}, "missing required field", "metric"),
+    ({"xi": None}, "missing required field", "xi"),
+    ({"metric": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}, "metric not invertible", "metric"),
+    ({"jet": {"d": [0, 0, 0], "hess": _EYE}},
+     "jet must be an object with keys d and dd", "jet"),
+])
+def test_loader_diagnostics(change, message, field):
+    data = {"name": "g", "dim": 3, "structure_constants": [], "metric": _EYE,
+            "xi": [0, 0, 1]}
+    data.update(change)
+    data = {key: value for key, value in data.items() if value is not None}
+    with pytest.raises(InputError) as err:
+        geometry_from_dict(data)
+    assert message in str(err.value)
+    assert err.value.field == field
+
+
+def test_loader_completes_only_the_missing_mirrors():
+    data = {
+        "name": "mixed", "dim": 3,
+        "structure_constants": [
+            entry(2, 3, 1, "2"),        # completed
+            entry(1, 3, 2, "1/2"),      # with its explicit mirror
+            entry(3, 1, 2, "-1/2"),
+            entry(2, 3, 3, "0"),        # zero: nothing to complete
+            entry(1, 2, 1, "-1"),       # completed
+        ],
+        "metric": _EYE, "xi": [0, 0, 1],
+    }
+    loaded = geometry_from_dict(data)
+    c = loaded.spec.frame.c.comps
+    nonzero = {(k, i, j): c[(k * 3 + i) * 3 + j]
+               for k in range(3) for i in range(3) for j in range(3)
+               if c[(k * 3 + i) * 3 + j]}
+    assert nonzero == {(0, 0, 1): rat(-1), (0, 1, 0): rat(1),
+                       (0, 1, 2): rat(2), (0, 2, 1): rat(-2),
+                       (1, 0, 2): rat(1, 2), (1, 2, 0): rat(-1, 2)}
+    assert loaded.notes == ("completed C^1_(2,1) = 1 by antisymmetry",
+                            "completed C^1_(3,2) = -2 by antisymmetry")
+
+
 # -- CLI ---------------------------------------------------------------
 
 
@@ -160,6 +218,14 @@ def test_cli_probe_ids_subset(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [p["id"] for p in doc["probes"]] == ["B9", "B10"]
+    assert "suite" not in doc
+    code, out, _ = run_cli(capsys, "probe", "--builtin", "h2xr", "--suite", "parallel",
+                           "--ids", "B2", "--format", "json")
+    assert code == 0
+    assert "suite" not in json.loads(out)
+    code, out, _ = run_cli(capsys, "probe", "--builtin", "h2xr", "--suite", "all",
+                           "--format", "json")
+    assert json.loads(out)["suite"] == "all"
 
 
 def test_cli_jacobi_violation_exit_2(capsys, tmp_path):

@@ -390,7 +390,7 @@ def test_constant_sectional_matches_fraction_reference(case):
     n, g, r = case
     zero2 = Tensor.zeros((DOWN, DOWN), n)
     bundle = CurvatureBundle(rat_tensor((UP, DOWN, DOWN, DOWN), n, r), zero2, rat(0),
-                             Tensor.zeros((UP, DOWN), n), ConnectionKind.CUSTOM)
+                             Tensor.zeros((UP, DOWN), n))
     kappa = constant_sectional(bundle, metric_of(n, g))
     assert as_fraction(kappa) == ref_constant_sectional(r, g, n)
     assert kappa is None or isinstance(kappa, Rat)
