@@ -4,52 +4,62 @@ Builds Levi-Civita and semi-symmetric non-metric connections from constant
 structure data, computes the full curvature apparatus, machine-checks a
 catalog of identities, and evaluates gradient-soliton residuals, all in
 exact rational arithmetic.
+
+The public names load their submodule on first use (PEP 562), so a command
+that checks one soliton never compiles the probe registry or the fuzzer.
 """
 
-from ._version import __version__
-from .catalog import BUILTIN_NAMES, builtin
-from .connection import (Connection, ConnectionKind, alpha_star, is_parallel,
-                         is_semi_symmetric, levi_civita, non_metricity, ssnmc,
-                         torsion)
-from .curvature import (CurvatureBundle, conformal, constant_sectional,
-                        curvature, projective, sectional)
-from .errors import (DegenerateMetricError, DegeneratePlaneError, GeometryError,
-                     InputError, InvalidJetError, SscurvError, UnknownGeometryError,
-                     UnknownProbeError, UnsupportedDimensionError, ValenceError)
-from .geometry import (Check, DistinguishedField, FrameAlgebra, GeometrySpec,
-                       MetricFrame, ScalarJet, ValidationReport, gradient, validate)
-from .geomio import (LoadedGeometry, dumps_geometry, geometry_from_dict,
-                     geometry_to_dict, load_geometry, load_jet)
-from .probes import (DISCREPANCY_PROBES, GENERAL_SUITE, PARALLEL_SUITE,
-                     PROBE_ORDER, SUITES, ProbeContext, ProbeResult, ProbeStatus,
-                     run_probe)
-from .rat import Rat, format_rat, parse_rat, rat
-from .report import build_report, emit_report, exit_code, geometry_digest
-from .solitons import (NamedCheck, SolitonKind, SolitonProblem, SolitonVerdict,
-                       classify, conclusion_check, hat_hessian, proof_step_probes,
-                       residual, xi_derivative)
-from .suite import DEFAULT_POOL, FuzzConfig, fuzz, run_suite
-from .tensor import DOWN, UP, Tensor
+from importlib import import_module
 
-__all__ = [
-    "BUILTIN_NAMES", "builtin",
-    "Connection", "ConnectionKind", "alpha_star", "is_parallel", "is_semi_symmetric",
-    "levi_civita", "non_metricity", "ssnmc", "torsion",
-    "CurvatureBundle", "conformal", "constant_sectional", "curvature", "projective",
-    "sectional",
-    "DegenerateMetricError", "DegeneratePlaneError", "GeometryError", "InputError",
-    "InvalidJetError", "SscurvError", "UnknownGeometryError", "UnknownProbeError",
-    "UnsupportedDimensionError", "ValenceError",
-    "Check", "DistinguishedField", "FrameAlgebra", "GeometrySpec", "MetricFrame",
-    "ScalarJet", "ValidationReport", "gradient", "validate",
-    "LoadedGeometry", "dumps_geometry", "geometry_from_dict", "geometry_to_dict",
-    "load_geometry", "load_jet",
-    "DISCREPANCY_PROBES", "GENERAL_SUITE", "PARALLEL_SUITE", "PROBE_ORDER", "SUITES",
-    "ProbeContext", "ProbeResult", "ProbeStatus", "run_probe",
-    "Rat", "format_rat", "parse_rat", "rat",
-    "build_report", "emit_report", "exit_code", "geometry_digest",
-    "NamedCheck", "SolitonKind", "SolitonProblem", "SolitonVerdict", "classify",
-    "conclusion_check", "hat_hessian", "proof_step_probes", "residual", "xi_derivative",
-    "DEFAULT_POOL", "FuzzConfig", "fuzz", "run_suite",
-    "DOWN", "UP", "Tensor",
-]
+from ._version import __version__
+
+# Each public name, under the submodule that defines it.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "catalog": ("BUILTIN_NAMES", "builtin"),
+    "connection": ("Connection", "ConnectionKind", "alpha_star", "is_parallel",
+                   "is_semi_symmetric", "levi_civita", "non_metricity", "ssnmc", "torsion"),
+    "curvature": ("CurvatureBundle", "conformal", "constant_sectional", "curvature",
+                  "projective", "sectional"),
+    "errors": ("DegenerateMetricError", "DegeneratePlaneError", "GeometryError", "InputError",
+               "InvalidJetError", "SscurvError", "UnknownGeometryError", "UnknownProbeError",
+               "UnsupportedDimensionError", "ValenceError"),
+    "geometry": ("Check", "DistinguishedField", "FrameAlgebra", "GeometrySpec", "MetricFrame",
+                 "ScalarJet", "ValidationReport", "gradient", "validate"),
+    "geomio": ("LoadedGeometry", "dumps_geometry", "geometry_from_dict", "geometry_to_dict",
+               "load_geometry", "load_jet"),
+    "context": ("ProbeContext", "ProbeResult", "ProbeStatus"),
+    "probes": ("DISCREPANCY_PROBES", "GENERAL_SUITE", "PARALLEL_SUITE", "PROBE_ORDER",
+               "SUITES", "run_probe"),
+    "rat": ("Rat", "format_rat", "parse_rat", "rat"),
+    "report": ("build_report", "emit_report", "exit_code", "geometry_digest"),
+    "solitons": ("NamedCheck", "SolitonKind", "SolitonProblem", "SolitonVerdict", "classify",
+                 "conclusion_check", "hat_hessian", "proof_step_probes", "residual",
+                 "xi_derivative"),
+    "suite": ("DEFAULT_POOL", "FuzzConfig", "fuzz", "run_suite"),
+    "tensor": ("DOWN", "UP", "Tensor"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# `curvature` and `rat` name both a function and the submodule defining it.
+# The first import of a submodule binds the module on the package, so these
+# two load now and their functions are bound after: a later import of either
+# submodule finds it loaded and rebinds nothing.
+from .curvature import curvature  # noqa: E402
+from .rat import rat  # noqa: E402
+
+
+def __getattr__(name: str):
+    # Not cached in the package: a name rebound in its home module (as a
+    # test or a tracer does) reads through here as rebound.
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

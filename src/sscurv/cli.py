@@ -3,6 +3,10 @@
 Exit codes: 0 all checks pass or skip (paper-mismatch tolerated unless
 --strict), 1 unexpected failure (or mismatch under --strict), 2 input or
 validation error.
+
+The module level imports what the parser needs and the modules that load
+with it; each command imports the rest (reports, geometry files, the probe
+suites) when it runs, so one process loads no more than its command uses.
 """
 
 from __future__ import annotations
@@ -12,14 +16,11 @@ import re
 import sys
 
 from .catalog import BUILTIN_NAMES, builtin
+from .context import SUITE_NAMES, ProbeContext
 from .errors import InputError, SscurvError
 from .geometry import ScalarJet
-from .geomio import dumps_geometry, load_geometry, load_jet
-from .probes import SUITES, ProbeContext
 from .rat import parse_rat
-from .report import build_report, emit_report, exit_code, verdict_to_dict
 from .solitons import SolitonKind, SolitonProblem, proof_step_probes, residual
-from .suite import DEFAULT_POOL, FuzzConfig, fuzz, run_suite
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -62,11 +63,13 @@ def _resolve_geometry(args) -> tuple[ProbeContext, list[str]]:
     """The one context of the command's geometry, and its loader notes."""
     if args.builtin:
         return ProbeContext(builtin(args.builtin)), []
+    from .geomio import load_geometry
     loaded = load_geometry(args.geometry)
     return ProbeContext(loaded.spec), list(loaded.notes)
 
 
 def _validate_or_die(ctx: ProbeContext, notes, args) -> None:
+    from .report import build_report, emit_report
     if not ctx.validation.ok:
         doc = build_report(ctx, notes=notes, include_tables=False)
         sys.stdout.write(emit_report(doc, args.format, args.out))
@@ -74,6 +77,7 @@ def _validate_or_die(ctx: ProbeContext, notes, args) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from .report import build_report, emit_report
     ctx, notes = _resolve_geometry(args)
     doc = build_report(ctx, notes=notes, include_tables=False)
     sys.stdout.write(emit_report(doc, args.format, args.out))
@@ -81,6 +85,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    from .report import build_report, emit_report
     ctx, notes = _resolve_geometry(args)
     _validate_or_die(ctx, notes, args)
     doc = build_report(ctx, notes=notes)
@@ -89,6 +94,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .report import emit_report, exit_code
+    from .suite import run_suite
     ctx, notes = _resolve_geometry(args)
     _validate_or_die(ctx, notes, args)
     ids = tuple(x.strip() for x in args.ids.split(",")) if args.ids else None
@@ -100,6 +107,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_soliton(args) -> int:
+    from .geomio import load_jet
+    from .report import build_report, emit_report, exit_code, verdict_to_dict
     ctx, notes = _resolve_geometry(args)
     _validate_or_die(ctx, notes, args)
     spec = ctx.spec
@@ -120,6 +129,8 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .report import emit_report, exit_code
+    from .suite import DEFAULT_POOL, FuzzConfig, fuzz
     config = FuzzConfig(count=args.count, seed=args.seed, pool=args.pool or DEFAULT_POOL,
                         require_parallel_xi=args.require_parallel_xi)
     doc = fuzz(config)
@@ -128,6 +139,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
+    from .geomio import dumps_geometry
     text = dumps_geometry(builtin(args.name))
     if args.out:
         with open(args.out, "w") as fh:
@@ -158,7 +170,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="run identity probes")
     _add_geometry_args(p)
     _add_output_args(p)
-    p.add_argument("--suite", choices=sorted(SUITES), default="all")
+    p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--ids", help="comma-separated probe ids (overrides --suite)")
     p.add_argument("--strict", action="store_true",
                    help="treat paper-mismatch as failure for the exit code")

@@ -13,11 +13,11 @@ accumulate in plain ints and build each nonzero component once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
 from .rat import ZERO, common_denominator, over_denominator
+from .record import Record
 from .tensor import DOWN, UP, Tensor
 
 
@@ -27,13 +27,12 @@ class ConnectionKind(enum.Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class Connection:
-    gamma: Tensor  # (UP, DOWN, DOWN), gamma[k, i, j] = Gamma^k_ij
-    kind: ConnectionKind
-
-    def __post_init__(self):
-        if self.gamma.variance != (UP, DOWN, DOWN):
+class Connection(Record):
+    def __init__(self, gamma: Tensor, kind: ConnectionKind):
+        fields = self.__dict__
+        fields["gamma"] = gamma  # (UP, DOWN, DOWN), gamma[k, i, j] = Gamma^k_ij
+        fields["kind"] = kind
+        if gamma.variance != (UP, DOWN, DOWN):
             raise ValenceError("connection coefficients must form a (1,2) tensor")
 
     @property

@@ -22,22 +22,23 @@ UnsupportedDimensionError where they are undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .connection import Connection
 from .errors import DegeneratePlaneError, UnsupportedDimensionError, ValenceError
 from .geometry import FrameAlgebra, MetricFrame
 from .rat import ZERO, Rat, common_denominator, over_denominator, rat
+from .record import Record
 from .tensor import DOWN, UP, Tensor
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
-    riemann: Tensor    # (UP, DOWN, DOWN, DOWN): R[l, k, i, j]
-    ricci: Tensor      # (DOWN, DOWN): ricci[a, b] = S(e_a, e_b)
-    scalar: Rat
-    ricci_op: Tensor   # (UP, DOWN): ricci_op[l, a] = (Q e_a)^l, g(QU, V) = S(U, V)
+class CurvatureBundle(Record):
+    def __init__(self, riemann: Tensor, ricci: Tensor, scalar: Rat, ricci_op: Tensor):
+        fields = self.__dict__
+        fields["riemann"] = riemann    # (UP, DOWN, DOWN, DOWN): R[l, k, i, j]
+        fields["ricci"] = ricci        # (DOWN, DOWN): ricci[a, b] = S(e_a, e_b)
+        fields["scalar"] = scalar
+        fields["ricci_op"] = ricci_op  # (UP, DOWN): ricci_op[l, a] = (Q e_a)^l, g(QU, V) = S(U, V)
 
     @property
     def dim(self) -> int:

@@ -17,10 +17,10 @@ g(xi, xi) = 1 compare cross-multiplied sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, ValenceError
 from .rat import ONE, ZERO, Rat, common_denominator, rat
+from .record import Record
 from .tensor import DOWN, UP, Tensor
 
 
@@ -46,15 +46,14 @@ def _invert(g: Tensor) -> Tensor:
     return Tensor((UP, UP), n, [x for row in inv for x in row])
 
 
-@dataclass(frozen=True)
-class FrameAlgebra:
+class FrameAlgebra(Record):
     """Frame {e_1..e_n} with constant brackets [e_i, e_j] = C^k_ij e_k."""
 
-    dim: int
-    c: Tensor  # variance (UP, DOWN, DOWN), c[k, i, j] = C^k_ij
-
-    def __post_init__(self):
-        if self.c.variance != (UP, DOWN, DOWN) or self.c.dim != self.dim:
+    def __init__(self, dim: int, c: Tensor):
+        fields = self.__dict__
+        fields["dim"] = dim
+        fields["c"] = c  # variance (UP, DOWN, DOWN), c[k, i, j] = C^k_ij
+        if c.variance != (UP, DOWN, DOWN) or c.dim != dim:
             raise ValenceError("structure constants must be a (1,2) tensor of matching dim")
 
     @classmethod
@@ -125,12 +124,13 @@ def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class MetricFrame:
+class MetricFrame(Record):
     """Constant positive-definite metric with its exact cached inverse."""
 
-    g: Tensor      # (DOWN, DOWN)
-    g_inv: Tensor  # (UP, UP)
+    def __init__(self, g: Tensor, g_inv: Tensor):
+        fields = self.__dict__
+        fields["g"] = g          # (DOWN, DOWN)
+        fields["g_inv"] = g_inv  # (UP, UP)
 
     @classmethod
     def from_tensor(cls, g: Tensor) -> "MetricFrame":
@@ -188,12 +188,13 @@ class MetricFrame:
         return total
 
 
-@dataclass(frozen=True)
-class DistinguishedField:
+class DistinguishedField(Record):
     """The fixed field xi with its metric-dual 1-form psi."""
 
-    xi: Tensor   # (UP,)
-    psi: Tensor  # (DOWN,)
+    def __init__(self, xi: Tensor, psi: Tensor):
+        fields = self.__dict__
+        fields["xi"] = xi    # (UP,)
+        fields["psi"] = psi  # (DOWN,)
 
     @classmethod
     def from_xi(cls, xi: Tensor, metric: MetricFrame) -> "DistinguishedField":
@@ -207,17 +208,16 @@ class DistinguishedField:
         return self.xi.is_zero()
 
 
-@dataclass(frozen=True)
-class ScalarJet:
+class ScalarJet(Record):
     """Scalar field known through constant first and second frame derivatives."""
 
-    d: Tensor   # (DOWN,), d[i] = e_i f
-    dd: Tensor  # (DOWN, DOWN), dd[i, j] = e_i (e_j f)
-
-    def __post_init__(self):
-        if self.d.variance != (DOWN,) or self.dd.variance != (DOWN, DOWN):
+    def __init__(self, d: Tensor, dd: Tensor):
+        fields = self.__dict__
+        fields["d"] = d    # (DOWN,), d[i] = e_i f
+        fields["dd"] = dd  # (DOWN, DOWN), dd[i, j] = e_i (e_j f)
+        if d.variance != (DOWN,) or dd.variance != (DOWN, DOWN):
             raise ValenceError("jet needs a (0,1) first and (0,2) second derivative")
-        if self.d.dim != self.dd.dim:
+        if d.dim != dd.dim:
             raise ValenceError("jet component dimensions disagree")
 
     @classmethod
@@ -259,20 +259,20 @@ def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tupl
     return bad
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
+class GeometrySpec(Record):
     """A named, fully specified input geometry (optionally with a jet)."""
 
-    name: str
-    frame: FrameAlgebra
-    metric: MetricFrame
-    distinguished: DistinguishedField
-    jet: ScalarJet | None = None
-
-    def __post_init__(self):
-        dims = {self.frame.dim, self.metric.dim, self.distinguished.xi.dim}
-        if self.jet is not None:
-            dims.add(self.jet.dim)
+    def __init__(self, name: str, frame: FrameAlgebra, metric: MetricFrame,
+                 distinguished: DistinguishedField, jet: ScalarJet | None = None):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["frame"] = frame
+        fields["metric"] = metric
+        fields["distinguished"] = distinguished
+        fields["jet"] = jet
+        dims = {frame.dim, metric.dim, distinguished.xi.dim}
+        if jet is not None:
+            dims.add(jet.dim)
         if len(dims) != 1:
             raise ValenceError(f"component dimensions disagree: {sorted(dims)}")
 
@@ -281,20 +281,22 @@ class GeometrySpec:
         return self.frame.dim
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(Record):
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["passed"] = passed
+        fields["detail"] = detail
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Structural check results plus capability flags for xi."""
 
-    checks: tuple[Check, ...]
-    unit_xi: bool
-    degenerate_xi: bool
+    def __init__(self, checks: tuple[Check, ...], unit_xi: bool, degenerate_xi: bool):
+        fields = self.__dict__
+        fields["checks"] = checks
+        fields["unit_xi"] = unit_xi
+        fields["degenerate_xi"] = degenerate_xi
 
     @property
     def ok(self) -> bool:

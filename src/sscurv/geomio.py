@@ -11,20 +11,21 @@ writes rationals and tensors as canonical (nested) strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
 from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
                        MetricFrame, ScalarJet)
 from .rat import Rat, format_rat, parse_rat, rat
+from .record import Record
 from .tensor import DOWN, UP, Tensor
 
 
-@dataclass(frozen=True)
-class LoadedGeometry:
-    spec: GeometrySpec
-    notes: tuple[str, ...]
+class LoadedGeometry(Record):
+    def __init__(self, spec: GeometrySpec, notes: tuple[str, ...]):
+        fields = self.__dict__
+        fields["spec"] = spec
+        fields["notes"] = notes
 
 
 def _rat_value(value, *, path, field) -> Rat:

@@ -17,163 +17,17 @@ the h2xr oracle geometry).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
-from .connection import (Connection, alpha_star, is_parallel, levi_civita,
-                         non_metricity, semi_symmetric_torsion, ssnmc, torsion)
-from .curvature import CurvatureBundle, add_wedge, conformal, curvature, projective
-from .errors import GeometryError, UnknownProbeError, UnsupportedDimensionError
-from .geometry import GeometrySpec, ValidationReport, validate
-from .rat import ZERO, Rat, rat
+from .connection import semi_symmetric_torsion
+from .context import (ProbeContext, ProbeResult, ProbeStatus, Value, judge,
+                      operator_derivative)
+from .curvature import add_wedge, projective
+from .errors import UnknownProbeError, UnsupportedDimensionError
+from .geometry import GeometrySpec
+from .rat import ZERO, rat
 from .tensor import DOWN, UP, Tensor
-
-Value = Union[Tensor, Rat, dict]
-
-
-class ProbeStatus(enum.Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    SKIPPED = "skipped"
-    PAPER_MISMATCH = "paper-mismatch"
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    probe_id: str
-    status: ProbeStatus
-    lhs: Value | None
-    rhs: Value | None
-    max_abs_deviation: Rat
-    note: str = ""
-
-
-def deviation(lhs: Value, rhs: Value) -> Rat:
-    """Largest componentwise |lhs - rhs|; zero means exact equality."""
-    if isinstance(lhs, Tensor) and isinstance(rhs, Tensor):
-        if lhs == rhs:
-            return ZERO
-        return (lhs - rhs).max_abs()
-    if isinstance(lhs, dict) and isinstance(rhs, dict):
-        if lhs.keys() != rhs.keys():
-            raise ValueError("mismatched comparison parts")
-        return max((deviation(lhs[k], rhs[k]) for k in sorted(lhs)), default=ZERO)
-    return abs(lhs - rhs)
-
-
-def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
-          discrepancy: bool = False) -> ProbeResult:
-    """Pass on exact equality; else paper-mismatch if a designated discrepancy, else fail."""
-    dev = deviation(lhs, rhs)
-    if dev == 0:
-        status = ProbeStatus.PASS
-    elif discrepancy:
-        status = ProbeStatus.PAPER_MISMATCH
-    else:
-        status = ProbeStatus.FAIL
-    return ProbeResult(probe_id, status, lhs, rhs, dev, note=note)
-
-
-class ProbeContext:
-    """Shared computations for one geometry; probes reuse everything here.
-
-    run_probe, run_suite, build_report, compute_tables and the soliton
-    functions take either a bare GeometrySpec or a ProbeContext. A caller
-    that passes one context to several of them validates the geometry and
-    builds each quantity once.
-    """
-
-    def __init__(self, spec: GeometrySpec):
-        self.spec = spec
-
-    @classmethod
-    def of(cls, geometry: GeometrySpec | ProbeContext) -> ProbeContext:
-        """The context itself, or a fresh context around a bare spec."""
-        return geometry if isinstance(geometry, ProbeContext) else cls(geometry)
-
-    @cached_property
-    def validation(self) -> ValidationReport:
-        return validate(self.spec)
-
-    def require_valid(self) -> ProbeContext:
-        """Return self if the geometry passes validation; raise GeometryError if not."""
-        if not self.validation.ok:
-            raise GeometryError(
-                f"geometry fails structural validation ({self.validation.failures})")
-        return self
-
-    @cached_property
-    def lc(self) -> Connection:
-        return levi_civita(self.spec.frame, self.spec.metric)
-
-    @cached_property
-    def hat(self) -> Connection:
-        return ssnmc(self.lc, self.spec.distinguished)
-
-    @cached_property
-    def lc_bundle(self) -> CurvatureBundle:
-        return curvature(self.lc, self.spec.frame, self.spec.metric)
-
-    @cached_property
-    def hat_bundle(self) -> CurvatureBundle:
-        return curvature(self.hat, self.spec.frame, self.spec.metric)
-
-    @cached_property
-    def alpha(self) -> Tensor:
-        return alpha_star(self.lc, self.spec.distinguished)
-
-    @cached_property
-    def torsion_hat(self) -> Tensor:
-        return torsion(self.hat, self.spec.frame)
-
-    @cached_property
-    def non_metricity_hat(self) -> Tensor:
-        return non_metricity(self.hat, self.spec.metric)
-
-    @cached_property
-    def conformal_lc(self) -> Tensor:
-        return conformal(self.lc_bundle, self.spec.metric)
-
-    @cached_property
-    def conformal_hat(self) -> Tensor:
-        return conformal(self.hat_bundle, self.spec.metric)
-
-    @cached_property
-    def parallel(self) -> bool:
-        return is_parallel(self.lc, self.spec.distinguished)
-
-    @cached_property
-    def unmet(self) -> dict[str, str]:
-        """The skip note of each hypothesis this geometry fails, by name."""
-        unmet = {}
-        if not self.parallel:
-            unmet["unit-parallel-xi"] = "parallel-xi hypothesis fails: nabla xi != 0"
-        elif not self.validation.unit_xi:
-            unmet["unit-parallel-xi"] = "unit-xi hypothesis fails: g(xi, xi) != 1"
-        if self.dim != 3:
-            unmet["dim-3"] = ("dim-3 hypothesis fails: derived in dimension 3 only, "
-                              f"got dim {self.dim}")
-        return unmet
-
-    # Shorthand accessors used all over the probe bodies.
-    @property
-    def psi(self) -> Tensor:
-        return self.spec.distinguished.psi
-
-    @property
-    def xi(self) -> Tensor:
-        return self.spec.distinguished.xi
-
-    @property
-    def g(self):
-        return self.spec.metric.g
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
 
 _RANK4 = (UP, DOWN, DOWN, DOWN)
 
@@ -279,32 +133,6 @@ def _probe_b17(ctx: ProbeContext):
     return ctx.hat_bundle.ricci_op, Tensor((UP, DOWN), n, rhs)
 
 
-def operator_derivative(q, gamma, n: int) -> list:
-    """Flat components at (l, i, j) of ((nabla_{e_j} Q) e_i)^l for a (1,1) tensor Q.
-
-    q holds flat Q^l_i and gamma flat Gamma^k_ij of the connection:
-    Q^m_i Gamma^l_jm - Gamma^m_ji Q^l_m, summed over m.
-    """
-    nn = n * n
-    out = [ZERO] * n ** 3
-    for m in range(n):
-        for l in range(n):
-            for x in range(n):
-                a = q[m * n + x]      # Q^m_i with i = x
-                if a:
-                    for j in range(n):
-                        b = gamma[(l * n + j) * n + m]
-                        if b:
-                            out[l * nn + x * n + j] += a * b
-                a = q[l * n + m]      # Q^l_m against Gamma^m_ji, i = x
-                if a:
-                    for j in range(n):
-                        b = gamma[(m * n + j) * n + x]
-                        if b:
-                            out[l * nn + x * n + j] -= b * a
-    return out
-
-
 def _probe_b18(ctx: ProbeContext):
     n = ctx.dim
     lhs = operator_derivative(ctx.hat_bundle.ricci_op.comps, ctx.lc.gamma.comps, n)
@@ -355,6 +183,8 @@ _PARALLEL = frozenset({"unit-parallel-xi"})
 _DIM3 = frozenset({"dim-3"})
 
 
+# The one dataclass of the package: callers swap a probe's fn with
+# dataclasses.replace (the fuzz tests, the benchmark's tracer).
 @dataclass(frozen=True)
 class ProbeDef:
     fn: Callable[[ProbeContext], tuple[Value, Value]]

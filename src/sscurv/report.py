@@ -5,7 +5,7 @@ rendered as a canonical string by geomio.serialize_value, the writer that
 geometry files use too, so identical inputs produce byte-identical JSON.
 No timestamps, no environment data, no set iteration anywhere.
 compute_tables and build_report take a bare GeometrySpec or a shared
-probes.ProbeContext.
+context.ProbeContext.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import json
 from typing import Iterable
 
 from ._version import __version__
+from .context import ProbeContext, ProbeResult, ProbeStatus
 from .curvature import constant_sectional
 from .geometry import GeometrySpec, ValidationReport
 from .geomio import geometry_to_dict, serialize_value
-from .probes import ProbeContext, ProbeResult, ProbeStatus
 from .rat import format_rat
 from .solitons import SolitonProblem, SolitonVerdict
 
@@ -258,7 +258,11 @@ def _render_fuzz_text(report: dict) -> str:
 
 
 def exit_code(report: dict, strict: bool = False) -> int:
-    """0 all pass/skip (mismatch tolerated unless strict), 1 otherwise."""
+    """0 all pass/skip (mismatch tolerated unless strict), 1 otherwise.
+
+    A fuzz report lists no probes; its probe_counts say how often each
+    status came up, and strict counts its paper-mismatch entries.
+    """
     if "fuzz" in report and not report.get("ok", True):
         return 1
     statuses = [p["status"] for p in report.get("probes", [])]
@@ -266,6 +270,9 @@ def exit_code(report: dict, strict: bool = False) -> int:
         statuses.extend(p["status"] for p in sol.get("proof_steps", []))
     if ProbeStatus.FAIL.value in statuses:
         return 1
-    if strict and ProbeStatus.PAPER_MISMATCH.value in statuses:
-        return 1
+    if strict:
+        mismatch = ProbeStatus.PAPER_MISMATCH.value
+        if mismatch in statuses or any(
+                counts[mismatch] for counts in report.get("probe_counts", {}).values()):
+            return 1
     return 0

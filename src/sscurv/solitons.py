@@ -8,20 +8,20 @@ The hat Hessian follows the vector-gradient convention
     Hhat_ij = dd_ij - Gamma^k_ij d_k + (xi f) g_ij,
 
 which is symmetric for every consistent jet. Each public function takes a
-bare GeometrySpec or a shared ProbeContext; see probes.ProbeContext.
+bare GeometrySpec or a shared ProbeContext; see context.ProbeContext.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .context import ProbeContext, ProbeResult, ProbeStatus, judge, operator_derivative
 from .curvature import constant_sectional
 from .errors import InvalidJetError, SscurvError
 from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
-from .probes import ProbeContext, ProbeResult, ProbeStatus, judge, operator_derivative
 from .rat import ZERO, Rat, rat
+from .record import Record
 from .tensor import DOWN, UP, Tensor
 
 
@@ -41,34 +41,36 @@ def classify(lam: Rat) -> str:
     return "expanding"
 
 
-@dataclass(frozen=True)
-class SolitonProblem:
-    kind: SolitonKind
-    lam: Rat
-    jet: ScalarJet
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.kind is SolitonKind.M_QUASI:
-            if self.m is None or self.m == 0:
+class SolitonProblem(Record):
+    def __init__(self, kind: SolitonKind, lam: Rat, jet: ScalarJet, m: int | None = None):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["lam"] = lam
+        fields["jet"] = jet
+        fields["m"] = m
+        if kind is SolitonKind.M_QUASI:
+            if m is None or m == 0:
                 raise SscurvError("the m-quasi kind needs a nonzero integer m")
-        elif self.m is not None:
-            raise SscurvError(f"m is only meaningful for the m-quasi kind, got m={self.m}")
+        elif m is not None:
+            raise SscurvError(f"m is only meaningful for the m-quasi kind, got m={m}")
 
 
-@dataclass(frozen=True)
-class NamedCheck:
-    name: str
-    holds: bool
-    note: str = ""
+class NamedCheck(Record):
+    def __init__(self, name: str, holds: bool, note: str = ""):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["holds"] = holds
+        fields["note"] = note
 
 
-@dataclass(frozen=True)
-class SolitonVerdict:
-    residual: Tensor
-    is_soliton: bool
-    classification: str
-    conclusion_checks: tuple[NamedCheck, ...]
+class SolitonVerdict(Record):
+    def __init__(self, residual: Tensor, is_soliton: bool, classification: str,
+                 conclusion_checks: tuple[NamedCheck, ...]):
+        fields = self.__dict__
+        fields["residual"] = residual
+        fields["is_soliton"] = is_soliton
+        fields["classification"] = classification
+        fields["conclusion_checks"] = conclusion_checks
 
 
 def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import SscurvError
 from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
@@ -11,6 +10,7 @@ from .geomio import geometry_to_dict
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
 from .rat import ONE, ZERO, Rat, format_rat, rat
+from .record import Record
 from .report import build_report, config_digest
 from ._version import __version__
 from .tensor import Tensor
@@ -44,19 +44,18 @@ def run_suite(geometry: GeometrySpec | ProbeContext, suite: str | None = "all",
     return build_report(ctx, suite=suite, probes=results, include_tables=include_tables)
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    count: int = 100
-    seed: int = 0
-    pool: tuple[Rat, ...] = DEFAULT_POOL
-    require_parallel_xi: bool = False
-
-    def __post_init__(self):
-        if self.count < 1:
+class FuzzConfig(Record):
+    def __init__(self, count: int = 100, seed: int = 0, pool: tuple[Rat, ...] = DEFAULT_POOL,
+                 require_parallel_xi: bool = False):
+        if count < 1:
             raise SscurvError("count must be positive")
-        if any(isinstance(x, float) for x in self.pool):
+        if any(isinstance(x, float) for x in pool):
             raise SscurvError("pool must contain exact rationals")
-        object.__setattr__(self, "pool", tuple(sorted(self.pool)))
+        fields = self.__dict__
+        fields["count"] = count
+        fields["seed"] = seed
+        fields["pool"] = tuple(sorted(pool))
+        fields["require_parallel_xi"] = require_parallel_xi
 
 
 # 0-based (k, i, j) with i < j: the independent structure-constant slots in

@@ -168,7 +168,15 @@ def rat_tensor(variance):
 
 def count_calls(monkeypatch, module, attr):
     """Record every call of module.attr, in each sscurv module that imported it by name."""
+    import importlib
+    import pkgutil
     import sys
+
+    import sscurv
+    # The package loads its submodules on first use. Load them all first: one
+    # loaded while the patch is on would keep the counting wrapper after it.
+    for info in pkgutil.iter_modules(sscurv.__path__):
+        importlib.import_module(f"sscurv.{info.name}")
     original = getattr(module, attr)
     calls = []
 

@@ -1,14 +1,38 @@
-"""The package surface and the shared geometry context."""
+"""The package surface, its cold start, the frozen records and the shared context."""
 
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import sscurv
 from conftest import make_spec
-from sscurv import (GeometryError, ProbeContext, ScalarJet, SolitonKind, SolitonProblem,
-                    builtin, rat, residual, run_suite, validate)
+from sscurv import (Check, Connection, ConnectionKind, DistinguishedField, FrameAlgebra,
+                    FuzzConfig, GeometryError, GeometrySpec, LoadedGeometry, MetricFrame,
+                    NamedCheck, ProbeContext, ScalarJet, SolitonKind, SolitonProblem,
+                    SscurvError, Tensor, ValenceError, ValidationReport, builtin, rat,
+                    residual, run_probe, run_suite, validate)
 from sscurv.cli import main
+from sscurv.tensor import DOWN, UP
+
+# A child interpreter imports the same sscurv as these tests, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(sscurv.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+
+
+def child_modules(*args) -> set[str]:
+    """Every module a fresh `python -X importtime ARGS` imports, by name."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def test_all_names_exist_and_none_is_a_module():
@@ -49,3 +73,118 @@ def test_one_failure_summary_for_library_and_cli(tmp_path, capsys):
     assert main(["probe", "--geometry", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"input error: geometry fails validation ({failures})\n"
+
+
+def test_import_loads_only_the_eager_submodules():
+    # `curvature` and `rat` are bound at import; the modules curvature
+    # imports come with it. Everything else waits for first use.
+    loaded = {m for m in child_modules("-c", "import sscurv") if m.startswith("sscurv")}
+    assert loaded == {"sscurv", "sscurv._version", "sscurv.rat", "sscurv.curvature",
+                      "sscurv.connection", "sscurv.geometry", "sscurv.errors",
+                      "sscurv.tensor", "sscurv.record"}
+
+
+def test_soliton_command_skips_registry_suite_and_dataclasses():
+    loaded = child_modules("-m", "sscurv.cli", "soliton", "--builtin", "h2xr",
+                           "--type", "yamabe", "--lambda", "0")
+    assert "sscurv.solitons" in loaded
+    assert not {"dataclasses", "sscurv.probes", "sscurv.suite"} & loaded
+
+
+def test_shadowing_names_survive_every_submodule_import():
+    code = ("import importlib, pkgutil, sscurv\n"
+            "for info in pkgutil.iter_modules(sscurv.__path__):\n"
+            "    importlib.import_module('sscurv.' + info.name)\n"
+            "print(type(sscurv.rat).__name__, type(sscurv.curvature).__name__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV, timeout=60)
+    assert proc.stdout.split() == ["function", "function"], proc.stderr
+    for info in pkgutil.iter_modules(sscurv.__path__):
+        importlib.import_module(f"sscurv.{info.name}")
+    assert sscurv.rat is sys.modules["sscurv.rat"].rat
+    assert sscurv.curvature is sys.modules["sscurv.curvature"].curvature
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for module, names in sscurv._EXPORTS.items():
+        home = importlib.import_module(f"sscurv.{module}")
+        for name in names:
+            assert getattr(sscurv, name) is getattr(home, name), name
+    assert set(sscurv.SUITES) == set(sscurv.context.SUITE_NAMES)
+    with pytest.raises(AttributeError):
+        sscurv.no_such_name
+
+
+def _problem(name):
+    return SolitonProblem(SolitonKind.YAMABE, rat(len(name)), ScalarJet.zero(3))
+
+
+# Each record class, built from a builtin geometry's name: the same name
+# gives equal records, another name a different one.
+RECORDS = {
+    "FrameAlgebra": lambda name: builtin(name).frame,
+    "MetricFrame": lambda name: MetricFrame.from_tensor(
+        builtin(name).metric.g.scale(rat(len(name)))),
+    "DistinguishedField": lambda name: DistinguishedField.from_xi(
+        builtin(name).distinguished.xi.scale(rat(len(name))), builtin(name).metric),
+    "ScalarJet": lambda name: ScalarJet(Tensor((DOWN,), 3, [rat(len(name))] * 3),
+                                        Tensor.zeros((DOWN, DOWN), 3)),
+    "GeometrySpec": builtin,
+    "Check": lambda name: Check(name, True),
+    "ValidationReport": lambda name: ValidationReport((Check(name, True),), True, False),
+    "Connection": lambda name: ProbeContext(builtin(name)).lc,
+    "CurvatureBundle": lambda name: ProbeContext(builtin(name)).lc_bundle,
+    "LoadedGeometry": lambda name: LoadedGeometry(builtin(name), (f"note on {name}",)),
+    "ProbeResult": lambda name: run_probe(builtin(name), "B3"),
+    "SolitonProblem": _problem,
+    "NamedCheck": lambda name: NamedCheck(name, False, "note"),
+    "SolitonVerdict": lambda name: residual(builtin(name), _problem(name)),
+    "FuzzConfig": lambda name: FuzzConfig(count=5, seed=len(name)),
+}
+
+
+@pytest.mark.parametrize("cls_name", sorted(RECORDS))
+def test_records_are_frozen_values(cls_name):
+    make = RECORDS[cls_name]
+    a, b, other = make("h2xr"), make("h2xr"), make("example1")
+    assert type(a).__name__ == cls_name
+    fields = list(inspect.signature(type(a)).parameters)
+    assert list(vars(a)) == fields
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and a != object()
+    assert repr(a) == f"{cls_name}({', '.join(f'{f}={getattr(a, f)!r}' for f in fields)})"
+
+
+def test_record_constructors_check_their_fields():
+    jet = ScalarJet.zero(3)
+    for kind, m in ((SolitonKind.M_QUASI, None), (SolitonKind.M_QUASI, 0),
+                    (SolitonKind.RICCI, 2)):
+        with pytest.raises(SscurvError, match="m"):
+            SolitonProblem(kind, rat(1), jet, m)
+    assert SolitonProblem(SolitonKind.M_QUASI, rat(1), jet, 2).m == 2
+    with pytest.raises(SscurvError, match="count"):
+        FuzzConfig(count=0)
+    with pytest.raises(SscurvError, match="exact rationals"):
+        FuzzConfig(pool=(rat(1), 0.5))
+    assert FuzzConfig(pool=(rat(1), rat(-1))).pool == (rat(-1), rat(1))
+    with pytest.raises(ValenceError):
+        Connection(Tensor.zeros((DOWN, DOWN, DOWN), 3), ConnectionKind.CUSTOM)
+    with pytest.raises(ValenceError):
+        ScalarJet(Tensor.zeros((UP,), 3), Tensor.zeros((DOWN, DOWN), 3))
+    with pytest.raises(ValenceError):
+        ScalarJet(Tensor.zeros((DOWN,), 2), Tensor.zeros((DOWN, DOWN), 3))
+    with pytest.raises(ValenceError):
+        FrameAlgebra(2, Tensor.zeros((UP, DOWN, DOWN), 3))
+    spec = builtin("h2xr")
+    with pytest.raises(ValenceError, match="disagree"):
+        GeometrySpec("mixed", spec.frame, MetricFrame.identity(2), spec.distinguished)
+    with pytest.raises(ValenceError, match="disagree"):
+        GeometrySpec("mixed", spec.frame, spec.metric,
+                     DistinguishedField.from_xi(Tensor.vector([rat(1)] * 2),
+                                                MetricFrame.identity(2)))

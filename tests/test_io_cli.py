@@ -409,6 +409,18 @@ def test_cli_fuzz_smoke(capsys):
     assert doc["generated"] == 40
 
 
+def test_cli_fuzz_strict_fails_on_designated_mismatches(capsys):
+    # The parallel stream hits the designated B10/B17 mismatches: tolerated
+    # by default, exit 1 under --strict, with the same report either way.
+    argv = ("fuzz", "--seed", "42", "--count", "100", "--require-parallel-xi")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "B10      paper-mismatch=9" in out and "ok: True" in out
+    strict_code, strict_out, _ = run_cli(capsys, *argv, "--strict")
+    assert strict_code == 1
+    assert strict_out == out
+
+
 def test_cli_reports_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "probe", "--builtin", "h2xr", "--format", "json", "--out", str(a))
