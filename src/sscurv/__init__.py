@@ -17,7 +17,7 @@ from ._version import __version__
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "catalog": ("BUILTIN_NAMES", "builtin"),
     "connection": ("Connection", "ConnectionKind", "alpha_star", "is_parallel",
-                   "is_semi_symmetric", "levi_civita", "non_metricity", "ssnmc", "torsion"),
+                   "levi_civita", "non_metricity", "ssnmc", "torsion"),
     "curvature": ("CurvatureBundle", "conformal", "constant_sectional", "curvature",
                   "projective", "sectional"),
     "errors": ("DegenerateMetricError", "DegeneratePlaneError", "GeometryError", "InputError",

@@ -117,11 +117,6 @@ def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
     return Tensor((UP, DOWN, DOWN), n, over_denominator(nums, d))
 
 
-def is_semi_symmetric(t: Tensor, dist: DistinguishedField) -> bool:
-    """True iff T^k_ij = psi_j delta^k_i - psi_i delta^k_j componentwise."""
-    return t == semi_symmetric_torsion(dist)
-
-
 def semi_symmetric_torsion(dist: DistinguishedField) -> Tensor:
     """The torsion shape psi(V)U - psi(U)V as a (1,2) tensor."""
     psi = dist.psi.comps

@@ -123,16 +123,9 @@ def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor
     denom = metric.inner(u, u) * metric.inner(v, v) - metric.inner(u, v) ** 2
     if denom == 0:
         raise DegeneratePlaneError("u and v do not span a nondegenerate plane")
-    n = bundle.dim
-    r, g = bundle.riemann, metric.g
-    num = ZERO
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for m in range(n):
-                        num = num + g[l, m] * r[l, k, i, j] * v[k] * u[i] * v[j] * u[m]
-    return num / denom
+    # w = R(u, v)v: R[l, k, i, j] v^j, then u^i, then v^k.
+    w = bundle.riemann.contract_with(3, v).contract_with(2, u).contract_with(1, v)
+    return metric.inner(w, u) / denom
 
 
 def add_wedge(out: list, n: int, a, q=None) -> None:

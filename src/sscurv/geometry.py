@@ -57,10 +57,6 @@ class FrameAlgebra(Record):
             raise ValenceError("structure constants must be a (1,2) tensor of matching dim")
 
     @classmethod
-    def abelian(cls, dim: int) -> "FrameAlgebra":
-        return cls(dim, Tensor.zeros((UP, DOWN, DOWN), dim))
-
-    @classmethod
     def from_entries(cls, dim: int, entries: dict[tuple[int, int, int], Rat]) -> "FrameAlgebra":
         """Build from 0-based {(k, i, j): value} with antisymmetric completion."""
         c = Tensor.zeros((UP, DOWN, DOWN), dim)
@@ -177,15 +173,7 @@ class MetricFrame(Record):
 
     def inner(self, u: Tensor, v: Tensor) -> Rat:
         """g(u, v) for two vectors."""
-        n, g = self.dim, self.g.comps
-        u, v = u.comps, v.comps
-        total = ZERO
-        for i in range(n):
-            if u[i]:
-                for j in range(n):
-                    if v[j]:
-                        total = total + g[i * n + j] * u[i] * v[j]
-        return total
+        return u.apply_metric(self.g, 0).contract_with(0, v).comps[0]
 
 
 class DistinguishedField(Record):

@@ -150,6 +150,8 @@ def _hypothesis_failures(ctx: ProbeContext) -> list[str]:
         reasons.append("xi not unit")
     if not ctx.parallel:
         reasons.append("xi not parallel")
+    if ctx.spec.dim != 3:
+        reasons.append(f"dim {ctx.spec.dim} != 3")
     return reasons
 
 
@@ -158,8 +160,8 @@ def conclusion_check(geometry: GeometrySpec | ProbeContext,
     """Evaluate the cataloged conclusion disjunction on a spec or a context.
 
     When the disjunction fails on a geometry that violates the standing
-    unit-parallel-xi hypotheses, the failure is annotated as out of scope
-    rather than treated as a counterexample.
+    unit-parallel-xi and dim-3 hypotheses, the failure is annotated as out
+    of scope rather than treated as a counterexample.
     """
     ctx = ProbeContext.of(geometry)
     bundle = ctx.hat_bundle

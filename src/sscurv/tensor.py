@@ -3,13 +3,14 @@
 Slots carry their own variance marker (UP or DOWN) and keep their position
 through raising and lowering, so a raise/lower round trip is the identity
 by construction. Storage is a flat row-major tuple and stays dense: at
-dim <= 4 a dense layout beats any sparse scheme. The engine loops read that
-tuple by flat offset and skip every product with a zero factor, since frame
-geometries are mostly zeros; `t[idx]` stays the checked accessor. The
-hottest kernels (Levi-Civita, torsion, non-metricity, curvature) are
-fraction-free: they scale the tuples to integers over one common
-denominator (rat.common_denominator), accumulate in plain ints and build
-each nonzero component once (rat.over_denominator).
+dim <= 4 a dense layout beats any sparse scheme. contract_with (the one
+contraction: a slot against a vector or covector) and apply_metric read
+that tuple by flat offset and skip every product with a zero factor;
+`t[idx]` is the checked accessor. The hottest kernels (Levi-Civita,
+torsion, non-metricity, curvature) are fraction-free: they scale the tuples
+to integers over one common denominator (rat.common_denominator),
+accumulate in plain ints and build each nonzero component once
+(rat.over_denominator). copy and pickle rebuild a Tensor through __init__.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __reduce__(self):
+        # Restoring slot state would go through the blocked __setattr__.
+        return Tensor, (self.variance, self.dim, self.comps)
+
     # -- construction -------------------------------------------------
 
     @classmethod
@@ -88,27 +93,18 @@ class Tensor:
     def rank(self) -> int:
         return len(self.variance)
 
-    def _flat(self, idx: tuple[int, ...]) -> int:
-        flat = 0
-        for i in idx:
-            flat = flat * self.dim + i
-        return flat
-
     def __getitem__(self, idx):
         if isinstance(idx, int):
             idx = (idx,)
         idx = tuple(idx)
         if len(idx) != self.rank:
             raise ValenceError(f"expected {self.rank} indices, got {len(idx)}")
+        flat = 0
         for i in idx:
             if not 0 <= i < self.dim:
                 raise IndexError(f"index {i} out of range 0..{self.dim - 1}")
-        return self.comps[self._flat(idx)]
-
-    def scalar(self) -> Rat:
-        if self.rank != 0:
-            raise ValenceError(f"rank-{self.rank} tensor is not a scalar")
-        return self.comps[0]
+            flat = flat * self.dim + i
+        return self.comps[flat]
 
     # -- algebra -------------------------------------------------------
 
@@ -163,28 +159,6 @@ class Tensor:
         if want is not None and self.variance[slot] != want:
             kind = "contravariant" if want == UP else "covariant"
             raise ValenceError(f"slot {slot} is not {kind}")
-
-    def contract(self, upper_slot: int, lower_slot: int) -> "Tensor":
-        """Trace one contravariant slot against one covariant slot."""
-        self._check_slot(upper_slot, UP)
-        self._check_slot(lower_slot, DOWN)
-        if upper_slot == lower_slot:
-            raise ValenceError("cannot contract a slot with itself")
-        keep = [s for s in range(self.rank) if s not in (upper_slot, lower_slot)]
-        variance = tuple(self.variance[s] for s in keep)
-        dim = self.dim
-        comps = []
-        for out_idx in itertools.product(range(dim), repeat=len(keep)):
-            full = [0] * self.rank
-            for pos, s in enumerate(keep):
-                full[s] = out_idx[pos]
-            total = ZERO
-            for m in range(dim):
-                full[upper_slot] = m
-                full[lower_slot] = m
-                total = total + self.comps[self._flat(tuple(full))]
-            comps.append(total)
-        return Tensor(variance, dim, comps)
 
     def tensor_product(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim:

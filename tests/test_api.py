@@ -1,8 +1,10 @@
 """The package surface, its cold start, the frozen records and the shared context."""
 
+import copy
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -159,6 +161,22 @@ def test_records_are_frozen_values(cls_name):
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != other and a != object()
     assert repr(a) == f"{cls_name}({', '.join(f'{f}={getattr(a, f)!r}' for f in fields)})"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("h2xr"),
+    lambda: run_probe(builtin("h2xr"), "B13"),  # a dict lhs of tensors
+    lambda: residual(builtin("h2xr"), SolitonProblem(SolitonKind.YAMABE, rat(0),
+                                                     ScalarJet.zero(3))),
+], ids=["GeometrySpec", "ProbeResult", "SolitonVerdict"])
+def test_records_holding_tensors_copy_and_pickle(make):
+    a = make()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a) and b == a
+    t = pickle.loads(pickle.dumps(Tensor.vector([1, rat(1, 2)])))
+    assert t == Tensor.vector([1, rat(1, 2)])
+    with pytest.raises(AttributeError):
+        t.comps = ()
 
 
 def test_record_constructors_check_their_fields():

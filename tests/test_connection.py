@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from conftest import (DIM, c_rows_of, geometries, make_spec, oracle_koszul,
                       tensor_to_rows)
 from sscurv import (DegenerateMetricError, Tensor, alpha_star, builtin,
-                    is_parallel, is_semi_symmetric, levi_civita, non_metricity,
-                    rat, ssnmc, torsion)
+                    is_parallel, levi_civita, non_metricity, rat, ssnmc, torsion)
+from sscurv.connection import semi_symmetric_torsion
 
 
 def gamma_table(conn):
@@ -90,7 +90,7 @@ def test_torsion_of_ssnmc_example1():
     hat = ssnmc(levi_civita(spec.frame, spec.metric), spec.distinguished)
     t = torsion(hat, spec.frame)
     assert [t[k, 0, 2] for k in range(DIM)] == [rat(1), rat(0), rat(0)]  # T(k1,k3) = k1
-    assert is_semi_symmetric(t, spec.distinguished)
+    assert t == semi_symmetric_torsion(spec.distinguished)
 
 
 def test_torsion_of_ssnmc_h2xr():
@@ -105,8 +105,8 @@ def test_torsion_of_ssnmc_h2xr():
 def test_is_semi_symmetric_zero_cases():
     spec0 = make_spec("flat0", {}, xi=(0, 0, 0))
     zero = Tensor.zeros(("u", "d", "d"), DIM)
-    assert is_semi_symmetric(zero, spec0.distinguished)
-    assert not is_semi_symmetric(zero, builtin("flat").distinguished)
+    assert zero == semi_symmetric_torsion(spec0.distinguished)
+    assert zero != semi_symmetric_torsion(builtin("flat").distinguished)
 
 
 def test_non_metricity_example1():
@@ -168,7 +168,7 @@ def test_levi_civita_torsion_free_and_metric(spec):
 def test_ssnmc_torsion_and_non_metricity_shapes(spec):
     lc = levi_civita(spec.frame, spec.metric)
     hat = ssnmc(lc, spec.distinguished)
-    assert is_semi_symmetric(torsion(hat, spec.frame), spec.distinguished)
+    assert torsion(hat, spec.frame) == semi_symmetric_torsion(spec.distinguished)
     psi, g = spec.distinguished.psi, spec.metric.g
     expected = Tensor.build(("d", "d", "d"), DIM,
                             lambda i, j, k: -psi[j] * g[i, k] - psi[k] * g[i, j])

@@ -4,11 +4,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (DIM, c_rows_of, geometries, oracle_curvature,
+from conftest import (DIM, c_rows_of, geometries, make_spec, oracle_curvature,
                       small_nonzero_rats, small_rats, spd_metrics, tensor_to_rows,
                       valid_frames)
 from sscurv import (DegeneratePlaneError, FrameAlgebra, Tensor,
-                    UnsupportedDimensionError, builtin, conformal,
+                    UnsupportedDimensionError, ValenceError, builtin, conformal,
                     constant_sectional, curvature, levi_civita, projective, rat,
                     sectional, ssnmc)
 from sscurv.probes import ProbeContext
@@ -109,6 +109,28 @@ def test_sectional_degenerate_plane():
     spec, b = lc_bundle("flat")
     with pytest.raises(DegeneratePlaneError):
         sectional(b, spec.metric, E1, E1)
+    with pytest.raises(ValenceError):
+        sectional(b, spec.metric, E1, E1.apply_metric(spec.metric.g, 0))
+
+
+def test_sectional_matches_the_index_sum_on_a_general_metric():
+    # Reference: g(R(u,v)v, u) / (g(u,u) g(v,v) - g(u,v)^2) summed index by index.
+    spec = make_spec("general", {(0, 0, 2): -1, (1, 1, 2): -1},
+                     g_rows=[[2, 1, 0], [1, 3, "1/2"], [0, "1/2", 1]], xi=(0, 0, 1))
+    ctx = ProbeContext(spec)
+    g = spec.metric.g
+    u, v = Tensor.vector([1, "1/2", 2]), Tensor.vector([0, 1, -1])
+
+    def inner(a, b):
+        return sum(g[i, j] * a[i] * b[j] for i in range(DIM) for j in range(DIM))
+
+    for b in (ctx.lc_bundle, ctx.hat_bundle):
+        r = b.riemann
+        num = sum(g[l, m] * r[l, k, i, j] * v[k] * u[i] * v[j] * u[m]
+                  for l in range(DIM) for k in range(DIM) for i in range(DIM)
+                  for j in range(DIM) for m in range(DIM))
+        want = num / (inner(u, u) * inner(v, v) - inner(u, v) ** 2)
+        assert sectional(b, spec.metric, u, v) == want
 
 
 def test_sectional_invariant_under_plane_basis_change():
@@ -198,7 +220,7 @@ def test_dim_guard_for_projective_and_conformal():
     assert projective(b).is_zero()
     with pytest.raises(UnsupportedDimensionError, match="dim >= 3, got dim 2"):
         conformal(b, metric)
-    b, _ = bundle(FrameAlgebra.abelian(1))
+    b, _ = bundle(FrameAlgebra.from_entries(1, {}))
     with pytest.raises(UnsupportedDimensionError, match="dim >= 2, got dim 1"):
         projective(b)
 
@@ -266,9 +288,9 @@ def test_lc_ricci_symmetric_and_conformal_flat(spec):
 
 def test_ricci_operator_trace_is_scalar_curvature():
     spec, b = lc_bundle("example1")
-    assert b.ricci_op.contract(0, 1).scalar() == rat(-6)
+    assert sum(b.ricci_op[i, i] for i in range(DIM)) == rat(-6)
     spec, b = hat_bundle("h2xr")
-    assert b.ricci_op.contract(0, 1).scalar() == b.scalar == 0
+    assert sum(b.ricci_op[i, i] for i in range(DIM)) == b.scalar == 0
 
 
 def test_custom_connection_curvature_matches_oracle():

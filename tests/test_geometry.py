@@ -135,7 +135,7 @@ def test_gradient_examples():
 
 
 def test_jet_consistency_on_abelian_forces_symmetric_dd():
-    frame = FrameAlgebra.abelian(DIM)
+    frame = FrameAlgebra.from_entries(DIM, {})
     asym = ScalarJet(Tensor.covector([1, 0, 0]),
                      Tensor.from_rows((DOWN, DOWN), [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     assert jet_consistency_violations(asym, frame)

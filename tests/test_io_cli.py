@@ -6,8 +6,8 @@ from importlib import resources
 import pytest
 
 from conftest import count_calls
-from sscurv import (InputError, builtin, dumps_geometry, geometry_from_dict,
-                    load_geometry, rat)
+from sscurv import (InputError, UnknownGeometryError, builtin, dumps_geometry,
+                    geometry_from_dict, load_geometry, rat)
 from sscurv.cli import main
 
 
@@ -25,6 +25,8 @@ def test_shipped_fixture_matches_builtin():
         # Canonical files carry one entry per bracket; the mirrors are
         # completion notes, nothing else.
         assert all(n.startswith("completed") for n in loaded.notes)
+    with pytest.raises(UnknownGeometryError, match="unknown builtin 'nope'"):
+        builtin("nope")
 
 
 def test_emit_parse_round_trip(tmp_path):
@@ -111,6 +113,8 @@ def test_malformed_json_reports_line(tmp_path):
     path = write(tmp_path, "g.json", "{ not json")
     with pytest.raises(InputError, match="line 1"):
         load_geometry(path)
+    with pytest.raises(InputError, match="top-level value must be an object"):
+        geometry_from_dict([])
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -143,6 +147,19 @@ _EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ({"metric": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}, "metric not invertible", "metric"),
     ({"jet": {"d": [0, 0, 0], "hess": _EYE}},
      "jet must be an object with keys d and dd", "jet"),
+    ({"jet": {"d": [0, 0, 0]}}, "jet needs both d and dd", "jet"),
+    ({"metric": [["0.5", 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "not a rational literal: '0.5'", "metric[0][0]"),
+    ({"metric": [[None, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "expected a rational, got NoneType", "metric[0][0]"),
+    ({"metric": _EYE[:2]}, "expected a 3x3 array", "metric"),
+    ({"metric": [[1, 0, 0], [0, 1], [0, 0, 1]]}, "expected a 3x3 array", "metric[1]"),
+    ({"xi": [0, 1]}, "expected an array of length 3", "xi"),
+    ({"name": ""}, "name must be a non-empty string", "name"),
+    ({"structure_constants": [{"i": "1", "j": 2, "k": 3, "value": "1"}]},
+     "expected a 1-based index, got '1'", "structure_constants[0].i"),
+    ({"structure_constants": [{"i": 1, "j": 2, "k": 3}]},
+     "entry must be an object with keys i, j, k, value", "structure_constants[0]"),
 ])
 def test_loader_diagnostics(change, message, field):
     data = {"name": "g", "dim": 3, "structure_constants": [], "metric": _EYE,
@@ -226,6 +243,9 @@ def test_cli_probe_ids_subset(capsys):
     code, out, _ = run_cli(capsys, "probe", "--builtin", "h2xr", "--suite", "all",
                            "--format", "json")
     assert json.loads(out)["suite"] == "all"
+    code, _, err = run_cli(capsys, "probe", "--builtin", "h2xr", "--ids", "B2,NOPE")
+    assert code == 2
+    assert "unknown probe ids: NOPE" in err
 
 
 def test_cli_jacobi_violation_exit_2(capsys, tmp_path):
@@ -370,6 +390,10 @@ def test_cli_dash_led_ints_stay_ints(capsys):
     assert code == 0
     sol = json.loads(out)["solitons"][0]
     assert (sol["lambda"], sol["m"]) == ("-1/2", -3)
+    code, out, _ = run_cli(capsys, "soliton", "--builtin", "h2xr", "--type", "mquasi",
+                           "--lambda", "-1/2", "--m", "-3")
+    assert code == 0
+    assert "soliton check: kind=mquasi lambda=-1/2 m=-3\n" in out
     code, out, _ = run_cli(capsys, "fuzz", "--pool", "-1,0", "--seed", "-5", "--count", "5",
                            "--format", "json")
     assert code == 0

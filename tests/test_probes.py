@@ -5,8 +5,8 @@ from hypothesis import given, settings
 
 from conftest import geometries, make_spec
 from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, DistinguishedField,
-                    FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, Tensor,
-                    UnknownProbeError, builtin, rat, run_suite)
+                    FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, SscurvError,
+                    Tensor, UnknownProbeError, builtin, rat, run_suite)
 from sscurv.probes import DISCREPANCY_PROBES, REGISTRY, ProbeContext, run_probe
 
 
@@ -18,6 +18,11 @@ def statuses(spec, ids=PROBE_ORDER):
 def test_unknown_probe_id():
     with pytest.raises(UnknownProbeError):
         run_probe(builtin("flat"), "B99")
+    spec = builtin("flat")
+    with pytest.raises(SscurvError, match="unknown suite 'nope'"):
+        run_suite(spec, "nope")
+    with pytest.raises(SscurvError, match="unknown probe ids: NOPE"):
+        run_suite(spec, ids=("B2", "NOPE"))
 
 
 def test_example1_b3_passes():

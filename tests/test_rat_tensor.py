@@ -76,42 +76,20 @@ def test_indexing_keeps_its_checks():
     assert Tensor((), DIM, [rat(7)])[()] == rat(7)
 
 
-def test_trace_of_identity_is_dim():
-    delta = Tensor.build((UP, DOWN), DIM, lambda a, b: int(a == b))
-    assert delta.contract(0, 1).scalar() == 3
-
-
-def test_psi_tensor_xi_trace_is_one():
-    xi = Tensor.vector([0, 0, 1])
-    psi = Tensor.covector([0, 0, 1])
-    prod = xi.tensor_product(psi)  # (1,1) tensor psi x xi
-    assert prod.contract(0, 1).scalar() == 1
-
-
-def test_contract_requires_opposite_kinds():
-    t = Tensor.zeros((UP, UP), DIM)
-    with pytest.raises(ValenceError):
-        t.contract(0, 1)
-
-
 def test_lower_vector_identity_metric():
     metric = MetricFrame.identity(DIM)
     v = Tensor.vector([0, 0, 1])
     low = v.apply_metric(metric.g, 0)
     assert low == Tensor.covector([0, 0, 1])
+    # The one contraction: psi(xi) = 1, and two vectors do not contract.
+    assert low.contract_with(0, v) == Tensor((), DIM, [1])
+    with pytest.raises(ValenceError):
+        v.contract_with(0, v)
 
 
 @given(rat_tensor((UP, DOWN)), rat_tensor((UP, DOWN)))
 def test_addition_commutes(a, b):
     assert a + b == b + a
-
-
-@given(rat_tensor((UP, DOWN)), rat_tensor((UP, DOWN)), small_rats, small_rats)
-def test_contraction_linear(a, b, s1, s2):
-    lhs = (a.scale(rat(str(s1))) + b.scale(rat(str(s2)))).contract(0, 1)
-    rhs = (a.contract(0, 1).scale(rat(str(s1)))
-           + b.contract(0, 1).scale(rat(str(s2))))
-    assert lhs.scalar() == rhs.scalar()
 
 
 @given(rat_tensor((DOWN, DOWN)), spd_metrics())

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import DIM, count_calls, geometries, make_spec, small_rats
-from sscurv import (InvalidJetError, ProbeContext, ProbeStatus, ScalarJet, SolitonKind,
-                    SolitonProblem, SscurvError, Tensor, ValenceError, build_report,
-                    builtin, classify, conclusion_check, hat_hessian, levi_civita,
-                    proof_step_probes, rat, residual)
+from sscurv import (InvalidJetError, MetricFrame, ProbeContext, ProbeStatus, ScalarJet,
+                    SolitonKind, SolitonProblem, SscurvError, Tensor, ValenceError,
+                    build_report, builtin, classify, conclusion_check, geometry_from_dict,
+                    hat_hessian, levi_civita, proof_step_probes, rat, residual)
 from sscurv.report import verdict_to_dict
 from sscurv.tensor import DOWN
 
@@ -163,6 +163,29 @@ def test_m_quasi_side_condition_reported():
     checks = {c.name: c for c in conclusion_check(spec, problem)}
     assert "2m + r-hat - 2 lambda + 2 = 6" in checks["side-condition-nonzero"].note
     assert checks["side-condition-nonzero"].holds
+
+
+def _flat_r4():
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    return geometry_from_dict({"name": "r4", "dim": 4, "metric": eye,
+                               "xi": [0, 0, 0, 1]}).spec
+
+
+@pytest.mark.parametrize("spec, lam, reason", [
+    # example1: unit xi, not parallel; flat R^4: unit parallel xi in dim 4.
+    (builtin("example1"), rat(-1), "xi not parallel"),
+    (_flat_r4(), rat(2), "dim 4 != 3"),
+], ids=["example1", "flat-r4"])
+def test_out_of_scope_note_names_the_unmet_hypothesis(spec, lam, reason):
+    # The Yamabe soliton f = |x|^2 / 2 (d = 0, dd = I) misses every disjunct.
+    n = spec.dim
+    jet = ScalarJet(Tensor.zeros((DOWN,), n), MetricFrame.identity(n).g)
+    problem = SolitonProblem(SolitonKind.YAMABE, lam, jet)
+    assert residual(spec, problem).is_soliton
+    conclusion = conclusion_check(spec, problem)[-1]
+    assert conclusion.name == "conclusion" and not conclusion.holds
+    assert conclusion.note == ("conclusion disjunct not satisfied; geometry outside "
+                               f"the standing hypotheses ({reason})")
 
 
 def test_einstein_flat_psi0_nonzero_lambda_not_soliton():
