@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 from .errors import UnknownGeometryError
-from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
-                       MetricFrame, ScalarJet)
+from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
 from .rat import ONE, ZERO, rat
 from .tensor import Tensor
 
 BUILTIN_NAMES = ("example1", "h2xr", "flat")
 
 
-def _standard(name: str, entries: dict, dim: int = 3,
-              xi_components=None, jet: ScalarJet | None = None) -> GeometrySpec:
-    frame = FrameAlgebra.from_entries(dim, entries)
-    metric = MetricFrame.identity(dim)
-    if xi_components is None:
-        xi_components = [ZERO] * (dim - 1) + [ONE]
-    xi = Tensor.vector(xi_components)
-    return GeometrySpec(name, frame, metric, DistinguishedField.from_xi(xi, metric), jet)
+def _standard(name: str, entries: dict) -> GeometrySpec:
+    frame = FrameAlgebra.from_entries(3, entries)
+    metric = MetricFrame.identity(3)
+    xi = Tensor.vector([ZERO, ZERO, ONE])
+    return GeometrySpec(name, frame, metric, DistinguishedField.from_xi(xi, metric))
 
 
 def builtin(name: str) -> GeometrySpec:

@@ -11,7 +11,8 @@ question is decided in plain ints. A zero test survives positive scaling,
 so antisymmetry, Jacobi and jet consistency read the scaled components;
 positive-definiteness reads the pivots of Bareiss's fraction-free
 elimination, which are the leading principal minors; psi = g xi and
-g(xi, xi) = 1 compare cross-multiplied sums.
+g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
+[d g | d I], gives the metric's exact inverse.
 """
 
 from __future__ import annotations
@@ -19,31 +20,38 @@ from __future__ import annotations
 import itertools
 
 from .errors import DegenerateMetricError, ValenceError
-from .rat import ONE, ZERO, Rat, common_denominator, rat
+from .rat import Rat, common_denominator, over_denominator, rat
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
 
-def _invert(g: Tensor) -> Tensor:
-    """Exact Gauss-Jordan inverse of a rank-2 tensor; raises if singular."""
-    n = g.dim
-    a = [list(g.comps[i * n:(i + 1) * n]) for i in range(n)]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateMetricError("metric is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Tensor((UP, UP), n, [x for row in inv for x in row])
+def _bareiss(rows: list[list[int]]) -> tuple[bool, int]:
+    """Bareiss's fraction-free Gauss-Jordan elimination, in place on n integer rows.
+
+    Returns (all leading principal minors of the left n x n block are > 0,
+    last pivot); until a row swap the k-th pivot is the k-th leading minor.
+    The last pivot is 0 iff that block is singular, else the right block ends
+    as it times the block's inverse times the starting one. Divisions are
+    exact; only columns right of the pivot change, as no later step reads them.
+    """
+    n, positive, prev = len(rows), True, 1
+    for k in range(n):
+        if rows[k][k] <= 0:
+            positive = False
+            r = next((r for r in range(k, n) if rows[r][k]), None)  # r == k unless pivot 0
+            if r is None:
+                return False, 0
+            rows[k], rows[r] = rows[r], rows[k]
+        row_k = rows[k]
+        pivot, cols = row_k[k], range(k + 1, len(row_k))
+        if cols:
+            for row in rows:
+                if row is not row_k:
+                    f = row[k]
+                    for j in cols:
+                        row[j] = (row[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return positive, prev
 
 
 class FrameAlgebra(Record):
@@ -130,14 +138,21 @@ class MetricFrame(Record):
 
     @classmethod
     def from_tensor(cls, g: Tensor) -> "MetricFrame":
+        """g^-1: the right block of [d g | d I] after _bareiss, over its last pivot;
+        d is the common denominator of g."""
         if g.variance != (DOWN, DOWN):
             raise ValenceError("metric must be a (0,2) tensor")
-        return cls(g, _invert(g))
+        n, (ints, d) = g.dim, common_denominator(g.comps)
+        rows = [ints[i * n:(i + 1) * n] + [0] * i + [d] + [0] * (n - 1 - i) for i in range(n)]
+        det = _bareiss(rows)[1]
+        if not det:
+            raise DegenerateMetricError("metric is singular")
+        inv = over_denominator([x for row in rows for x in row[n:]], det)
+        return cls(g, Tensor((UP, UP), n, inv))
 
     @classmethod
     def identity(cls, dim: int) -> "MetricFrame":
-        eye = Tensor.build((DOWN, DOWN), dim, lambda a, b: ONE if a == b else ZERO)
-        return cls(eye, Tensor.build((UP, UP), dim, lambda a, b: ONE if a == b else ZERO))
+        return cls.from_tensor(Tensor.build((DOWN, DOWN), dim, lambda a, b: int(a == b)))
 
     @property
     def dim(self) -> int:
@@ -148,28 +163,9 @@ class MetricFrame(Record):
         return all(g[i * n + j] == g[j * n + i] for i in range(n) for j in range(n))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: all leading principal minors positive.
-
-        Bareiss's fraction-free elimination without row swaps on g scaled to
-        ints: its k-th pivot is the k-th leading principal minor (times a
-        positive power of the scale), and every division is exact. The first
-        pivot that is not positive ends the elimination.
-        """
-        n = self.dim
-        g = common_denominator(self.g.comps)[0]
-        a = [g[i * n:(i + 1) * n] for i in range(n)]
-        prev = 1
-        for k in range(n):
-            pivot = a[k][k]
-            if pivot <= 0:
-                return False
-            row_k = a[k]
-            for i in range(k + 1, n):
-                row, f = a[i], a[i][k]
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * pivot - f * row_k[j]) // prev
-            prev = pivot
-        return True
+        """Sylvester's criterion, read off the pivots of _bareiss on g scaled to ints."""
+        n, g = self.dim, common_denominator(self.g.comps)[0]
+        return _bareiss([g[i * n:(i + 1) * n] for i in range(n)])[0]
 
     def inner(self, u: Tensor, v: Tensor) -> Rat:
         """g(u, v) for two vectors."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import InputError
+from .errors import DegenerateMetricError, InputError
 from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
                        MetricFrame, ScalarJet)
 from .rat import Rat, format_rat, parse_rat, rat
@@ -131,7 +131,7 @@ def geometry_from_dict(data: dict, *, path: str | None = None,
     g = _square_array(data["metric"], dim, (DOWN, DOWN), path=path, field="metric")
     try:
         metric = MetricFrame.from_tensor(g)
-    except Exception as exc:
+    except DegenerateMetricError as exc:
         raise InputError(f"metric not invertible: {exc}", path=path, field="metric") from None
 
     if "xi" not in data:

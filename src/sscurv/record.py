@@ -40,7 +40,9 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        # A dict field (a probe's named tensors) hashes by its sorted items.
+        return hash(tuple(tuple(sorted(v.items())) if isinstance(v, dict) else v
+                          for v in self._values()))
 
     def __repr__(self) -> str:
         fields = self.__dict__

@@ -231,22 +231,16 @@ def proof_step_probes(geometry: GeometrySpec | ProbeContext,
     spec, bundle = ctx.spec, ctx.hat_bundle
     df = gradient(problem.jet, spec.metric)
     n = spec.dim
-    results = []
-    for pid in ids:
-        if pid in ("C4", "Y44", "E54"):
-            lhs = bundle.ricci.contract_with(1, df)
-            results.append(judge(pid, lhs, Tensor.zeros((DOWN,), n), _CONTRACTION_NOTE))
-        elif pid == "M61":
-            lhs = bundle.riemann.contract_with(1, df)
-            rhs = _m61_rhs(bundle.ricci_op.comps, ctx.hat.gamma.comps, problem.jet.d.comps,
-                           problem.lam, problem.m, n)
-            results.append(judge(pid, lhs, Tensor((UP, DOWN, DOWN), n, rhs)))
-        elif pid == "M68":
-            xf = xi_derivative(problem.jet, spec.distinguished)
-            coeff = 2 * problem.m + bundle.scalar - 2 * problem.lam + 2
-            results.append(judge(pid, coeff * xf, ZERO,
-                                 f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}"))
-    return results
+    if problem.kind is not SolitonKind.M_QUASI:
+        # C4, Y44 and E54 are one identity: hat S(Df) = 0.
+        lhs = bundle.ricci.contract_with(1, df)
+        return [judge(ids[0], lhs, Tensor.zeros((DOWN,), n), _CONTRACTION_NOTE)]
+    rhs = _m61_rhs(bundle.ricci_op.comps, ctx.hat.gamma.comps, problem.jet.d.comps,
+                   problem.lam, problem.m, n)
+    xf = xi_derivative(problem.jet, spec.distinguished)
+    coeff = 2 * problem.m + bundle.scalar - 2 * problem.lam + 2
+    return [judge("M61", bundle.riemann.contract_with(1, df), Tensor((UP, DOWN, DOWN), n, rhs)),
+            judge("M68", coeff * xf, ZERO, f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}")]
 
 
 def _m61_rhs(qhat, gam, d, lam: Rat, m: int, n: int) -> list:

@@ -172,7 +172,7 @@ def test_records_are_frozen_values(cls_name):
 def test_records_holding_tensors_copy_and_pickle(make):
     a = make()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert type(b) is type(a) and b == a
+        assert type(b) is type(a) and b == a and hash(b) == hash(a)
     t = pickle.loads(pickle.dumps(Tensor.vector([1, rat(1, 2)])))
     assert t == Tensor.vector([1, rat(1, 2)])
     with pytest.raises(AttributeError):

@@ -9,20 +9,22 @@ component mismatch.
 validate, jet_consistency_violations and constant_sectional decide their
 yes/no questions on integers too. The references for them are the dense
 Fraction forms: a cofactor determinant for Sylvester's test, the full
-81-term Jacobi loop, and R == kappa B with kappa divided out.
+81-term Jacobi loop, and R == kappa B with kappa divided out. The metric's
+inverse, from the same elimination as Sylvester's test, is checked against a
+Fraction Gauss-Jordan inverse.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
-from conftest import spd_metrics
-from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, DistinguishedField,
-                    FrameAlgebra, GeometrySpec, MetricFrame, ScalarJet, Tensor,
+from conftest import oracle_inverse, spd_metrics
+from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, DegenerateMetricError,
+                    DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame, ScalarJet, Tensor,
                     ValidationReport, constant_sectional, curvature, levi_civita,
                     non_metricity, rat, ssnmc, validate)
 from sscurv.geometry import jet_consistency_violations
@@ -366,6 +368,20 @@ def test_positive_definite_edge_cases(g, positive):
     flat = [Fraction(x) for row in g for x in row]
     assert ref_positive_definite(flat, n) is positive
     assert metric_of(n, flat).is_positive_definite() is positive
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(any_metrics))
+@example([Fraction(0), Fraction(1), Fraction(1), Fraction(0)])  # a swap at step 0; g^-1 = g
+def test_inverse_matches_fraction_reference(g):
+    n = isqrt(len(g))
+    rows, t = [g[i * n:(i + 1) * n] for i in range(n)], rat_tensor((DOWN, DOWN), n, g)
+    if ref_det(rows) == 0:
+        with pytest.raises(DegenerateMetricError):
+            MetricFrame.from_tensor(t)
+    else:
+        inv = fractions_of(MetricFrame.from_tensor(t).g_inv)
+        assert inv == [x for row in oracle_inverse(rows) for x in row]
 
 
 @st.composite
