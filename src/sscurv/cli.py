@@ -117,9 +117,7 @@ def _cmd_soliton(args) -> int:
         jet = load_jet(args.jet, spec.dim)
     if jet is None:
         jet = ScalarJet.zero(spec.dim)
-    kind = SolitonKind(args.type)
-    m = args.m if kind is SolitonKind.M_QUASI else None
-    problem = SolitonProblem(kind, args.lam, jet, m)
+    problem = SolitonProblem(SolitonKind(args.type), args.lam, jet, args.m)
     verdict = residual(ctx, problem)
     steps = proof_step_probes(ctx, problem)
     doc = build_report(ctx, notes=notes, include_tables=args.tables,

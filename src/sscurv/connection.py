@@ -5,18 +5,19 @@ first lower index is the differentiation direction. Under homogeneity the
 metric-derivative terms of the Koszul formula vanish, leaving the three
 bracket terms.
 
-levi_civita, torsion and non_metricity are fraction-free integer kernels: they scale
-their inputs to integers over one common denominator (rat.common_denominator),
-accumulate in plain ints and build each nonzero component once.
+levi_civita, torsion and non_metricity are fraction-free integer kernels: they
+read their inputs' integer numerators and denominators (see tensor),
+accumulate in plain ints and divide once per tensor.
 """
 
 from __future__ import annotations
 
 import enum
+from math import lcm
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
-from .rat import ZERO, common_denominator, over_denominator
+from .rat import ZERO
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -45,14 +46,13 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
 
     2 g(nabla_{e_i} e_j, e_k) = -g(e_i,[e_j,e_k]) - g(e_j,[e_i,e_k]) + g(e_k,[e_i,e_j])
 
-    Fraction-free: C, g and g^-1 are each scaled to integers over one
-    denominator, the scatter and the raise run in plain ints, and each
-    coefficient is divided once, by 2 dc dg dh.
+    Fraction-free: the scatter and the raise run on the numerators of C, g
+    and g^-1, and the result is divided once, by 2 dc dg dh.
     """
     n = frame.dim
-    c, dc = common_denominator(frame.c.comps)
-    g, dg = common_denominator(metric.g.comps)
-    g_inv, dh = common_denominator(metric.g_inv.comps)
+    c, dc = frame.c.nums, frame.c.den
+    g, dg = metric.g.nums, metric.g.den
+    g_inv, dh = metric.g_inv.nums, metric.g_inv.den
     # koszul[(i * n + j) * n + k] = 2 dc dg g(nabla_i e_j, e_k), scattered
     # from each nonzero C^m_ab: it enters the three terms at (x, a, b),
     # (a, x, b) and (a, b, x) with the factor g_xm.
@@ -79,7 +79,7 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
                     gkl = g_inv[k * n + l]
                     if gkl:
                         nums[l * n * n + ij] += kz * gkl
-    gamma = Tensor((UP, DOWN, DOWN), n, over_denominator(nums, 2 * dc * dg * dh))
+    gamma = Tensor.from_ints((UP, DOWN, DOWN), n, nums, 2 * dc * dg * dh)
     conn = Connection(gamma, ConnectionKind.LEVI_CIVITA)
     _check_levi_civita(conn, frame, metric)
     return conn
@@ -97,24 +97,20 @@ def ssnmc(lc: Connection, dist: DistinguishedField) -> Connection:
     """Gammahat^k_ij = Gamma^k_ij + psi_j delta^k_i."""
     if lc.kind is not ConnectionKind.LEVI_CIVITA:
         raise SscurvError("the semi-symmetric non-metric connection extends Levi-Civita")
-    n, psi = lc.dim, dist.psi.comps
-    comps = list(lc.gamma.comps)
-    for i in range(n):
-        for j in range(n):
-            if psi[j]:
-                comps[(i * n + i) * n + j] += psi[j]
-    return Connection(Tensor((UP, DOWN, DOWN), n, comps), ConnectionKind.SSNMC)
+    n, psi = lc.dim, dist.psi
+    shift = [p if k == i else 0 for k in range(n) for i in range(n) for p in psi.nums]
+    return Connection(lc.gamma + Tensor.from_ints((UP, DOWN, DOWN), n, shift, psi.den),
+                      ConnectionKind.SSNMC)
 
 
 def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
-    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij, fraction-free over one denominator."""
-    n = conn.dim
-    n3 = n ** 3
-    ints, d = common_denominator(conn.gamma.comps + frame.c.comps)
-    g, c = ints[:n3], ints[n3:]
-    nums = [g[(k * n + i) * n + j] - g[(k * n + j) * n + i] - c[(k * n + i) * n + j]
+    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij, fraction-free over the lcm of dG and dc."""
+    n, gam, c = conn.dim, conn.gamma, frame.c
+    d = lcm(gam.den, c.den)
+    sg, sc, g, cn = d // gam.den, d // c.den, gam.nums, c.nums
+    nums = [(g[(k * n + i) * n + j] - g[(k * n + j) * n + i]) * sg - cn[(k * n + i) * n + j] * sc
             for k in range(n) for i in range(n) for j in range(n)]
-    return Tensor((UP, DOWN, DOWN), n, over_denominator(nums, d))
+    return Tensor.from_ints((UP, DOWN, DOWN), n, nums, d)
 
 
 def semi_symmetric_torsion(dist: DistinguishedField) -> Tensor:
@@ -136,8 +132,8 @@ def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
     Fraction-free like levi_civita: integer sums over the denominator dG dg.
     """
     n = conn.dim
-    gam, d_gam = common_denominator(conn.gamma.comps)
-    g, dg = common_denominator(metric.g.comps)
+    gam, d_gam = conn.gamma.nums, conn.gamma.den
+    g, dg = metric.g.nums, metric.g.den
     nums = [0] * n ** 3
     for m in range(n):
         for i in range(n):
@@ -152,23 +148,12 @@ def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
                     b = g[k * n + m]    # Gamma^m_ij g_km at (i, k, j)
                     if b:
                         nums[(i * n + k) * n + j] -= a * b
-    return Tensor((DOWN, DOWN, DOWN), n, over_denominator(nums, d_gam * dg))
+    return Tensor.from_ints((DOWN, DOWN, DOWN), n, nums, d_gam * dg)
 
 
 def is_parallel(lc: Connection, dist: DistinguishedField) -> bool:
     """True iff nabla_{e_i} xi = 0 for every i, i.e. Gamma^k_ij xi^j = 0."""
-    xi = dist.xi.comps
-    n, gam = lc.dim, lc.gamma.comps
-    for ki in range(n * n):
-        total = ZERO
-        for j in range(n):
-            if xi[j]:
-                a = gam[ki * n + j]
-                if a:
-                    total = total + a * xi[j]
-        if total:
-            return False
-    return True
+    return lc.gamma.contract_with(2, dist.xi).is_zero()
 
 
 def alpha_star(lc: Connection, dist: DistinguishedField) -> Tensor:
@@ -178,14 +163,5 @@ def alpha_star(lc: Connection, dist: DistinguishedField) -> Tensor:
     """
     if lc.kind is not ConnectionKind.LEVI_CIVITA:
         raise SscurvError("alpha* is defined through the Levi-Civita connection")
-    psi = dist.psi.comps
-    n, gam = lc.dim, lc.gamma.comps
-    nn = n * n
-    comps = [-psi[i] * psi[j] for i in range(n) for j in range(n)]
-    for m in range(n):
-        if psi[m]:
-            for ij in range(nn):
-                a = gam[m * nn + ij]
-                if a:
-                    comps[ij] -= psi[m] * a
-    return Tensor((DOWN, DOWN), n, comps)
+    psi = dist.psi
+    return -(lc.gamma.contract_with(0, psi) + psi.tensor_product(psi))

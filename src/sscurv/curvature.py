@@ -11,13 +11,12 @@ The Ricci convention is S(V, Y) = trace of U -> R(U, V) Y; hatted
 quantities are always contracted from their own curvature tensor, never
 substituted from a cross-relation.
 
-curvature() is a fraction-free integer kernel: it scales its inputs to
-integers over one common denominator (rat.common_denominator), accumulates
-in plain ints and builds each nonzero component once. constant_sectional()
-decides R = kappa B on the same kind of scaled components, by
-cross-multiplication, and builds kappa as one rational. projective() and
-conformal() read their coefficients from the dimension n and raise
-UnsupportedDimensionError where they are undefined.
+curvature() is a fraction-free integer kernel: it reads its inputs' integer
+numerators and denominators (see tensor), accumulates in plain ints and
+divides once per tensor. constant_sectional() decides R = kappa B on the
+numerators, by cross-multiplication, and builds kappa as one rational.
+projective() and conformal() read their coefficients from the dimension n
+and raise UnsupportedDimensionError where they are undefined.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional
 from .connection import Connection
 from .errors import DegeneratePlaneError, UnsupportedDimensionError, ValenceError
 from .geometry import FrameAlgebra, MetricFrame
-from .rat import ZERO, Rat, common_denominator, over_denominator, rat
+from .rat import ZERO, Rat, rat
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -48,15 +47,14 @@ class CurvatureBundle(Record):
 def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> CurvatureBundle:
     """Full curvature bundle of a connection on the frame geometry.
 
-    Fraction-free: Gamma, C and g^-1 are scaled to integers over one
-    denominator each (dG, dc, dh). Riemann and Ricci are integer sums over
-    dG^2 dc, the scalar and the Ricci operator over dG^2 dc dh, and each
-    nonzero component is divided once.
+    Fraction-free: Gamma, C and g^-1 are read as numerators over dG, dc
+    and dh. Riemann and Ricci are integer sums over dG^2 dc, the scalar and
+    the Ricci operator over dG^2 dc dh, and each is divided once.
     """
     n = conn.dim
-    gam, d_gam = common_denominator(conn.gamma.comps)
-    c, dc = common_denominator(frame.c.comps)
-    g_inv, dh = common_denominator(metric.g_inv.comps)
+    gam, d_gam = conn.gamma.nums, conn.gamma.den
+    c, dc = frame.c.nums, frame.c.den
+    g_inv, dh = metric.g_inv.nums, metric.g_inv.den
     nn = n * n
     n3 = nn * n
     # Nonzero Gamma^l_pq: by_last[q] holds (l, p, value * dc), by_first[p]
@@ -110,10 +108,10 @@ def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> Cur
                     ricci_op[l * n + a] += s_ab * g_bl
 
     return CurvatureBundle(
-        Tensor((UP, DOWN, DOWN, DOWN), n, over_denominator(riemann, den)),
-        Tensor((DOWN, DOWN), n, over_denominator(ricci, den)),
+        Tensor.from_ints((UP, DOWN, DOWN, DOWN), n, riemann, den),
+        Tensor.from_ints((DOWN, DOWN), n, ricci, den),
         Rat(scalar, den * dh),
-        Tensor((UP, DOWN), n, over_denominator(ricci_op, den * dh)))
+        Tensor.from_ints((UP, DOWN), n, ricci_op, den * dh))
 
 
 def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor) -> Rat:
@@ -161,16 +159,16 @@ def add_wedge(out: list, n: int, a, q=None) -> None:
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:
     """kappa if R^l_kij = kappa (g_jk delta^l_i - g_ik delta^l_j), else None.
 
-    Fraction-free: B = g_jk delta^l_i - g_ik delta^l_j is built from g
-    scaled to ints over dg, R is scaled over dR, and R = kappa B holds iff
+    Fraction-free: B = g_jk delta^l_i - g_ik delta^l_j is built from the
+    numerators of g over dg, R is read over dR, and R = kappa B holds iff
     R_x B_f == R_f B_x for every component x, f the first nonzero entry of
     B. Then kappa = R_f dg / (B_f dR). With B = 0 (dim 1) kappa is 0 when R is.
     """
     n = bundle.dim
-    g, dg = common_denominator(metric.g.comps)
+    g, dg = metric.g.nums, metric.g.den
     basis = [0] * n ** 4
     add_wedge(basis, n, g)
-    r, dr = common_denominator(bundle.riemann.comps)
+    r, dr = bundle.riemann.nums, bundle.riemann.den
     f = next((x for x, b in enumerate(basis) if b), None)
     if f is None:
         return None if any(r) else ZERO

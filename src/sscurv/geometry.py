@@ -5,10 +5,10 @@ distinguished field and scalar 2-jets are constant over the frame, so frame
 derivatives of stored components vanish and all identities are decidable by
 exact arithmetic.
 
-The hypothesis checks are fraction-free: each input is scaled to integers
-over one common denominator (rat.common_denominator) and every yes/no
-question is decided in plain ints. A zero test survives positive scaling,
-so antisymmetry, Jacobi and jet consistency read the scaled components;
+The hypothesis checks are fraction-free: they read each input's integer
+numerators over its one denominator (see tensor) and decide every yes/no
+question in plain ints. A zero test survives positive scaling, so
+antisymmetry, Jacobi and jet consistency read the numerators;
 positive-definiteness reads the pivots of Bareiss's fraction-free
 elimination, which are the leading principal minors; psi = g xi and
 g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DegenerateMetricError, ValenceError
-from .rat import Rat, common_denominator, over_denominator, rat
+from .rat import Rat, rat
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -75,8 +75,8 @@ class FrameAlgebra(Record):
         return cls(dim, Tensor((UP, DOWN, DOWN), dim, comps))
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
-        """1-based (i, j, k) where C^k_ij != -C^k_ji, decided on C scaled to ints."""
-        n, c = self.dim, common_denominator(self.c.comps)[0]
+        """1-based (i, j, k) where C^k_ij != -C^k_ji, decided on the numerators of C."""
+        n, c = self.dim, self.c.nums
         bad = []
         for k in range(n):
             for i in range(n):
@@ -93,10 +93,10 @@ class FrameAlgebra(Record):
         (i, j, k): it vanishes on a repeated index, and a permutation of a
         violating triple violates too. So it is evaluated for i < j < k
         only and expanded to every ordering, in the same lexicographic
-        order as the full loop that any other C gets. The sums run on C
-        scaled to ints, which leaves every zero test as it is.
+        order as the full loop that any other C gets. The sums run on the
+        numerators of C, which leaves every zero test as it is.
         """
-        n, c = self.dim, common_denominator(self.c.comps)[0]
+        n, c = self.dim, self.c.nums
         rng = range(n)
         antisymmetric = all(c[(k * n + i) * n + j] == -c[(k * n + j) * n + i]
                             for k in rng for i in rng for j in range(i, n))
@@ -139,16 +139,15 @@ class MetricFrame(Record):
     @classmethod
     def from_tensor(cls, g: Tensor) -> "MetricFrame":
         """g^-1: the right block of [d g | d I] after _bareiss, over its last pivot;
-        d is the common denominator of g."""
+        d g holds the numerators of g."""
         if g.variance != (DOWN, DOWN):
             raise ValenceError("metric must be a (0,2) tensor")
-        n, (ints, d) = g.dim, common_denominator(g.comps)
-        rows = [ints[i * n:(i + 1) * n] + [0] * i + [d] + [0] * (n - 1 - i) for i in range(n)]
+        n, ints, d = g.dim, g.nums, g.den
+        rows = [[*ints[i * n:(i + 1) * n], *[0] * i, d, *[0] * (n - 1 - i)] for i in range(n)]
         det = _bareiss(rows)[1]
         if not det:
             raise DegenerateMetricError("metric is singular")
-        inv = over_denominator([x for row in rows for x in row[n:]], det)
-        return cls(g, Tensor((UP, UP), n, inv))
+        return cls(g, Tensor.from_ints((UP, UP), n, [x for row in rows for x in row[n:]], det))
 
     @classmethod
     def identity(cls, dim: int) -> "MetricFrame":
@@ -159,13 +158,13 @@ class MetricFrame(Record):
         return self.g.dim
 
     def is_symmetric(self) -> bool:
-        n, g = self.dim, self.g.comps
+        n, g = self.dim, self.g.nums
         return all(g[i * n + j] == g[j * n + i] for i in range(n) for j in range(n))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion, read off the pivots of _bareiss on g scaled to ints."""
-        n, g = self.dim, common_denominator(self.g.comps)[0]
-        return _bareiss([g[i * n:(i + 1) * n] for i in range(n)])[0]
+        """Sylvester's criterion, read off the pivots of _bareiss on the numerators of g."""
+        n, g = self.dim, self.g.nums
+        return _bareiss([list(g[i * n:(i + 1) * n]) for i in range(n)])[0]
 
     def inner(self, u: Tensor, v: Tensor) -> Rat:
         """g(u, v) for two vectors."""
@@ -220,15 +219,15 @@ class ScalarJet(Record):
 def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tuple[int, int]]:
     """1-based (i, j) where dd_ij - dd_ji != C^k_ij d_k.
 
-    With C = c / dc, d = e / de and dd = h / dh scaled to ints, the test is
-    (h_ij - h_ji) dc de != dh sum_k c^k_ij e_k.
+    With C = c / dc, d = e / de and dd = h / dh over their numerators, the
+    test is (h_ij - h_ji) dc de != dh sum_k c^k_ij e_k.
     """
     n = frame.dim
     if jet.dim != n:
         raise ValenceError(f"jet dimension {jet.dim} != frame dimension {n}")
-    c, dc = common_denominator(frame.c.comps)
-    d, de = common_denominator(jet.d.comps)
-    dd, dh = common_denominator(jet.dd.comps)
+    c, dc = frame.c.nums, frame.c.den
+    d, de = jet.d.nums, jet.d.den
+    dd, dh = jet.dd.nums, jet.dd.den
     scale = dc * de
     bad = []
     for i in range(n):
@@ -323,8 +322,8 @@ def validate(spec: GeometrySpec) -> ValidationReport:
     checks.append(Check("metric-positive-definite", pos,
                         "" if pos else "a leading principal minor is not positive"))
 
-    g, dg = common_denominator(spec.metric.g.comps)
-    xi, dx = common_denominator(spec.distinguished.xi.comps)
+    g, dg = spec.metric.g.nums, spec.metric.g.den
+    xi, dx = spec.distinguished.xi.nums, spec.distinguished.xi.den
     compat = _is_metric_dual(spec.distinguished.psi, g, xi, dg * dx)
     checks.append(Check("psi-xi-compatibility", compat,
                         "" if compat else "psi_i != g_ij xi^j"))
@@ -342,12 +341,12 @@ def validate(spec: GeometrySpec) -> ValidationReport:
                             degenerate_xi=spec.distinguished.is_zero)
 
 
-def _is_metric_dual(psi: Tensor, g: list[int], xi: list[int], scale: int) -> bool:
-    """psi_a == g_ba xi^b for g and xi scaled to ints with product denominator scale."""
+def _is_metric_dual(psi: Tensor, g: tuple[int, ...], xi: tuple[int, ...], scale: int) -> bool:
+    """psi_a == g_ba xi^b for the numerators of g and xi, whose denominators multiply to scale."""
     n = len(xi)
     if psi.variance != (DOWN,) or psi.dim != n:
         return False
-    p, dp = common_denominator(psi.comps)
+    p, dp = psi.nums, psi.den
     return all(p[a] * scale == dp * sum(g[b * n + a] * xi[b] for b in range(n) if xi[b])
                for a in range(n))
 

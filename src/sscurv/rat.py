@@ -3,17 +3,17 @@
 Backed by gmpy2.mpq when it is installed, otherwise by fractions.Fraction.
 Both store lowest terms with a positive denominator, so every identity
 check is an exact equality and both give the same report bytes. The engine
-kernels use bool, +, -, * and == on them, and the fraction-free kernels also
-read .numerator and .denominator and build results as Rat(p, q). mpq has all
-of these, but the tests only exercise the fractions backend: gmpy2 is an
-optional extra (pip install sscurv[gmpy2]) and its path is untested.
+uses bool, +, -, * and == on them; tensor, which stores components as
+integers over one denominator, also reads .as_integer_ratio(), .numerator
+and .denominator and builds components as Rat(p, q). mpq has all of these, but the tests only
+exercise the fractions backend: gmpy2 is an optional extra
+(pip install sscurv[gmpy2]) and its path is untested.
 """
 
 from __future__ import annotations
 
 import re
-from math import lcm
-from typing import Iterable, Union
+from typing import Union
 
 try:
     from gmpy2 import mpq as Rat
@@ -42,28 +42,6 @@ def rat(value: RatLike = 0, den: int | None = None) -> Rat:
             raise TypeError(f"refusing float denominator {den!r}")
         return Rat(value, den)
     return Rat(value)
-
-
-def common_denominator(values: Iterable) -> tuple[list[int], int]:
-    """Integers ints and one positive d with values[i] == ints[i] / d.
-
-    d is the least common multiple of the denominators. The fraction-free
-    kernels scale their inputs with this once, accumulate in plain ints and
-    divide once per output component (over_denominator), in the spirit of
-    Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
-    """
-    values = list(values)
-    d = 1
-    for v in values:
-        q = v.denominator
-        if d % q:
-            d = lcm(d, q)
-    return [v.numerator * (d // v.denominator) if v else 0 for v in values], d
-
-
-def over_denominator(ints: Iterable[int], d: int) -> list:
-    """[x / d for x in ints] as reduced rationals; zeros are the shared ZERO."""
-    return [Rat(x, d) if x else ZERO for x in ints]
 
 
 def format_rat(x) -> str:

@@ -75,12 +75,7 @@ class SolitonVerdict(Record):
 
 def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:
     """xi f = d_k xi^k."""
-    d, xi = jet.d.comps, dist.xi.comps
-    total = ZERO
-    for k in range(jet.dim):
-        if d[k] and xi[k]:
-            total = total + d[k] * xi[k]
-    return total
+    return jet.d.contract_with(0, dist.xi).comps[0]
 
 
 def hat_hessian(jet: ScalarJet, geometry: GeometrySpec | ProbeContext) -> Tensor:
@@ -95,23 +90,9 @@ def hat_hessian(jet: ScalarJet, geometry: GeometrySpec | ProbeContext) -> Tensor
     bad = jet_consistency_violations(jet, spec.frame)
     if bad:
         raise InvalidJetError(f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = {bad[0]}")
-    n = spec.dim
-    nn = n * n
-    gam, d = ctx.lc.gamma.comps, jet.d.comps
-    hess = list(jet.dd.comps)  # Hess_ij = dd_ij - Gamma^k_ij d_k
-    for k in range(n):
-        if d[k]:
-            for ij in range(nn):
-                a = gam[k * nn + ij]
-                if a:
-                    hess[ij] -= a * d[k]
-    xf = xi_derivative(jet, spec.distinguished)
-    if xf:
-        g = spec.metric.g.comps
-        for ij in range(nn):
-            if g[ij]:
-                hess[ij] += xf * g[ij]
-    return Tensor((DOWN, DOWN), n, hess)
+    # Hess_ij = dd_ij - Gamma^k_ij d_k, plus (xi f) g_ij.
+    hess = jet.dd - ctx.lc.gamma.contract_with(0, jet.d)
+    return hess + spec.metric.g.scale(xi_derivative(jet, spec.distinguished))
 
 
 def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:

@@ -417,6 +417,13 @@ def test_cli_soliton_mquasi_requires_m(capsys):
     assert "m" in err
 
 
+def test_cli_soliton_m_for_another_kind_exit_2(capsys):
+    code, _, err = run_cli(capsys, "soliton", "--builtin", "h2xr", "--type", "ricci",
+                           "--lambda", "0", "--m", "3")
+    assert code == 2
+    assert "m is only meaningful for the m-quasi kind" in err
+
+
 def test_cli_builtin_round_trip(capsys, tmp_path):
     out_path = tmp_path / "e.json"
     code, _, _ = run_cli(capsys, "builtin", "example1", "--out", str(out_path))

@@ -1,10 +1,10 @@
 """The fraction-free kernels and checks against a plain Fraction reference.
 
-levi_civita, non_metricity and curvature scale their inputs to integers over
-one common denominator and divide once per component. The reference below
-evaluates the defining sums directly in fractions.Fraction, densely, in any
-dimension, so a wrong scale or a wrong final denominator shows as a
-component mismatch.
+levi_civita, non_metricity and curvature read their inputs' integer
+numerators over one denominator each and divide once per tensor. The
+reference below evaluates the defining sums directly in fractions.Fraction,
+densely, in any dimension, so a wrong scale or a wrong final denominator
+shows as a component mismatch.
 
 validate, jet_consistency_violations and constant_sectional decide their
 yes/no questions on integers too. The references for them are the dense
@@ -28,7 +28,7 @@ from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, Degenera
                     ValidationReport, constant_sectional, curvature, levi_civita,
                     non_metricity, rat, ssnmc, validate)
 from sscurv.geometry import jet_consistency_violations
-from sscurv.rat import Rat, common_denominator
+from sscurv.rat import Rat
 from sscurv.tensor import DOWN, UP
 
 # Denominators with no common factor (1/7, 3/11, ...) make the common
@@ -165,12 +165,11 @@ def test_non_antisymmetric_structure_constants_reach_curvature():
     assert_curvature_matches(conn, frame, metric)
 
 
-@given(st.lists(coprime_rats, max_size=12))
+@given(st.lists(coprime_rats, min_size=1, max_size=12))
 def test_common_denominator(values):
-    values = [rat(str(v)) for v in values]
-    ints, d = common_denominator(values)
-    assert d == lcm(*(Fraction(str(v)).denominator for v in values))
-    assert [Fraction(int(x), d) for x in ints] == [Fraction(str(v)) for v in values]
+    t = Tensor((UP,), len(values), [rat(str(v)) for v in values])
+    assert t.den == lcm(*(v.denominator for v in values))
+    assert [Fraction(int(x), t.den) for x in t.nums] == values
 
 
 # -- hypothesis checks ------------------------------------------------------
@@ -373,6 +372,7 @@ def test_positive_definite_edge_cases(g, positive):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(any_metrics))
 @example([Fraction(0), Fraction(1), Fraction(1), Fraction(0)])  # a swap at step 0; g^-1 = g
+@example([Fraction(1), Fraction(0), Fraction(0), Fraction(-1)])  # last pivot -1; g^-1 = g
 def test_inverse_matches_fraction_reference(g):
     n = isqrt(len(g))
     rows, t = [g[i * n:(i + 1) * n] for i in range(n)], rat_tensor((DOWN, DOWN), n, g)
@@ -380,8 +380,10 @@ def test_inverse_matches_fraction_reference(g):
         with pytest.raises(DegenerateMetricError):
             MetricFrame.from_tensor(t)
     else:
-        inv = fractions_of(MetricFrame.from_tensor(t).g_inv)
-        assert inv == [x for row in oracle_inverse(rows) for x in row]
+        inv, ref = MetricFrame.from_tensor(t).g_inv, [x for row in oracle_inverse(rows) for x in row]
+        assert fractions_of(inv) == ref
+        # Canonical storage, den > 0 included, even when the last pivot is negative.
+        assert inv == rat_tensor((UP, UP), n, ref)
 
 
 @st.composite

@@ -1,5 +1,11 @@
 """Exact scalar and tensor container behavior."""
 
+import copy
+import pickle
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -37,7 +43,6 @@ def test_rat_field_ops_exact(p1, q1, p2, q2):
         assert (a / b) * b == a
     s = a + b
     assert s.denominator > 0
-    from math import gcd
     assert gcd(int(s.numerator), int(s.denominator)) == 1
 
 
@@ -120,3 +125,137 @@ def test_serialized_tensor_nests_row_major(rank, dim, data):
         return [by_index(prefix + (i,)) for i in range(dim)]
 
     assert serialize_value(t) == by_index(())
+
+
+# -- storage: integer numerators over one positive denominator ---------------
+
+# Denominators 1..12 make the common denominator a true lcm, not one input's.
+storage_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def tensor_cases(draw, max_rank=3):
+    """(variance, dim, Fraction components) of one shape."""
+    dim = draw(st.integers(1, 3), label="dim")
+    variance = tuple(draw(st.lists(st.sampled_from((UP, DOWN)), max_size=max_rank),
+                          label="variance"))
+    n = dim ** len(variance)
+    return variance, dim, draw(st.lists(storage_rats, min_size=n, max_size=n))
+
+
+def of(variance, dim, values):
+    return Tensor(variance, dim, [rat(str(v)) for v in values])
+
+
+def fractions(t):
+    return [Fraction(int(x.numerator), int(x.denominator)) for x in t.comps]
+
+
+def assert_canonical(t):
+    assert t.den > 0 and gcd(t.den, *t.nums) == 1
+    assert fractions(t) == [Fraction(int(x), t.den) for x in t.nums]
+
+
+def flat(idx, dim):
+    out = 0
+    for i in idx:
+        out = out * dim + i
+    return out
+
+
+def ref_contract(a, rank, dim, slot, v):
+    return [sum(a[flat(r[:slot] + (m,) + r[slot:], dim)] * v[m] for m in range(dim))
+            for r in product(range(dim), repeat=rank - 1)]
+
+
+def ref_apply_metric(a, rank, dim, slot, g):
+    return [sum(a[flat(r[:slot] + (b,) + r[slot + 1:], dim)] * g[b * dim + r[slot]]
+                for b in range(dim))
+            for r in product(range(dim), repeat=rank)]
+
+
+@given(tensor_cases(), st.integers(-6, 6).filter(bool))
+def test_storage_is_canonical_whichever_constructor(case, k):
+    variance, dim, values = case
+    t = of(variance, dim, values)
+    assert_canonical(t)
+    assert fractions(t) == values
+    # The trusted constructor reduces any nonzero multiple, sign included.
+    u = Tensor.from_ints(variance, dim, [k * x for x in t.nums], k * t.den)
+    assert (u.nums, u.den) == (t.nums, t.den)
+    zero = Tensor.zeros(variance, dim)
+    assert (zero.nums, zero.den) == ((0,) * dim ** len(variance), 1)
+    assert Tensor.from_ints(variance, dim, zero.nums, -k * 7) == zero
+
+
+@given(tensor_cases(), st.data())
+def test_algebra_matches_fraction_reference(case, data):
+    variance, dim, a = case
+    rank, n = len(variance), dim ** len(variance)
+    b = data.draw(st.lists(storage_rats, min_size=n, max_size=n), label="b")
+    f = data.draw(storage_rats, label="factor")
+    ta, tb = of(variance, dim, a), of(variance, dim, b)
+    results = [
+        (ta + tb, [x + y for x, y in zip(a, b)]),
+        (ta - tb, [x - y for x, y in zip(a, b)]),
+        (-ta, [-x for x in a]),
+        (ta.scale(rat(str(f))), [f * x for x in a]),
+    ]
+    if rank <= 2:
+        results.append((ta.tensor_product(tb), [x * y for x in a for y in b]))
+    for slot in range(rank):
+        v = data.draw(st.lists(storage_rats, min_size=dim, max_size=dim), label="v")
+        tv = of((DOWN if variance[slot] == UP else UP,), dim, v)
+        results.append((ta.contract_with(slot, tv), ref_contract(a, rank, dim, slot, v)))
+        g = data.draw(st.lists(storage_rats, min_size=dim * dim, max_size=dim * dim), label="g")
+        tg = of((DOWN, DOWN) if variance[slot] == UP else (UP, UP), dim, g)
+        results.append((ta.apply_metric(tg, slot), ref_apply_metric(a, rank, dim, slot, g)))
+    for t, ref in results:
+        assert_canonical(t)
+        assert fractions(t) == ref
+
+
+@given(tensor_cases(), st.data())
+def test_equality_and_hash_follow_components(case, data):
+    variance, dim, a = case
+    b = list(a)
+    if data.draw(st.booleans(), label="perturb"):
+        b[data.draw(st.integers(0, len(b) - 1))] += data.draw(storage_rats)
+    ta, tb = of(variance, dim, a), of(variance, dim, b)
+    assert (ta == tb) == (ta.comps == tb.comps)
+    if ta == tb:
+        assert hash(ta) == hash(tb)
+    # A kernel-built copy, reduced from a multiple, is equal and hashes equal.
+    built = Tensor.from_ints(variance, dim, [3 * x for x in ta.nums], 3 * ta.den)
+    assert built == ta and hash(built) == hash(ta)
+    assert ta != Tensor.from_ints(variance + (UP,), dim, ta.nums * dim, ta.den)
+
+
+@given(st.integers(-2, 3), st.lists(st.sampled_from((UP, DOWN, "x")), max_size=3),
+       st.integers(0, 30))
+def test_constructor_input_checks(dim, variance, count):
+    comps = [rat(1)] * count
+    if "x" in variance or dim < 1 or count != dim ** len(variance):
+        with pytest.raises(ValenceError):
+            Tensor(variance, dim, comps)
+    else:
+        assert Tensor(variance, dim, comps).comps == tuple(comps)
+    if "x" in variance or dim < 1:
+        with pytest.raises(ValenceError):
+            Tensor.zeros(variance, dim)
+    else:
+        assert Tensor.zeros(variance, dim).is_zero()
+    if count and dim >= 1 and "x" not in variance and count == dim ** len(variance):
+        with pytest.raises(TypeError):
+            Tensor(variance, dim, [0.5] + comps[1:])
+
+
+@given(tensor_cases(), st.integers(1, 9))
+def test_unread_kernel_tensor_copies_and_pickles(case, k):
+    variance, dim, values = case
+    t = of(variance, dim, values)
+    built = Tensor.from_ints(variance, dim, [k * x for x in t.nums], k * t.den)
+    assert built._comps is None  # comps not built yet
+    for twin in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert twin == built == t and hash(twin) == hash(t)
+        assert twin.comps == t.comps
