@@ -17,7 +17,6 @@ from math import lcm
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
-from .rat import ZERO
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -97,10 +96,8 @@ def ssnmc(lc: Connection, dist: DistinguishedField) -> Connection:
     """Gammahat^k_ij = Gamma^k_ij + psi_j delta^k_i."""
     if lc.kind is not ConnectionKind.LEVI_CIVITA:
         raise SscurvError("the semi-symmetric non-metric connection extends Levi-Civita")
-    n, psi = lc.dim, dist.psi
-    shift = [p if k == i else 0 for k in range(n) for i in range(n) for p in psi.nums]
-    return Connection(lc.gamma + Tensor.from_ints((UP, DOWN, DOWN), n, shift, psi.den),
-                      ConnectionKind.SSNMC)
+    shift = Tensor.delta(lc.dim).tensor_product(dist.psi)
+    return Connection(lc.gamma + shift, ConnectionKind.SSNMC)
 
 
 def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
@@ -114,16 +111,9 @@ def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
 
 
 def semi_symmetric_torsion(dist: DistinguishedField) -> Tensor:
-    """The torsion shape psi(V)U - psi(U)V as a (1,2) tensor."""
-    psi = dist.psi.comps
-    n = len(psi)
-    comps = [ZERO] * n ** 3
-    for k in range(n):
-        for j in range(n):
-            if psi[j]:
-                comps[(k * n + k) * n + j] += psi[j]
-                comps[(k * n + j) * n + k] -= psi[j]
-    return Tensor((UP, DOWN, DOWN), n, comps)
+    """The torsion shape psi(V)U - psi(U)V as a (1,2) tensor: psi_j delta^k_i - psi_i delta^k_j."""
+    x = Tensor.delta(dist.psi.dim).tensor_product(dist.psi)
+    return x - x.permute((0, 2, 1))
 
 
 def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:

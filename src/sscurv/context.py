@@ -61,6 +61,22 @@ def deviation(lhs: Value, rhs: Value) -> Rat:
     return abs(lhs - rhs)
 
 
+def worst_component(lhs: Value, rhs: Value) -> tuple[str | None, tuple[int, ...]]:
+    """Where |lhs - rhs| is largest, first in row-major order: the part key of a
+    dict-valued side (None otherwise) and the 1-based component index (() for a scalar)."""
+    if isinstance(lhs, dict):
+        key = max(sorted(lhs), key=lambda k: deviation(lhs[k], rhs[k]))
+        return key, worst_component(lhs[key], rhs[key])[1]
+    if not isinstance(lhs, Tensor):
+        return None, ()
+    diff = [abs(x) for x in (lhs - rhs).nums]
+    flat, index = diff.index(max(diff)), []
+    for _ in range(lhs.rank):
+        flat, i = divmod(flat, lhs.dim)
+        index.append(i + 1)
+    return None, tuple(reversed(index))
+
+
 def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
           discrepancy: bool = False) -> ProbeResult:
     """Pass on exact equality; else paper-mismatch if a designated discrepancy, else fail."""
@@ -173,27 +189,9 @@ class ProbeContext:
         return self.spec.dim
 
 
-def operator_derivative(q, gamma, n: int) -> list:
-    """Flat components at (l, i, j) of ((nabla_{e_j} Q) e_i)^l for a (1,1) tensor Q.
+def operator_derivative(q: Tensor, gamma: Tensor) -> Tensor:
+    """((nabla_{e_j} Q) e_i)^l at [l, i, j], for a (1,1) tensor Q and a connection's Gamma.
 
-    q holds flat Q^l_i and gamma flat Gamma^k_ij of the connection:
     Q^m_i Gamma^l_jm - Gamma^m_ji Q^l_m, summed over m.
     """
-    nn = n * n
-    out = [ZERO] * n ** 3
-    for m in range(n):
-        for l in range(n):
-            for x in range(n):
-                a = q[m * n + x]      # Q^m_i with i = x
-                if a:
-                    for j in range(n):
-                        b = gamma[(l * n + j) * n + m]
-                        if b:
-                            out[l * nn + x * n + j] += a * b
-                a = q[l * n + m]      # Q^l_m against Gamma^m_ji, i = x
-                if a:
-                    for j in range(n):
-                        b = gamma[(m * n + j) * n + x]
-                        if b:
-                            out[l * nn + x * n + j] -= b * a
-    return out
+    return (gamma.contract_with(2, q) - q.contract_with(1, gamma)).permute((0, 2, 1))

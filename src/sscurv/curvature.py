@@ -13,10 +13,13 @@ substituted from a cross-relation.
 
 curvature() is a fraction-free integer kernel: it reads its inputs' integer
 numerators and denominators (see tensor), accumulates in plain ints and
-divides once per tensor. constant_sectional() decides R = kappa B on the
-numerators, by cross-multiplication, and builds kappa as one rational.
-projective() and conformal() read their coefficients from the dimension n
-and raise UnsupportedDimensionError where they are undefined.
+divides once per tensor. wedge(a, Q) is the shape a(V, Y) QU - a(U, Y) QV
+behind the projective, conformal and constant-curvature forms: a tensor
+product and two slot permutations. constant_sectional() decides
+R = kappa wedge(g) on the numerators, by cross-multiplication, and builds
+kappa as one rational. projective() and conformal() are wedge expressions
+with coefficients from the dimension n, and raise UnsupportedDimensionError
+where they are undefined.
 """
 
 from __future__ import annotations
@@ -126,55 +129,34 @@ def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor
     return metric.inner(w, u) / denom
 
 
-def add_wedge(out: list, n: int, a, q=None) -> None:
-    """Add a_jk q^l_i - a_ik q^l_j to out[l, k, i, j], flat (1,3) components.
+def wedge(a: Tensor, q: Optional[Tensor] = None) -> Tensor:
+    """The (1,3) tensor a(V, Y) QU - a(U, Y) QV: a_jk q^l_i - a_ik q^l_j at [l, k, i, j].
 
-    a holds flat (0,2) and q flat (1,1) components; q=None stands for the
-    Kronecker delta, which places a_jk instead of multiplying by 0 or 1.
-    Zero factors and the i = j entries, where the two terms cancel, are
-    skipped.
+    a is a (0,2) and q a (1,1) tensor; q=None stands for the Kronecker delta.
     """
-    nn = n * n
-    n3 = nn * n
-    for j in range(n):
-        for k in range(n):
-            x = a[j * n + k]
-            if not x:
-                continue
-            for l in range(n):
-                lk = l * n3 + k * nn
-                if q is None:
-                    if l != j:
-                        out[lk + l * n + j] += x
-                        out[lk + j * n + l] -= x
-                    continue
-                for i in range(n):
-                    y = q[l * n + i]
-                    if y and i != j:
-                        p = x * y
-                        out[lk + i * n + j] += p
-                        out[lk + j * n + i] -= p
+    if q is None:
+        q = Tensor.delta(a.dim)
+    x = q.tensor_product(a).permute((0, 3, 1, 2))
+    return x - x.permute((0, 1, 3, 2))
 
 
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:
     """kappa if R^l_kij = kappa (g_jk delta^l_i - g_ik delta^l_j), else None.
 
-    Fraction-free: B = g_jk delta^l_i - g_ik delta^l_j is built from the
-    numerators of g over dg, R is read over dR, and R = kappa B holds iff
-    R_x B_f == R_f B_x for every component x, f the first nonzero entry of
-    B. Then kappa = R_f dg / (B_f dR). With B = 0 (dim 1) kappa is 0 when R is.
+    Fraction-free: B = wedge(g) is read as numerators over dB, R over dR, and
+    R = kappa B holds iff R_x B_f == R_f B_x for every component x, f the
+    first nonzero entry of B. Then kappa = R_f dB / (B_f dR). With B = 0
+    (dim 1) kappa is 0 when R is.
     """
-    n = bundle.dim
-    g, dg = metric.g.nums, metric.g.den
-    basis = [0] * n ** 4
-    add_wedge(basis, n, g)
+    basis = wedge(metric.g)
+    b, db = basis.nums, basis.den
     r, dr = bundle.riemann.nums, bundle.riemann.den
-    f = next((x for x, b in enumerate(basis) if b), None)
+    f = next((x for x, bx in enumerate(b) if bx), None)
     if f is None:
         return None if any(r) else ZERO
-    r_f, b_f = r[f], basis[f]
-    if all(rx * b_f == r_f * bx for rx, bx in zip(r, basis)):
-        return Rat(r_f * dg, b_f * dr)
+    r_f, b_f = r[f], b[f]
+    if all(rx * b_f == r_f * bx for rx, bx in zip(r, b)):
+        return Rat(r_f * db, b_f * dr)
     return None
 
 
@@ -186,10 +168,7 @@ def projective(bundle: CurvatureBundle) -> Tensor:
     n = bundle.dim
     if n < 2:
         raise UnsupportedDimensionError(f"projective tensor needs dim >= 2, got dim {n}")
-    c = rat(-1, n - 1)
-    comps = list(bundle.riemann.comps)
-    add_wedge(comps, n, [c * x if x else ZERO for x in bundle.ricci.comps])
-    return Tensor((UP, DOWN, DOWN, DOWN), n, comps)
+    return bundle.riemann - wedge(bundle.ricci).scale(rat(1, n - 1))
 
 
 def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
@@ -202,11 +181,8 @@ def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
     n = bundle.dim
     if n < 3:
         raise UnsupportedDimensionError(f"conformal tensor needs dim >= 3, got dim {n}")
-    g = metric.g.comps
-    c = rat(1, n - 2)
+    g, s = metric.g, bundle.ricci
     r_c = bundle.scalar * rat(1, (n - 1) * (n - 2))
-    comps = list(bundle.riemann.comps)
-    add_wedge(comps, n, [(r_c * gx if gx else ZERO) - (c * sx if sx else ZERO)
-                         for gx, sx in zip(g, bundle.ricci.comps)])
-    add_wedge(comps, n, [-c * gx if gx else ZERO for gx in g], bundle.ricci_op.comps)
-    return Tensor((UP, DOWN, DOWN, DOWN), n, comps)
+    c = rat(1, n - 2)
+    return (bundle.riemann + wedge(g.scale(r_c) - s.scale(c))
+            - wedge(g, bundle.ricci_op).scale(c))

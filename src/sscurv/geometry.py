@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DegenerateMetricError, ValenceError
-from .rat import Rat, rat
+from .rat import ZERO, Rat, rat
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -67,11 +67,11 @@ class FrameAlgebra(Record):
     @classmethod
     def from_entries(cls, dim: int, entries: dict[tuple[int, int, int], Rat]) -> "FrameAlgebra":
         """Build from 0-based {(k, i, j): value} with antisymmetric completion."""
-        c = Tensor.zeros((UP, DOWN, DOWN), dim)
-        comps = list(c.comps)
+        comps = [ZERO] * dim ** 3
         for (k, i, j), v in entries.items():
-            comps[(k * dim + i) * dim + j] = rat(v)
-            comps[(k * dim + j) * dim + i] = -rat(v)
+            v = rat(v)
+            comps[(k * dim + i) * dim + j] = v
+            comps[(k * dim + j) * dim + i] = -v
         return cls(dim, Tensor((UP, DOWN, DOWN), dim, comps))
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:

@@ -23,7 +23,7 @@ from typing import Callable
 from .connection import semi_symmetric_torsion
 from .context import (ProbeContext, ProbeResult, ProbeStatus, Value, judge,
                       operator_derivative)
-from .curvature import add_wedge, projective
+from .curvature import projective, wedge
 from .errors import UnknownProbeError, UnsupportedDimensionError
 from .geometry import GeometrySpec
 from .rat import ZERO, rat
@@ -37,24 +37,13 @@ def _probe_a1(ctx: ProbeContext):
 
 
 def _probe_b2(ctx: ProbeContext):
-    psi, g, n = ctx.psi.comps, ctx.g.comps, ctx.dim
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # -psi_j g_ik - psi_k g_ij
-                total = ZERO
-                for p, q in ((psi[j], g[i * n + k]), (psi[k], g[i * n + j])):
-                    if p and q:
-                        total = total - p * q
-                rhs.append(total)
-    return ctx.non_metricity_hat, Tensor((DOWN, DOWN, DOWN), n, rhs)
+    # -psi_j g_ik - psi_k g_ij at [i, j, k]
+    x = ctx.g.tensor_product(ctx.psi)
+    return ctx.non_metricity_hat, -(x + x.permute((0, 2, 1)))
 
 
 def _probe_b3(ctx: ProbeContext):
-    rhs = list(ctx.lc_bundle.riemann.comps)
-    add_wedge(rhs, ctx.dim, [-x for x in ctx.alpha.comps])
-    return ctx.hat_bundle.riemann, Tensor(_RANK4, ctx.dim, rhs)
+    return ctx.hat_bundle.riemann, ctx.lc_bundle.riemann - wedge(ctx.alpha)
 
 
 def _probe_b5(ctx: ProbeContext):
@@ -73,16 +62,13 @@ def _probe_b7(ctx: ProbeContext):
 
 
 def _probe_b8(ctx: ProbeContext):
-    psi, n = ctx.psi.comps, ctx.dim
-    rhs = list(ctx.lc_bundle.riemann.comps)
-    add_wedge(rhs, n, [psi[j] * psi[k] for j in range(n) for k in range(n)])
-    return ctx.hat_bundle.riemann, Tensor(_RANK4, n, rhs)
+    psi = ctx.psi
+    return ctx.hat_bundle.riemann, ctx.lc_bundle.riemann + wedge(psi.tensor_product(psi))
 
 
 def _probe_b9(ctx: ProbeContext):
-    s, psi, n = ctx.lc_bundle.ricci.comps, ctx.psi.comps, ctx.dim
-    rhs = [s[a * n + b] + (n - 1) * psi[a] * psi[b] for a in range(n) for b in range(n)]
-    return ctx.hat_bundle.ricci, Tensor((DOWN, DOWN), n, rhs)
+    psi = ctx.psi
+    return ctx.hat_bundle.ricci, ctx.lc_bundle.ricci + psi.tensor_product(psi).scale(ctx.dim - 1)
 
 
 def _probe_b10(ctx: ProbeContext):
@@ -115,28 +101,20 @@ def _probe_b14(ctx: ProbeContext):
 
 
 def _probe_b15(ctx: ProbeContext):
-    b, g, n = ctx.lc_bundle, ctx.g.comps, ctx.dim
-    half_r = b.scalar * rat(1, 2)
-    rhs = [ZERO] * n ** 4
-    add_wedge(rhs, n, g, b.ricci_op.comps)
-    add_wedge(rhs, n, [sx - half_r * gx for gx, sx in zip(g, b.ricci.comps)])
-    return b.riemann, Tensor(_RANK4, n, rhs)
+    b, g = ctx.lc_bundle, ctx.g
+    return b.riemann, wedge(g, b.ricci_op) + wedge(b.ricci - g.scale(b.scalar * rat(1, 2)))
 
 
 def _probe_b17(ctx: ProbeContext):
-    rhat = ctx.hat_bundle.scalar
-    psi, xi, n = ctx.psi.comps, ctx.xi.comps, ctx.dim
-    a_coef = rhat * rat(1, 2) + 1
-    b_coef = rhat * rat(1, 2) - 1
-    rhs = [(a_coef if l == a else ZERO) - b_coef * psi[a] * xi[l]
-           for l in range(n) for a in range(n)]
-    return ctx.hat_bundle.ricci_op, Tensor((UP, DOWN), n, rhs)
+    half_rhat = ctx.hat_bundle.scalar * rat(1, 2)
+    rhs = (Tensor.delta(ctx.dim).scale(half_rhat + 1)
+           - ctx.xi.tensor_product(ctx.psi).scale(half_rhat - 1))
+    return ctx.hat_bundle.ricci_op, rhs
 
 
 def _probe_b18(ctx: ProbeContext):
-    n = ctx.dim
-    lhs = operator_derivative(ctx.hat_bundle.ricci_op.comps, ctx.lc.gamma.comps, n)
-    return Tensor((UP, DOWN, DOWN), n, lhs), Tensor.zeros((UP, DOWN, DOWN), n)
+    lhs = operator_derivative(ctx.hat_bundle.ricci_op, ctx.lc.gamma)
+    return lhs, Tensor.zeros((UP, DOWN, DOWN), ctx.dim)
 
 
 def _probe_b20(ctx: ProbeContext):
@@ -144,11 +122,10 @@ def _probe_b20(ctx: ProbeContext):
 
 
 def _probe_b22(ctx: ProbeContext):
-    psi, xi, g, n = ctx.psi.comps, ctx.xi.comps, ctx.g.comps, ctx.dim
-    rhs = list(ctx.conformal_lc.comps)
-    add_wedge(rhs, n, [g[j * n + k] - psi[j] * psi[k] for j in range(n) for k in range(n)])
-    add_wedge(rhs, n, [-2 * gx for gx in g], [xi[l] * psi[i] for l in range(n) for i in range(n)])
-    return ctx.conformal_hat, Tensor(_RANK4, n, rhs)
+    psi, g = ctx.psi, ctx.g
+    rhs = (ctx.conformal_lc + wedge(g - psi.tensor_product(psi))
+           - wedge(g, ctx.xi.tensor_product(psi)).scale(2))
+    return ctx.conformal_hat, rhs
 
 
 def _probe_b23(ctx: ProbeContext):
@@ -158,20 +135,10 @@ def _probe_b23(ctx: ProbeContext):
 
 
 def _probe_bianchi(ctx: ProbeContext):
-    r, n = ctx.lc_bundle.riemann.comps, ctx.dim
-    nn = n * n
-    n3 = nn * n
-    lhs = []
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    total = r[l * n3 + k * nn + i * n + j]
-                    for x in (r[l * n3 + i * nn + j * n + k], r[l * n3 + j * nn + k * n + i]):
-                        if x:
-                            total = total + x
-                    lhs.append(total)
-    return Tensor(_RANK4, n, lhs), Tensor.zeros(_RANK4, n)
+    # R[l, k, i, j] + R[l, i, j, k] + R[l, j, k, i]
+    r = ctx.lc_bundle.riemann
+    lhs = r + r.permute((0, 3, 1, 2)) + r.permute((0, 2, 3, 1))
+    return lhs, Tensor.zeros(_RANK4, ctx.dim)
 
 
 def _probe_cflat(ctx: ProbeContext):

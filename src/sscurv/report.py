@@ -248,8 +248,12 @@ def _render_fuzz_text(report: dict) -> str:
     if report["unexpected"]:
         lines.append(f"UNEXPECTED failures: {len(report['unexpected'])}")
         for cert in report["unexpected"]:
+            where = ""
+            if cert["component"]:  # a scalar side has no component to name
+                index = ", ".join(map(str, cert["component"]))
+                where = f" at {cert.get('part', '')}({index})"
             lines.append(f"  candidate {cert['candidate_index']} probe {cert['probe_id']} "
-                         f"status {cert['status']}")
+                         f"status {cert['status']}{where}")
             lines.append(f"  geometry: {json.dumps(cert['geometry'], sort_keys=True)}")
     else:
         lines.append("no unexpected failures")

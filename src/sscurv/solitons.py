@@ -22,7 +22,7 @@ from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
 from .rat import ZERO, Rat, rat
 from .record import Record
-from .tensor import DOWN, UP, Tensor
+from .tensor import DOWN, Tensor
 
 
 class SolitonKind(enum.Enum):
@@ -211,41 +211,23 @@ def proof_step_probes(geometry: GeometrySpec | ProbeContext,
 
     spec, bundle = ctx.spec, ctx.hat_bundle
     df = gradient(problem.jet, spec.metric)
-    n = spec.dim
     if problem.kind is not SolitonKind.M_QUASI:
         # C4, Y44 and E54 are one identity: hat S(Df) = 0.
         lhs = bundle.ricci.contract_with(1, df)
-        return [judge(ids[0], lhs, Tensor.zeros((DOWN,), n), _CONTRACTION_NOTE)]
-    rhs = _m61_rhs(bundle.ricci_op.comps, ctx.hat.gamma.comps, problem.jet.d.comps,
-                   problem.lam, problem.m, n)
+        return [judge(ids[0], lhs, Tensor.zeros((DOWN,), spec.dim), _CONTRACTION_NOTE)]
+    rhs = _m61_rhs(bundle.ricci_op, ctx.hat.gamma, problem.jet.d, problem.lam, problem.m)
     xf = xi_derivative(problem.jet, spec.distinguished)
     coeff = 2 * problem.m + bundle.scalar - 2 * problem.lam + 2
-    return [judge("M61", bundle.riemann.contract_with(1, df), Tensor((UP, DOWN, DOWN), n, rhs)),
+    return [judge("M61", bundle.riemann.contract_with(1, df), rhs),
             judge("M68", coeff * xf, ZERO, f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}")]
 
 
-def _m61_rhs(qhat, gam, d, lam: Rat, m: int, n: int) -> list:
-    """Flat (l, i, j) components of the M61 right side, from flat Qhat, Gamma-hat, d.
+def _m61_rhs(qhat: Tensor, gam: Tensor, d: Tensor, lam: Rat, m: int) -> Tensor:
+    """The M61 right side at [l, i, j], from Qhat, Gamma-hat and d:
 
     ((nabla_j Qhat) e_i - (nabla_i Qhat) e_j)^l + (lambda/m)(d_j delta^l_i - d_i delta^l_j)
     + (1/m)(d_i Qhat^l_j - d_j Qhat^l_i)
     """
-    nn = n * n
-    cov = operator_derivative(qhat, gam, n)
-    inv_m = rat(1, m)
-    lam_m = lam * inv_m
-    rhs = []
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                total = cov[l * nn + i * n + j] - cov[l * nn + j * n + i]
-                if l == i and d[j]:
-                    total = total + lam_m * d[j]
-                if l == j and d[i]:
-                    total = total - lam_m * d[i]
-                if d[i] and qhat[l * n + j]:
-                    total = total + inv_m * d[i] * qhat[l * n + j]
-                if d[j] and qhat[l * n + i]:
-                    total = total - inv_m * d[j] * qhat[l * n + i]
-                rhs.append(total)
-    return rhs
+    shift = (Tensor.delta(d.dim).scale(lam) - qhat).tensor_product(d).scale(rat(1, m))
+    w = operator_derivative(qhat, gam) + shift
+    return w - w.permute((0, 2, 1))

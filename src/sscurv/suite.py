@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from .context import worst_component
 from .errors import SscurvError
 from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
 from .geomio import geometry_to_dict
@@ -92,7 +93,9 @@ def fuzz(config: FuzzConfig) -> dict:
     Same seed, same report, byte for byte. Any probe Fail, or a
     paper-mismatch outside the two designated discrepancy probes, is
     recorded as an unexpected failure with the geometry embedded as a
-    reproducible counterexample certificate.
+    reproducible counterexample certificate. The certificate names where
+    the two sides differ most: the 1-based component index and, for a
+    probe with dict-valued sides, the part key.
     """
     rng = random.Random(config.seed)
     metric = MetricFrame.identity(3)
@@ -124,13 +127,18 @@ def fuzz(config: FuzzConfig) -> dict:
             bad_mismatch = (result.status is ProbeStatus.PAPER_MISMATCH
                             and pid not in DISCREPANCY_PROBES)
             if bad_fail or bad_mismatch:
-                unexpected.append({
+                part, component = worst_component(result.lhs, result.rhs)
+                cert = {
                     "candidate_index": index,
                     "probe_id": pid,
                     "status": result.status.value,
                     "max_abs_deviation": format_rat(result.max_abs_deviation),
-                    "geometry": geometry_to_dict(spec),
-                })
+                    "component": list(component),
+                }
+                if part is not None:
+                    cert["part"] = part
+                cert["geometry"] = geometry_to_dict(spec)
+                unexpected.append(cert)
 
     cfg = {
         "seed": config.seed,

@@ -14,15 +14,29 @@ torsion, non-metricity, curvature, validate's checks, the metric inverse)
 read nums and den, accumulate in plain ints and return through
 Tensor.from_ints, the one trusted constructor, which divides out the gcd
 and makes den positive; the fraction-free division of Bareiss (Math. Comp.
-22, 1968) is done once per tensor. +, -, negation, scale, tensor_product,
-contract_with (the one contraction: a slot against a vector or covector)
-and apply_metric run on the integers too. comps, the tuple of reduced
-Rats, is built on first read and kept; `t[idx]` is its checked accessor.
+22, 1968) is done once per tensor.
+
+Every other derived tensor is an expression over the operations here, all
+of which run on the integers: +, -, negation, scale, tensor_product,
+contract_with, permute and apply_metric, with Tensor.delta the (1,1)
+Kronecker delta. contract_with is the one contraction: a slot of self
+against slot 0, of opposite variance, of any tensor, the result's slots being
+self's remaining slots followed by the other's (permute the other first to
+contract one of its later slots). permute reorders slots
+(result slot s is source slot order[s]) through a source-offset map
+memoised per (dim, order). apply_metric is a contraction with g or g^-1
+followed by the permute that puts the flipped slot back in place.
+
+comps, the tuple of reduced Rats, is built on first read and kept; `t[idx]`
+is its checked accessor. Outside this module only the boundaries read it:
+geomio, which writes components as strings, and the two places that turn a
+rank-0 result into a Rat (MetricFrame.inner, solitons.xi_derivative).
 copy and pickle rebuild a Tensor through from_ints.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -131,6 +145,12 @@ class Tensor:
         return cls((DOWN,), len(tuple(comps)), comps)
 
     @classmethod
+    def delta(cls, dim: int) -> "Tensor":
+        """The (1,1) Kronecker delta."""
+        variance = _checked_shape((UP, DOWN), dim)
+        return cls.from_ints(variance, dim, [int(a == b) for a in range(dim) for b in range(dim)], 1)
+
+    @classmethod
     def from_rows(cls, variance: Iterable[str], rows: Sequence) -> "Tensor":
         """Build a rank-2 tensor from a square nested sequence."""
         rows = [list(r) for r in rows]
@@ -225,23 +245,43 @@ class Tensor:
         return Tensor.from_ints(self.variance + other.variance, self.dim, nums,
                                 self.den * other.den)
 
-    def contract_with(self, slot: int, one: "Tensor") -> "Tensor":
-        """Contract a slot against a rank-1 tensor of opposite variance."""
+    def contract_with(self, slot: int, other: "Tensor") -> "Tensor":
+        """Contract self's slot against other's slot 0, of opposite variance.
+
+        The result's slots are self's remaining slots followed by other's.
+        """
         self._check_slot(slot)
-        if one.rank != 1 or one.dim != self.dim:
-            raise ValenceError("contract_with expects a rank-1 tensor of equal dim")
-        if one.variance[0] == self.variance[slot]:
+        other._check_slot(0)
+        if other.dim != self.dim:
+            raise ValenceError("contract_with requires equal dimensions")
+        if other.variance[0] == self.variance[slot]:
             raise ValenceError("contract_with requires opposite variance")
-        variance = self.variance[:slot] + self.variance[slot + 1:]
-        dim, src = self.dim, self.nums
+        dim, src, onums = self.dim, self.nums, other.nums
         # Flat offset = outer * block + m * stride + inner, m the contracted index.
         stride = dim ** (self.rank - 1 - slot)
         block = stride * dim
-        terms = [(m * stride, v) for m, v in enumerate(one.nums) if v]
-        nums = [sum(src[base + off] * v for off, v in terms)
+        o_stride = len(onums) // dim
+        # One sparse term list (offset in self, factor) per remaining index of other.
+        terms = [[(m * stride, y) for m in range(dim) if (y := onums[j + m * o_stride])]
+                 for j in range(o_stride)]
+        nums = [sum(src[base + off] * y for off, y in ts)
                 for outer in range(0, len(src), block)
-                for base in range(outer, outer + stride)]
-        return Tensor.from_ints(variance, dim, nums, self.den * one.den)
+                for base in range(outer, outer + stride) for ts in terms]
+        variance = self.variance[:slot] + self.variance[slot + 1:]
+        return Tensor.from_ints(variance + other.variance[1:], dim, nums, self.den * other.den)
+
+    def permute(self, order: Sequence[int]) -> "Tensor":
+        """Reorder the slots: slot s of the result is slot order[s] of self."""
+        order, identity = tuple(order), tuple(range(self.rank))
+        if tuple(sorted(order)) != identity:
+            raise ValenceError(f"{order!r} is not a permutation of the {self.rank} slots")
+        if order == identity:
+            return self
+        src = self.nums
+        t = Tensor.__new__(Tensor)  # reordered numerators are still canonical
+        t._set(tuple(self.variance[s] for s in order), self.dim,
+               tuple([src[i] for i in _source_offsets(self.dim, order)]), self.den, None)
+        return t
 
     def apply_metric(self, matrix: "Tensor", slot: int) -> "Tensor":
         """Flip one slot's variance in place by contracting with g or g-inverse.
@@ -253,20 +293,19 @@ class Tensor:
             raise ValenceError("metric must be a rank-2 tensor of equal dim")
         if matrix.variance == (DOWN, DOWN):
             self._check_slot(slot, UP)
-            new_mark = DOWN
         elif matrix.variance == (UP, UP):
             self._check_slot(slot, DOWN)
-            new_mark = UP
         else:
             raise ValenceError("metric slots must share variance")
-        variance = list(self.variance)
-        variance[slot] = new_mark
-        dim, src, g = self.dim, self.nums, matrix.nums
-        # Flat offset = outer * block + b * stride + inner, b the contracted index.
-        stride = dim ** (self.rank - 1 - slot)
-        block = stride * dim
-        nums = [sum(src[base + b * stride] * g[b * dim + a] for b in range(dim))
-                for outer in range(0, len(src), block)
-                for a in range(dim)
-                for base in range(outer, outer + stride)]
-        return Tensor.from_ints(tuple(variance), dim, nums, self.den * matrix.den)
+        # The contraction puts matrix's free slot last; move it back to slot.
+        last = self.rank - 1
+        return self.contract_with(slot, matrix).permute(
+            (*range(slot), last, *range(slot, last)))
+
+
+@functools.lru_cache(maxsize=None)
+def _source_offsets(dim: int, order: tuple) -> tuple:
+    """Flat source offset of each result entry, row-major, of permute(order)."""
+    strides = [dim ** (len(order) - 1 - s) for s in order]
+    return tuple(sum(i * st for i, st in zip(idx, strides))
+                 for idx in itertools.product(range(dim), repeat=len(order)))

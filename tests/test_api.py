@@ -1,5 +1,6 @@
 """The package surface, its cold start, the frozen records and the shared context."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -115,6 +116,33 @@ def test_every_public_name_is_its_home_modules_object():
     assert set(sscurv.SUITES) == set(sscurv.context.SUITE_NAMES)
     with pytest.raises(AttributeError):
         sscurv.no_such_name
+
+
+def comps_readers(path: Path) -> set[str]:
+    """Qualified names of the functions in a source file that read an attribute `comps`."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Attribute) and node.attr == "comps":
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_only_the_boundaries_read_tensor_comps():
+    # Derived tensors are expressions over Tensor operations, which work on
+    # the integer numerators. The Rat components are read by tensor itself,
+    # by the serialiser, and where a rank-0 result becomes a Rat.
+    package = Path(sscurv.__file__).parent
+    readers = {(path.name, name) for path in sorted(package.glob("*.py"))
+               if path.name not in {"tensor.py", "geomio.py"}
+               for name in comps_readers(path)}
+    assert readers == {("geometry.py", "MetricFrame.inner"), ("solitons.py", "xi_derivative")}
 
 
 def _problem(name):

@@ -1,6 +1,7 @@
 """Fuzzer determinism and status expectations."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -115,5 +116,30 @@ def test_wrong_probe_yields_reproducible_certificates(monkeypatch):
         result = run_probe(spec, "B2")
         assert result.status is ProbeStatus.FAIL
         assert format_rat(result.max_abs_deviation) == cert["max_abs_deviation"]
+        # The certificate names the first component, row-major and 1-based,
+        # where |lhs - rhs| is largest.
+        gaps = {idx: abs(result.lhs[idx] - result.rhs[idx])
+                for idx in itertools.product(range(3), repeat=3)}
+        worst = next(idx for idx, gap in gaps.items() if gap == max(gaps.values()))
+        assert cert["component"] == [i + 1 for i in worst]
+        assert "part" not in cert
+        assert (f"candidate {cert['candidate_index']} probe B2 status fail "
+                f"at ({', '.join(map(str, cert['component']))})") in text
     monkeypatch.undo()
     assert all(run_probe(spec, "B2").status is ProbeStatus.PASS for spec in specs)
+
+    # A dict-valued probe also names the part: B13 with its operator side
+    # doubled is off by (n - 1) xi = 2 e3, at component 3 of operator_xi.
+    defn = probes.REGISTRY["B13"]
+
+    def doubled_operator(ctx):
+        lhs, rhs = defn.fn(ctx)
+        return lhs, {**rhs, "operator_xi": rhs["operator_xi"].scale(2)}
+
+    monkeypatch.setitem(probes.REGISTRY, "B13", dataclasses.replace(defn, fn=doubled_operator))
+    doc = fuzz(FuzzConfig(count=20, seed=42, require_parallel_xi=True))
+    assert doc["accepted"] >= 1 and len(doc["unexpected"]) == doc["accepted"]
+    for cert in doc["unexpected"]:
+        assert (cert["probe_id"], cert["part"], cert["component"]) == ("B13", "operator_xi", [3])
+        assert cert["max_abs_deviation"] == "2"
+    assert "probe B13 status fail at operator_xi(3)" in emit_report(doc, "text")

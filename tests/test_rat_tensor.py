@@ -3,15 +3,19 @@
 import copy
 import pickle
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import DIM, rat_tensor, small_rats, spd_metrics
-from sscurv import MetricFrame, Tensor, ValenceError, rat
+from sscurv import DistinguishedField, MetricFrame, Tensor, ValenceError, rat
+from sscurv.connection import semi_symmetric_torsion
+from sscurv.context import operator_derivative
+from sscurv.curvature import wedge
+from sscurv.solitons import _m61_rhs
 from sscurv.rat import format_rat, parse_rat
 from sscurv.tensor import DOWN, UP
 
@@ -163,9 +167,22 @@ def flat(idx, dim):
     return out
 
 
-def ref_contract(a, rank, dim, slot, v):
-    return [sum(a[flat(r[:slot] + (m,) + r[slot:], dim)] * v[m] for m in range(dim))
-            for r in product(range(dim), repeat=rank - 1)]
+def ref_contract(a, rank, dim, slot, b, b_rank=1, b_slot=0):
+    return [sum(a[flat(r[:slot] + (m,) + r[slot:], dim)]
+                * b[flat(s[:b_slot] + (m,) + s[b_slot:], dim)] for m in range(dim))
+            for r in product(range(dim), repeat=rank - 1)
+            for s in product(range(dim), repeat=b_rank - 1)]
+
+
+def ref_permute(a, rank, dim, order):
+    # Result slot s reads source slot order[s].
+    out = []
+    for r in product(range(dim), repeat=rank):
+        src = [0] * rank
+        for s, o in enumerate(order):
+            src[o] = r[s]
+        out.append(a[flat(src, dim)])
+    return out
 
 
 def ref_apply_metric(a, rank, dim, slot, g):
@@ -188,7 +205,7 @@ def test_storage_is_canonical_whichever_constructor(case, k):
     assert Tensor.from_ints(variance, dim, zero.nums, -k * 7) == zero
 
 
-@given(tensor_cases(), st.data())
+@given(tensor_cases(max_rank=4), st.data())
 def test_algebra_matches_fraction_reference(case, data):
     variance, dim, a = case
     rank, n = len(variance), dim ** len(variance)
@@ -210,9 +227,42 @@ def test_algebra_matches_fraction_reference(case, data):
         g = data.draw(st.lists(storage_rats, min_size=dim * dim, max_size=dim * dim), label="g")
         tg = of((DOWN, DOWN) if variance[slot] == UP else (UP, UP), dim, g)
         results.append((ta.apply_metric(tg, slot), ref_apply_metric(a, rank, dim, slot, g)))
+    # Tensor against tensor, over every slot pair of opposite variance:
+    # permute brings the other's slot to the front, where contract_with reads it.
+    b_variance = tuple(data.draw(st.lists(st.sampled_from((UP, DOWN)), min_size=1, max_size=2),
+                                 label="b_variance"))
+    b_rank = len(b_variance)
+    c = data.draw(st.lists(storage_rats, min_size=dim ** b_rank, max_size=dim ** b_rank),
+                  label="c")
+    tc = of(b_variance, dim, c)
+    for slot, b_slot in product(range(rank), range(b_rank)):
+        front = tc.permute((b_slot, *(s for s in range(b_rank) if s != b_slot)))
+        if variance[slot] == b_variance[b_slot]:
+            with pytest.raises(ValenceError):
+                ta.contract_with(slot, front)
+            continue
+        t = ta.contract_with(slot, front)
+        assert t.variance == (variance[:slot] + variance[slot + 1:]
+                              + b_variance[:b_slot] + b_variance[b_slot + 1:])
+        results.append((t, ref_contract(a, rank, dim, slot, c, b_rank, b_slot)))
+    for order in permutations(range(rank)):
+        t = ta.permute(order)
+        assert t.variance == tuple(variance[s] for s in order)
+        results.append((t, ref_permute(a, rank, dim, order)))
     for t, ref in results:
         assert_canonical(t)
         assert fractions(t) == ref
+
+
+def test_delta_and_permute_checks():
+    assert Tensor.delta(3) == Tensor.build((UP, DOWN), 3, lambda a, b: int(a == b))
+    with pytest.raises(ValenceError):
+        Tensor.delta(0)
+    t = Tensor.zeros((UP, DOWN, DOWN), 2)
+    assert t.permute((0, 1, 2)) is t
+    for bad in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
+        with pytest.raises(ValenceError):
+            t.permute(bad)
 
 
 @given(tensor_cases(), st.data())
@@ -259,3 +309,118 @@ def test_unread_kernel_tensor_copies_and_pickles(case, k):
     for twin in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
         assert twin == built == t and hash(twin) == hash(t)
         assert twin.comps == t.comps
+
+
+# -- the derived tensors against the index loops they replace ----------------
+# Each loop below is the flat-index code a derived tensor was once written
+# as, kept here, over Fractions, as the reference for its tensor expression.
+
+def loop_wedge(n, a, q=None):
+    """a_jk q^l_i - a_ik q^l_j at flat [l, k, i, j]; q=None is the Kronecker delta."""
+    out = [Fraction(0)] * n ** 4
+    nn = n * n
+    n3 = nn * n
+    for j in range(n):
+        for k in range(n):
+            x = a[j * n + k]
+            if not x:
+                continue
+            for l in range(n):
+                lk = l * n3 + k * nn
+                if q is None:
+                    if l != j:
+                        out[lk + l * n + j] += x
+                        out[lk + j * n + l] -= x
+                    continue
+                for i in range(n):
+                    y = q[l * n + i]
+                    if y and i != j:
+                        p = x * y
+                        out[lk + i * n + j] += p
+                        out[lk + j * n + i] -= p
+    return out
+
+
+def loop_semi_symmetric_torsion(psi):
+    n = len(psi)
+    out = [Fraction(0)] * n ** 3
+    for k in range(n):
+        for j in range(n):
+            if psi[j]:
+                out[(k * n + k) * n + j] += psi[j]
+                out[(k * n + j) * n + k] -= psi[j]
+    return out
+
+
+def loop_operator_derivative(q, gamma, n):
+    nn = n * n
+    out = [Fraction(0)] * n ** 3
+    for m in range(n):
+        for l in range(n):
+            for x in range(n):
+                a = q[m * n + x]      # Q^m_i with i = x
+                if a:
+                    for j in range(n):
+                        b = gamma[(l * n + j) * n + m]
+                        if b:
+                            out[l * nn + x * n + j] += a * b
+                a = q[l * n + m]      # Q^l_m against Gamma^m_ji, i = x
+                if a:
+                    for j in range(n):
+                        b = gamma[(m * n + j) * n + x]
+                        if b:
+                            out[l * nn + x * n + j] -= b * a
+    return out
+
+
+def loop_m61_rhs(qhat, gam, d, lam, m, n):
+    nn = n * n
+    cov = loop_operator_derivative(qhat, gam, n)
+    lam_m = lam / m
+    rhs = []
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                total = cov[l * nn + i * n + j] - cov[l * nn + j * n + i]
+                if l == i:
+                    total += lam_m * d[j]
+                if l == j:
+                    total -= lam_m * d[i]
+                total += (d[i] * qhat[l * n + j] - d[j] * qhat[l * n + i]) / m
+                rhs.append(total)
+    return rhs
+
+
+@st.composite
+def derived_inputs(draw):
+    """A non-identity SPD metric in dim 2-4 with xi, Q, Gamma, a, d, lambda and m."""
+    n = draw(st.integers(2, 4), label="dim")
+    metric = draw(spd_metrics(dim=n).filter(lambda m: m != MetricFrame.identity(n)))
+
+    def values(count, label):
+        return draw(st.lists(small_rats, min_size=count, max_size=count), label=label)
+
+    return (n, metric, values(n, "xi"), values(n * n, "q"), values(n ** 3, "gamma"),
+            values(n * n, "a"), values(n, "d"), draw(small_rats, label="lambda"),
+            draw(st.integers(-3, 3).filter(bool), label="m"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(derived_inputs())
+def test_derived_tensors_match_their_index_loops(inputs):
+    n, metric, xi, q, gamma, a, d, lam, m = inputs
+    tq, tgamma = of((UP, DOWN), n, q), of((UP, DOWN, DOWN), n, gamma)
+    ta, td = of((DOWN, DOWN), n, a), of((DOWN,), n, d)
+    g = fractions(metric.g)
+    dist = DistinguishedField.from_xi(of((UP,), n, xi), metric)
+    cases = [
+        (wedge(metric.g), loop_wedge(n, g)),
+        (wedge(metric.g, tq), loop_wedge(n, g, q)),
+        (wedge(ta, tq), loop_wedge(n, a, q)),
+        (semi_symmetric_torsion(dist), loop_semi_symmetric_torsion(fractions(dist.psi))),
+        (operator_derivative(tq, tgamma), loop_operator_derivative(q, gamma, n)),
+        (_m61_rhs(tq, tgamma, td, rat(str(lam)), m), loop_m61_rhs(q, gamma, d, lam, m, n)),
+    ]
+    for t, ref in cases:
+        assert_canonical(t)
+        assert fractions(t) == ref
