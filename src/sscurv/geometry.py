@@ -168,7 +168,7 @@ class MetricFrame(Record):
 
     def inner(self, u: Tensor, v: Tensor) -> Rat:
         """g(u, v) for two vectors."""
-        return u.apply_metric(self.g, 0).contract_with(0, v).comps[0]
+        return u.apply_metric(self.g, 0).contract_with(0, v)[()]
 
 
 class DistinguishedField(Record):

@@ -195,7 +195,7 @@ def serialize_value(value):
 
 def _nested(t: Tensor):
     """Canonical strings of the components, nested by slot in row-major order."""
-    out = [format_rat(x) for x in t.comps]
+    out = t.strings()
     if t.rank == 0:
         return out[0]
     for _ in range(t.rank - 1):
@@ -205,15 +205,10 @@ def _nested(t: Tensor):
 
 def geometry_to_dict(spec: GeometrySpec) -> dict:
     """Canonical emission: entries with i < j only, sorted, lowest-term strings."""
-    dim, c = spec.dim, spec.frame.c.comps
-    entries = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(dim):
-                v = c[(k * dim + i) * dim + j]
-                if v != 0:
-                    entries.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                                    "value": format_rat(v)})
+    dim, values = spec.dim, spec.frame.c.strings()
+    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "value": v}
+               for i in range(dim) for j in range(i + 1, dim) for k in range(dim)
+               if (v := values[(k * dim + i) * dim + j]) != "0"]
     out = {
         "name": spec.name,
         "dim": dim,

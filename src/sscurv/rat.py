@@ -5,14 +5,15 @@ Both store lowest terms with a positive denominator, so every identity
 check is an exact equality and both give the same report bytes. The engine
 uses bool, +, -, * and == on them; tensor, which stores components as
 integers over one denominator, also reads .as_integer_ratio(), .numerator
-and .denominator and builds components as Rat(p, q). mpq has all of these, but the tests only
-exercise the fractions backend: gmpy2 is an optional extra
-(pip install sscurv[gmpy2]) and its path is untested.
+and .denominator and builds one component at a time as Rat(p, q). mpq has
+all of these, but the tests only exercise the fractions backend: gmpy2 is
+an optional extra (pip install sscurv[gmpy2]) and its path is untested.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd
 from typing import Union
 
 try:
@@ -44,20 +45,23 @@ def rat(value: RatLike = 0, den: int | None = None) -> Rat:
     return Rat(value)
 
 
-def format_rat(x) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rat(x, den: int = 1) -> str:
+    """The canonical "p" or lowest-terms "p/q" of x / den (x a Rat or int, den > 0)."""
+    p, q = x.numerator, x.denominator * den
+    g = gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
 
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse "p" or "p/q". Raises ValueError on anything else.
+    """Parse "p" or "p/q", q unsigned and nonzero. Raises ValueError otherwise.
 
-    Decimal and exponent forms are refused even when a backend could parse
+    The pattern, not the backend, decides: decimal and exponent forms, a
+    signed q and non-ASCII digits are refused even where a backend parses
     them; the interchange format carries integers and quotients only.
     """
     if not isinstance(text, str):

@@ -75,7 +75,7 @@ class SolitonVerdict(Record):
 
 def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:
     """xi f = d_k xi^k."""
-    return jet.d.contract_with(0, dist.xi).comps[0]
+    return jet.d.contract_with(0, dist.xi)[()]
 
 
 def hat_hessian(jet: ScalarJet, geometry: GeometrySpec | ProbeContext) -> Tensor:

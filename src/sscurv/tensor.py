@@ -27,11 +27,10 @@ contract one of its later slots). permute reorders slots
 memoised per (dim, order). apply_metric is a contraction with g or g^-1
 followed by the permute that puts the flipped slot back in place.
 
-comps, the tuple of reduced Rats, is built on first read and kept; `t[idx]`
-is its checked accessor. Outside this module only the boundaries read it:
-geomio, which writes components as strings, and the two places that turn a
-rank-0 result into a Rat (MetricFrame.inner, solitons.xi_derivative).
-copy and pickle rebuild a Tensor through from_ints.
+The integers are the only representation. `t[idx]` is the checked read of
+one component as a Rat (t[()] for a rank-0 result), and strings() writes
+the canonical row-major strings straight from the integers through
+rat.format_rat. copy and pickle rebuild a Tensor through from_ints.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValenceError
-from .rat import ZERO, Rat, rat
+from .rat import Rat, format_rat, rat
 
 UP = "u"
 DOWN = "d"
@@ -66,7 +65,7 @@ def _checked_shape(variance: Iterable[str], dim: int) -> tuple:
 class Tensor:
     """Immutable dense array of exact rationals indexed by frame indices."""
 
-    __slots__ = ("variance", "dim", "nums", "den", "_comps")
+    __slots__ = ("variance", "dim", "nums", "den")
 
     def __init__(self, variance: Iterable[str], dim: int, comps: Sequence):
         variance = _checked_shape(variance, dim)
@@ -79,14 +78,13 @@ class Tensor:
         den = lcm(*dens)
         if den != 1:
             nums = tuple(p * (den // q) for p, q in zip(nums, dens))
-        self._set(variance, dim, nums, den, comps)
+        self._set(variance, dim, nums, den)
 
-    def _set(self, variance, dim, nums, den, comps):
+    def _set(self, variance, dim, nums, den):
         _setattr(self, "variance", variance)
         _setattr(self, "dim", dim)
         _setattr(self, "nums", nums)
         _setattr(self, "den", den)
-        _setattr(self, "_comps", comps)
 
     @classmethod
     def from_ints(cls, variance: tuple, dim: int, nums: Iterable[int], den: int) -> "Tensor":
@@ -102,7 +100,7 @@ class Tensor:
             nums = tuple(x // g for x in nums)
             den //= g
         t = cls.__new__(cls)
-        t._set(variance, dim, nums, den, None)
+        t._set(variance, dim, nums, den)
         return t
 
     def __setattr__(self, name, value):
@@ -111,16 +109,6 @@ class Tensor:
     def __reduce__(self):
         # Restoring slot state would go through the blocked __setattr__.
         return Tensor.from_ints, (self.variance, self.dim, self.nums, self.den)
-
-    @property
-    def comps(self) -> tuple:
-        """The components as reduced Rats, flat in row-major order."""
-        comps = self._comps
-        if comps is None:
-            den = self.den
-            comps = tuple(Rat(x, den) if x else ZERO for x in self.nums)
-            _setattr(self, "_comps", comps)
-        return comps
 
     # -- construction -------------------------------------------------
 
@@ -176,7 +164,12 @@ class Tensor:
             if not 0 <= i < self.dim:
                 raise IndexError(f"index {i} out of range 0..{self.dim - 1}")
             flat = flat * self.dim + i
-        return self.comps[flat]
+        return Rat(self.nums[flat], self.den)
+
+    def strings(self) -> list[str]:
+        """The canonical strings of the components, flat in row-major order."""
+        den = self.den
+        return [format_rat(x, den) for x in self.nums]
 
     # -- algebra -------------------------------------------------------
 
@@ -221,7 +214,7 @@ class Tensor:
         return hash((self.variance, self.dim, self.den, self.nums))
 
     def __repr__(self):
-        return f"Tensor({self.variance}, dim={self.dim}, {list(map(str, self.comps))})"
+        return f"Tensor({self.variance}, dim={self.dim}, {self.strings()})"
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -280,7 +273,7 @@ class Tensor:
         src = self.nums
         t = Tensor.__new__(Tensor)  # reordered numerators are still canonical
         t._set(tuple(self.variance[s] for s in order), self.dim,
-               tuple([src[i] for i in _source_offsets(self.dim, order)]), self.den, None)
+               tuple([src[i] for i in _source_offsets(self.dim, order)]), self.den)
         return t
 
     def apply_metric(self, matrix: "Tensor", slot: int) -> "Tensor":

@@ -135,14 +135,16 @@ def comps_readers(path: Path) -> set[str]:
 
 
 def test_only_the_boundaries_read_tensor_comps():
-    # Derived tensors are expressions over Tensor operations, which work on
-    # the integer numerators. The Rat components are read by tensor itself,
-    # by the serialiser, and where a rank-0 result becomes a Rat.
+    # A tensor has one representation, integer numerators over one
+    # denominator. Values leave it through tensor.py alone: t[idx] for one
+    # Rat (t[()] checks the rank), strings() for the serialiser. No module
+    # in the package reads a `comps` attribute, and Tensor has none.
     package = Path(sscurv.__file__).parent
     readers = {(path.name, name) for path in sorted(package.glob("*.py"))
-               if path.name not in {"tensor.py", "geomio.py"}
                for name in comps_readers(path)}
-    assert readers == {("geometry.py", "MetricFrame.inner"), ("solitons.py", "xi_derivative")}
+    assert readers == set()
+    assert Tensor.__slots__ == ("variance", "dim", "nums", "den")
+    assert not hasattr(Tensor.zeros((), 1), "comps")
 
 
 def _problem(name):
@@ -204,7 +206,7 @@ def test_records_holding_tensors_copy_and_pickle(make):
     t = pickle.loads(pickle.dumps(Tensor.vector([1, rat(1, 2)])))
     assert t == Tensor.vector([1, rat(1, 2)])
     with pytest.raises(AttributeError):
-        t.comps = ()
+        t.nums = ()
 
 
 def test_record_constructors_check_their_fields():

@@ -185,10 +185,9 @@ def test_loader_completes_only_the_missing_mirrors():
         "metric": _EYE, "xi": [0, 0, 1],
     }
     loaded = geometry_from_dict(data)
-    c = loaded.spec.frame.c.comps
-    nonzero = {(k, i, j): c[(k * 3 + i) * 3 + j]
-               for k in range(3) for i in range(3) for j in range(3)
-               if c[(k * 3 + i) * 3 + j]}
+    c = loaded.spec.frame.c
+    nonzero = {(k, i, j): c[k, i, j]
+               for k in range(3) for i in range(3) for j in range(3) if c[k, i, j]}
     assert nonzero == {(0, 0, 1): rat(-1), (0, 1, 0): rat(1),
                        (0, 1, 2): rat(2), (0, 2, 1): rat(-2),
                        (1, 0, 2): rat(1, 2), (1, 2, 0): rat(-1, 2)}
@@ -293,6 +292,15 @@ def test_cli_soliton_checks_conclusion_once(monkeypatch, capsys):
                            "--type", "yamabe", "--lambda", "0")
     assert code == 0 and "validation: ok" in out
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize("literal", ["1/-2", "1/+2", "1/\u0662"])
+def test_cli_signed_or_non_ascii_denominator_exit_2(capsys, tmp_path, literal):
+    data = {"name": "g", "dim": 3, "structure_constants": [entry(1, 2, 3, literal)],
+            "metric": _EYE, "xi": [0, 0, 1]}
+    code, _, err = run_cli(capsys, "validate", "--geometry", write(tmp_path, "g.json", data))
+    assert code == 2
+    assert f"not a rational literal: {literal!r}" in err
 
 
 def test_cli_missing_file_exit_2(capsys):
