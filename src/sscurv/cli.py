@@ -18,7 +18,7 @@ import sys
 from .catalog import BUILTIN_NAMES, builtin
 from .context import SUITE_NAMES, ProbeContext
 from .errors import InputError, SscurvError
-from .geometry import ScalarJet
+from .geometry import GeometrySpec, ScalarJet
 from .rat import parse_rat
 from .solitons import SolitonKind, SolitonProblem, proof_step_probes, residual
 
@@ -59,36 +59,37 @@ def _add_output_args(parser):
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
 
 
-def _resolve_geometry(args) -> tuple[ProbeContext, list[str]]:
-    """The one context of the command's geometry, and its loader notes."""
+def _resolve_geometry(args) -> tuple[GeometrySpec, list[str]]:
+    """The command's geometry, and its loader notes."""
     if args.builtin:
-        return ProbeContext(builtin(args.builtin)), []
+        return builtin(args.builtin), []
     from .geomio import load_geometry
     loaded = load_geometry(args.geometry)
-    return ProbeContext(loaded.spec), list(loaded.notes)
+    return loaded.spec, list(loaded.notes)
 
 
-def _validate_or_die(ctx: ProbeContext, notes, args) -> None:
+def _validate_or_die(spec: GeometrySpec, notes, args) -> None:
     from .report import build_report, emit_report
-    if not ctx.validation.ok:
-        doc = build_report(ctx, notes=notes, include_tables=False)
+    validation = ProbeContext.of(spec).validation
+    if not validation.ok:
+        doc = build_report(spec, notes=notes, include_tables=False)
         sys.stdout.write(emit_report(doc, args.format, args.out))
-        raise InputError(f"geometry fails validation ({ctx.validation.failures})")
+        raise InputError(f"geometry fails validation ({validation.failures})")
 
 
 def _cmd_validate(args) -> int:
     from .report import build_report, emit_report
-    ctx, notes = _resolve_geometry(args)
-    doc = build_report(ctx, notes=notes, include_tables=False)
+    spec, notes = _resolve_geometry(args)
+    doc = build_report(spec, notes=notes, include_tables=False)
     sys.stdout.write(emit_report(doc, args.format, args.out))
-    return 0 if ctx.validation.ok else 2
+    return 0 if doc["validation"]["ok"] else 2
 
 
 def _cmd_compute(args) -> int:
     from .report import build_report, emit_report
-    ctx, notes = _resolve_geometry(args)
-    _validate_or_die(ctx, notes, args)
-    doc = build_report(ctx, notes=notes)
+    spec, notes = _resolve_geometry(args)
+    _validate_or_die(spec, notes, args)
+    doc = build_report(spec, notes=notes)
     sys.stdout.write(emit_report(doc, args.format, args.out))
     return 0
 
@@ -96,10 +97,10 @@ def _cmd_compute(args) -> int:
 def _cmd_probe(args) -> int:
     from .report import emit_report, exit_code
     from .suite import run_suite
-    ctx, notes = _resolve_geometry(args)
-    _validate_or_die(ctx, notes, args)
+    spec, notes = _resolve_geometry(args)
+    _validate_or_die(spec, notes, args)
     ids = tuple(x.strip() for x in args.ids.split(",")) if args.ids else None
-    doc = run_suite(ctx, None if ids else args.suite, ids=ids, include_tables=args.tables)
+    doc = run_suite(spec, args.suite, ids=ids, include_tables=args.tables)
     if notes:
         doc["notes"] = notes
     sys.stdout.write(emit_report(doc, args.format, args.out))
@@ -109,18 +110,17 @@ def _cmd_probe(args) -> int:
 def _cmd_soliton(args) -> int:
     from .geomio import load_jet
     from .report import build_report, emit_report, exit_code, verdict_to_dict
-    ctx, notes = _resolve_geometry(args)
-    _validate_or_die(ctx, notes, args)
-    spec = ctx.spec
+    spec, notes = _resolve_geometry(args)
+    _validate_or_die(spec, notes, args)
     jet = spec.jet
     if args.jet:
         jet = load_jet(args.jet, spec.dim)
     if jet is None:
         jet = ScalarJet.zero(spec.dim)
     problem = SolitonProblem(SolitonKind(args.type), args.lam, jet, args.m)
-    verdict = residual(ctx, problem)
-    steps = proof_step_probes(ctx, problem)
-    doc = build_report(ctx, notes=notes, include_tables=args.tables,
+    verdict = residual(spec, problem)
+    steps = proof_step_probes(spec, problem)
+    doc = build_report(spec, notes=notes, include_tables=args.tables,
                        solitons=[verdict_to_dict(problem, verdict, steps)])
     sys.stdout.write(emit_report(doc, args.format, args.out))
     return exit_code(doc, strict=args.strict)

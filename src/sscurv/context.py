@@ -1,11 +1,11 @@
 """The shared geometry context and the probe verdict.
 
 This is what the soliton checks, the reports and the CLI need of the probes:
-ProbeContext, which validates a geometry and builds each connection and
-curvature once; the verdict types and judge, the one rule that turns a
-computed lhs/rhs pair into pass, fail or paper-mismatch; and the names of
-the probe suites. The probe registry and the suites themselves live in
-probes, which a soliton check never loads.
+ProbeContext, which validates a spec and builds each connection and
+curvature once, and which every public function finds by ProbeContext.of;
+the verdict types and judge, the one rule that turns a computed lhs/rhs pair
+into pass, fail or paper-mismatch; and the names of the probe suites. The
+probe registry and the suites live in probes, which a soliton check never loads.
 """
 
 from __future__ import annotations
@@ -93,19 +93,24 @@ def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
 class ProbeContext:
     """Shared computations for one geometry; probes reuse everything here.
 
-    probes.run_probe, suite.run_suite, report.build_report,
-    report.compute_tables and the soliton functions take either a bare
-    GeometrySpec or a ProbeContext. A caller that passes one context to
-    several of them validates the geometry and builds each quantity once.
+    Every public function takes a GeometrySpec and finds its context through
+    ProbeContext.of, which keeps the last one: successive calls on one spec
+    object validate it and build each quantity once. Identity decides, never
+    equality; a spec is a frozen record, so a kept context never goes stale.
     """
+
+    _last: ProbeContext | None = None  # the context of the spec last asked about
 
     def __init__(self, spec: GeometrySpec):
         self.spec = spec
 
-    @classmethod
-    def of(cls, geometry: GeometrySpec | ProbeContext) -> ProbeContext:
-        """The context itself, or a fresh context around a bare spec."""
-        return geometry if isinstance(geometry, ProbeContext) else cls(geometry)
+    @staticmethod
+    def of(spec: GeometrySpec) -> ProbeContext:
+        """The kept context if spec is the last spec asked about, else a new one, kept instead."""
+        ctx = ProbeContext._last  # read once: a racing thread costs a rebuild, never a wrong ctx
+        if ctx is None or ctx.spec is not spec:
+            ctx = ProbeContext._last = ProbeContext(spec)
+        return ctx
 
     @cached_property
     def validation(self) -> ValidationReport:

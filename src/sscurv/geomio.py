@@ -28,20 +28,20 @@ class LoadedGeometry(Record):
         fields["notes"] = notes
 
 
-def _rat_value(value, *, path, field) -> Rat:
-    if isinstance(value, bool):
-        raise InputError("expected a rational, got a boolean", path=path, field=field)
-    if isinstance(value, int):
-        return rat(value)
-    if isinstance(value, float):
-        raise InputError(
-            f"float literal {value!r} rejected; use an exact string like \"1/2\"",
-            path=path, field=field)
-    if isinstance(value, str):
+def rat_value(value, *, path, field) -> Rat:
+    if isinstance(value, str):  # first: file values are strings, and a Rat check is slower
         try:
             return parse_rat(value)
         except ValueError as exc:
             raise InputError(str(exc), path=path, field=field) from None
+    if isinstance(value, bool):
+        raise InputError("expected a rational, got a boolean", path=path, field=field)
+    if isinstance(value, (int, Rat)):
+        return rat(value) if isinstance(value, int) else value
+    if isinstance(value, float):
+        raise InputError(
+            f"float literal {value!r} rejected; use an exact string like \"1/2\"",
+            path=path, field=field)
     raise InputError(f"expected a rational, got {type(value).__name__}",
                      path=path, field=field)
 
@@ -63,14 +63,14 @@ def _square_array(data, dim, variance, *, path, field) -> Tensor:
             raise InputError(f"expected a {dim}x{dim} array", path=path,
                              field=f"{field}[{r}]")
         for c, value in enumerate(row):
-            comps.append(_rat_value(value, path=path, field=f"{field}[{r}][{c}]"))
+            comps.append(rat_value(value, path=path, field=f"{field}[{r}][{c}]"))
     return Tensor(variance, dim, comps)
 
 
 def _flat_array(data, dim, variance, *, path, field) -> Tensor:
     if not isinstance(data, list) or len(data) != dim:
         raise InputError(f"expected an array of length {dim}", path=path, field=field)
-    comps = [_rat_value(v, path=path, field=f"{field}[{c}]") for c, v in enumerate(data)]
+    comps = [rat_value(v, path=path, field=f"{field}[{c}]") for c, v in enumerate(data)]
     return Tensor(variance, dim, comps)
 
 
@@ -101,7 +101,7 @@ def geometry_from_dict(data: dict, *, path: str | None = None,
         i = _index(entry["i"], dim, path=path, field=f"{field}.i")
         j = _index(entry["j"], dim, path=path, field=f"{field}.j")
         k = _index(entry["k"], dim, path=path, field=f"{field}.k")
-        v = _rat_value(entry["value"], path=path, field=f"{field}.value")
+        v = rat_value(entry["value"], path=path, field=f"{field}.value")
         if i == j and v != 0:
             raise InputError(f"antisymmetry forces C^{k + 1}_({i + 1},{j + 1}) = 0",
                              path=path, field=field)

@@ -216,9 +216,9 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
-def run_probe(geometry: GeometrySpec | ProbeContext, probe_id: str) -> ProbeResult:
-    """Run one identity probe on a spec or a shared context."""
-    ctx = ProbeContext.of(geometry)
+def run_probe(spec: GeometrySpec, probe_id: str) -> ProbeResult:
+    """Run one identity probe on a spec, in its shared context."""
+    ctx = ProbeContext.of(spec)
     try:
         defn = REGISTRY[probe_id]
     except KeyError:

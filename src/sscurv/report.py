@@ -4,8 +4,8 @@ Reports are plain dicts built in a fixed key order with every rational
 rendered as a canonical string by geomio.serialize_value, the writer that
 geometry files use too, so identical inputs produce byte-identical JSON.
 No timestamps, no environment data, no set iteration anywhere.
-compute_tables and build_report take a bare GeometrySpec or a shared
-context.ProbeContext.
+compute_tables and build_report take a GeometrySpec and read its shared
+context.ProbeContext, so they recompute nothing a probe already built.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def verdict_to_dict(problem: SolitonProblem, verdict: SolitonVerdict,
     return out
 
 
-def compute_tables(geometry: GeometrySpec | ProbeContext) -> dict:
-    """The full computed apparatus of a spec or a context, serialized."""
-    ctx = ProbeContext.of(geometry)
-    spec, blc, bhat = ctx.spec, ctx.lc_bundle, ctx.hat_bundle
+def compute_tables(spec: GeometrySpec) -> dict:
+    """The full computed apparatus of a spec, serialized."""
+    ctx = ProbeContext.of(spec)
+    blc, bhat = ctx.lc_bundle, ctx.hat_bundle
     return {
         "structure_constants": serialize_value(spec.frame.c),
         "metric": serialize_value(spec.metric.g),
@@ -103,26 +103,24 @@ def compute_tables(geometry: GeometrySpec | ProbeContext) -> dict:
     }
 
 
-def build_report(geometry: GeometrySpec | ProbeContext, *, suite: str | None = None,
+def build_report(spec: GeometrySpec, *, suite: str | None = None,
                  probes: Iterable[ProbeResult] = (),
                  solitons: Iterable[dict] = (),
                  notes: Iterable[str] = (),
                  include_tables: bool = True) -> dict:
-    """The report of a spec or a shared context, with its validation and,
-    unless include_tables is false, its computed tables."""
-    ctx = ProbeContext.of(geometry)
-    spec = ctx.spec
+    """The report of a spec, with its validation and, unless include_tables
+    is false, its computed tables."""
     report = {
         "geometry": spec.name,
         "engine": {"name": "sscurv", "version": __version__},
         "input_digest": geometry_digest(spec),
         "notes": list(notes),
-        "validation": validation_to_dict(ctx.validation),
+        "validation": validation_to_dict(ProbeContext.of(spec).validation),
     }
     if suite is not None:
         report["suite"] = suite
     if include_tables:
-        report["tables"] = compute_tables(ctx)
+        report["tables"] = compute_tables(spec)
     report["probes"] = [probe_to_dict(r) for r in probes]
     report["solitons"] = list(solitons)
     return report

@@ -8,7 +8,8 @@ The hat Hessian follows the vector-gradient convention
     Hhat_ij = dd_ij - Gamma^k_ij d_k + (xi f) g_ij,
 
 which is symmetric for every consistent jet. Each public function takes a
-bare GeometrySpec or a shared ProbeContext; see context.ProbeContext.
+GeometrySpec and works in its shared context.ProbeContext, so a residual,
+its proof steps and a report on one spec object validate and build once.
 """
 
 from __future__ import annotations
@@ -78,20 +79,18 @@ def xi_derivative(jet: ScalarJet, dist: DistinguishedField) -> Rat:
     return jet.d.contract_with(0, dist.xi)[()]
 
 
-def hat_hessian(jet: ScalarJet, geometry: GeometrySpec | ProbeContext) -> Tensor:
-    """Hessian of the jet with respect to the hat connection, on a spec or a context.
+def hat_hessian(jet: ScalarJet, spec: GeometrySpec) -> Tensor:
+    """Hessian of the jet with respect to the hat connection.
 
     This is the vector-gradient form g(nablahat_U Df, V), equal to the
     metric Hessian plus (xi f) g and symmetric. A jet that breaks the
     bracket constraint raises InvalidJetError naming its first violation.
     """
-    ctx = ProbeContext.of(geometry)
-    spec = ctx.spec
     bad = jet_consistency_violations(jet, spec.frame)
     if bad:
         raise InvalidJetError(f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = {bad[0]}")
     # Hess_ij = dd_ij - Gamma^k_ij d_k, plus (xi f) g_ij.
-    hess = jet.dd - ctx.lc.gamma.contract_with(0, jet.d)
+    hess = jet.dd - ProbeContext.of(spec).lc.gamma.contract_with(0, jet.d)
     return hess + spec.metric.g.scale(xi_derivative(jet, spec.distinguished))
 
 
@@ -99,7 +98,7 @@ def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
     """The residual of the soliton equation on a context that must be valid."""
     ctx.require_valid()
     g, bundle, lam, jet = ctx.spec.metric.g, ctx.hat_bundle, problem.lam, problem.jet
-    hess = hat_hessian(jet, ctx)
+    hess = hat_hessian(jet, ctx.spec)
     if problem.kind is SolitonKind.RICCI:
         return hess + bundle.ricci + g.scale(lam)
     if problem.kind is SolitonKind.YAMABE:
@@ -112,14 +111,12 @@ def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
     raise SscurvError(f"unknown soliton kind {problem.kind!r}")
 
 
-def residual(geometry: GeometrySpec | ProbeContext,
-             problem: SolitonProblem) -> SolitonVerdict:
-    """Exact residual of the soliton equation on a valid spec or context, with
+def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:
+    """Exact residual of the soliton equation on a valid spec, with
     classification and, when the equation holds, the conclusion checks."""
-    ctx = ProbeContext.of(geometry)
-    res = _residual_tensor(ctx, problem)
+    res = _residual_tensor(ProbeContext.of(spec), problem)
     is_soliton = res.is_zero()
-    checks = conclusion_check(ctx, problem) if is_soliton else ()
+    checks = conclusion_check(spec, problem) if is_soliton else ()
     return SolitonVerdict(res, is_soliton, classify(problem.lam), tuple(checks))
 
 
@@ -136,17 +133,16 @@ def _hypothesis_failures(ctx: ProbeContext) -> list[str]:
     return reasons
 
 
-def conclusion_check(geometry: GeometrySpec | ProbeContext,
-                     problem: SolitonProblem) -> list[NamedCheck]:
-    """Evaluate the cataloged conclusion disjunction on a spec or a context.
+def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedCheck]:
+    """Evaluate the cataloged conclusion disjunction on a spec.
 
     When the disjunction fails on a geometry that violates the standing
     unit-parallel-xi and dim-3 hypotheses, the failure is annotated as out
     of scope rather than treated as a counterexample.
     """
-    ctx = ProbeContext.of(geometry)
+    ctx = ProbeContext.of(spec)
     bundle = ctx.hat_bundle
-    kappa = constant_sectional(bundle, ctx.spec.metric)
+    kappa = constant_sectional(bundle, spec.metric)
     rhat = bundle.scalar
     trivial = problem.jet.is_zero
 
@@ -198,18 +194,17 @@ _CONTRACTION_NOTE = ("directional derivatives of the hat scalar curvature vanish
                      "on a homogeneous frame")
 
 
-def proof_step_probes(geometry: GeometrySpec | ProbeContext,
-                      problem: SolitonProblem) -> list[ProbeResult]:
+def proof_step_probes(spec: GeometrySpec, problem: SolitonProblem) -> list[ProbeResult]:
     """Check the proof-step identities that follow from the soliton equation,
-    on a valid spec or context."""
+    on a valid spec."""
     ids = PROOF_STEP_IDS[problem.kind]
-    ctx = ProbeContext.of(geometry)
+    ctx = ProbeContext.of(spec)
     if not _residual_tensor(ctx, problem).is_zero():
         return [ProbeResult(pid, ProbeStatus.SKIPPED, None, None, ZERO,
                             note="hypothesis: soliton equation not satisfied")
                 for pid in ids]
 
-    spec, bundle = ctx.spec, ctx.hat_bundle
+    bundle = ctx.hat_bundle
     df = gradient(problem.jet, spec.metric)
     if problem.kind is not SolitonKind.M_QUASI:
         # C4, Y44 and E54 are one identity: hat S(Df) = 0.

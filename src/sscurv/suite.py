@@ -1,16 +1,16 @@
-"""Probe-suite runner and the randomized geometry fuzzer."""
+"""Probe-suite runner and the randomized fuzzer; both probe specs in their shared contexts."""
 
 from __future__ import annotations
 
 import random
 
 from .context import worst_component
-from .errors import SscurvError
+from .errors import InputError, SscurvError
 from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
-from .geomio import geometry_to_dict
+from .geomio import geometry_to_dict, rat_value
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
-from .rat import ONE, ZERO, Rat, format_rat, rat
+from .rat import ONE, ZERO, Rat, RatLike, format_rat, rat
 from .record import Record
 from .report import build_report, config_digest
 from ._version import __version__
@@ -20,17 +20,16 @@ DEFAULT_POOL: tuple[Rat, ...] = (rat(-2), rat(-1), rat(-1, 2), rat(0),
                                  rat(1, 2), rat(1), rat(2))
 
 
-def run_suite(geometry: GeometrySpec | ProbeContext, suite: str | None = "all",
-              ids: tuple[str, ...] | None = None,
+def run_suite(spec: GeometrySpec, suite: str = "all", ids: tuple[str, ...] | None = None,
               include_tables: bool = True) -> dict:
-    """Run a probe suite, or the listed ids, on a valid spec or context and
-    assemble its report, which names the suite unless it is None.
+    """Run a probe suite on a valid spec and assemble its report, which names
+    the suite; given ids, run those instead, and the report names no suite.
 
     A probe whose hypotheses fail (unit parallel xi, dimension 3) or whose
     formula is undefined in this dimension skips itself with the reason, so
     "all" is always safe to request.
     """
-    ctx = ProbeContext.of(geometry).require_valid()
+    ProbeContext.of(spec).require_valid()
     if ids is None:
         try:
             ids = SUITES[suite]
@@ -41,21 +40,24 @@ def run_suite(geometry: GeometrySpec | ProbeContext, suite: str | None = "all",
         unknown = [pid for pid in ids if pid not in PROBE_ORDER]
         if unknown:
             raise SscurvError(f"unknown probe ids: {', '.join(unknown)}")
-    results = [run_probe(ctx, pid) for pid in ids]
-    return build_report(ctx, suite=suite, probes=results, include_tables=include_tables)
+        suite = None
+    results = [run_probe(spec, pid) for pid in ids]
+    return build_report(spec, suite=suite, probes=results, include_tables=include_tables)
 
 
 class FuzzConfig(Record):
-    def __init__(self, count: int = 100, seed: int = 0, pool: tuple[Rat, ...] = DEFAULT_POOL,
+    def __init__(self, count: int = 100, seed: int = 0, pool: tuple[RatLike, ...] = DEFAULT_POOL,
                  require_parallel_xi: bool = False):
         if count < 1:
             raise SscurvError("count must be positive")
-        if any(isinstance(x, float) for x in pool):
-            raise SscurvError("pool must contain exact rationals")
+        try:
+            pool = tuple(sorted(rat_value(x, path=None, field="pool") for x in pool))
+        except InputError as exc:
+            raise SscurvError(f"pool must contain exact rationals: {exc}") from None
         fields = self.__dict__
         fields["count"] = count
         fields["seed"] = seed
-        fields["pool"] = tuple(sorted(pool))
+        fields["pool"] = pool
         fields["require_parallel_xi"] = require_parallel_xi
 
 
@@ -112,7 +114,7 @@ def fuzz(config: FuzzConfig) -> dict:
         if frame.jacobi_violations():
             continue
         spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
-        ctx = ProbeContext(spec)
+        ctx = ProbeContext.of(spec)
         if not ctx.validation.ok:
             continue
         if config.require_parallel_xi and not ctx.parallel:
@@ -121,7 +123,7 @@ def fuzz(config: FuzzConfig) -> dict:
         if ctx.parallel:
             parallel_accepted += 1
         for pid in PROBE_ORDER:
-            result = run_probe(ctx, pid)
+            result = run_probe(spec, pid)
             counts[pid][result.status.value] += 1
             bad_fail = result.status is ProbeStatus.FAIL
             bad_mismatch = (result.status is ProbeStatus.PAPER_MISMATCH

@@ -16,7 +16,7 @@ import pytest
 import sscurv
 from sscurv import (ProbeStatus, ScalarJet, SolitonKind, SolitonProblem,
                     Tensor, builtin, fuzz, FuzzConfig, rat, residual, run_suite)
-from sscurv.probes import PROBE_ORDER, ProbeContext, run_probe
+from sscurv.probes import PROBE_ORDER, run_probe
 from sscurv.report import build_report
 from sscurv.tensor import DOWN
 
@@ -99,24 +99,24 @@ def test_criterion_2_general_suite_on_builtins():
 
 
 def test_criterion_3_parallel_suite_on_h2xr():
-    ctx = ProbeContext(builtin("h2xr"))
+    spec = builtin("h2xr")
     must_pass = ("B5", "B6", "B7", "B8", "B9", "B11", "B12", "B13", "B15",
                  "B20", "B22", "B23")
     for pid in must_pass:
-        result = run_probe(ctx, pid)
+        result = run_probe(spec, pid)
         assert result.status is ProbeStatus.PASS, pid
         assert result.max_abs_deviation == 0
 
-    b10 = run_probe(ctx, "B10")
+    b10 = run_probe(spec, "B10")
     assert b10.status is ProbeStatus.PAPER_MISMATCH
     assert b10.lhs == rat(0) and b10.rhs == rat(-4)
 
-    b17 = run_probe(ctx, "B17")
+    b17 = run_probe(spec, "B17")
     assert b17.status is ProbeStatus.PAPER_MISMATCH
     assert [b17.lhs[l, 0] for l in range(3)] == [rat(-1), rat(0), rat(0)]
 
     mismatched = {pid for pid in PROBE_ORDER
-                  if run_probe(ctx, pid).status is ProbeStatus.PAPER_MISMATCH}
+                  if run_probe(spec, pid).status is ProbeStatus.PAPER_MISMATCH}
     assert mismatched == {"B10", "B17"}
     announce(3, "h2xr parallel suite passes; exactly {B10, B17} report "
                 "paper-mismatch (r-hat = 0 vs -4; Qhat e1 = -e1)")

@@ -51,8 +51,29 @@ def test_context_of_wraps_a_spec_and_keeps_a_context():
     spec = builtin("h2xr")
     ctx = ProbeContext.of(spec)
     assert isinstance(ctx, ProbeContext) and ctx.spec is spec
-    assert ProbeContext.of(ctx) is ctx
     assert ctx.require_valid() is ctx
+
+
+def test_context_of_shares_by_identity_in_one_slot():
+    spec = builtin("h2xr")
+    ctx = ProbeContext.of(spec)
+    assert ProbeContext.of(spec) is ctx
+    twin = copy.deepcopy(spec)
+    assert twin == spec and twin is not spec
+    assert ProbeContext.of(twin) is not ctx and ProbeContext.of(twin).spec is twin
+    # One slot: asking about the twin replaced the context kept for spec.
+    assert ProbeContext.of(spec) is not ctx and ProbeContext.of(spec).spec is spec
+    assert ProbeContext(spec) is not ProbeContext.of(spec)  # the constructor never shares
+
+
+def test_interleaved_specs_report_as_fresh_contexts():
+    a, b = builtin("h2xr"), builtin("example1")
+    problem = SolitonProblem(SolitonKind.YAMABE, rat(0), ScalarJet.zero(3))
+    shared = [(run_suite(s), residual(s, problem)) for s in (a, b, a)]
+    fresh = [(run_suite(copy.deepcopy(s)), residual(copy.deepcopy(s), problem))
+             for s in (a, b, a)]
+    assert shared == fresh
+    assert [doc["geometry"] for doc, _ in shared] == ["h2xr", "example1", "h2xr"]
 
 
 def test_one_failure_summary_for_library_and_cli(tmp_path, capsys):

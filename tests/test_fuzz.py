@@ -21,6 +21,23 @@ def test_config_validation():
         FuzzConfig(pool=(0.5, 1))
 
 
+def test_pool_entries_are_normalised_to_rats():
+    # Strings go through parse_rat, ints and Rats through rat: one pool, however
+    # spelled, gives one config and one report.
+    want = (rat(-1), rat(0), rat(1, 2))
+    spellings = (("1/2", "-1", "0"), (rat(1, 2), -1, "0"), want)
+    for pool in spellings:
+        config = FuzzConfig(count=30, seed=7, pool=pool)
+        assert config.pool == want and all(type(x) is type(rat(0)) for x in config.pool)
+    reports = {emit_report(fuzz(FuzzConfig(count=30, seed=7, pool=p)), "json")
+               for p in spellings}
+    assert len(reports) == 1
+    assert FuzzConfig(pool=(rat(1), "1/2")).pool == (rat(1, 2), rat(1))
+    for bad in ((True,), (rat(1), 0.5), ("0.5",), ("1/0",), (None,)):
+        with pytest.raises(SscurvError, match="exact rationals"):
+            FuzzConfig(pool=bad)
+
+
 def test_default_pool():
     assert sorted(DEFAULT_POOL) == sorted(
         (rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 2), rat(1), rat(2)))

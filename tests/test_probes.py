@@ -11,8 +11,15 @@ from sscurv.probes import DISCREPANCY_PROBES, REGISTRY, ProbeContext, run_probe
 
 
 def statuses(spec, ids=PROBE_ORDER):
-    ctx = ProbeContext(spec)
-    return {pid: run_probe(ctx, pid) for pid in ids}
+    return {pid: run_probe(spec, pid) for pid in ids}
+
+
+def test_run_suite_with_ids_names_no_suite():
+    spec = builtin("h2xr")
+    for doc in (run_suite(spec, ids=("B9",)), run_suite(spec, "parallel", ids=("B9",))):
+        assert "suite" not in doc
+        assert [p["id"] for p in doc["probes"]] == ["B9"]
+    assert run_suite(spec, "parallel")["suite"] == "parallel"
 
 
 def test_unknown_probe_id():
@@ -158,21 +165,19 @@ def test_run_suite_rejects_invalid_geometry():
 @settings(max_examples=40, deadline=None)
 @given(geometries())
 def test_general_suite_passes_on_fuzzed_geometries(spec):
-    ctx = ProbeContext(spec)
     for pid in GENERAL_SUITE:
-        result = run_probe(ctx, pid)
+        result = run_probe(spec, pid)
         assert result.status is ProbeStatus.PASS, (pid, result.note)
 
 
 @settings(max_examples=40, deadline=None)
 @given(geometries(identity_metric=True, unit_e3_xi=True))
 def test_parallel_identities_on_fuzzed_parallel_geometries(spec):
-    ctx = ProbeContext(spec)
-    if not ctx.parallel:
+    if not ProbeContext.of(spec).parallel:
         return
     for pid in ("B5", "B6", "B7", "B8", "B9", "B11", "B12", "B13", "B14",
                 "B18", "B20", "B22", "B23"):
-        result = run_probe(ctx, pid)
+        result = run_probe(spec, pid)
         assert result.status is ProbeStatus.PASS, (pid, result.note)
     for pid in DISCREPANCY_PROBES:
-        assert run_probe(ctx, pid).status is ProbeStatus.PAPER_MISMATCH
+        assert run_probe(spec, pid).status is ProbeStatus.PAPER_MISMATCH

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import DIM, count_calls, geometries, make_spec, small_rats
-from sscurv import (InvalidJetError, MetricFrame, ProbeContext, ProbeStatus, ScalarJet,
+from sscurv import (InvalidJetError, MetricFrame, ProbeStatus, ScalarJet,
                     SolitonKind, SolitonProblem, SscurvError, Tensor, ValenceError,
                     build_report, builtin, classify, conclusion_check, geometry_from_dict,
-                    hat_hessian, levi_civita, proof_step_probes, rat, residual)
+                    hat_hessian, levi_civita, proof_step_probes, rat, residual, run_suite)
 from sscurv.report import verdict_to_dict
 from sscurv.tensor import DOWN
 
@@ -284,12 +284,32 @@ def test_proof_step_probes_builds_levi_civita_once(monkeypatch):
     assert [r.status for r in steps] == [ProbeStatus.PASS]
     assert (len(builds), len(validations)) == (1, 1)
 
-    # One context handed to every call of a soliton command is shared too.
+    # Every call of a soliton command on one spec object shares its context.
     builds.clear()
     validations.clear()
-    ctx = ProbeContext(spec)
-    verdict = residual(ctx, problem)
-    steps = proof_step_probes(ctx, problem)
-    doc = build_report(ctx, solitons=[verdict_to_dict(problem, verdict, steps)])
+    spec = builtin("h2xr")
+    verdict = residual(spec, problem)
+    steps = proof_step_probes(spec, problem)
+    doc = build_report(spec, solitons=[verdict_to_dict(problem, verdict, steps)])
     assert doc["solitons"][0]["proof_steps"][0]["status"] == "pass"
     assert (len(builds), len(validations)) == (1, 1)
+
+
+def test_report_and_soliton_checks_on_one_spec_build_once(monkeypatch):
+    # A suite report, then the residual and proof steps of four problems, on
+    # one spec object: one validation, one Levi-Civita connection and one
+    # curvature per connection, as in the general-metric benchmark operation.
+    import importlib
+    import sscurv.connection
+    import sscurv.geometry
+    validations = count_calls(monkeypatch, sscurv.geometry, "validate")
+    builds = count_calls(monkeypatch, sscurv.connection, "levi_civita")
+    bundles = count_calls(monkeypatch, importlib.import_module("sscurv.curvature"), "curvature")
+    spec = builtin("h2xr")
+    run_suite(spec, "all")
+    for kind in SolitonKind:
+        m = 2 if kind is SolitonKind.M_QUASI else None
+        problem = SolitonProblem(kind, rat(0), zero_jet(), m)
+        residual(spec, problem)
+        proof_step_probes(spec, problem)
+    assert (len(validations), len(builds), len(bundles)) == (1, 1, 2)
