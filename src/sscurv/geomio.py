@@ -5,12 +5,14 @@ are rejected outright since the engine admits no rounding. Structure
 constants are a list of {i, j, k, value} entries for C^k_ij with 1-based
 indices; conflicts are diagnosed field by field and FrameAlgebra.from_entries
 fills in each antisymmetric partner. serialize_value, which reports use too,
-writes rationals and tensors as canonical (nested) strings.
+writes rationals and tensors as canonical (nested) strings, and dumps_json,
+the one JSON writer of reports and geometry files, writes the result.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import DegenerateMetricError, InputError
@@ -37,7 +39,7 @@ def rat_value(value, *, path, field) -> Rat:
     if isinstance(value, bool):
         raise InputError("expected a rational, got a boolean", path=path, field=field)
     if isinstance(value, (int, Rat)):
-        return rat(value) if isinstance(value, int) else value
+        return rat(value)
     if isinstance(value, float):
         raise InputError(
             f"float literal {value!r} rejected; use an exact string like \"1/2\"",
@@ -222,4 +224,65 @@ def geometry_to_dict(spec: GeometrySpec) -> dict:
 
 
 def dumps_geometry(spec: GeometrySpec) -> str:
-    return json.dumps(geometry_to_dict(spec), indent=2) + "\n"
+    return dumps_json(geometry_to_dict(spec)) + "\n"
+
+
+def dumps_json(value) -> str:
+    """The bytes of json.dumps(value, indent=2), for report values only.
+
+    Report values are str, int, bool, None, lists and tuples of them, and
+    dicts with str keys; anything else, a float included, raises TypeError.
+    Strings are escaped by the stdlib's C escaper, as json.dumps does by
+    default, and a list of strings (a tensor row) is written in one join,
+    so no output goes through json's pure-Python indenting encoder.
+    """
+    parts: list[str] = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value, parts: list[str], newline: str) -> None:
+    # Recursion with the output list passed in: a self-referencing closure
+    # would be a reference cycle holding every chunk until cyclic GC runs.
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if isinstance(value[0], str):  # a row of strings, the common case
+            try:
+                parts.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+                return
+            except TypeError:  # a later item is not a string
+                pass
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            parts.append(sep + _quote(key) + ": ")
+            _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")

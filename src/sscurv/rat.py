@@ -8,13 +8,17 @@ integers over one denominator, also reads .as_integer_ratio(), .numerator
 and .denominator and builds one component at a time as Rat(p, q). mpq has
 all of these, but the tests only exercise the fractions backend: gmpy2 is
 an optional extra (pip install sscurv[gmpy2]) and its path is untested.
+
+format_rats is the one writer of canonical rational strings: a tensor's
+numerators over its denominator in one call, and through format_rat a single
+scalar by the same rule.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
 try:
     from gmpy2 import mpq as Rat
@@ -34,8 +38,12 @@ ONE = Rat(1)
 def rat(value: RatLike = 0, den: int | None = None) -> Rat:
     """Build an exact rational from an int, a "p/q" string, or another Rat.
 
-    Floats are rejected: the engine admits no rounding anywhere.
+    A Rat (of exactly that type) comes back unchanged; rebuilding it would
+    cost a conversion through the numbers.Rational protocol. Floats are
+    rejected: the engine admits no rounding anywhere.
     """
+    if type(value) is Rat and den is None:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; rationals must be exact")
     if den is not None:
@@ -45,13 +53,21 @@ def rat(value: RatLike = 0, den: int | None = None) -> Rat:
     return Rat(value)
 
 
-def format_rat(x, den: int = 1) -> str:
-    """The canonical "p" or lowest-terms "p/q" of x / den (x a Rat or int, den > 0)."""
-    p, q = x.numerator, x.denominator * den
-    g = gcd(p, q)
-    if g == q:
-        return str(p // q)
-    return f"{p // g}/{q // g}"
+def format_rats(nums: Iterable[int], den: int) -> list[str]:
+    """The canonical strings of p / den for each integer p (den > 0).
+
+    The one writer of rationals: "p" when the quotient is an integer, else
+    the lowest-terms "p/q". One call covers a whole tensor's numerators.
+    """
+    if den == 1:
+        return list(map(str, nums))
+    return [str(p // den) if (g := gcd(p, den)) == den else f"{p // g}/{den // g}"
+            for p in nums]
+
+
+def format_rat(x) -> str:
+    """The canonical string of one Rat or int, by the rule of format_rats."""
+    return format_rats((x.numerator,), x.denominator)[0]
 
 
 _RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")

@@ -1,9 +1,11 @@
 """Deterministic report assembly and rendering.
 
 Reports are plain dicts built in a fixed key order with every rational
-rendered as a canonical string by geomio.serialize_value, the writer that
-geometry files use too, so identical inputs produce byte-identical JSON.
-No timestamps, no environment data, no set iteration anywhere.
+rendered as a canonical string by geomio.serialize_value, and emit_report
+writes their JSON through geomio.dumps_json, the writer that geometry files
+use too, so identical inputs produce byte-identical JSON (the bytes of
+json.dumps(report, indent=2)). No timestamps, no environment data, no set
+iteration anywhere.
 compute_tables and build_report take a GeometrySpec and read its shared
 context.ProbeContext, so they recompute nothing a probe already built.
 """
@@ -18,7 +20,7 @@ from ._version import __version__
 from .context import ProbeContext, ProbeResult, ProbeStatus
 from .curvature import constant_sectional
 from .geometry import GeometrySpec, ValidationReport
-from .geomio import geometry_to_dict, serialize_value
+from .geomio import dumps_json, geometry_to_dict, serialize_value
 from .rat import format_rat
 from .solitons import SolitonProblem, SolitonVerdict
 
@@ -129,7 +131,7 @@ def build_report(spec: GeometrySpec, *, suite: str | None = None,
 def emit_report(report: dict, format: str = "text", path=None) -> str:
     """Render a report and optionally write it to a file."""
     if format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = dumps_json(report) + "\n"
     elif format == "text":
         text = render_text(report)
     else:

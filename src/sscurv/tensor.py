@@ -29,8 +29,8 @@ followed by the permute that puts the flipped slot back in place.
 
 The integers are the only representation. `t[idx]` is the checked read of
 one component as a Rat (t[()] for a rank-0 result), and strings() writes
-the canonical row-major strings straight from the integers through
-rat.format_rat. copy and pickle rebuild a Tensor through from_ints.
+the canonical row-major strings straight from the integers in one call to
+rat.format_rats. copy and pickle rebuild a Tensor through from_ints.
 """
 
 from __future__ import annotations
@@ -41,16 +41,12 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValenceError
-from .rat import Rat, format_rat, rat
+from .rat import Rat, format_rats, rat
 
 UP = "u"
 DOWN = "d"
 
 _setattr = object.__setattr__  # Tensor blocks its own __setattr__
-
-
-def _as_rat(x):
-    return x if isinstance(x, Rat) else rat(x)
 
 
 def _checked_shape(variance: Iterable[str], dim: int) -> tuple:
@@ -69,7 +65,7 @@ class Tensor:
 
     def __init__(self, variance: Iterable[str], dim: int, comps: Sequence):
         variance = _checked_shape(variance, dim)
-        comps = tuple(map(_as_rat, comps))
+        comps = tuple(map(rat, comps))
         if len(comps) != dim ** len(variance):
             raise ValenceError(
                 f"component count {len(comps)} != {dim}^{len(variance)}"
@@ -168,8 +164,7 @@ class Tensor:
 
     def strings(self) -> list[str]:
         """The canonical strings of the components, flat in row-major order."""
-        den = self.den
-        return [format_rat(x, den) for x in self.nums]
+        return format_rats(self.nums, self.den)
 
     # -- algebra -------------------------------------------------------
 
@@ -199,7 +194,7 @@ class Tensor:
         return Tensor.from_ints(self.variance, self.dim, [-x for x in self.nums], self.den)
 
     def scale(self, factor) -> "Tensor":
-        f = _as_rat(factor)
+        f = rat(factor)
         return Tensor.from_ints(self.variance, self.dim,
                                 [f.numerator * x for x in self.nums], f.denominator * self.den)
 

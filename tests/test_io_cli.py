@@ -204,6 +204,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("name", ("example1", "h2xr", "flat"))
+def test_builtin_files_round_trip_byte_for_byte(capsys, name):
+    shipped = resources.files("sscurv.data").joinpath(f"{name}.json").read_text()
+    assert dumps_geometry(builtin(name)) == shipped
+    code, out, _ = run_cli(capsys, "builtin", name)
+    assert code == 0 and out == shipped
+
+
 def test_cli_compute_example1_text(capsys):
     code, out, _ = run_cli(capsys, "compute", "--builtin", "example1")
     assert code == 0

@@ -17,7 +17,7 @@ from sscurv.connection import semi_symmetric_torsion
 from sscurv.context import operator_derivative
 from sscurv.curvature import wedge
 from sscurv.solitons import _m61_rhs
-from sscurv.rat import format_rat, parse_rat
+from sscurv.rat import Rat, format_rat, format_rats, parse_rat
 from sscurv.tensor import DOWN, UP
 
 
@@ -27,10 +27,11 @@ def test_rat_lowest_terms_positive_denominator():
     assert rat("10/15") == rat(2, 3)
     assert format_rat(rat(-14, 7)) == "-2"
     assert format_rat(rat(3, 9)) == "1/3"
-    # x / den, not reduced, is written in lowest terms.
-    assert format_rat(rat(-1, 3), 6) == "-1/18" and format_rat(rat(5, 2), 10) == "1/4"
-    for x, den in product(range(-24, 25), range(1, 25)):
-        assert format_rat(x, den) == str(Fraction(x, den))
+    assert format_rat(-5) == "-5"
+    # p / den, not reduced, is written in lowest terms.
+    assert format_rats([-3, 25, 0], 18) == ["-1/6", "25/18", "0"]
+    for den in range(1, 25):
+        assert format_rats(range(-24, 25), den) == [str(Fraction(x, den)) for x in range(-24, 25)]
 
 
 def test_rat_rejects_floats():
@@ -38,6 +39,15 @@ def test_rat_rejects_floats():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(1, 2.0)
+
+
+def test_rat_returns_a_rat_unchanged():
+    x = rat(-7, 3)
+    assert rat(x) is x
+    assert type(rat(5)) is Rat and rat(5) == 5 and rat("-6/4") == rat(-3, 2)
+    assert rat(x, 2) == rat(-7, 6)
+    with pytest.raises(TypeError):
+        rat(-2.5)
     with pytest.raises(ValueError):
         parse_rat("0.5e3")
 

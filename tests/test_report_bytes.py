@@ -6,17 +6,21 @@ kernels must reproduce those reports byte for byte: exact arithmetic leaves
 no room for a sum taken in another order to differ.
 """
 
+import gc
 import hashlib
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import DIM, c_rows_of, oracle_inverse
 from sscurv import (BUILTIN_NAMES, DistinguishedField, FrameAlgebra, FuzzConfig,
                     GeometrySpec, MetricFrame, ProbeContext, ScalarJet, SolitonKind,
                     SolitonProblem, Tensor, build_report, builtin, constant_sectional, fuzz,
                     proof_step_probes, rat, residual, run_suite)
+from sscurv.geomio import dumps_json
 from sscurv.report import emit_report, serialize_value, verdict_to_dict
 from sscurv.tensor import DOWN, UP
 
@@ -324,3 +328,49 @@ def test_constant_sectional_bytes(name):
            for kind, bundle in (("lc", ctx.lc_bundle), ("ssnmc", ctx.hat_bundle))}
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SECTIONAL_DIGESTS[name], (name, text)
+
+
+# -- the JSON writer --------------------------------------------------------
+#
+# Every digest above goes through geomio.dumps_json; these tests hold it to
+# json.dumps(indent=2) on any report-shaped tree, not only on the pinned ones.
+
+_awkward_text = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f az\u00e9\u2028\u20ac\U0001f600'))
+_report_leaves = (st.none() | st.booleans() | st.integers()
+                  | st.integers(-10 ** 60, 10 ** 60) | st.text() | _awkward_text)
+_report_trees = st.recursive(
+    _report_leaves,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(st.text() | _awkward_text, kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=150)
+@given(_report_trees)
+@example(["0", "1/2", 3, True, "-1"])
+@example([True, 1, False, 0, None, -0])
+@example({"": [], "e": {}, "n": [[], [[]], {"x": {}}], "t": ("a", ("b",))})
+def test_writer_matches_json_dumps_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, ["1", 2.0], {1, 2}, b"x", ["a", b"x"], object(), {1: "a"}, {"k": {None: 0}},
+], ids=["float", "float-in-row", "set", "bytes", "bytes-in-row", "object", "int-key",
+        "none-key"])
+def test_writer_refuses_non_report_values(value):
+    with pytest.raises(TypeError):
+        dumps_json(value)
+
+
+def test_writer_leaves_no_reference_cycles():
+    doc = run_suite(builtin("example1"), "all")
+    emit_report(doc, "json")
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(3):
+            emit_report(doc, "json")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
