@@ -100,6 +100,9 @@ class ProbeContext:
     """
 
     _last: ProbeContext | None = None  # the context of the spec last asked about
+    # (problem, residual) of the soliton problem last asked about, kept by
+    # solitons under the same rule: identity decides, and a problem is frozen.
+    last_residual: tuple | None = None
 
     def __init__(self, spec: GeometrySpec):
         self.spec = spec

@@ -5,8 +5,10 @@ are rejected outright since the engine admits no rounding. Structure
 constants are a list of {i, j, k, value} entries for C^k_ij with 1-based
 indices; conflicts are diagnosed field by field and FrameAlgebra.from_entries
 fills in each antisymmetric partner. serialize_value, which reports use too,
-writes rationals and tensors as canonical (nested) strings, and dumps_json,
-the one JSON writer of reports and geometry files, writes the result.
+writes rationals and tensors as canonical (nested) strings, and, given a
+report's memo, one shared nested list per distinct tensor. dumps_json, the
+one JSON writer of reports and geometry files, writes the result and renders
+each list object once per indent, however often the tree holds it.
 """
 
 from __future__ import annotations
@@ -184,14 +186,23 @@ def load_jet(path: str | Path, dim: int) -> ScalarJet:
     return jet_from_dict(_read_json(path), dim, path=str(path), field="jet")
 
 
-def serialize_value(value):
-    """Rationals to strings, tensors to nested lists, dicts recursively."""
+def serialize_value(value, memo: dict | None = None):
+    """Rationals to strings, tensors to nested lists, dicts recursively.
+
+    Given a memo, a dict that one report owns, equal tensors come out as one
+    shared nested list: the memo maps each tensor value to its serialisation.
+    """
     if value is None:
         return None
     if isinstance(value, Tensor):
-        return _nested(value)
+        if memo is None:
+            return _nested(value)
+        out = memo.get(value)
+        if out is None:
+            out = memo[value] = _nested(value)
+        return out
     if isinstance(value, dict):
-        return {k: serialize_value(value[k]) for k in sorted(value)}
+        return {k: serialize_value(value[k], memo) for k in sorted(value)}
     return format_rat(value)
 
 
@@ -233,17 +244,22 @@ def dumps_json(value) -> str:
     Report values are str, int, bool, None, lists and tuples of them, and
     dicts with str keys; anything else, a float included, raises TypeError.
     Strings are escaped by the stdlib's C escaper, as json.dumps does by
-    default, and a list of strings (a tensor row) is written in one join,
-    so no output goes through json's pure-Python indenting encoder.
+    default. A list of strings (a tensor row) is written in one join and a
+    list of such rows (a matrix) in one pass, so no output goes through
+    json's pure-Python indenting encoder. Each list object is rendered once
+    per indent: a report that shares one list between equal tensors writes
+    its text once and copies it.
     """
     parts: list[str] = []
-    _write_json(value, parts, "\n")
+    _write_json(value, parts, "\n", {})
     return "".join(parts)
 
 
-def _write_json(value, parts: list[str], newline: str) -> None:
+def _write_json(value, parts: list[str], newline: str, written: dict) -> None:
     # Recursion with the output list passed in: a self-referencing closure
     # would be a reference cycle holding every chunk until cyclic GC runs.
+    # written maps (id(list), newline) to the list's text; the tree keeps
+    # every list alive for the whole call, so no id is reused within it.
     if isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
@@ -258,19 +274,11 @@ def _write_json(value, parts: list[str], newline: str) -> None:
         if not value:
             parts.append("[]")
             return
-        inner = newline + "  "
-        if isinstance(value[0], str):  # a row of strings, the common case
-            try:
-                parts.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
-                return
-            except TypeError:  # a later item is not a string
-                pass
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _write_json(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "]")
+        key = (id(value), newline)
+        text = written.get(key)
+        if text is None:
+            text = written[key] = _list_text(value, newline, written)
+        parts.append(text)
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -280,9 +288,40 @@ def _write_json(value, parts: list[str], newline: str) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, got {type(key).__name__}")
-            parts.append(sep + _quote(key) + ": ")
-            _write_json(item, parts, inner)
+            if isinstance(item, str):  # no call for a string or count field
+                parts.append(sep + _quote(key) + ": " + _quote(item))
+            elif type(item) is int:  # not bool, whose type is bool
+                parts.append(sep + _quote(key) + ": " + int.__repr__(item))
+            else:
+                parts.append(sep + _quote(key) + ": ")
+                _write_json(item, parts, inner, written)
             sep = "," + inner
         parts.append(newline + "}")
     else:
         raise TypeError(f"{type(value).__name__} is not a report value")
+
+
+def _list_text(value, newline: str, written: dict) -> str:
+    """The text of a non-empty list or tuple whose closing bracket sits after newline."""
+    inner = newline + "  "
+    first = value[0]
+    try:
+        if isinstance(first, str):  # a row of strings, the common case
+            return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+        if type(first) is list and first and isinstance(first[0], str):  # a matrix
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            rows = ["[" + row_inner + row_sep.join(map(_quote, row)) + inner + "]"
+                    for row in value if type(row) is list and row]
+            if len(rows) == len(value):
+                return "[" + inner + ("," + inner).join(rows) + newline + "]"
+    except TypeError:  # an item is not a string: write it item by item
+        pass
+    parts: list[str] = []
+    sep = "[" + inner
+    for item in value:
+        parts.append(sep)
+        _write_json(item, parts, inner, written)
+        sep = "," + inner
+    parts.append(newline + "]")
+    return "".join(parts)

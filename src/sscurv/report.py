@@ -8,6 +8,9 @@ json.dumps(report, indent=2)). No timestamps, no environment data, no set
 iteration anywhere.
 compute_tables and build_report take a GeometrySpec and read its shared
 context.ProbeContext, so they recompute nothing a probe already built.
+build_report serialises each distinct tensor once: one memo, which lives for
+that call only, gives equal tensors in its tables and probe sides one shared
+nested list, so deep-copy a report before mutating it.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ def validation_to_dict(report: ValidationReport) -> dict:
     }
 
 
-def probe_to_dict(result: ProbeResult) -> dict:
+def probe_to_dict(result: ProbeResult, memo: dict | None = None) -> dict:
+    """A probe verdict, serialised; a report's memo shares equal tensors' lists."""
     return {
         "id": result.probe_id,
         "status": result.status.value,
-        "lhs": serialize_value(result.lhs),
-        "rhs": serialize_value(result.rhs),
+        "lhs": serialize_value(result.lhs, memo),
+        "rhs": serialize_value(result.rhs, memo),
         "max_abs_deviation": format_rat(result.max_abs_deviation),
         "note": result.note,
     }
@@ -76,32 +80,33 @@ def verdict_to_dict(problem: SolitonProblem, verdict: SolitonVerdict,
     return out
 
 
-def compute_tables(spec: GeometrySpec) -> dict:
-    """The full computed apparatus of a spec, serialized."""
+def compute_tables(spec: GeometrySpec, memo: dict | None = None) -> dict:
+    """The full computed apparatus of a spec, serialized; a report's memo
+    shares equal tensors' lists."""
     ctx = ProbeContext.of(spec)
     blc, bhat = ctx.lc_bundle, ctx.hat_bundle
     return {
-        "structure_constants": serialize_value(spec.frame.c),
-        "metric": serialize_value(spec.metric.g),
-        "xi": serialize_value(spec.distinguished.xi),
-        "psi": serialize_value(spec.distinguished.psi),
+        "structure_constants": serialize_value(spec.frame.c, memo),
+        "metric": serialize_value(spec.metric.g, memo),
+        "xi": serialize_value(spec.distinguished.xi, memo),
+        "psi": serialize_value(spec.distinguished.psi, memo),
         "xi_unit": ctx.validation.unit_xi,
         "xi_parallel": ctx.parallel,
-        "levi_civita": serialize_value(ctx.lc.gamma),
-        "ssnmc": serialize_value(ctx.hat.gamma),
-        "torsion_ssnmc": serialize_value(ctx.torsion_hat),
-        "non_metricity_ssnmc": serialize_value(ctx.non_metricity_hat),
-        "alpha_star": serialize_value(ctx.alpha),
-        "riemann_lc": serialize_value(blc.riemann),
-        "ricci_lc": serialize_value(blc.ricci),
+        "levi_civita": serialize_value(ctx.lc.gamma, memo),
+        "ssnmc": serialize_value(ctx.hat.gamma, memo),
+        "torsion_ssnmc": serialize_value(ctx.torsion_hat, memo),
+        "non_metricity_ssnmc": serialize_value(ctx.non_metricity_hat, memo),
+        "alpha_star": serialize_value(ctx.alpha, memo),
+        "riemann_lc": serialize_value(blc.riemann, memo),
+        "ricci_lc": serialize_value(blc.ricci, memo),
         "scalar_lc": format_rat(blc.scalar),
-        "ricci_operator_lc": serialize_value(blc.ricci_op),
-        "riemann_ssnmc": serialize_value(bhat.riemann),
-        "ricci_ssnmc": serialize_value(bhat.ricci),
+        "ricci_operator_lc": serialize_value(blc.ricci_op, memo),
+        "riemann_ssnmc": serialize_value(bhat.riemann, memo),
+        "ricci_ssnmc": serialize_value(bhat.ricci, memo),
         "scalar_ssnmc": format_rat(bhat.scalar),
-        "ricci_operator_ssnmc": serialize_value(bhat.ricci_op),
-        "constant_sectional_lc": serialize_value(constant_sectional(blc, spec.metric)),
-        "constant_sectional_ssnmc": serialize_value(constant_sectional(bhat, spec.metric)),
+        "ricci_operator_ssnmc": serialize_value(bhat.ricci_op, memo),
+        "constant_sectional_lc": serialize_value(constant_sectional(blc, spec.metric), memo),
+        "constant_sectional_ssnmc": serialize_value(constant_sectional(bhat, spec.metric), memo),
     }
 
 
@@ -121,9 +126,10 @@ def build_report(spec: GeometrySpec, *, suite: str | None = None,
     }
     if suite is not None:
         report["suite"] = suite
+    memo: dict = {}  # tensor -> its nested list, for this report only
     if include_tables:
-        report["tables"] = compute_tables(spec)
-    report["probes"] = [probe_to_dict(r) for r in probes]
+        report["tables"] = compute_tables(spec, memo)
+    report["probes"] = [probe_to_dict(r, memo) for r in probes]
     report["solitons"] = list(solitons)
     return report
 
@@ -150,7 +156,7 @@ def _fmt_matrix(rows, indent="  "):
 
 
 def _fmt_connection_table(nested, label):
-    # nested[k][i][j] = Gamma^k_ij; print nabla_ated rows "e_i e_j -> sum".
+    # nested[k][i][j] = Gamma^k_ij; print one line "nabla_ei ej = sum" per (i, j).
     dim = len(nested)
     lines = [f"{label} (rows nabla_(e_i) e_j):"]
     for i in range(dim):

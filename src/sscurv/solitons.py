@@ -10,6 +10,8 @@ The hat Hessian follows the vector-gradient convention
 which is symmetric for every consistent jet. Each public function takes a
 GeometrySpec and works in its shared context.ProbeContext, so a residual,
 its proof steps and a report on one spec object validate and build once.
+The context also keeps the residual of the last problem object asked about,
+so proof_step_probes after residual on the same problem reuses it.
 """
 
 from __future__ import annotations
@@ -94,9 +96,18 @@ def hat_hessian(jet: ScalarJet, spec: GeometrySpec) -> Tensor:
     return hess + spec.metric.g.scale(xi_derivative(jet, spec.distinguished))
 
 
-def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
-    """The residual of the soliton equation on a context that must be valid."""
+def _kept_residual(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
+    """The residual of problem on a context that must be valid, computed once
+    per problem object: the context keeps the last one, matched by identity."""
     ctx.require_valid()
+    kept = ctx.last_residual  # read once, as ProbeContext.of reads its context
+    if kept is None or kept[0] is not problem:
+        kept = ctx.last_residual = (problem, _residual_tensor(ctx, problem))
+    return kept[1]
+
+
+def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
+    """The residual of the soliton equation on a valid context."""
     g, bundle, lam, jet = ctx.spec.metric.g, ctx.hat_bundle, problem.lam, problem.jet
     hess = hat_hessian(jet, ctx.spec)
     if problem.kind is SolitonKind.RICCI:
@@ -114,7 +125,7 @@ def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
 def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:
     """Exact residual of the soliton equation on a valid spec, with
     classification and, when the equation holds, the conclusion checks."""
-    res = _residual_tensor(ProbeContext.of(spec), problem)
+    res = _kept_residual(ProbeContext.of(spec), problem)
     is_soliton = res.is_zero()
     checks = conclusion_check(spec, problem) if is_soliton else ()
     return SolitonVerdict(res, is_soliton, classify(problem.lam), tuple(checks))
@@ -199,7 +210,7 @@ def proof_step_probes(spec: GeometrySpec, problem: SolitonProblem) -> list[Probe
     on a valid spec."""
     ids = PROOF_STEP_IDS[problem.kind]
     ctx = ProbeContext.of(spec)
-    if not _residual_tensor(ctx, problem).is_zero():
+    if not _kept_residual(ctx, problem).is_zero():
         return [ProbeResult(pid, ProbeStatus.SKIPPED, None, None, ZERO,
                             note="hypothesis: soliton equation not satisfied")
                 for pid in ids]

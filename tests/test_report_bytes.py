@@ -344,12 +344,36 @@ _report_trees = st.recursive(
                   | st.dictionaries(st.text() | _awkward_text, kids, max_size=5)),
     max_leaves=40)
 
+# Near-matrices: lists of rows where a row may be empty, a tuple, mixed
+# str/int, or nested one level deeper, next to plain rows of strings.
+_cells = (st.text(max_size=3) | _awkward_text | st.integers(-5, 5)
+          | st.lists(st.text(max_size=2), max_size=2))
+_rows = (st.lists(st.text(max_size=3) | _awkward_text, max_size=4)
+         | st.lists(st.text(max_size=3), max_size=4).map(tuple)
+         | st.lists(_cells, max_size=4))
+_matrices = st.lists(_rows, min_size=1, max_size=4)
+_SHARED_ROW = ["1", "-1/2"]
 
-@settings(max_examples=150)
-@given(_report_trees)
+
+@st.composite
+def _trees_sharing_a_list(draw):
+    """A tree that holds one list object twice, at one depth or at two."""
+    shared = draw(_matrices | st.lists(_report_trees, min_size=1, max_size=4))
+    other = draw(_report_trees)
+    if draw(st.booleans()):
+        return [shared, other, shared]
+    return {"a": shared, "b": [other, {"c": shared}], "d": [[shared]]}
+
+
+@settings(max_examples=300)
+@given(_report_trees | _matrices | _trees_sharing_a_list())
 @example(["0", "1/2", 3, True, "-1"])
 @example([True, 1, False, 0, None, -0])
 @example({"": [], "e": {}, "n": [[], [[]], {"x": {}}], "t": ("a", ("b",))})
+@example([["a", "b"], [], ("c",), ["d", 1], [["e"]], ["f"]])
+@example([["a"], "b"])
+@example([["a"], {"b": "c"}])
+@example({"x": _SHARED_ROW, "y": [_SHARED_ROW, [_SHARED_ROW]], "z": [[_SHARED_ROW]] * 2})
 def test_writer_matches_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
 
@@ -361,6 +385,35 @@ def test_writer_matches_json_dumps_indent_2(value):
 def test_writer_refuses_non_report_values(value):
     with pytest.raises(TypeError):
         dumps_json(value)
+
+
+def _lists(value):
+    """Every list object in a report tree, depth first."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _lists(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from _lists(item)
+
+
+def test_one_report_shares_each_distinct_tensor_list():
+    doc = run_suite(builtin("h2xr"), "all")
+    b3 = next(p for p in doc["probes"] if p["id"] == "B3")
+    assert b3["lhs"] is doc["tables"]["riemann_ssnmc"]
+    for p in doc["probes"]:  # a passing tensor probe has equal sides: one list
+        if p["status"] == "pass" and isinstance(p["lhs"], list):
+            assert p["lhs"] is p["rhs"], p["id"]
+    assert json.loads(emit_report(doc, "json")) == doc
+
+
+def test_no_list_outlives_its_report():
+    spec = builtin("h2xr")
+    first, second = run_suite(spec, "all"), run_suite(spec, "all")
+    assert emit_report(first, "json") == emit_report(second, "json")
+    seen = {id(x) for x in _lists(first)}
+    assert not any(id(x) in seen for x in _lists(second))
 
 
 def test_writer_leaves_no_reference_cycles():

@@ -313,3 +313,43 @@ def test_report_and_soliton_checks_on_one_spec_build_once(monkeypatch):
         residual(spec, problem)
         proof_step_probes(spec, problem)
     assert (len(validations), len(builds), len(bundles)) == (1, 1, 2)
+
+
+def test_proof_steps_reuse_the_residual_of_the_same_problem(monkeypatch):
+    # The context keeps the residual of the last problem object, matched by
+    # identity: residual then proof_step_probes computes it once, an equal
+    # but distinct problem or another spec computes it afresh.
+    import sscurv.solitons
+    kernel = count_calls(monkeypatch, sscurv.solitons, "_residual_tensor")
+    spec = builtin("h2xr")
+    problem = SolitonProblem(SolitonKind.YAMABE, rat(0), zero_jet())
+    verdict = residual(spec, problem)
+    steps = proof_step_probes(spec, problem)
+    assert verdict.is_soliton and [r.status for r in steps] == [ProbeStatus.PASS]
+    assert len(kernel) == 1
+
+    twin = SolitonProblem(SolitonKind.YAMABE, rat(0), zero_jet())
+    assert twin == problem and twin is not problem
+    assert proof_step_probes(spec, twin) == steps
+    assert len(kernel) == 2
+
+    other = builtin("h2xr")
+    assert residual(other, twin) == verdict
+    assert len(kernel) == 3
+
+    # A kept residual answers only for its own problem, never another kind.
+    ricci = SolitonProblem(SolitonKind.RICCI, rat(0), zero_jet())
+    assert residual(other, ricci).residual != verdict.residual
+    assert len(kernel) == 4
+
+
+def test_proof_steps_on_an_invalid_spec_still_raise():
+    from sscurv import GeometryError
+    # [e1,e2] = e3 with [e1,e3] = e1 breaks Jacobi.
+    spec = make_spec("bad", {(2, 0, 1): 1, (0, 0, 2): 1})
+    problem = SolitonProblem(SolitonKind.YAMABE, rat(0), zero_jet())
+    for _ in range(2):  # a failed check keeps no residual to answer with
+        with pytest.raises(GeometryError):
+            proof_step_probes(spec, problem)
+    with pytest.raises(GeometryError):
+        residual(spec, problem)
