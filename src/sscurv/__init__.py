@@ -31,10 +31,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "probes": ("DISCREPANCY_PROBES", "GENERAL_SUITE", "PARALLEL_SUITE", "PROBE_ORDER",
                "SUITES", "run_probe"),
     "rat": ("Rat", "format_rat", "parse_rat", "rat"),
-    "report": ("build_report", "emit_report", "exit_code", "geometry_digest"),
+    "report": ("build_report", "emit_report", "exit_code"),
     "solitons": ("NamedCheck", "SolitonKind", "SolitonProblem", "SolitonVerdict", "classify",
-                 "conclusion_check", "hat_hessian", "proof_step_probes", "residual",
-                 "xi_derivative"),
+                 "conclusion_check", "hat_hessian", "proof_step_probes", "residual"),
     "suite": ("DEFAULT_POOL", "FuzzConfig", "fuzz", "run_suite"),
     "tensor": ("DOWN", "UP", "Tensor"),
 }

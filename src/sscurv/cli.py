@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 all checks pass or skip (paper-mismatch tolerated unless
---strict), 1 unexpected failure (or mismatch under --strict), 2 input or
-validation error.
+--strict), 1 unexpected failure (or mismatch under --strict), 2 input,
+validation or file error.
 
 The module level imports what the parser needs and the modules that load
 with it; each command imports the rest (reports, geometry files, the probe
@@ -215,6 +215,9 @@ def main(argv=None) -> int:
         return 2
     except SscurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

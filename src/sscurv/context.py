@@ -3,9 +3,11 @@
 This is what the soliton checks, the reports and the CLI need of the probes:
 ProbeContext, which validates a spec and builds each connection and
 curvature once, and which every public function finds by ProbeContext.of;
-the verdict types and judge, the one rule that turns a computed lhs/rhs pair
-into pass, fail or paper-mismatch; and the names of the probe suites. The
-probe registry and the suites live in probes, which a soliton check never loads.
+ProbeContext.unmet, the one decider of the paper's class, whose entries give
+both the probe skip notes and the soliton out-of-scope reasons; the verdict
+types and judge, the one rule that turns a computed lhs/rhs pair into pass,
+fail or paper-mismatch; and the names of the probe suites. The probe
+registry and the suites live in probes, which a soliton check never loads.
 """
 
 from __future__ import annotations
@@ -167,16 +169,25 @@ class ProbeContext:
         return is_parallel(self.lc, self.spec.distinguished)
 
     @cached_property
-    def unmet(self) -> dict[str, str]:
-        """The skip note of each hypothesis this geometry fails, by name."""
-        unmet = {}
-        if not self.parallel:
-            unmet["unit-parallel-xi"] = "parallel-xi hypothesis fails: nabla xi != 0"
-        elif not self.validation.unit_xi:
-            unmet["unit-parallel-xi"] = "unit-xi hypothesis fails: g(xi, xi) != 1"
+    def unmet(self) -> dict[str, tuple[str, tuple[str, ...]]]:
+        """Each hypothesis of the paper's class this geometry fails, by name and
+        in order, as (probe skip note, the reasons a soliton conclusion names).
+
+        The one decider of the class: run_probe skips on the notes and
+        solitons.conclusion_check names the reasons. psi = 0 (xi = 0) means xi
+        is parallel and not unit, so it is a reason of unit-parallel-xi.
+        """
+        unmet, unit = {}, self.validation.unit_xi
+        if not (self.parallel and unit):
+            reasons = tuple(reason for reason, fails in (
+                ("psi = 0", self.validation.degenerate_xi), ("xi not unit", not unit),
+                ("xi not parallel", not self.parallel)) if fails)
+            unmet["unit-parallel-xi"] = (
+                "unit-xi hypothesis fails: g(xi, xi) != 1" if self.parallel
+                else "parallel-xi hypothesis fails: nabla xi != 0", reasons)
         if self.dim != 3:
             unmet["dim-3"] = ("dim-3 hypothesis fails: derived in dimension 3 only, "
-                              f"got dim {self.dim}")
+                              f"got dim {self.dim}", (f"dim {self.dim} != 3",))
         return unmet
 
     # Shorthand accessors used all over the probe bodies.

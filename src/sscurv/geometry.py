@@ -300,9 +300,10 @@ class ValidationReport(Record):
 def validate(spec: GeometrySpec) -> ValidationReport:
     """Verify the standing structural hypotheses; failures are reported, not raised.
 
-    Unit xi is recorded as a capability flag rather than a failure: probes
-    that need it refuse to run otherwise. psi = 0 (xi = 0) is accepted too,
-    flagged degenerate; it gives the useful "hatted equals unhatted" limit.
+    Unit xi is recorded as a capability flag rather than a failure:
+    ProbeContext.unmet reads it to decide whether a geometry is in the
+    paper's class. psi = 0 (xi = 0) is accepted too, flagged degenerate; it
+    gives the useful "hatted equals unhatted" limit.
     """
     checks = []
 

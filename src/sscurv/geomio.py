@@ -167,13 +167,17 @@ def jet_from_dict(data, dim: int, *, path: str | None = None,
 
 
 def _read_json(path: Path):
-    if not path.exists():
-        raise InputError("file not found", path=str(path))
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InputError("file not found", path=str(path)) from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text at byte {exc.start}", path=str(path)) from None
+    except OSError as exc:
+        raise InputError(f"cannot read: {exc.strerror}", path=str(path)) from None
 
 
 def load_geometry(path: str | Path) -> LoadedGeometry:

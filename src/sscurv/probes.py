@@ -223,7 +223,7 @@ def run_probe(spec: GeometrySpec, probe_id: str) -> ProbeResult:
         defn = REGISTRY[probe_id]
     except KeyError:
         raise UnknownProbeError(f"unknown probe id {probe_id!r}") from None
-    skip = [note for hyp, note in ctx.unmet.items() if hyp in defn.requires]
+    skip = [note for hyp, (note, _) in ctx.unmet.items() if hyp in defn.requires]
     if not skip:
         try:
             lhs, rhs = defn.fn(ctx)

@@ -131,25 +131,12 @@ def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:
     return SolitonVerdict(res, is_soliton, classify(problem.lam), tuple(checks))
 
 
-def _hypothesis_failures(ctx: ProbeContext) -> list[str]:
-    reasons = []
-    if ctx.validation.degenerate_xi:
-        reasons.append("psi = 0")
-    if not ctx.validation.unit_xi:
-        reasons.append("xi not unit")
-    if not ctx.parallel:
-        reasons.append("xi not parallel")
-    if ctx.spec.dim != 3:
-        reasons.append(f"dim {ctx.spec.dim} != 3")
-    return reasons
-
-
 def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedCheck]:
     """Evaluate the cataloged conclusion disjunction on a spec.
 
-    When the disjunction fails on a geometry that violates the standing
-    unit-parallel-xi and dim-3 hypotheses, the failure is annotated as out
-    of scope rather than treated as a counterexample.
+    When the disjunction fails on a geometry outside the paper's class, the
+    failure is annotated as out of scope rather than treated as a
+    counterexample, naming the reasons of each hypothesis in ProbeContext.unmet.
     """
     ctx = ProbeContext.of(spec)
     bundle = ctx.hat_bundle
@@ -185,11 +172,10 @@ def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedC
         holds = expanding or kappa is not None
 
     note = ""
-    if not holds:
-        reasons = _hypothesis_failures(ctx)
-        if reasons:
-            note = ("conclusion disjunct not satisfied; geometry outside the "
-                    f"standing hypotheses ({', '.join(reasons)})")
+    if not holds and ctx.unmet:
+        reasons = [r for _, hyp_reasons in ctx.unmet.values() for r in hyp_reasons]
+        note = ("conclusion disjunct not satisfied; geometry outside the "
+                f"standing hypotheses ({', '.join(reasons)})")
     checks.append(NamedCheck("conclusion", holds, note))
     return checks
 

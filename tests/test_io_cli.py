@@ -317,6 +317,21 @@ def test_cli_missing_file_exit_2(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--geometry", "{dir}"),
+    ("validate", "--geometry", "{latin1}"),
+    ("soliton", "--builtin", "flat", "--type", "ricci", "--lambda", "0", "--jet", "{dir}"),
+    ("compute", "--builtin", "flat", "--out", "{dir}/missing/r.json"),
+    ("builtin", "flat", "--out", "{dir}/missing/x.json"),
+], ids=["geometry-dir", "geometry-not-utf8", "jet-dir", "compute-out", "builtin-out"])
+def test_cli_file_errors_exit_2_in_one_line(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code, _, err = run_cli(capsys, *(a.format(dir=tmp_path, latin1=latin1) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
 def test_cli_soliton_yamabe(capsys):
     code, out, _ = run_cli(capsys, "soliton", "--builtin", "h2xr",
                            "--type", "yamabe", "--lambda", "0", "--format", "json")

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 
 from conftest import geometries, make_spec
 from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, DistinguishedField,
-                    FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, SscurvError,
-                    Tensor, UnknownProbeError, builtin, rat, run_suite)
+                    FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, ScalarJet,
+                    SolitonKind, SolitonProblem, SscurvError, Tensor, UnknownProbeError,
+                    builtin, conclusion_check, rat, run_suite)
 from sscurv.probes import DISCREPANCY_PROBES, REGISTRY, ProbeContext, run_probe
 
 
@@ -125,13 +126,16 @@ def test_suites_follow_the_requires_sets():
         "B10", "B15", "B17", "B18", "B22", "CFLAT"}
 
 
-def test_every_unmet_hypothesis_is_named_in_order():
-    # The hyperbolic plane with xi = e2: nabla xi != 0 and dim 2.
+def _h2(xi):
+    # The hyperbolic plane, [e1, e2] = -e1, with the identity metric.
     frame = FrameAlgebra.from_entries(2, {(0, 0, 1): rat(-1)})
     metric = MetricFrame.identity(2)
-    spec = GeometrySpec("h2", frame, metric,
-                        DistinguishedField.from_xi(Tensor.vector([0, 1]), metric))
-    results = statuses(spec)
+    return GeometrySpec("h2", frame, metric, DistinguishedField.from_xi(Tensor.vector(xi), metric))
+
+
+def test_every_unmet_hypothesis_is_named_in_order():
+    # The hyperbolic plane with xi = e2: nabla xi != 0 and dim 2.
+    results = statuses(_h2([0, 1]))
     assert results["B10"].note == ("parallel-xi hypothesis fails: nabla xi != 0; "
                                    "dim-3 hypothesis fails: derived in dimension 3 only, "
                                    "got dim 2")
@@ -139,6 +143,35 @@ def test_every_unmet_hypothesis_is_named_in_order():
     assert results["CFLAT"].status is ProbeStatus.SKIPPED
     for pid in ("A1", "B2", "B3", "BIANCHI"):
         assert results[pid].status is ProbeStatus.PASS, pid
+    # xi = 2e2 fails both halves of unit-parallel-xi: the note names the parallel half.
+    assert run_probe(_h2([0, 2]), "B10").note == results["B10"].note
+
+
+def test_probe_skips_and_soliton_reasons_come_from_unmet_alone():
+    spec = make_spec("flat", {})  # inside the paper's class: nothing unmet
+    ctx = ProbeContext.of(spec)
+    assert ctx.unmet == {}
+    ctx.__dict__["unmet"] = {"unit-parallel-xi": ("note a", ("reason a",)),
+                             "dim-3": ("note b", ("reason b", "reason c"))}
+    assert run_probe(spec, "B10").note == "note a; note b"
+    assert run_probe(spec, "B9").note == "note a"
+    assert run_probe(spec, "CFLAT").note == "note b"
+    assert run_probe(spec, "A1").status is ProbeStatus.PASS
+    # A Ricci problem with a nonconstant potential misses its one disjunct.
+    jet = ScalarJet(Tensor.covector([0, 0, 0]), MetricFrame.identity(3).g)
+    problem = SolitonProblem(SolitonKind.RICCI, rat(0), jet)
+    assert conclusion_check(spec, problem)[-1].note == (
+        "conclusion disjunct not satisfied; geometry outside the standing hypotheses "
+        "(reason a, reason b, reason c)")
+    ctx.__dict__["unmet"] = {}
+    assert conclusion_check(spec, problem)[-1].note == ""
+    assert run_probe(spec, "B10").status is ProbeStatus.PAPER_MISMATCH
+
+
+def test_every_required_hypothesis_can_be_unmet():
+    # h2 with xi = e2 fails both hypotheses; a misspelled requires name would never skip.
+    ctx = ProbeContext.of(_h2([0, 1]))
+    assert set().union(*(d.requires for d in REGISTRY.values())) == set(ctx.unmet)
 
 
 def test_run_suite_general_example1():

@@ -165,17 +165,22 @@ def test_m_quasi_side_condition_reported():
     assert checks["side-condition-nonzero"].holds
 
 
-def _flat_r4():
+def _flat_r4(xi=(0, 0, 0, 1)):
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     return geometry_from_dict({"name": "r4", "dim": 4, "metric": eye,
-                               "xi": [0, 0, 0, 1]}).spec
+                               "xi": list(xi)}).spec
 
 
 @pytest.mark.parametrize("spec, lam, reason", [
     # example1: unit xi, not parallel; flat R^4: unit parallel xi in dim 4.
     (builtin("example1"), rat(-1), "xi not parallel"),
     (_flat_r4(), rat(2), "dim 4 != 3"),
-], ids=["example1", "flat-r4"])
+    # example1 with xi = 2e3 (r-hat = 10): neither unit nor parallel.
+    (make_spec("example1-2xi", {(0, 0, 2): -1, (1, 1, 2): -1}, xi=(0, 0, 2)), rat(9),
+     "xi not unit, xi not parallel"),
+    # flat R^4 with xi = 0 (r-hat = 0): every hypothesis but parallel xi fails.
+    (_flat_r4((0, 0, 0, 0)), rat(-1), "psi = 0, xi not unit, dim 4 != 3"),
+], ids=["example1", "flat-r4", "example1-2xi", "flat-r4-psi0"])
 def test_out_of_scope_note_names_the_unmet_hypothesis(spec, lam, reason):
     # The Yamabe soliton f = |x|^2 / 2 (d = 0, dd = I) misses every disjunct.
     n = spec.dim
