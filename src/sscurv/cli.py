@@ -97,9 +97,13 @@ def _cmd_compute(args) -> int:
 def _cmd_probe(args) -> int:
     from .report import emit_report, exit_code
     from .suite import run_suite
+    ids = None
+    if args.ids is not None:
+        ids = tuple(x.strip() for x in args.ids.split(","))
+        if not all(ids):
+            raise InputError(f"empty probe id in --ids {args.ids!r}")
     spec, notes = _resolve_geometry(args)
     _validate_or_die(spec, notes, args)
-    ids = tuple(x.strip() for x in args.ids.split(",")) if args.ids else None
     doc = run_suite(spec, args.suite, ids=ids, include_tables=args.tables)
     if notes:
         doc["notes"] = notes

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
-                         non_metricity, ssnmc, torsion)
+                         non_metricity, semi_symmetric_torsion, ssnmc, torsion)
 from .curvature import CurvatureBundle, conformal, curvature
 from .errors import GeometryError
 from .geometry import GeometrySpec, ValidationReport, validate
@@ -147,6 +147,11 @@ class ProbeContext:
     @cached_property
     def alpha(self) -> Tensor:
         return alpha_star(self.lc, self.spec.distinguished)
+
+    @cached_property
+    def torsion_shape(self) -> Tensor:
+        """psi(V)U - psi(U)V, the semi-symmetric torsion shape that A1 and B11 compare to."""
+        return semi_symmetric_torsion(self.spec.distinguished)
 
     @cached_property
     def torsion_hat(self) -> Tensor:

@@ -13,9 +13,9 @@ substituted from a cross-relation.
 
 curvature() is a fraction-free integer kernel: it reads its inputs' integer
 numerators and denominators (see tensor), accumulates in plain ints and
-divides once per tensor. wedge(a, Q) is the shape a(V, Y) QU - a(U, Y) QV
-behind the projective, conformal and constant-curvature forms: a tensor
-product and two slot permutations. constant_sectional() decides
+divides once per tensor. wedge(a, Q), the shape a(V, Y) QU - a(U, Y) QV
+behind the projective, conformal and constant-curvature forms, is one too:
+one pass over the nonzero numerators of a and Q. constant_sectional() decides
 R = kappa wedge(g) on the numerators, by cross-multiplication, and builds
 kappa as one rational. projective() and conformal() are wedge expressions
 with coefficients from the dimension n, and raise UnsupportedDimensionError
@@ -132,12 +132,37 @@ def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor
 def wedge(a: Tensor, q: Optional[Tensor] = None) -> Tensor:
     """The (1,3) tensor a(V, Y) QU - a(U, Y) QV: a_jk q^l_i - a_ik q^l_j at [l, k, i, j].
 
-    a is a (0,2) and q a (1,1) tensor; q=None stands for the Kronecker delta.
+    a is a (0,2) and q a (1,1) tensor of a's dim; q=None stands for the
+    Kronecker delta. Fraction-free: one pass over the nonzero numerators of
+    a and q adds each product a_jk q^l_i at [l, k, i, j] and subtracts it at
+    [l, k, j, i] (for i == j the two cancel), in one integer list over
+    a.den q.den that is divided once.
     """
+    if a.variance != (DOWN, DOWN):
+        raise ValenceError(f"wedge needs a (0,2) tensor a, got variance {a.variance}")
+    n = a.dim
+    if q is not None and (q.variance != (UP, DOWN) or q.dim != n):
+        raise ValenceError(f"wedge needs q a (1,1) tensor of dim {n}, "
+                           f"got variance {q.variance} in dim {q.dim}")
+    nn = n * n
+    n3 = nn * n
+    # Nonzero q^l_i as (offset of l in the value slot, i, value).
     if q is None:
-        q = Tensor.delta(a.dim)
-    x = q.tensor_product(a).permute((0, 3, 1, 2))
-    return x - x.permute((0, 1, 3, 2))
+        q_terms, den = [(l * n3, l, 1) for l in range(n)], a.den
+    else:
+        q_terms = [(flat // n * n3, flat % n, y) for flat, y in enumerate(q.nums) if y]
+        den = a.den * q.den
+    out = [0] * (n3 * n)
+    for flat, x in enumerate(a.nums):
+        if not x:
+            continue
+        j, k = flat // n, flat % n
+        for l3, i, y in q_terms:
+            if i != j:
+                base, prod = l3 + k * nn, x * y
+                out[base + i * n + j] += prod
+                out[base + j * n + i] -= prod
+    return Tensor.from_ints((UP, DOWN, DOWN, DOWN), n, out, den)
 
 
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:

@@ -18,9 +18,10 @@ g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .errors import DegenerateMetricError, ValenceError
-from .rat import ZERO, Rat, rat
+from .rat import Rat, rat
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -66,13 +67,22 @@ class FrameAlgebra(Record):
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict[tuple[int, int, int], Rat]) -> "FrameAlgebra":
-        """Build from 0-based {(k, i, j): value} with antisymmetric completion."""
-        comps = [ZERO] * dim ** 3
-        for (k, i, j), v in entries.items():
-            v = rat(v)
-            comps[(k * dim + i) * dim + j] = v
-            comps[(k * dim + j) * dim + i] = -v
-        return cls(dim, Tensor((UP, DOWN, DOWN), dim, comps))
+        """Build from 0-based {(k, i, j): value} with antisymmetric completion.
+
+        Each entry writes C^k_ij = v, then C^k_ji = -v, so a later entry
+        overwrites an earlier one and a diagonal entry reads -v. The values
+        are put over their lcm and written as integers.
+        """
+        if dim < 1:
+            raise ValenceError(f"dimension must be positive, got {dim}")
+        values = [rat(v) for v in entries.values()]
+        den = lcm(*[v.denominator for v in values])
+        nums = [0] * dim ** 3
+        for (k, i, j), v in zip(entries, values):
+            x = v.numerator * (den // v.denominator)
+            nums[(k * dim + i) * dim + j] = x
+            nums[(k * dim + j) * dim + i] = -x
+        return cls(dim, Tensor.from_ints((UP, DOWN, DOWN), dim, nums, den))
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
         """1-based (i, j, k) where C^k_ij != -C^k_ji, decided on the numerators of C."""

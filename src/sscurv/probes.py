@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .connection import semi_symmetric_torsion
 from .context import (ProbeContext, ProbeResult, ProbeStatus, Value, judge,
                       operator_derivative)
 from .curvature import projective, wedge
@@ -33,7 +32,7 @@ _RANK4 = (UP, DOWN, DOWN, DOWN)
 
 
 def _probe_a1(ctx: ProbeContext):
-    return ctx.torsion_hat, semi_symmetric_torsion(ctx.spec.distinguished)
+    return ctx.torsion_hat, ctx.torsion_shape
 
 
 def _probe_b2(ctx: ProbeContext):
@@ -78,7 +77,7 @@ def _probe_b10(ctx: ProbeContext):
 def _probe_b11(ctx: ProbeContext):
     # psi_j delta^l_i - psi_i delta^l_j is the semi-symmetric torsion shape.
     lhs = ctx.hat_bundle.riemann.contract_with(1, ctx.xi)
-    return lhs, semi_symmetric_torsion(ctx.spec.distinguished)
+    return lhs, ctx.torsion_shape
 
 
 def _probe_b12(ctx: ProbeContext):

@@ -10,8 +10,9 @@ numerators over one positive denominator, the components being
 nums[i] / den in row-major order, in canonical form: gcd(den, *nums) == 1,
 so den is the lcm of the reduced denominators and equal tensors have equal
 storage (== and hash read it directly). The integer kernels (Levi-Civita,
-torsion, non-metricity, curvature, validate's checks, the metric inverse)
-read nums and den, accumulate in plain ints and return through
+torsion, non-metricity, curvature, curvature.wedge, the structure constants
+of FrameAlgebra.from_entries, validate's checks, the metric inverse) read
+nums and den, accumulate in plain ints and return through
 Tensor.from_ints, the one trusted constructor, which divides out the gcd
 and makes den positive; the fraction-free division of Bareiss (Math. Comp.
 22, 1968) is done once per tensor.

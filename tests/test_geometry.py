@@ -9,9 +9,9 @@ from hypothesis import given
 from conftest import (DIM, c_rows_of, geometries, make_spec, oracle_inverse,
                       small_rats, tensor_to_rows)
 from sscurv import (DegenerateMetricError, FrameAlgebra, GeometrySpec, MetricFrame,
-                    ScalarJet, Tensor, builtin, gradient, rat, validate)
+                    ScalarJet, Tensor, ValenceError, builtin, gradient, rat, validate)
 from sscurv.geometry import jet_consistency_violations
-from sscurv.tensor import DOWN
+from sscurv.tensor import DOWN, UP
 
 
 def test_example1_validates():
@@ -77,6 +77,49 @@ def test_jacobi_triples_match_full_expansion(frame):
     # equal the 81-term (dim 3) expansion entry for entry, in order.
     assert not frame.antisymmetry_violations()
     assert frame.jacobi_violations() == brute_force_jacobi(frame)
+
+
+def rat_list_structure_constants(dim, entries):
+    """The Rat-list construction from_entries once had: each entry, then its mirror."""
+    comps = [rat(0)] * dim ** 3
+    for (k, i, j), v in entries.items():
+        v = rat(v)
+        comps[(k * dim + i) * dim + j] = v
+        comps[(k * dim + j) * dim + i] = -v
+    return Tensor((UP, DOWN, DOWN), dim, comps)
+
+
+@st.composite
+def structure_entries(draw):
+    """Any 0-based (k, i, j) keys in dims 1-4, diagonal and mirrored pairs
+    included, with values of mixed denominators given as Rat, int or string."""
+    n = draw(st.integers(1, 4), label="dim")
+    index = st.integers(0, n - 1)
+    fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    value = st.one_of(fracs.map(rat), st.integers(-9, 9), fracs.map(str))
+    return n, draw(st.dictionaries(st.tuples(index, index, index), value, max_size=12),
+                   label="entries")
+
+
+@given(structure_entries(), st.data())
+def test_from_entries_matches_rat_list_construction(case, data):
+    n, entries = case
+    c = FrameAlgebra.from_entries(n, entries).c
+    assert c == rat_list_structure_constants(n, entries)
+    assert c.variance == (UP, DOWN, DOWN) and c.dim == n
+    if entries:
+        key = data.draw(st.sampled_from(sorted(entries)), label="float at")
+        with pytest.raises(TypeError):
+            FrameAlgebra.from_entries(n, {**entries, key: 0.5})
+    with pytest.raises(ValenceError):
+        FrameAlgebra.from_entries(0, {})
+
+
+def test_from_entries_writes_the_mirror_second():
+    c = FrameAlgebra.from_entries(2, {(0, 1, 1): rat(3), (1, 0, 1): rat(1, 2),
+                                      (1, 1, 0): rat(5)}).c
+    assert c[0, 1, 1] == -3
+    assert c[1, 1, 0] == 5 and c[1, 0, 1] == -5 and c.den == 1
 
 
 def test_jacobi_non_antisymmetric_keeps_repeated_indices():

@@ -255,6 +255,13 @@ def test_cli_probe_ids_subset(capsys):
     assert "unknown probe ids: NOPE" in err
 
 
+@pytest.mark.parametrize("ids", ("B2,,B3", ",", "", " , B2"))
+def test_cli_probe_refuses_an_empty_id(capsys, ids):
+    code, out, err = run_cli(capsys, "probe", "--builtin", "h2xr", "--ids", ids)
+    assert code == 2 and out == ""
+    assert err == f"input error: empty probe id in --ids {ids!r}\n"
+
+
 def test_cli_jacobi_violation_exit_2(capsys, tmp_path):
     data = {
         "name": "bad", "dim": 3,

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import geometries, make_spec
+import sscurv.connection
+from conftest import count_calls, geometries, make_spec
 from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, DistinguishedField,
                     FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, ScalarJet,
                     SolitonKind, SolitonProblem, SscurvError, Tensor, UnknownProbeError,
@@ -21,6 +22,15 @@ def test_run_suite_with_ids_names_no_suite():
         assert "suite" not in doc
         assert [p["id"] for p in doc["probes"]] == ["B9"]
     assert run_suite(spec, "parallel")["suite"] == "parallel"
+
+
+def test_a1_and_b11_share_one_torsion_shape(monkeypatch):
+    shapes = count_calls(monkeypatch, sscurv.connection, "semi_symmetric_torsion")
+    spec = builtin("h2xr")
+    results = statuses(spec, ("A1", "B11"))
+    assert all(r.status is ProbeStatus.PASS for r in results.values())
+    assert len(shapes) == 1
+    assert results["A1"].rhs is results["B11"].rhs
 
 
 def test_unknown_probe_id():

@@ -426,8 +426,11 @@ def loop_m61_rhs(qhat, gam, d, lam, m, n):
 
 @st.composite
 def derived_inputs(draw):
-    """A non-identity SPD metric in dim 2-4 with xi, Q, Gamma, a, d, lambda and m."""
-    n = draw(st.integers(2, 4), label="dim")
+    """A non-identity SPD metric in dim 1-4 with xi, Q, Gamma, a, d, lambda and m.
+
+    Dim 1 has no plane, so every wedge is zero there; constant_sectional relies on it.
+    """
+    n = draw(st.integers(1, 4), label="dim")
     metric = draw(spd_metrics(dim=n).filter(lambda m: m != MetricFrame.identity(n)))
 
     def values(count, label):
@@ -448,6 +451,7 @@ def test_derived_tensors_match_their_index_loops(inputs):
     dist = DistinguishedField.from_xi(of((UP,), n, xi), metric)
     cases = [
         (wedge(metric.g), loop_wedge(n, g)),
+        (wedge(ta), loop_wedge(n, a)),
         (wedge(metric.g, tq), loop_wedge(n, g, q)),
         (wedge(ta, tq), loop_wedge(n, a, q)),
         (semi_symmetric_torsion(dist), loop_semi_symmetric_torsion(fractions(dist.psi))),
@@ -457,3 +461,21 @@ def test_derived_tensors_match_their_index_loops(inputs):
     for t, ref in cases:
         assert_canonical(t)
         assert fractions(t) == ref
+    for t, _ in cases[:4]:
+        assert t.variance == (UP, DOWN, DOWN, DOWN)
+
+
+def test_wedge_refuses_wrong_shapes():
+    a, q = of((DOWN, DOWN), 3, range(9)), Tensor.delta(3)
+    for bad_a in (q, of((DOWN,), 3, (1, 2, 3)), of((DOWN, DOWN, DOWN), 3, [1] * 27),
+                  of((UP, UP), 3, range(9))):
+        with pytest.raises(ValenceError):
+            wedge(bad_a)
+        with pytest.raises(ValenceError):
+            wedge(bad_a, q)
+    for bad_q in (a, of((UP, UP), 3, range(9)), of((DOWN, UP), 3, range(9)),
+                  of((UP,), 3, (1, 2, 3)), Tensor.delta(2), Tensor.delta(4),
+                  of((UP, DOWN, DOWN), 3, [1] * 27)):
+        with pytest.raises(ValenceError):
+            wedge(a, bad_q)
+    assert wedge(a, q) == wedge(a)
