@@ -54,6 +54,8 @@ class FuzzConfig(Record):
             pool = tuple(sorted(rat_value(x, path=None, field="pool") for x in pool))
         except InputError as exc:
             raise SscurvError(f"pool must contain exact rationals: {exc}") from None
+        if not pool:
+            raise SscurvError("pool must not be empty")
         fields = self.__dict__
         fields["count"] = count
         fields["seed"] = seed
@@ -104,7 +106,8 @@ def fuzz(config: FuzzConfig) -> dict:
     xi = Tensor.vector([ZERO, ZERO, ONE])
     dist = DistinguishedField.from_xi(xi, metric)
 
-    counts = {pid: {s.value: 0 for s in ProbeStatus} for pid in PROBE_ORDER}
+    statuses = [s.value for s in ProbeStatus]
+    counts = {pid: dict.fromkeys(statuses, 0) for pid in PROBE_ORDER}
     unexpected = []
     accepted = 0
     parallel_accepted = 0

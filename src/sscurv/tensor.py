@@ -24,9 +24,17 @@ Kronecker delta. contract_with is the one contraction: a slot of self
 against slot 0, of opposite variance, of any tensor, the result's slots being
 self's remaining slots followed by the other's (permute the other first to
 contract one of its later slots). permute reorders slots
-(result slot s is source slot order[s]) through a source-offset map
-memoised per (dim, order). apply_metric is a contraction with g or g^-1
-followed by the permute that puts the flipped slot back in place.
+(result slot s is source slot order[s]). apply_metric is a contraction with
+g or g^-1 followed by the permute that puts the flipped slot back in place.
+
+Their per-component loops run in C: +, - (over equal denominators),
+negation, scale and from_ints's reduction map operator functions, which
+take any integer type, over the numerators. permute reads its result
+through an operator.itemgetter memoised per (dim, order). contract_with
+gathers the entries at each index m of the contracted slot through
+itemgetters memoised per (dim, rank, slot), scales the gathers (skipping
+zero factors) and sums them with map, and zip interleaves the result's
+columns when the other tensor has rank 2 or more.
 
 The integers are the only representation. `t[idx]` is the checked read of
 one component as a Rat (t[()] for a rank-0 result), and strings() writes
@@ -37,8 +45,9 @@ rat.format_rats. copy and pickle rebuild a Tensor through from_ints.
 from __future__ import annotations
 
 import functools
-import itertools
+from itertools import chain, product, repeat
 from math import gcd, lcm
+from operator import add, floordiv, itemgetter, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValenceError
@@ -94,10 +103,13 @@ class Tensor:
         if den < 0:
             g = -g
         if g != 1:
-            nums = tuple(x // g for x in nums)
+            nums = tuple(map(floordiv, nums, repeat(g)))
             den //= g
         t = cls.__new__(cls)
-        t._set(variance, dim, nums, den)
+        _setattr(t, "variance", variance)
+        _setattr(t, "dim", dim)
+        _setattr(t, "nums", nums)
+        _setattr(t, "den", den)
         return t
 
     def __setattr__(self, name, value):
@@ -118,7 +130,7 @@ class Tensor:
     def build(cls, variance: Iterable[str], dim: int, fn: Callable[..., object]) -> "Tensor":
         """Componentwise constructor: fn(*indices) -> Rat-like."""
         variance = tuple(variance)
-        comps = [fn(*idx) for idx in itertools.product(range(dim), repeat=len(variance))]
+        comps = [fn(*idx) for idx in product(range(dim), repeat=len(variance))]
         return cls(variance, dim, comps)
 
     @classmethod
@@ -180,10 +192,14 @@ class Tensor:
     def _combine(self, other: "Tensor", sign: int) -> "Tensor":
         """self + sign * other, over the lcm of the two denominators."""
         self._check_same_shape(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        return Tensor.from_ints(self.variance, self.dim,
-                                [x * a + y * b for x, y in zip(self.nums, other.nums)], den)
+        den = self.den
+        if den == other.den:
+            nums = map(add if sign > 0 else sub, self.nums, other.nums)
+        else:
+            den = lcm(den, other.den)
+            a, b = den // self.den, sign * (den // other.den)
+            nums = [x * a + y * b for x, y in zip(self.nums, other.nums)]
+        return Tensor.from_ints(self.variance, self.dim, nums, den)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return self._combine(other, 1)
@@ -192,12 +208,14 @@ class Tensor:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Tensor":
-        return Tensor.from_ints(self.variance, self.dim, [-x for x in self.nums], self.den)
+        return Tensor.from_ints(self.variance, self.dim, map(neg, self.nums), self.den)
 
     def scale(self, factor) -> "Tensor":
         f = rat(factor)
-        return Tensor.from_ints(self.variance, self.dim,
-                                [f.numerator * x for x in self.nums], f.denominator * self.den)
+        p, nums = f.numerator, self.nums
+        if p != 1:
+            nums = map(mul, nums, repeat(p))
+        return Tensor.from_ints(self.variance, self.dim, nums, f.denominator * self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor)
@@ -246,16 +264,21 @@ class Tensor:
         if other.variance[0] == self.variance[slot]:
             raise ValenceError("contract_with requires opposite variance")
         dim, src, onums = self.dim, self.nums, other.nums
-        # Flat offset = outer * block + m * stride + inner, m the contracted index.
-        stride = dim ** (self.rank - 1 - slot)
-        block = stride * dim
-        o_stride = len(onums) // dim
-        # One sparse term list (offset in self, factor) per remaining index of other.
-        terms = [[(m * stride, y) for m in range(dim) if (y := onums[j + m * o_stride])]
-                 for j in range(o_stride)]
-        nums = [sum(src[base + off] * y for off, y in ts)
-                for outer in range(0, len(src), block)
-                for base in range(outer, outer + stride) for ts in terms]
+        # getters[m] reads self's entries with index m at slot, row-major over its
+        # other slots. Column j of the result, j the other's remaining index, is
+        # the sum over m of those entries times other[m, j].
+        getters = _slot_getters(dim, self.rank, slot)
+        width = len(onums) // dim  # other's entries per index of its slot 0
+        cols = []
+        for j in range(width):
+            col = None
+            for m in range(dim):
+                y = onums[m * width + j]
+                if y:
+                    term = getters[m](src) if y == 1 else map(mul, getters[m](src), repeat(y))
+                    col = term if col is None else map(add, col, term)
+            cols.append(repeat(0, len(src) // dim) if col is None else col)
+        nums = cols[0] if width == 1 else chain.from_iterable(zip(*cols))
         variance = self.variance[:slot] + self.variance[slot + 1:]
         return Tensor.from_ints(variance + other.variance[1:], dim, nums, self.den * other.den)
 
@@ -266,10 +289,9 @@ class Tensor:
             raise ValenceError(f"{order!r} is not a permutation of the {self.rank} slots")
         if order == identity:
             return self
-        src = self.nums
         t = Tensor.__new__(Tensor)  # reordered numerators are still canonical
         t._set(tuple(self.variance[s] for s in order), self.dim,
-               tuple([src[i] for i in _source_offsets(self.dim, order)]), self.den)
+               _permuted(self.dim, order)(self.nums), self.den)
         return t
 
     def apply_metric(self, matrix: "Tensor", slot: int) -> "Tensor":
@@ -292,9 +314,31 @@ class Tensor:
             (*range(slot), last, *range(slot, last)))
 
 
+def _gather(offsets: list) -> Callable[[tuple], tuple]:
+    """The function reading a tuple's entries at offsets, as a tuple."""
+    if len(offsets) == 1:  # itemgetter of one offset returns the entry itself
+        return itemgetter(slice(offsets[0], offsets[0] + 1))
+    return itemgetter(*offsets)
+
+
 @functools.lru_cache(maxsize=None)
-def _source_offsets(dim: int, order: tuple) -> tuple:
-    """Flat source offset of each result entry, row-major, of permute(order)."""
+def _permuted(dim: int, order: tuple) -> Callable[[tuple], tuple]:
+    """Reads the numerators of permute(order), row-major, off the source's."""
     strides = [dim ** (len(order) - 1 - s) for s in order]
-    return tuple(sum(i * st for i, st in zip(idx, strides))
-                 for idx in itertools.product(range(dim), repeat=len(order)))
+    return _gather([sum(map(mul, idx, strides))
+                    for idx in product(range(dim), repeat=len(order))])
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_getters(dim: int, rank: int, slot: int) -> tuple:
+    """Per index m of slot: reads the entries with index m there, row-major
+    over the other slots, off a rank-`rank` tensor's numerators."""
+    size = dim ** (rank - 1)
+    if slot == 0:
+        return tuple(itemgetter(slice(m * size, (m + 1) * size)) for m in range(dim))
+    # Flat offset = outer * block + m * stride + inner.
+    stride = dim ** (rank - 1 - slot)
+    block = stride * dim
+    return tuple(_gather([outer + m * stride + inner
+                          for outer in range(0, size * dim, block) for inner in range(stride)])
+                 for m in range(dim))

@@ -10,12 +10,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from sscurv import (DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame,
                     Tensor, rat)
 from sscurv.tensor import DOWN
 
 DIM = 3
+
+# A longer pass over the tensor kernels, for CI: pytest --hypothesis-profile=deep.
+# Only tests that set no max_examples of their own run longer under it.
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 # -- independent oracles -------------------------------------------------

@@ -19,6 +19,11 @@ def test_config_validation():
         FuzzConfig(count=0)
     with pytest.raises(SscurvError):
         FuzzConfig(pool=(0.5, 1))
+    # Both streams draw from the pool: an empty one is refused up front,
+    # not left to rng.choice.
+    for require_parallel_xi in (False, True):
+        with pytest.raises(SscurvError, match="pool must not be empty"):
+            FuzzConfig(pool=(), require_parallel_xi=require_parallel_xi)
 
 
 def test_pool_entries_are_normalised_to_rats():

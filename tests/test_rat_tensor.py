@@ -170,9 +170,9 @@ storage_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 
 
 @st.composite
-def tensor_cases(draw, max_rank=3):
+def tensor_cases(draw, max_rank=3, max_dim=3):
     """(variance, dim, Fraction components) of one shape."""
-    dim = draw(st.integers(1, 3), label="dim")
+    dim = draw(st.integers(1, max_dim), label="dim")
     variance = tuple(draw(st.lists(st.sampled_from((UP, DOWN)), max_size=max_rank),
                           label="variance"))
     n = dim ** len(variance)
@@ -239,7 +239,8 @@ def test_storage_is_canonical_whichever_constructor(case, k):
     assert Tensor.from_ints(variance, dim, zero.nums, -k * 7) == zero
 
 
-@given(tensor_cases(max_rank=4), st.data())
+@settings(deadline=None)
+@given(tensor_cases(max_rank=4, max_dim=4), st.data())
 def test_algebra_matches_fraction_reference(case, data):
     variance, dim, a = case
     rank, n = len(variance), dim ** len(variance)
@@ -249,6 +250,7 @@ def test_algebra_matches_fraction_reference(case, data):
     results = [
         (ta + tb, [x + y for x, y in zip(a, b)]),
         (ta - tb, [x - y for x, y in zip(a, b)]),
+        (ta + ta, [x + x for x in a]),  # equal denominators
         (-ta, [-x for x in a]),
         (ta.scale(rat(str(f))), [f * x for x in a]),
     ]
@@ -263,7 +265,7 @@ def test_algebra_matches_fraction_reference(case, data):
         results.append((ta.apply_metric(tg, slot), ref_apply_metric(a, rank, dim, slot, g)))
     # Tensor against tensor, over every slot pair of opposite variance:
     # permute brings the other's slot to the front, where contract_with reads it.
-    b_variance = tuple(data.draw(st.lists(st.sampled_from((UP, DOWN)), min_size=1, max_size=2),
+    b_variance = tuple(data.draw(st.lists(st.sampled_from((UP, DOWN)), min_size=1, max_size=3),
                                  label="b_variance"))
     b_rank = len(b_variance)
     c = data.draw(st.lists(storage_rats, min_size=dim ** b_rank, max_size=dim ** b_rank),
@@ -283,6 +285,53 @@ def test_algebra_matches_fraction_reference(case, data):
         t = ta.permute(order)
         assert t.variance == tuple(variance[s] for s in order)
         results.append((t, ref_permute(a, rank, dim, order)))
+    for t, ref in results:
+        assert_canonical(t)
+        assert fractions(t) == ref
+
+
+def test_algebra_edge_cases_match_fraction_reference():
+    """The branches of the numerator loops, each against Fractions: equal and
+    unequal denominators, factors 0, 1 and -1, zero vectors and columns,
+    contraction down to rank 0, and permute of ranks 0 and 1."""
+    dim = 3
+    a = [Fraction(x, 6) for x in range(-13, 14)]           # den 6
+    same = [Fraction(5 - x, 6) for x in range(27)]         # den 6 too
+    other = [Fraction(x, 4) for x in range(27)]            # den 4
+    ta, t_same, t_other = (of((UP, DOWN, DOWN), dim, v) for v in (a, same, other))
+    assert ta.den == t_same.den != t_other.den
+    results = [
+        (ta + t_same, [x + y for x, y in zip(a, same)]),
+        (ta - t_same, [x - y for x, y in zip(a, same)]),
+        (ta + t_other, [x + y for x, y in zip(a, other)]),
+        (ta - t_other, [x - y for x, y in zip(a, other)]),
+        (ta - ta, [Fraction(0)] * 27),
+    ]
+    for f in (0, 1, -1, Fraction(-1, 2), Fraction(6)):
+        results.append((ta.scale(rat(str(f))), [f * x for x in a]))
+    assert ta.scale(1).nums is ta.nums
+    vectors = ([0, 0, 0], [1, 0, 0], [0, 1, 1], [-1, 2, Fraction(1, 3)])
+    for slot, v in product(range(3), vectors):
+        variance = (UP,) if slot else (DOWN,)
+        results.append((ta.contract_with(slot, of(variance, dim, v)),
+                        ref_contract(a, 3, dim, slot, v)))
+    # A (1,1) other with an all-zero column and an all-zero row.
+    q = [1, 0, 2, Fraction(-1, 2), 0, 0, 3, 0, 1]
+    for slot in (1, 2):
+        results.append((ta.contract_with(slot, of((UP, DOWN), dim, q)),
+                        ref_contract(a, 3, dim, slot, q, 2, 0)))
+    # Rank 1 against rank 1 is rank 0, zero vector or not; then a dim-1 contraction.
+    v, w = [Fraction(1, 2), -3, 0], [4, Fraction(2, 3), 7]
+    scalar = of((UP,), dim, v).contract_with(0, of((DOWN,), dim, w))
+    assert scalar.variance == ()
+    results.append((scalar, [sum(x * y for x, y in zip(v, w))]))
+    results.append((of((UP,), dim, [0, 0, 0]).contract_with(0, of((DOWN,), dim, w)),
+                    [Fraction(0)]))
+    results.append((of((UP, DOWN), 1, [Fraction(3, 2)]).contract_with(1, of((UP,), 1, [4])),
+                    [Fraction(6)]))
+    for t in (of((), dim, [Fraction(-2, 3)]), of((DOWN,), dim, v)):
+        assert t.permute(range(t.rank)) is t
+        results.append((t.permute(range(t.rank)), fractions(t)))
     for t, ref in results:
         assert_canonical(t)
         assert fractions(t) == ref
