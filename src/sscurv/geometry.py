@@ -97,30 +97,25 @@ class FrameAlgebra(Record):
         return bad
 
     def jacobi_violations(self) -> list[tuple[int, int, int, int]]:
-        """1-based (i, j, k, l) where the cyclic Jacobi sum is nonzero.
+        """1-based (i, j, k, l) where the cyclic Jacobi sum is nonzero, in lexicographic order.
 
         For antisymmetric C the cyclic sum is totally antisymmetric in
-        (i, j, k): it vanishes on a repeated index, and a permutation of a
-        violating triple violates too. So it is evaluated for i < j < k
-        only and expanded to every ordering, in the same lexicographic
-        order as the full loop that any other C gets. The sums run on the
+        (i, j, k): it vanishes on a repeated index and a permutation changes
+        at most its sign, so only the identities with i < j < k are
+        independent and each violated one is listed once, with i < j < k.
+        Any other C gets every (i, j, k, l). Either way the first entry is
+        the lexicographically first violating ordering. The sums run on the
         numerators of C, which leaves every zero test as it is.
         """
         n, c = self.dim, self.c.nums
         rng = range(n)
-        antisymmetric = all(c[(k * n + i) * n + j] == -c[(k * n + j) * n + i]
-                            for k in rng for i in rng for j in range(i, n))
-        if not antisymmetric:
+        if self.antisymmetry_violations():
             return [(i + 1, j + 1, k + 1, l + 1)
                     for i, j, k, l in itertools.product(rng, repeat=4)
                     if _jacobi_sum(c, n, i, j, k, l)]
-        bad = {(i, j, k, l) for i, j, k in itertools.combinations(rng, 3) for l in rng
-               if _jacobi_sum(c, n, i, j, k, l)}
-        if not bad:
-            return []
         return [(i + 1, j + 1, k + 1, l + 1)
-                for i, j, k in itertools.permutations(rng, 3) for l in rng
-                if (*sorted((i, j, k)), l) in bad]
+                for i, j, k in itertools.combinations(rng, 3) for l in rng
+                if _jacobi_sum(c, n, i, j, k, l)]
 
 
 def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> int:
@@ -161,7 +156,10 @@ class MetricFrame(Record):
 
     @classmethod
     def identity(cls, dim: int) -> "MetricFrame":
-        return cls.from_tensor(Tensor.build((DOWN, DOWN), dim, lambda a, b: int(a == b)))
+        """g = I, which is its own inverse."""
+        ones = Tensor.delta(dim).nums  # delta checks dim
+        return cls(Tensor.from_ints((DOWN, DOWN), dim, ones, 1),
+                   Tensor.from_ints((UP, UP), dim, ones, 1))
 
     @property
     def dim(self) -> int:

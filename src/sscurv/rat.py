@@ -39,8 +39,9 @@ def rat(value: RatLike = 0, den: int | None = None) -> Rat:
     """Build an exact rational from an int, a "p/q" string, or another Rat.
 
     A Rat (of exactly that type) comes back unchanged; rebuilding it would
-    cost a conversion through the numbers.Rational protocol. Floats are
-    rejected: the engine admits no rounding anywhere.
+    cost a conversion through the numbers.Rational protocol. A string goes
+    through parse_rat, so it is read as the interchange format reads it.
+    Floats are rejected: the engine admits no rounding anywhere.
     """
     if type(value) is Rat and den is None:
         return value
@@ -50,6 +51,8 @@ def rat(value: RatLike = 0, den: int | None = None) -> Rat:
         if isinstance(den, float):
             raise TypeError(f"refusing float denominator {den!r}")
         return Rat(value, den)
+    if isinstance(value, str):
+        return parse_rat(value)
     return Rat(value)
 
 

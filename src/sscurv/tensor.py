@@ -134,12 +134,14 @@ class Tensor:
         return cls(variance, dim, comps)
 
     @classmethod
-    def vector(cls, comps: Sequence) -> "Tensor":
-        return cls((UP,), len(tuple(comps)), comps)
+    def vector(cls, comps: Iterable) -> "Tensor":
+        comps = tuple(comps)
+        return cls((UP,), len(comps), comps)
 
     @classmethod
-    def covector(cls, comps: Sequence) -> "Tensor":
-        return cls((DOWN,), len(tuple(comps)), comps)
+    def covector(cls, comps: Iterable) -> "Tensor":
+        comps = tuple(comps)
+        return cls((DOWN,), len(comps), comps)
 
     @classmethod
     def delta(cls, dim: int) -> "Tensor":

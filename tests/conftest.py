@@ -8,6 +8,7 @@ backend (gmpy2's mpq when installed, otherwise fractions.Fraction).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -84,6 +85,22 @@ def oracle_curvature(gamma, c_rows):
                 for l in range(n):
                     riem[l][k][i][j] = term1[l] - term2[l] - term3[l]
     return riem
+
+
+def assert_jacobi_list(found, full, antisymmetric):
+    """found, the engine's Jacobi violations, against full, every 1-based
+    (i, j, k, l) of the brute-force expansion with a nonzero cyclic sum.
+
+    Antisymmetric C lists each violated identity once, as its i < j < k
+    entry, and every ordering of its (i, j, k) must violate: the expansion
+    over the permutations, sorted, is the full list. Any other C lists
+    every entry.
+    """
+    if not antisymmetric:
+        assert found == full
+        return
+    assert found == [q for q in full if q[0] < q[1] < q[2]]
+    assert sorted((*p, l) for *ijk, l in found for p in permutations(ijk)) == full
 
 
 def tensor_to_rows(t: Tensor):

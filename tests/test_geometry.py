@@ -6,10 +6,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (DIM, c_rows_of, geometries, make_spec, oracle_inverse,
-                      small_rats, tensor_to_rows)
-from sscurv import (DegenerateMetricError, FrameAlgebra, GeometrySpec, MetricFrame,
-                    ScalarJet, Tensor, ValenceError, builtin, gradient, rat, validate)
+from conftest import (DIM, assert_jacobi_list, c_rows_of, geometries, make_spec,
+                      oracle_inverse, small_rats, tensor_to_rows)
+from sscurv import (DegenerateMetricError, DistinguishedField, FrameAlgebra, GeometrySpec,
+                    MetricFrame, ScalarJet, Tensor, ValenceError, builtin, gradient, rat,
+                    validate)
 from sscurv.geometry import jet_consistency_violations
 from sscurv.tensor import DOWN, UP
 
@@ -58,7 +59,8 @@ def test_jacobi_brute_force_agreement():
     spec = make_spec("bad", {(2, 0, 1): 1, (0, 0, 2): 1})
     found = brute_force_jacobi(spec.frame)
     assert found
-    assert spec.frame.jacobi_violations() == found
+    assert not spec.frame.antisymmetry_violations()
+    assert_jacobi_list(spec.frame.jacobi_violations(), found, antisymmetric=True)
 
 
 @st.composite
@@ -73,10 +75,11 @@ def antisymmetric_frames(draw):
 
 @given(antisymmetric_frames())
 def test_jacobi_triples_match_full_expansion(frame):
-    # Antisymmetric C takes the i < j < k evaluation; the expanded list must
-    # equal the 81-term (dim 3) expansion entry for entry, in order.
+    # Antisymmetric C takes the i < j < k evaluation: its list is the
+    # n^4-term expansion restricted to i < j < k, and every ordering of
+    # each entry is in the expansion.
     assert not frame.antisymmetry_violations()
-    assert frame.jacobi_violations() == brute_force_jacobi(frame)
+    assert_jacobi_list(frame.jacobi_violations(), brute_force_jacobi(frame), antisymmetric=True)
 
 
 def rat_list_structure_constants(dim, entries):
@@ -142,6 +145,19 @@ def test_antisymmetry_violation_reported():
                         builtin("flat").distinguished)
     report = validate(spec)
     assert not report.check("antisymmetry").passed
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_identity_metric_matches_elimination(n):
+    metric = MetricFrame.identity(n)
+    g = Tensor.build((DOWN, DOWN), n, lambda a, b: int(a == b))
+    assert metric == MetricFrame.from_tensor(g)
+    xi = Tensor.vector([int(a == n - 1) for a in range(n)])
+    spec = GeometrySpec("identity", FrameAlgebra.from_entries(n, {}), metric,
+                        DistinguishedField.from_xi(xi, metric))
+    assert validate(spec).check("metric-positive-definite").passed
+    with pytest.raises(ValenceError):
+        MetricFrame.identity(0)
 
 
 def test_degenerate_metric_rejected():

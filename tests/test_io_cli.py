@@ -469,6 +469,29 @@ def test_cli_builtin_round_trip(capsys, tmp_path):
     assert load_geometry(out_path).spec == builtin("example1")
 
 
+def test_cli_geometry_and_out_options(capsys, tmp_path):
+    # --geometry belongs to the commands that read a geometry, not to fuzz or builtin.
+    path = tmp_path / "flat.json"
+    path.write_text(dumps_geometry(builtin("flat")))
+    for argv in (["fuzz", "--geometry", str(path)], ["builtin", "flat", "--geometry", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --geometry" in capsys.readouterr().err
+    # --out writes the report and prints it too; builtin --out writes only the file.
+    for argv in (["validate", "--geometry", str(path)], ["compute", "--builtin", "flat"],
+                 ["probe", "--builtin", "h2xr", "--format", "json"],
+                 ["soliton", "--builtin", "h2xr", "--type", "yamabe", "--lambda", "0"],
+                 ["fuzz", "--count", "3"]):
+        out_path = tmp_path / f"{argv[0]}.out"
+        _, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert out and out_path.read_text() == out
+    out_path = tmp_path / "builtin.json"
+    code, out, _ = run_cli(capsys, "builtin", "flat", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_text() == dumps_geometry(builtin("flat"))
+
+
 def test_cli_fuzz_smoke(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--seed", "7", "--count", "40",
                            "--format", "json")

@@ -61,6 +61,26 @@ def test_parse_rat_pattern_decides_not_the_backend(monkeypatch):
             parse_rat(text)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("0.5", None), ("1e-3", None), ("1_000", None), ("\u0663", None), (" 1/2 ", Fraction(1, 2)),
+])
+def test_rat_reads_strings_as_the_interchange_format_does(text, value):
+    if value is None:
+        for build in (rat, lambda x: Tensor((UP,), 2, ["1", x]), lambda x: Tensor.vector([x])):
+            with pytest.raises(ValueError, match="not a rational literal"):
+                build(text)
+    else:
+        assert rat(text) == value
+        assert Tensor((UP,), 2, ["1", text])[1] == value
+
+
+@pytest.mark.parametrize("make, variance", [(Tensor.vector, (UP,)), (Tensor.covector, (DOWN,))])
+def test_vector_and_covector_read_an_iterator_once(make, variance):
+    expected = Tensor(variance, 3, [1, 2, 3])
+    assert make(x for x in (1, 2, 3)) == expected
+    assert make(map(rat, ("1", "2", "3"))) == expected
+
+
 @given(st.integers(-50, 50), st.integers(1, 20), st.integers(-50, 50), st.integers(1, 20))
 def test_rat_field_ops_exact(p1, q1, p2, q2):
     a, b = rat(p1, q1), rat(p2, q2)
