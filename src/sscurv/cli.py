@@ -144,7 +144,7 @@ def _cmd_builtin(args) -> int:
     from .geomio import dumps_geometry
     text = dumps_geometry(builtin(args.name))
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -222,6 +222,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # an --out path that cannot be written
         print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a report that stdout's encoding cannot print
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

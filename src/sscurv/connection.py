@@ -5,15 +5,15 @@ first lower index is the differentiation direction. Under homogeneity the
 metric-derivative terms of the Koszul formula vanish, leaving the three
 bracket terms.
 
-levi_civita, torsion and non_metricity are fraction-free integer kernels: they
-read their inputs' integer numerators and denominators (see tensor),
-accumulate in plain ints and divide once per tensor.
+levi_civita and non_metricity are fraction-free integer kernels: they read
+their inputs' integer numerators and denominators (see tensor), accumulate in
+plain ints and divide once per tensor. torsion and the rest are expressions
+over the tensor algebra.
 """
 
 from __future__ import annotations
 
 import enum
-from math import lcm
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
@@ -101,13 +101,8 @@ def ssnmc(lc: Connection, dist: DistinguishedField) -> Connection:
 
 
 def torsion(conn: Connection, frame: FrameAlgebra) -> Tensor:
-    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij, fraction-free over the lcm of dG and dc."""
-    n, gam, c = conn.dim, conn.gamma, frame.c
-    d = lcm(gam.den, c.den)
-    sg, sc, g, cn = d // gam.den, d // c.den, gam.nums, c.nums
-    nums = [(g[(k * n + i) * n + j] - g[(k * n + j) * n + i]) * sg - cn[(k * n + i) * n + j] * sc
-            for k in range(n) for i in range(n) for j in range(n)]
-    return Tensor.from_ints((UP, DOWN, DOWN), n, nums, d)
+    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij."""
+    return conn.gamma - conn.gamma.permute((0, 2, 1)) - frame.c
 
 
 def semi_symmetric_torsion(dist: DistinguishedField) -> Tensor:

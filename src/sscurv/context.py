@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
+from itertools import product
 from typing import Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
@@ -71,12 +72,9 @@ def worst_component(lhs: Value, rhs: Value) -> tuple[str | None, tuple[int, ...]
         return key, worst_component(lhs[key], rhs[key])[1]
     if not isinstance(lhs, Tensor):
         return None, ()
-    diff = [abs(x) for x in (lhs - rhs).nums]
-    flat, index = diff.index(max(diff)), []
-    for _ in range(lhs.rank):
-        flat, i = divmod(flat, lhs.dim)
-        index.append(i + 1)
-    return None, tuple(reversed(index))
+    worst = max(product(range(lhs.dim), repeat=lhs.rank),
+                key=lambda idx: abs(lhs[idx] - rhs[idx]))
+    return None, tuple(i + 1 for i in worst)
 
 
 def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",

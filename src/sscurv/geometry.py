@@ -166,8 +166,7 @@ class MetricFrame(Record):
         return self.g.dim
 
     def is_symmetric(self) -> bool:
-        n, g = self.dim, self.g.nums
-        return all(g[i * n + j] == g[j * n + i] for i in range(n) for j in range(n))
+        return self.g == self.g.permute((1, 0))
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion, read off the pivots of _bareiss on the numerators of g."""

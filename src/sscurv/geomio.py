@@ -14,6 +14,7 @@ each list object once per indent, however often the tree holds it.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -50,11 +51,19 @@ def rat_value(value, *, path, field) -> Rat:
                      path=path, field=field)
 
 
+def _shown(value) -> str:
+    """repr(value) for a diagnostic; CPython refuses it for an int past its int/str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 def _index(value, dim, *, path, field) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"expected a 1-based index, got {value!r}", path=path, field=field)
+        raise InputError(f"expected a 1-based index, got {_shown(value)}", path=path, field=field)
     if not 1 <= value <= dim:
-        raise InputError(f"index {value} out of range 1..{dim}", path=path, field=field)
+        raise InputError(f"index {_shown(value)} out of range 1..{dim}", path=path, field=field)
     return value - 1
 
 
@@ -86,7 +95,7 @@ def geometry_from_dict(data: dict, *, path: str | None = None,
 
     dim = data.get("dim", 3)
     if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 4:
-        raise InputError(f"dim must be an integer in 1..4, got {dim!r}",
+        raise InputError(f"dim must be an integer in 1..4, got {_shown(dim)}",
                          path=path, field="dim")
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
@@ -168,7 +177,7 @@ def jet_from_dict(data, dim: int, *, path: str | None = None,
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
     except FileNotFoundError:
         raise InputError("file not found", path=str(path)) from None
     except json.JSONDecodeError as exc:
@@ -178,6 +187,14 @@ def _read_json(path: Path):
         raise InputError(f"not UTF-8 text at byte {exc.start}", path=str(path)) from None
     except OSError as exc:
         raise InputError(f"cannot read: {exc.strerror}", path=str(path)) from None
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer of any length."""
+    try:
+        return int(text)
+    except ValueError:  # past the int/str digit limit, which decimal does not have
+        return int(Decimal(text))
 
 
 def load_geometry(path: str | Path) -> LoadedGeometry:
@@ -222,10 +239,10 @@ def _nested(t: Tensor):
 
 def geometry_to_dict(spec: GeometrySpec) -> dict:
     """Canonical emission: entries with i < j only, sorted, lowest-term strings."""
-    dim, values = spec.dim, spec.frame.c.strings()
+    dim, c = spec.dim, _nested(spec.frame.c)  # c[k][i][j] = C^k_ij
     entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "value": v}
                for i in range(dim) for j in range(i + 1, dim) for k in range(dim)
-               if (v := values[(k * dim + i) * dim + j]) != "0"]
+               if (v := c[k][i][j]) != "0"]
     out = {
         "name": spec.name,
         "dim": dim,

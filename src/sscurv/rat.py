@@ -11,14 +11,18 @@ an optional extra (pip install sscurv[gmpy2]) and its path is untested.
 
 format_rats is the one writer of canonical rational strings: a tensor's
 numerators over its denominator in one call, and through format_rat a single
-scalar by the same rule.
+scalar by the same rule. It and parse_rat stay exact past CPython's limit on
+int/str conversion (sys.get_int_max_str_digits) by going through decimal,
+which has no such limit, for numbers that long; the interpreter's setting is
+left as it is.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal  # fractions imports it too, so this costs no start-up time
 from math import gcd
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 try:
     from gmpy2 import mpq as Rat
@@ -56,16 +60,25 @@ def rat(value: RatLike = 0, den: int | None = None) -> Rat:
     return Rat(value)
 
 
-def format_rats(nums: Iterable[int], den: int) -> list[str]:
+def format_rats(nums: Sequence[int], den: int) -> list[str]:
     """The canonical strings of p / den for each integer p (den > 0).
 
     The one writer of rationals: "p" when the quotient is an integer, else
     the lowest-terms "p/q". One call covers a whole tensor's numerators.
     """
-    if den == 1:
-        return list(map(str, nums))
-    return [str(p // den) if (g := gcd(p, den)) == den else f"{p // g}/{den // g}"
-            for p in nums]
+    try:
+        if den == 1:
+            return list(map(str, nums))
+        return [str(p // den) if (g := gcd(p, den)) == den else f"{p // g}/{den // g}"
+                for p in nums]
+    except ValueError:  # a number past the int/str digit limit: write it all through decimal
+        return [_digits(p // den) if (g := gcd(p, den)) == den
+                else f"{_digits(p // g)}/{_digits(den // g)}" for p in nums]
+
+
+def _digits(p: int) -> str:
+    """str(p), for an int of any length."""
+    return format(Decimal(int(p)), "f")
 
 
 def format_rat(x) -> str:
@@ -90,5 +103,11 @@ def parse_rat(text: str) -> Rat:
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    except ValueError:  # a part past the int/str digit limit: read both through decimal
+        p, _, q = text.partition("/")
+        p, q = int(Decimal(p)), int(Decimal(q or "1"))
+        if q:
+            return Rat(p, q)
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"not a rational literal: {text!r}")

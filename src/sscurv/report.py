@@ -143,7 +143,7 @@ def emit_report(report: dict, format: str = "text", path=None) -> str:
     else:
         raise ValueError(f"unknown format {format!r}")
     if path is not None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 

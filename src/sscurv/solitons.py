@@ -23,7 +23,7 @@ from .curvature import constant_sectional
 from .errors import InvalidJetError, SscurvError
 from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
-from .rat import ZERO, Rat, rat
+from .rat import ZERO, Rat, format_rat, rat
 from .record import Record
 from .tensor import DOWN, Tensor
 
@@ -145,7 +145,7 @@ def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedC
     trivial = problem.jet.is_zero
 
     sectional_check = NamedCheck("constant-sectional-curvature", kappa is not None,
-                                 "" if kappa is None else f"kappa = {kappa}")
+                                 "" if kappa is None else f"kappa = {format_rat(kappa)}")
     checks: list[NamedCheck] = []
     if problem.kind is SolitonKind.RICCI:
         checks.append(sectional_check)
@@ -153,22 +153,23 @@ def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedC
         holds = kappa is not None and trivial
     elif problem.kind is SolitonKind.YAMABE:
         checks.append(NamedCheck("constant-scalar-curvature", rhat == 2,
-                                 f"r-hat = {rhat}"))
+                                 f"r-hat = {format_rat(rhat)}"))
         checks.append(NamedCheck("trivial", trivial))
         holds = rhat == 2 or trivial
     elif problem.kind is SolitonKind.EINSTEIN:
         checks.append(NamedCheck("constant-scalar-curvature", rhat == 0,
-                                 f"r-hat = {rhat}"))
+                                 f"r-hat = {format_rat(rhat)}"))
         checks.append(sectional_check)
         holds = rhat == 0 or kappa is not None
     else:
         expanding = problem.lam == problem.m + 2
         side = 2 * problem.m + rhat - 2 * problem.lam + 2
         checks.append(NamedCheck("expanding-lambda", expanding,
-                                 f"lambda = {problem.lam}, m + 2 = {problem.m + 2}"))
+                                 f"lambda = {format_rat(problem.lam)}, "
+                                 f"m + 2 = {format_rat(problem.m + 2)}"))
         checks.append(sectional_check)
         checks.append(NamedCheck("side-condition-nonzero", side != 0,
-                                 f"2m + r-hat - 2 lambda + 2 = {side}"))
+                                 f"2m + r-hat - 2 lambda + 2 = {format_rat(side)}"))
         holds = expanding or kappa is not None
 
     note = ""
@@ -211,7 +212,8 @@ def proof_step_probes(spec: GeometrySpec, problem: SolitonProblem) -> list[Probe
     xf = xi_derivative(problem.jet, spec.distinguished)
     coeff = 2 * problem.m + bundle.scalar - 2 * problem.lam + 2
     return [judge("M61", bundle.riemann.contract_with(1, df), rhs),
-            judge("M68", coeff * xf, ZERO, f"coefficient 2m + r-hat - 2 lambda + 2 = {coeff}")]
+            judge("M68", coeff * xf, ZERO,
+                  f"coefficient 2m + r-hat - 2 lambda + 2 = {format_rat(coeff)}")]
 
 
 def _m61_rhs(qhat: Tensor, gam: Tensor, d: Tensor, lam: Rat, m: int) -> Tensor:

@@ -9,13 +9,18 @@ This module alone decides how a component is stored. A tensor holds integer
 numerators over one positive denominator, the components being
 nums[i] / den in row-major order, in canonical form: gcd(den, *nums) == 1,
 so den is the lcm of the reduced denominators and equal tensors have equal
-storage (== and hash read it directly). The integer kernels (Levi-Civita,
-torsion, non-metricity, curvature, curvature.wedge, the structure constants
-of FrameAlgebra.from_entries, validate's checks, the metric inverse) read
-nums and den, accumulate in plain ints and return through
-Tensor.from_ints, the one trusted constructor, which divides out the gcd
-and makes den positive; the fraction-free division of Bareiss (Math. Comp.
-22, 1968) is done once per tensor.
+storage (== and hash read it directly). Outside this module only the
+integer kernels read nums by position, each because it measurably beats the
+same sum written over the operations below: levi_civita and non_metricity,
+curvature, curvature.wedge and constant_sectional, and in geometry the
+Bareiss elimination (metric inverse and Sylvester's test), the structure
+constants of FrameAlgebra.from_entries, the antisymmetry and Jacobi checks,
+jet consistency and validate's unit-xi and psi-xi checks. They accumulate in
+plain ints and return through Tensor.from_ints, the one trusted constructor,
+which divides out the gcd and makes den positive; the fraction-free division
+of Bareiss (Math. Comp. 22, 1968) is done once per tensor. Nothing else reads
+nums by position: torsion and metric symmetry are expressions over the
+operations below, and the report writers read through strings() and t[idx].
 
 Every other derived tensor is an expression over the operations here, all
 of which run on the integers: +, -, negation, scale, tensor_product,

@@ -7,6 +7,8 @@ backend (gmpy2's mpq when installed, otherwise fractions.Fraction).
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -210,3 +212,15 @@ def count_calls(monkeypatch, module, attr):
         if name.startswith("sscurv") and getattr(holder, attr, None) is original:
             monkeypatch.setattr(holder, attr, counting)
     return calls
+
+
+@contextmanager
+def int_str_limit_lifted():
+    """Lift CPython's int/str digit limit inside the block, to compute expected
+    strings the plain way; the engine itself must never need this."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

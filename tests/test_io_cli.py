@@ -1,13 +1,21 @@
 """Geometry file round-trips, input diagnostics, CLI behavior and exit codes."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 from importlib import resources
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from conftest import count_calls
-from sscurv import (InputError, UnknownGeometryError, builtin, dumps_geometry,
-                    geometry_from_dict, load_geometry, rat)
+import sscurv
+from conftest import count_calls, int_str_limit_lifted
+from sscurv import (InputError, ProbeContext, UnknownGeometryError, builtin, dumps_geometry,
+                    geometry_from_dict, geometry_to_dict, load_geometry, rat)
 from sscurv.cli import main
 
 
@@ -160,6 +168,11 @@ _EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
      "expected a 1-based index, got '1'", "structure_constants[0].i"),
     ({"structure_constants": [{"i": 1, "j": 2, "k": 3}]},
      "entry must be an object with keys i, j, k, value", "structure_constants[0]"),
+    ({"dim": 10 ** 5000}, "dim must be an integer in 1..4, got <int too long to show>", "dim"),
+    ({"structure_constants": [entry(1, -10 ** 5000, 3, "1")]},
+     "index <int too long to show> out of range 1..3", "structure_constants[0].j"),
+    ({"structure_constants": [entry([10 ** 5000], 2, 3, "1")]},
+     "expected a 1-based index, got <list too long to show>", "structure_constants[0].i"),
 ])
 def test_loader_diagnostics(change, message, field):
     data = {"name": "g", "dim": 3, "structure_constants": [], "metric": _EYE,
@@ -569,7 +582,10 @@ def test_cli_probe_all_off_dimension_3(capsys, tmp_path, name):
                                    for i, j, k, v in brackets],
            "metric": [[int(i == j) for j in range(n)] for i in range(n)],
            "xi": [int(i == n - 1) for i in range(n)]}
-    code, out, err = run_cli(capsys, "probe", "--geometry", write(tmp_path, "g.json", geo),
+    path = write(tmp_path, "g.json", geo)
+    spec = load_geometry(path).spec
+    assert geometry_from_dict(geometry_to_dict(spec)).spec == spec
+    code, out, err = run_cli(capsys, "probe", "--geometry", path,
                              "--suite", "all", "--format", "json")
     assert (code, err) == (0, "")
     by_id = {p["id"]: p for p in json.loads(out)["probes"]}
@@ -583,3 +599,91 @@ def test_cli_probe_all_off_dimension_3(capsys, tmp_path, name):
     undefined = {1: {"B20", "B23"}, 2: {"B23"}, 4: set()}[n]
     skipped = {pid for pid, p in by_id.items() if p["status"] == "skipped"}
     assert skipped == DIM3_PROBES | undefined
+
+
+# -- numbers of any size, any locale ---------------------------------------
+
+
+def long_integer_geometry(digits, seed=7):
+    """A valid 3-dim geometry whose metric, bracket and xi entries have `digits`
+    digits: [e1, e3] and [e2, e3] in span(e1, e2) always satisfy Jacobi, and a
+    diagonally dominant symmetric metric is positive definite."""
+    r = random.Random(seed)
+
+    def num():
+        return r.randrange(10 ** (digits - 1), 10 ** digits)
+
+    off = [num() for _ in range(3)]
+    diag = [3 * 10 ** digits + num() for _ in range(3)]
+    g = [[diag[0], off[0], off[1]], [off[0], diag[1], off[2]], [off[1], off[2], diag[2]]]
+    return {"name": f"long-{digits}", "dim": 3,
+            "structure_constants": [{"i": i, "j": 3, "k": k, "value": str(-num())}
+                                    for i in (1, 2) for k in (1, 2)],
+            "metric": [[str(x) for x in row] for row in g],
+            "xi": [str(num()) for _ in range(3)]}
+
+
+def flat_strings(value):
+    return [value] if isinstance(value, str) else [x for v in value for x in flat_strings(v)]
+
+
+def test_cli_reports_numbers_past_the_int_str_digit_limit(capsys, tmp_path):
+    # 700-digit inputs give numerators and denominators of thousands of digits,
+    # past CPython's default limit of 4300 on str(int); the report stays exact.
+    path = write(tmp_path, "long.json", long_integer_geometry(700))
+    argv = ("probe", "--geometry", path, "--tables", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    tables = json.loads(out)["tables"]
+    ctx = ProbeContext.of(load_geometry(path).spec)
+    with int_str_limit_lifted():
+        assert run_cli(capsys, *argv)[1] == out
+        for name, t in (("levi_civita", ctx.lc.gamma), ("riemann_ssnmc", ctx.hat_bundle.riemann),
+                        ("ricci_operator_lc", ctx.lc_bundle.ricci_op)):
+            assert flat_strings(tables[name]) == [
+                str(t[idx]) for idx in product(range(3), repeat=t.rank)], name
+        assert tables["scalar_ssnmc"] == str(ctx.hat_bundle.scalar)
+    assert max(len(part) for name in ("levi_civita", "riemann_ssnmc")
+               for x in flat_strings(tables[name]) for part in x.split("/")) > 4300
+
+
+def test_geometry_files_read_numbers_past_the_int_str_digit_limit(tmp_path):
+    # A bare JSON integer and a "p/q" string, each of 5001 digits.
+    geo = json.dumps({"dim": 2, "metric": [["G", 0], [0, 1]], "xi": ["X", "0"]})
+    p, q = "3" * 5001, "1" + "0" * 5000
+    path = write(tmp_path, "long.json", geo.replace('"G"', "1" + "0" * 4999 + "7")
+                 .replace("X", f"{p}/{q}"))
+    spec = load_geometry(path).spec
+    assert spec.metric.g[0, 0] == 10 ** 5000 + 7
+    assert spec.distinguished.xi[0] == Fraction((10 ** 5001 - 1) // 3, 10 ** 5000)
+
+
+# Under the C locale with neither PEP 538 nor PEP 540 in force, stdout is ASCII.
+C_LOCALE_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"},
+                "LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                "PYTHONPATH": os.pathsep.join(filter(None, (
+                    str(Path(sscurv.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_non_ascii_name_under_an_ascii_locale(capsys, tmp_path):
+    geo = {"name": "caf\u00e9-\u2207", "structure_constants": [],
+           "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "xi": [0, 0, 1]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(geo, ensure_ascii=False), encoding="utf-8")
+    report = tmp_path / "r.txt"
+
+    def child(*argv):
+        proc = subprocess.run([sys.executable, "-m", "sscurv.cli", "validate",
+                               "--geometry", str(path), *argv],
+                              capture_output=True, env=C_LOCALE_ENV)
+        return proc.returncode, proc.stdout.decode("ascii"), proc.stderr.decode("ascii")
+
+    code, out, err = child()
+    assert (code, out) == (2, "") and err.startswith("output error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, out, err = child("--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["geometry"] == geo["name"]
+    code, out, err = child("--out", str(report))
+    assert code == 2 and err.startswith("output error: ") and "Traceback" not in err
+    assert report.read_text(encoding="utf-8") == run_cli(capsys, "validate", "--geometry",
+                                                         str(path))[1]

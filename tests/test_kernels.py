@@ -26,7 +26,7 @@ from conftest import assert_jacobi_list, oracle_inverse, spd_metrics
 from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, DegenerateMetricError,
                     DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame, ScalarJet, Tensor,
                     ValidationReport, constant_sectional, curvature, levi_civita,
-                    non_metricity, rat, ssnmc, validate)
+                    non_metricity, rat, ssnmc, torsion, validate)
 from sscurv.geometry import jet_consistency_violations
 from sscurv.rat import Rat
 from sscurv.tensor import DOWN, UP
@@ -62,6 +62,12 @@ def ref_non_metricity(gam, g, n):
     return [-sum(gam[(m * n + i) * n + j] * g[m * n + k] + gam[(m * n + i) * n + k] * g[j * n + m]
                  for m in range(n))
             for i, j, k in product(range(n), repeat=3)]
+
+
+def ref_torsion(gam, c, n):
+    """T^k_ij = Gamma^k_ij - Gamma^k_ji - C^k_ij."""
+    return [gam[(k * n + i) * n + j] - gam[(k * n + j) * n + i] - c[(k * n + i) * n + j]
+            for k, i, j in product(range(n), repeat=3)]
 
 
 def ref_curvature(gam, c, g_inv, n):
@@ -150,6 +156,7 @@ def test_custom_connection_kernels_match_reference(data):
     frame = FrameAlgebra(n, rat_tensor((UP, DOWN, DOWN), n, c))
     metric = data.draw(general_metrics(n), label="metric")
     conn = Connection(rat_tensor((UP, DOWN, DOWN), n, gam), ConnectionKind.CUSTOM)
+    assert fractions_of(torsion(conn, frame)) == ref_torsion(gam, c, n)
     assert fractions_of(non_metricity(conn, metric)) == ref_non_metricity(
         gam, fractions_of(metric.g), n)
     assert_curvature_matches(conn, frame, metric)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import DIM, rat_tensor, small_rats, spd_metrics
+from conftest import DIM, int_str_limit_lifted, rat_tensor, small_rats, spd_metrics
 from sscurv import DistinguishedField, MetricFrame, Tensor, ValenceError, rat
 from sscurv.connection import semi_symmetric_torsion
 from sscurv.context import operator_derivative
@@ -72,6 +72,25 @@ def test_rat_reads_strings_as_the_interchange_format_does(text, value):
     else:
         assert rat(text) == value
         assert Tensor((UP,), 2, ["1", text])[1] == value
+
+
+def test_rationals_of_any_length_are_read_and_written_exactly():
+    # 5071 and 4295 digits: CPython's str(int) and int(str) refuse the first
+    # past the default limit of 4300 digits, and p * den has 9365.
+    p, den = 7 ** 6000, 3 ** 9000
+    nums = (p, -p * den, 0, 1, 1 - 2 * p)
+    with int_str_limit_lifted():
+        expected = [str(Fraction(x, den)) for x in nums]
+        whole = [str(x) for x in nums]
+        literal = f"-{p}/{den}"
+    assert format_rats(nums, den) == expected
+    assert format_rats(nums, 1) == whole
+    assert format_rat(Fraction(p, den)) == expected[0]
+    assert parse_rat(literal) == Fraction(-p, den) == rat(literal)
+    assert parse_rat("0" * 5001 + "/" + "0" * 4000 + "3") == 0
+    for text in ("1/" + "0" * 5001, "0" * 5001 + "/0"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rat(text)
 
 
 @pytest.mark.parametrize("make, variance", [(Tensor.vector, (UP,)), (Tensor.covector, (DOWN,))])
