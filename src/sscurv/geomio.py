@@ -177,7 +177,9 @@ def jet_from_dict(data, dim: int, *, path: str | None = None,
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
+        # decimal reads an integer of any length: it has no int/str digit limit
+        return json.loads(path.read_text(encoding="utf-8"),
+                          parse_int=lambda text: int(Decimal(text)))
     except FileNotFoundError:
         raise InputError("file not found", path=str(path)) from None
     except json.JSONDecodeError as exc:
@@ -187,14 +189,6 @@ def _read_json(path: Path):
         raise InputError(f"not UTF-8 text at byte {exc.start}", path=str(path)) from None
     except OSError as exc:
         raise InputError(f"cannot read: {exc.strerror}", path=str(path)) from None
-
-
-def _json_int(text: str) -> int:
-    """A JSON integer of any length."""
-    try:
-        return int(text)
-    except ValueError:  # past the int/str digit limit, which decimal does not have
-        return int(Decimal(text))
 
 
 def load_geometry(path: str | Path) -> LoadedGeometry:

@@ -217,7 +217,11 @@ def count_calls(monkeypatch, module, attr):
 @contextmanager
 def int_str_limit_lifted():
     """Lift CPython's int/str digit limit inside the block, to compute expected
-    strings the plain way; the engine itself must never need this."""
+    strings the plain way; the engine itself must never need this. Pythons
+    before 3.10.7 have no limit, so there is nothing to lift."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
