@@ -3,25 +3,35 @@
 This is what the soliton checks, the reports and the CLI need of the probes:
 ProbeContext, which validates a spec and builds each connection and
 curvature once, and which every public function finds by ProbeContext.of;
+FieldContext, the level below it, which holds what reads only the metric and
+xi (a probe's field-only right side, the zero tensors) and which a context
+finds by FieldContext.of, so that geometries on one field (every fuzz
+candidate: g = I, xi = e3) build those quantities once between them;
 ProbeContext.unmet, the one decider of the paper's class, whose entries give
 both the probe skip notes and the soliton out-of-scope reasons; the verdict
 types and judge, the one rule that turns a computed lhs/rhs pair into pass,
 fail or paper-mismatch; and the names of the probe suites. The probe
 registry and the suites live in probes, which a soliton check never loads.
+
+Both levels keep the last one they were asked about and decide by identity,
+never by equality: a spec is kept for the same spec object, a field for the
+same metric and distinguished-field objects. All three are frozen records,
+so a kept level never goes stale, and an equal but distinct object gets a
+level of its own.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from itertools import product
-from typing import Union
+from typing import Callable, Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
 from .curvature import CurvatureBundle, conformal, curvature
 from .errors import GeometryError
-from .geometry import GeometrySpec, ValidationReport, validate
+from .geometry import (DistinguishedField, GeometrySpec, MetricFrame, ValidationReport,
+                       validate)
 from .rat import ZERO, Rat
 from .record import Record
 from .tensor import Tensor
@@ -90,6 +100,89 @@ def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
     return ProbeResult(probe_id, status, lhs, rhs, dev, note=note)
 
 
+class _memo:
+    """A lazily computed attribute: fn(obj) on the first read, kept in obj.__dict__,
+    which answers every later read (the descriptor defines no __set__).
+
+    functools.cached_property without the RLock it takes on each first
+    computation on Python 3.11. A racing thread costs a second computation
+    of the same value, never a wrong one.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class FieldContext:
+    """What reads only the metric and xi, built once for the geometries on that field.
+
+    A probe splits its right side in two: a module-level function of the
+    field, which once() runs once per field, and the rest, computed per
+    geometry. ProbeContext.field finds the field through FieldContext.of,
+    which keeps the last one: identity decides, never equality.
+    """
+
+    _last: FieldContext | None = None  # the field last asked about
+
+    def __init__(self, metric: MetricFrame, distinguished: DistinguishedField):
+        self.metric = metric
+        self.distinguished = distinguished
+        self._kept: dict = {}
+
+    @staticmethod
+    def of(metric: MetricFrame, distinguished: DistinguishedField) -> FieldContext:
+        """The kept field if both objects are the last ones asked about, else a new one, kept instead."""
+        field = FieldContext._last  # read once, as in ProbeContext.of
+        if field is None or field.metric is not metric or field.distinguished is not distinguished:
+            field = FieldContext._last = FieldContext(metric, distinguished)
+        return field
+
+    def once(self, fn: Callable[[FieldContext], Value]) -> Value:
+        """fn(self), computed on the first call with this fn and kept; fn never returns None."""
+        value = self._kept.get(fn)
+        if value is None:
+            value = self._kept[fn] = fn(self)
+        return value
+
+    def zeros(self, variance: tuple[str, ...]) -> Tensor:
+        """The zero tensor of this variance in the field's dimension."""
+        value = self._kept.get(variance)
+        if value is None:
+            value = self._kept[variance] = Tensor.zeros(variance, self.dim)
+        return value
+
+    @_memo
+    def torsion_shape(self) -> Tensor:
+        """psi(V)U - psi(U)V, the semi-symmetric torsion shape that A1 and B11 compare to."""
+        return semi_symmetric_torsion(self.distinguished)
+
+    @property
+    def psi(self) -> Tensor:
+        return self.distinguished.psi
+
+    @property
+    def xi(self) -> Tensor:
+        return self.distinguished.xi
+
+    @property
+    def g(self) -> Tensor:
+        return self.metric.g
+
+    @property
+    def dim(self) -> int:
+        return self.metric.dim
+
+
 class ProbeContext:
     """Shared computations for one geometry; probes reuse everything here.
 
@@ -97,6 +190,7 @@ class ProbeContext:
     ProbeContext.of, which keeps the last one: successive calls on one spec
     object validate it and build each quantity once. Identity decides, never
     equality; a spec is a frozen record, so a kept context never goes stale.
+    What reads only the metric and xi lives one level down, in self.field.
     """
 
     _last: ProbeContext | None = None  # the context of the spec last asked about
@@ -115,7 +209,12 @@ class ProbeContext:
             ctx = ProbeContext._last = ProbeContext(spec)
         return ctx
 
-    @cached_property
+    @_memo
+    def field(self) -> FieldContext:
+        """The spec's metric and xi, shared with every spec on the same two objects."""
+        return FieldContext.of(self.spec.metric, self.spec.distinguished)
+
+    @_memo
     def validation(self) -> ValidationReport:
         return validate(self.spec)
 
@@ -126,52 +225,47 @@ class ProbeContext:
                 f"geometry fails structural validation ({self.validation.failures})")
         return self
 
-    @cached_property
+    @_memo
     def lc(self) -> Connection:
         return levi_civita(self.spec.frame, self.spec.metric)
 
-    @cached_property
+    @_memo
     def hat(self) -> Connection:
         return ssnmc(self.lc, self.spec.distinguished)
 
-    @cached_property
+    @_memo
     def lc_bundle(self) -> CurvatureBundle:
         return curvature(self.lc, self.spec.frame, self.spec.metric)
 
-    @cached_property
+    @_memo
     def hat_bundle(self) -> CurvatureBundle:
         return curvature(self.hat, self.spec.frame, self.spec.metric)
 
-    @cached_property
+    @_memo
     def alpha(self) -> Tensor:
         return alpha_star(self.lc, self.spec.distinguished)
 
-    @cached_property
-    def torsion_shape(self) -> Tensor:
-        """psi(V)U - psi(U)V, the semi-symmetric torsion shape that A1 and B11 compare to."""
-        return semi_symmetric_torsion(self.spec.distinguished)
-
-    @cached_property
+    @_memo
     def torsion_hat(self) -> Tensor:
         return torsion(self.hat, self.spec.frame)
 
-    @cached_property
+    @_memo
     def non_metricity_hat(self) -> Tensor:
         return non_metricity(self.hat, self.spec.metric)
 
-    @cached_property
+    @_memo
     def conformal_lc(self) -> Tensor:
         return conformal(self.lc_bundle, self.spec.metric)
 
-    @cached_property
+    @_memo
     def conformal_hat(self) -> Tensor:
         return conformal(self.hat_bundle, self.spec.metric)
 
-    @cached_property
+    @_memo
     def parallel(self) -> bool:
         return is_parallel(self.lc, self.spec.distinguished)
 
-    @cached_property
+    @_memo
     def unmet(self) -> dict[str, tuple[str, tuple[str, ...]]]:
         """Each hypothesis of the paper's class this geometry fails, by name and
         in order, as (probe skip note, the reasons a soliton conclusion names).

@@ -107,9 +107,13 @@ class FrameAlgebra(Record):
         the lexicographically first violating ordering. The sums run on the
         numerators of C, which leaves every zero test as it is.
         """
+        return self._jacobi_violations(not self.antisymmetry_violations())
+
+    def _jacobi_violations(self, antisymmetric: bool) -> list[tuple[int, int, int, int]]:
+        """jacobi_violations, given the verdict of antisymmetry_violations."""
         n, c = self.dim, self.c.nums
         rng = range(n)
-        if self.antisymmetry_violations():
+        if not antisymmetric:
             return [(i + 1, j + 1, k + 1, l + 1)
                     for i, j, k, l in itertools.product(rng, repeat=4)
                     if _jacobi_sum(c, n, i, j, k, l)]
@@ -310,7 +314,8 @@ def validate(spec: GeometrySpec) -> ValidationReport:
     Unit xi is recorded as a capability flag rather than a failure:
     ProbeContext.unmet reads it to decide whether a geometry is in the
     paper's class. psi = 0 (xi = 0) is accepted too, flagged degenerate; it
-    gives the useful "hatted equals unhatted" limit.
+    gives the useful "hatted equals unhatted" limit. Antisymmetry is decided
+    once: the same verdict picks the loop of the Jacobi check.
     """
     checks = []
 
@@ -318,7 +323,7 @@ def validate(spec: GeometrySpec) -> ValidationReport:
     checks.append(Check("antisymmetry", not anti,
                         "" if not anti else f"C^k_ij != -C^k_ji at (i, j, k) = {anti[0]}"))
 
-    jac = spec.frame.jacobi_violations()
+    jac = spec.frame._jacobi_violations(not anti)
     checks.append(Check("jacobi", not jac,
                         "" if not jac else
                         f"Jacobi sum nonzero at (i, j, k) = {jac[0][:3]} (value slot l = {jac[0][3]})"))

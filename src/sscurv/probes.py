@@ -13,6 +13,12 @@ evidence is preserved while the rest of the suite stays green.
 B22's right side uses the correction terms as re-derived from B8 and B9:
 the cataloged form carries a sign slip on its two xi terms (checked against
 the h2xr oracle geometry).
+
+The part of a right side that reads only the metric and xi is a
+module-level function of the field beside its probe, which ctx.field.once
+runs once per field; the zero right sides come from ctx.field.zeros. Only
+the rest is computed per geometry. Every number is exact, so the grouping
+leaves each side's value as it was.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .context import (ProbeContext, ProbeResult, ProbeStatus, Value, judge,
-                      operator_derivative)
+from .context import (FieldContext, ProbeContext, ProbeResult, ProbeStatus, Value,
+                      judge, operator_derivative)
 from .curvature import projective, wedge
 from .errors import UnknownProbeError, UnsupportedDimensionError
 from .geometry import GeometrySpec
@@ -32,13 +38,17 @@ _RANK4 = (UP, DOWN, DOWN, DOWN)
 
 
 def _probe_a1(ctx: ProbeContext):
-    return ctx.torsion_hat, ctx.torsion_shape
+    return ctx.torsion_hat, ctx.field.torsion_shape
+
+
+def _b2_rhs(field: FieldContext):
+    # -psi_j g_ik - psi_k g_ij at [i, j, k]
+    x = field.g.tensor_product(field.psi)
+    return -(x + x.permute((0, 2, 1)))
 
 
 def _probe_b2(ctx: ProbeContext):
-    # -psi_j g_ik - psi_k g_ij at [i, j, k]
-    x = ctx.g.tensor_product(ctx.psi)
-    return ctx.non_metricity_hat, -(x + x.permute((0, 2, 1)))
+    return ctx.non_metricity_hat, ctx.field.once(_b2_rhs)
 
 
 def _probe_b3(ctx: ProbeContext):
@@ -47,27 +57,35 @@ def _probe_b3(ctx: ProbeContext):
 
 def _probe_b5(ctx: ProbeContext):
     lhs = ctx.lc_bundle.riemann.contract_with(1, ctx.xi)
-    return lhs, Tensor.zeros((UP, DOWN, DOWN), ctx.dim)
+    return lhs, ctx.field.zeros((UP, DOWN, DOWN))
 
 
 def _probe_b6(ctx: ProbeContext):
     lhs = ctx.lc_bundle.ricci.contract_with(1, ctx.xi)
-    return lhs, Tensor.zeros((DOWN,), ctx.dim)
+    return lhs, ctx.field.zeros((DOWN,))
 
 
 def _probe_b7(ctx: ProbeContext):
     lhs = -ctx.lc.gamma.contract_with(0, ctx.psi)
-    return lhs, Tensor.zeros((DOWN, DOWN), ctx.dim)
+    return lhs, ctx.field.zeros((DOWN, DOWN))
+
+
+def _b8_term(field: FieldContext):
+    psi = field.psi
+    return wedge(psi.tensor_product(psi))
 
 
 def _probe_b8(ctx: ProbeContext):
-    psi = ctx.psi
-    return ctx.hat_bundle.riemann, ctx.lc_bundle.riemann + wedge(psi.tensor_product(psi))
+    return ctx.hat_bundle.riemann, ctx.lc_bundle.riemann + ctx.field.once(_b8_term)
+
+
+def _b9_term(field: FieldContext):
+    psi = field.psi
+    return psi.tensor_product(psi).scale(field.dim - 1)
 
 
 def _probe_b9(ctx: ProbeContext):
-    psi = ctx.psi
-    return ctx.hat_bundle.ricci, ctx.lc_bundle.ricci + psi.tensor_product(psi).scale(ctx.dim - 1)
+    return ctx.hat_bundle.ricci, ctx.lc_bundle.ricci + ctx.field.once(_b9_term)
 
 
 def _probe_b10(ctx: ProbeContext):
@@ -77,12 +95,17 @@ def _probe_b10(ctx: ProbeContext):
 def _probe_b11(ctx: ProbeContext):
     # psi_j delta^l_i - psi_i delta^l_j is the semi-symmetric torsion shape.
     lhs = ctx.hat_bundle.riemann.contract_with(1, ctx.xi)
-    return lhs, ctx.torsion_shape
+    return lhs, ctx.field.torsion_shape
 
 
 def _probe_b12(ctx: ProbeContext):
     lhs = ctx.hat_bundle.riemann.contract_with(0, ctx.psi)
-    return lhs, Tensor.zeros((DOWN, DOWN, DOWN), ctx.dim)
+    return lhs, ctx.field.zeros((DOWN, DOWN, DOWN))
+
+
+def _b13_rhs(field: FieldContext):
+    return {"ricci_xi": field.psi.scale(field.dim - 1),
+            "operator_xi": field.xi.scale(field.dim - 1)}
 
 
 def _probe_b13(ctx: ProbeContext):
@@ -90,8 +113,8 @@ def _probe_b13(ctx: ProbeContext):
         "ricci_xi": ctx.hat_bundle.ricci.contract_with(1, ctx.xi),
         "operator_xi": ctx.hat_bundle.ricci_op.contract_with(1, ctx.xi),
     }
-    rhs = {"ricci_xi": ctx.psi.scale(ctx.dim - 1), "operator_xi": ctx.xi.scale(ctx.dim - 1)}
-    return lhs, rhs
+    # A dict of its own per result: the kept one is shared by the whole field.
+    return lhs, dict(ctx.field.once(_b13_rhs))
 
 
 def _probe_b14(ctx: ProbeContext):
@@ -104,27 +127,32 @@ def _probe_b15(ctx: ProbeContext):
     return b.riemann, wedge(g, b.ricci_op) + wedge(b.ricci - g.scale(b.scalar * rat(1, 2)))
 
 
+def _b17_parts(field: FieldContext):
+    return Tensor.delta(field.dim), field.xi.tensor_product(field.psi)
+
+
 def _probe_b17(ctx: ProbeContext):
     half_rhat = ctx.hat_bundle.scalar * rat(1, 2)
-    rhs = (Tensor.delta(ctx.dim).scale(half_rhat + 1)
-           - ctx.xi.tensor_product(ctx.psi).scale(half_rhat - 1))
-    return ctx.hat_bundle.ricci_op, rhs
+    delta, xi_psi = ctx.field.once(_b17_parts)
+    return ctx.hat_bundle.ricci_op, delta.scale(half_rhat + 1) - xi_psi.scale(half_rhat - 1)
 
 
 def _probe_b18(ctx: ProbeContext):
     lhs = operator_derivative(ctx.hat_bundle.ricci_op, ctx.lc.gamma)
-    return lhs, Tensor.zeros((UP, DOWN, DOWN), ctx.dim)
+    return lhs, ctx.field.zeros((UP, DOWN, DOWN))
 
 
 def _probe_b20(ctx: ProbeContext):
     return projective(ctx.hat_bundle), projective(ctx.lc_bundle)
 
 
+def _b22_correction(field: FieldContext):
+    psi, g = field.psi, field.g
+    return wedge(g - psi.tensor_product(psi)) - wedge(g, field.xi.tensor_product(psi)).scale(2)
+
+
 def _probe_b22(ctx: ProbeContext):
-    psi, g = ctx.psi, ctx.g
-    rhs = (ctx.conformal_lc + wedge(g - psi.tensor_product(psi))
-           - wedge(g, ctx.xi.tensor_product(psi)).scale(2))
-    return ctx.conformal_hat, rhs
+    return ctx.conformal_hat, ctx.conformal_lc + ctx.field.once(_b22_correction)
 
 
 def _probe_b23(ctx: ProbeContext):
@@ -137,11 +165,11 @@ def _probe_bianchi(ctx: ProbeContext):
     # R[l, k, i, j] + R[l, i, j, k] + R[l, j, k, i]
     r = ctx.lc_bundle.riemann
     lhs = r + r.permute((0, 3, 1, 2)) + r.permute((0, 2, 3, 1))
-    return lhs, Tensor.zeros(_RANK4, ctx.dim)
+    return lhs, ctx.field.zeros(_RANK4)
 
 
 def _probe_cflat(ctx: ProbeContext):
-    return ctx.conformal_lc, Tensor.zeros(_RANK4, ctx.dim)
+    return ctx.conformal_lc, ctx.field.zeros(_RANK4)
 
 
 # Hypotheses a probe can require, by name; ProbeContext.unmet lists the failed ones.

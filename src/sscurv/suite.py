@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .context import worst_component
@@ -91,6 +92,14 @@ def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
     return FrameAlgebra.from_entries(3, entries)
 
 
+@functools.cache
+def _fuzz_field() -> tuple[MetricFrame, DistinguishedField]:
+    """g = I and the unit xi = e3 of every fuzz candidate, built once per process:
+    every stream's candidates share them, and so one FieldContext."""
+    metric = MetricFrame.identity(3)
+    return metric, DistinguishedField.from_xi(Tensor.vector([ZERO, ZERO, ONE]), metric)
+
+
 def fuzz(config: FuzzConfig) -> dict:
     """Generate random frame algebras, keep the valid ones, run every probe.
 
@@ -102,9 +111,7 @@ def fuzz(config: FuzzConfig) -> dict:
     probe with dict-valued sides, the part key.
     """
     rng = random.Random(config.seed)
-    metric = MetricFrame.identity(3)
-    xi = Tensor.vector([ZERO, ZERO, ONE])
-    dist = DistinguishedField.from_xi(xi, metric)
+    metric, dist = _fuzz_field()
 
     statuses = [s.value for s in ProbeStatus]
     counts = {pid: dict.fromkeys(statuses, 0) for pid in PROBE_ORDER}

@@ -1,14 +1,19 @@
 """Fuzzer determinism and status expectations."""
 
+import copy
 import dataclasses
 import itertools
 import json
 
 import pytest
 
-from sscurv import (FuzzConfig, ProbeStatus, SscurvError, emit_report, exit_code,
-                    format_rat, fuzz, rat, run_probe)
+import sscurv.connection
+from conftest import count_calls
+from sscurv import (DistinguishedField, FuzzConfig, GeometrySpec, ProbeContext, ProbeStatus,
+                    SscurvError, Tensor, builtin, emit_report, exit_code, format_rat, fuzz,
+                    rat, run_probe, run_suite)
 from sscurv import probes
+from sscurv.context import FieldContext
 from sscurv.geomio import geometry_from_dict
 from sscurv.geometry import validate
 from sscurv.suite import DEFAULT_POOL
@@ -165,3 +170,44 @@ def test_wrong_probe_yields_reproducible_certificates(monkeypatch):
         assert (cert["probe_id"], cert["part"], cert["component"]) == ("B13", "operator_xi", [3])
         assert cert["max_abs_deviation"] == "2"
     assert "probe B13 status fail at operator_xi(3)" in emit_report(doc, "text")
+
+
+def test_consecutive_streams_build_the_field_once(monkeypatch):
+    # Every candidate of every stream has the same g = I and xi = e3 objects,
+    # so each part of a right side that reads only those two is built once.
+    monkeypatch.setattr(FieldContext, "_last", None)
+    field_parts = ("_b2_rhs", "_b8_term", "_b9_term", "_b13_rhs", "_b17_parts",
+                   "_b22_correction")
+    calls = {name: count_calls(monkeypatch, probes, name) for name in field_parts}
+    calls["torsion_shape"] = count_calls(monkeypatch, sscurv.connection,
+                                         "semi_symmetric_torsion")
+    docs = [fuzz(FuzzConfig(count=30, seed=seed, require_parallel_xi=True)) for seed in (42, 7)]
+    assert all(doc["accepted"] >= 2 for doc in docs)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("parallel, xi", [(True, (0, 0, -1)), (False, (1, 0, 0))])
+def test_another_xi_after_a_stream_gets_its_own_field(parallel, xi):
+    # The stream's last frame and its metric object, with another xi: the
+    # field kept from the stream must not answer for it.
+    fuzz(FuzzConfig(count=30, seed=42, require_parallel_xi=parallel))
+    last = ProbeContext._last.spec
+    spec = GeometrySpec("other-xi", last.frame, last.metric,
+                        DistinguishedField.from_xi(Tensor.vector(xi), last.metric))
+    report = emit_report(run_suite(spec), "json")
+    # A deep copy has its own metric and xi objects, so fresh contexts at both levels.
+    assert emit_report(run_suite(copy.deepcopy(spec)), "json") == report
+    statuses = {p["id"]: p["status"] for p in json.loads(report)["probes"]}
+    assert "fail" not in statuses.values()
+    assert statuses["A1"] == statuses["B2"] == "pass"
+
+
+@pytest.mark.parametrize("parallel", (False, True))
+def test_stream_bytes_do_not_depend_on_what_ran_before(monkeypatch, parallel):
+    config = FuzzConfig(count=60, seed=42, require_parallel_xi=parallel)
+    monkeypatch.setattr(ProbeContext, "_last", None)
+    monkeypatch.setattr(FieldContext, "_last", None)
+    first = emit_report(fuzz(config), "json")
+    again = emit_report(fuzz(config), "json")  # on the field the first stream kept
+    run_suite(builtin("h2xr"))  # another geometry on another field
+    assert first == again == emit_report(fuzz(config), "json")

@@ -147,6 +147,27 @@ def test_antisymmetry_violation_reported():
     assert not report.check("antisymmetry").passed
 
 
+@pytest.mark.parametrize("entries", [{(2, 0, 1): 1, (0, 0, 2): 1}, {(0, 0, 1): -1}])
+def test_validate_decides_antisymmetry_once(monkeypatch, entries):
+    # One scan gives the antisymmetry check and picks the Jacobi loop; the
+    # Jacobi detail is the one jacobi_violations lists first.
+    spec = make_spec("g", entries)
+    scans = []
+    scan = FrameAlgebra.antisymmetry_violations
+
+    def counting(frame):
+        scans.append(frame)
+        return scan(frame)
+
+    monkeypatch.setattr(FrameAlgebra, "antisymmetry_violations", counting)
+    report = validate(spec)
+    assert len(scans) == 1
+    jac = spec.frame.jacobi_violations()
+    assert report.check("jacobi").passed is not bool(jac)
+    if jac:
+        assert f"{jac[0][:3]} (value slot l = {jac[0][3]})" in report.check("jacobi").detail
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_identity_metric_matches_elimination(n):
     metric = MetricFrame.identity(n)
