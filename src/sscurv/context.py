@@ -28,12 +28,12 @@ from typing import Callable, Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
-from .curvature import CurvatureBundle, conformal, curvature
+from .curvature import CurvatureBundle, conformal, constant_sectional, curvature
 from .errors import GeometryError
 from .geometry import (DistinguishedField, GeometrySpec, MetricFrame, ValidationReport,
                        validate)
 from .rat import ZERO, Rat
-from .record import Record
+from .record import Record, _memo
 from .tensor import Tensor
 
 # The names of probes.SUITES, for the CLI's --suite choices.
@@ -98,29 +98,6 @@ def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
     else:
         status = ProbeStatus.FAIL
     return ProbeResult(probe_id, status, lhs, rhs, dev, note=note)
-
-
-class _memo:
-    """A lazily computed attribute: fn(obj) on the first read, kept in obj.__dict__,
-    which answers every later read (the descriptor defines no __set__).
-
-    functools.cached_property without the RLock it takes on each first
-    computation on Python 3.11. A racing thread costs a second computation
-    of the same value, never a wrong one.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class FieldContext:
@@ -260,6 +237,16 @@ class ProbeContext:
     @_memo
     def conformal_hat(self) -> Tensor:
         return conformal(self.hat_bundle, self.spec.metric)
+
+    @_memo
+    def kappa_lc(self) -> Rat | None:
+        """constant_sectional of the Levi-Civita bundle: kappa, or None."""
+        return constant_sectional(self.lc_bundle, self.spec.metric)
+
+    @_memo
+    def kappa_hat(self) -> Rat | None:
+        """constant_sectional of the hat bundle: kappa, or None."""
+        return constant_sectional(self.hat_bundle, self.spec.metric)
 
     @_memo
     def parallel(self) -> bool:

@@ -13,17 +13,20 @@ substituted from a cross-relation.
 
 curvature() is a fraction-free integer kernel: it reads its inputs' integer
 numerators and denominators (see tensor), accumulates in plain ints and
-divides once per tensor. wedge(a, Q), the shape a(V, Y) QU - a(U, Y) QV
-behind the projective, conformal and constant-curvature forms, is one too:
-one pass over the nonzero numerators of a and Q. constant_sectional() decides
-R = kappa wedge(g) on the numerators, by cross-multiplication, and builds
-kappa as one rational. projective() and conformal() are wedge expressions
-with coefficients from the dimension n, and raise UnsupportedDimensionError
-where they are undefined.
+divides once per tensor. So is _wedge_sum, base + sum of c_t wedge(a_t, Q_t)
+for wedge(a, Q) = a(V, Y) QU - a(U, Y) QV, the shape behind the projective,
+conformal and constant-curvature forms: one pass over the nonzero numerators
+of each a_t and Q_t, over one common denominator. wedge(), projective(),
+conformal() and the B3, B15 and B22 right sides in probes are its calls;
+projective() and conformal() take coefficients from the dimension n and
+raise UnsupportedDimensionError where they are undefined.
+constant_sectional() decides R = kappa wedge(g) on the numerators, by
+cross-multiplication, and builds kappa as one rational.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional
 
 from .connection import Connection
@@ -133,10 +136,7 @@ def wedge(a: Tensor, q: Optional[Tensor] = None) -> Tensor:
     """The (1,3) tensor a(V, Y) QU - a(U, Y) QV: a_jk q^l_i - a_ik q^l_j at [l, k, i, j].
 
     a is a (0,2) and q a (1,1) tensor of a's dim; q=None stands for the
-    Kronecker delta. Fraction-free: one pass over the nonzero numerators of
-    a and q adds each product a_jk q^l_i at [l, k, i, j] and subtracts it at
-    [l, k, j, i] (for i == j the two cancel), in one integer list over
-    a.den q.den that is divided once.
+    Kronecker delta. The one-term call of the wedge kernel (_wedge_sum).
     """
     if a.variance != (DOWN, DOWN):
         raise ValenceError(f"wedge needs a (0,2) tensor a, got variance {a.variance}")
@@ -144,24 +144,46 @@ def wedge(a: Tensor, q: Optional[Tensor] = None) -> Tensor:
     if q is not None and (q.variance != (UP, DOWN) or q.dim != n):
         raise ValenceError(f"wedge needs q a (1,1) tensor of dim {n}, "
                            f"got variance {q.variance} in dim {q.dim}")
+    return _wedge_sum(None, ((1, a, q),))
+
+
+def _wedge_sum(base: Optional[Tensor], terms) -> Tensor:
+    """base + sum of c * wedge(a, q) over the terms (c, a, q); base None is zero.
+
+    c is a Rat or int, a a (0,2) and q a (1,1) tensor or None (the delta),
+    all of one dim, unchecked. Fraction-free: over D, the lcm of base.den and
+    each c.den a.den q.den, one pass over the nonzero numerators of each a
+    and q adds c a_jk q^l_i at [l, k, i, j] and subtracts it at [l, k, j, i]
+    (for i == j the two cancel); the integer list is divided by D once.
+    """
+    n = terms[0][1].dim
     nn = n * n
     n3 = nn * n
-    # Nonzero q^l_i as (offset of l in the value slot, i, value).
-    if q is None:
-        q_terms, den = [(l * n3, l, 1) for l in range(n)], a.den
+    dens = [c.denominator * a.den * (1 if q is None else q.den) for c, a, q in terms]
+    if base is None:
+        den = lcm(*dens)
+        out = [0] * (n3 * n)
     else:
-        q_terms = [(flat // n * n3, flat % n, y) for flat, y in enumerate(q.nums) if y]
-        den = a.den * q.den
-    out = [0] * (n3 * n)
-    for flat, x in enumerate(a.nums):
-        if not x:
+        den = lcm(base.den, *dens)
+        out = list(base.nums) if den == base.den else [x * (den // base.den) for x in base.nums]
+    for (c, a, q), d in zip(terms, dens):
+        scale = c.numerator * (den // d)
+        if not scale:
             continue
-        j, k = flat // n, flat % n
-        for l3, i, y in q_terms:
-            if i != j:
-                base, prod = l3 + k * nn, x * y
-                out[base + i * n + j] += prod
-                out[base + j * n + i] -= prod
+        # Nonzero q^l_i as (offset of l in the value slot, i, value).
+        if q is None:
+            q_terms = [(l * n3, l, scale) for l in range(n)]
+        else:
+            q_terms = [(flat // n * n3, flat % n, y * scale) for flat, y in enumerate(q.nums) if y]
+        for flat, x in enumerate(a.nums):
+            if not x:
+                continue
+            j, k = flat // n, flat % n
+            for l3, i, y in q_terms:
+                if i != j:
+                    at, prod = l3 + k * nn, x * y
+                    out[at + i * n + j] += prod
+                    out[at + j * n + i] -= prod
     return Tensor.from_ints((UP, DOWN, DOWN, DOWN), n, out, den)
 
 
@@ -193,7 +215,7 @@ def projective(bundle: CurvatureBundle) -> Tensor:
     n = bundle.dim
     if n < 2:
         raise UnsupportedDimensionError(f"projective tensor needs dim >= 2, got dim {n}")
-    return bundle.riemann - wedge(bundle.ricci).scale(rat(1, n - 1))
+    return _wedge_sum(bundle.riemann, ((rat(-1, n - 1), bundle.ricci, None),))
 
 
 def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
@@ -206,8 +228,6 @@ def conformal(bundle: CurvatureBundle, metric: MetricFrame) -> Tensor:
     n = bundle.dim
     if n < 3:
         raise UnsupportedDimensionError(f"conformal tensor needs dim >= 3, got dim {n}")
-    g, s = metric.g, bundle.ricci
-    r_c = bundle.scalar * rat(1, (n - 1) * (n - 2))
-    c = rat(1, n - 2)
-    return (bundle.riemann + wedge(g.scale(r_c) - s.scale(c))
-            - wedge(g, bundle.ricci_op).scale(c))
+    g, c = metric.g, rat(-1, n - 2)
+    return _wedge_sum(bundle.riemann, ((bundle.scalar * rat(1, (n - 1) * (n - 2)), g, None),
+                                       (c, bundle.ricci, None), (c, g, bundle.ricci_op)))

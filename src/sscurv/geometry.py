@@ -22,7 +22,7 @@ from math import lcm
 
 from .errors import DegenerateMetricError, ValenceError
 from .rat import Rat, rat
-from .record import Record
+from .record import Record, _memo
 from .tensor import DOWN, UP, Tensor
 
 
@@ -105,21 +105,21 @@ class FrameAlgebra(Record):
         independent and each violated one is listed once, with i < j < k.
         Any other C gets every (i, j, k, l). Either way the first entry is
         the lexicographically first violating ordering. The sums run on the
-        numerators of C, which leaves every zero test as it is.
+        numerators of C, which leaves every zero test as it is. The frame
+        decides them once; each call returns a list of its own.
         """
-        return self._jacobi_violations(not self.antisymmetry_violations())
+        return list(self._verdicts[1])
 
-    def _jacobi_violations(self, antisymmetric: bool) -> list[tuple[int, int, int, int]]:
-        """jacobi_violations, given the verdict of antisymmetry_violations."""
+    @_memo
+    def _verdicts(self) -> tuple[tuple, tuple]:
+        """(antisymmetry_violations(), jacobi_violations()) as tuples, decided once
+        per frame and kept in its __dict__; the antisymmetry verdict picks the Jacobi loop."""
+        anti = tuple(self.antisymmetry_violations())
         n, c = self.dim, self.c.nums
         rng = range(n)
-        if not antisymmetric:
-            return [(i + 1, j + 1, k + 1, l + 1)
-                    for i, j, k, l in itertools.product(rng, repeat=4)
-                    if _jacobi_sum(c, n, i, j, k, l)]
-        return [(i + 1, j + 1, k + 1, l + 1)
-                for i, j, k in itertools.combinations(rng, 3) for l in rng
-                if _jacobi_sum(c, n, i, j, k, l)]
+        triples = itertools.product(rng, repeat=3) if anti else itertools.combinations(rng, 3)
+        return anti, tuple((i + 1, j + 1, k + 1, l + 1) for i, j, k in triples for l in rng
+                           if _jacobi_sum(c, n, i, j, k, l))
 
 
 def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> int:
@@ -314,16 +314,16 @@ def validate(spec: GeometrySpec) -> ValidationReport:
     Unit xi is recorded as a capability flag rather than a failure:
     ProbeContext.unmet reads it to decide whether a geometry is in the
     paper's class. psi = 0 (xi = 0) is accepted too, flagged degenerate; it
-    gives the useful "hatted equals unhatted" limit. Antisymmetry is decided
-    once: the same verdict picks the loop of the Jacobi check.
+    gives the useful "hatted equals unhatted" limit. The frame decides
+    antisymmetry and Jacobi once and keeps both verdicts, so a frame that
+    jacobi_violations already filtered is not scanned again.
     """
     checks = []
 
-    anti = spec.frame.antisymmetry_violations()
+    anti, jac = spec.frame._verdicts
     checks.append(Check("antisymmetry", not anti,
                         "" if not anti else f"C^k_ij != -C^k_ji at (i, j, k) = {anti[0]}"))
 
-    jac = spec.frame._jacobi_violations(not anti)
     checks.append(Check("jacobi", not jac,
                         "" if not jac else
                         f"Jacobi sum nonzero at (i, j, k) = {jac[0][:3]} (value slot l = {jac[0][3]})"))

@@ -8,13 +8,15 @@ fills in each antisymmetric partner. serialize_value, which reports use too,
 writes rationals and tensors as canonical (nested) strings, and, given a
 report's memo, one shared nested list per distinct tensor. dumps_json, the
 one JSON writer of reports and geometry files, writes the result and renders
-each list object once per indent, however often the tree holds it.
+each list object once per indent, however often the tree holds it, and a
+tensor's nested list in one join.
 """
 
 from __future__ import annotations
 
 import json
 from decimal import Decimal
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -259,11 +261,14 @@ def dumps_json(value) -> str:
     Report values are str, int, bool, None, lists and tuples of them, and
     dicts with str keys; anything else, a float included, raises TypeError.
     Strings are escaped by the stdlib's C escaper, as json.dumps does by
-    default. A list of strings (a tensor row) is written in one join and a
-    list of such rows (a matrix) in one pass, so no output goes through
-    json's pure-Python indenting encoder. Each list object is rendered once
-    per indent: a report that shares one list between equal tensors writes
-    its text once and copies it.
+    default. A uniform grid (every level lists of one nonzero length, str
+    leaves), as a tensor's nested list is, is written in one join: its
+    leaves are quoted once per list object and the text around them is
+    built once per shape and indent. Anything else (a tuple, an empty or
+    ragged level, a leaf that is not a str) is written item by item, so no
+    output goes through json's pure-Python indenting encoder. Each list
+    object is rendered once per indent: a report that shares one list
+    between equal tensors writes its text once and copies it.
     """
     parts: list[str] = []
     _write_json(value, parts, "\n", {})
@@ -273,8 +278,10 @@ def dumps_json(value) -> str:
 def _write_json(value, parts: list[str], newline: str, written: dict) -> None:
     # Recursion with the output list passed in: a self-referencing closure
     # would be a reference cycle holding every chunk until cyclic GC runs.
-    # written maps (id(list), newline) to the list's text; the tree keeps
-    # every list alive for the whole call, so no id is reused within it.
+    # written maps (id(list), newline) to the list's text, id(list) to its
+    # grid (None if it is none) and (shape, newline) to a grid shape's frame;
+    # the tree keeps every list alive for the whole call, so no id is reused
+    # within it.
     if isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
@@ -318,20 +325,14 @@ def _write_json(value, parts: list[str], newline: str, written: dict) -> None:
 
 def _list_text(value, newline: str, written: dict) -> str:
     """The text of a non-empty list or tuple whose closing bracket sits after newline."""
+    grid = written.get(id(value), False)
+    if grid is False:
+        grid = written[id(value)] = _grid(value)
+    if grid is not None:
+        text = _grid_frame(grid[0], newline, written).copy()
+        text[1::2] = grid[1]
+        return "".join(text)
     inner = newline + "  "
-    first = value[0]
-    try:
-        if isinstance(first, str):  # a row of strings, the common case
-            return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
-        if type(first) is list and first and isinstance(first[0], str):  # a matrix
-            row_inner = inner + "  "
-            row_sep = "," + row_inner
-            rows = ["[" + row_inner + row_sep.join(map(_quote, row)) + inner + "]"
-                    for row in value if type(row) is list and row]
-            if len(rows) == len(value):
-                return "[" + inner + ("," + inner).join(rows) + newline + "]"
-    except TypeError:  # an item is not a string: write it item by item
-        pass
     parts: list[str] = []
     sep = "[" + inner
     for item in value:
@@ -340,3 +341,41 @@ def _list_text(value, newline: str, written: dict) -> str:
         sep = "," + inner
     parts.append(newline + "]")
     return "".join(parts)
+
+
+def _grid(value) -> tuple[tuple[int, ...], list[str]] | None:
+    """(shape, quoted leaves in row-major order) if value is a list whose every
+    level holds lists of one nonzero length and whose leaves are all str, else None."""
+    if type(value) is not list:
+        return None
+    shape, level = [len(value)], value
+    while type(level[0]) is list:
+        width = len(level[0])
+        if not width or set(map(type, level)) != {list} or set(map(len, level)) != {width}:
+            return None
+        shape.append(width)
+        level = list(chain.from_iterable(level))
+    try:
+        return tuple(shape), list(map(_quote, level))
+    except TypeError:  # a leaf that is not a str
+        return None
+
+
+def _grid_frame(shape: tuple[int, ...], newline: str, written: dict) -> list[str]:
+    """The text of a grid of this shape whose closing bracket sits after newline,
+    with an empty slot for each leaf at the odd positions; built from the frame
+    of the shape one level down and kept in written."""
+    key = (shape, newline)
+    frame = written.get(key)
+    if frame is None:
+        inner = newline + "  "
+        if len(shape) == 1:
+            frame = ["[" + inner, ""] + ["," + inner, ""] * (shape[0] - 1) + [newline + "]"]
+        else:
+            sub = _grid_frame(shape[1:], inner, written)
+            head, body, close = sub[0], sub[1:-1], sub[-1]
+            frame = (["[" + inner + head] + body
+                     + ([close + "," + inner + head] + body) * (shape[0] - 1)
+                     + [close + newline + "]"])
+        written[key] = frame
+    return frame

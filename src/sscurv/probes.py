@@ -28,7 +28,7 @@ from typing import Callable
 
 from .context import (FieldContext, ProbeContext, ProbeResult, ProbeStatus, Value,
                       judge, operator_derivative)
-from .curvature import projective, wedge
+from .curvature import _wedge_sum, projective, wedge
 from .errors import UnknownProbeError, UnsupportedDimensionError
 from .geometry import GeometrySpec
 from .rat import ZERO, rat
@@ -52,7 +52,7 @@ def _probe_b2(ctx: ProbeContext):
 
 
 def _probe_b3(ctx: ProbeContext):
-    return ctx.hat_bundle.riemann, ctx.lc_bundle.riemann - wedge(ctx.alpha)
+    return ctx.hat_bundle.riemann, _wedge_sum(ctx.lc_bundle.riemann, ((-1, ctx.alpha, None),))
 
 
 def _probe_b5(ctx: ProbeContext):
@@ -123,8 +123,10 @@ def _probe_b14(ctx: ProbeContext):
 
 
 def _probe_b15(ctx: ProbeContext):
+    # R = wedge(g, Q) + wedge(S) - (r/2) wedge(g)
     b, g = ctx.lc_bundle, ctx.g
-    return b.riemann, wedge(g, b.ricci_op) + wedge(b.ricci - g.scale(b.scalar * rat(1, 2)))
+    return b.riemann, _wedge_sum(None, ((1, g, b.ricci_op), (1, b.ricci, None),
+                                        (b.scalar * rat(-1, 2), g, None)))
 
 
 def _b17_parts(field: FieldContext):
@@ -148,7 +150,8 @@ def _probe_b20(ctx: ProbeContext):
 
 def _b22_correction(field: FieldContext):
     psi, g = field.psi, field.g
-    return wedge(g - psi.tensor_product(psi)) - wedge(g, field.xi.tensor_product(psi)).scale(2)
+    return _wedge_sum(None, ((1, g - psi.tensor_product(psi), None),
+                             (-2, g, field.xi.tensor_product(psi))))
 
 
 def _probe_b22(ctx: ProbeContext):

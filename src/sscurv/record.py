@@ -7,6 +7,11 @@ AttributeError. Equality, hashing and repr go by the fields, as those of a
 frozen dataclass do. Spelling each __init__ out keeps `dataclasses` and the
 `inspect` module it loads out of the import, and a direct __dict__ write is
 the cheapest construction Python offers.
+
+_memo is the lazily computed attribute of records and of the contexts
+built on them: it keeps its value in __dict__ beside the fields, and as
+equality, hashing and repr read only the fields, a kept value never changes
+them. A record is frozen, so a kept value never goes stale.
 """
 
 from __future__ import annotations
@@ -48,3 +53,26 @@ class Record:
         fields = self.__dict__
         inner = ", ".join(f"{name}={fields[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({inner})"
+
+
+class _memo:
+    """A lazily computed attribute: fn(obj) on the first read, kept in obj.__dict__,
+    which answers every later read (the descriptor defines no __set__).
+
+    functools.cached_property without the RLock it takes on each first
+    computation on Python 3.11. A racing thread costs a second computation
+    of the same value, never a wrong one.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value

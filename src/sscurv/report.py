@@ -21,7 +21,6 @@ from typing import Iterable
 
 from ._version import __version__
 from .context import ProbeContext, ProbeResult, ProbeStatus
-from .curvature import constant_sectional
 from .geometry import GeometrySpec, ValidationReport
 from .geomio import dumps_json, geometry_to_dict, serialize_value
 from .rat import format_rat
@@ -105,8 +104,8 @@ def compute_tables(spec: GeometrySpec, memo: dict | None = None) -> dict:
         "ricci_ssnmc": serialize_value(bhat.ricci, memo),
         "scalar_ssnmc": format_rat(bhat.scalar),
         "ricci_operator_ssnmc": serialize_value(bhat.ricci_op, memo),
-        "constant_sectional_lc": serialize_value(constant_sectional(blc, spec.metric), memo),
-        "constant_sectional_ssnmc": serialize_value(constant_sectional(bhat, spec.metric), memo),
+        "constant_sectional_lc": serialize_value(ctx.kappa_lc, memo),
+        "constant_sectional_ssnmc": serialize_value(ctx.kappa_hat, memo),
     }
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 
 from .context import ProbeContext, ProbeResult, ProbeStatus, judge, operator_derivative
-from .curvature import constant_sectional
 from .errors import InvalidJetError, SscurvError
 from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
@@ -139,9 +138,7 @@ def conclusion_check(spec: GeometrySpec, problem: SolitonProblem) -> list[NamedC
     counterexample, naming the reasons of each hypothesis in ProbeContext.unmet.
     """
     ctx = ProbeContext.of(spec)
-    bundle = ctx.hat_bundle
-    kappa = constant_sectional(bundle, spec.metric)
-    rhat = bundle.scalar
+    kappa, rhat = ctx.kappa_hat, ctx.hat_bundle.scalar
     trivial = problem.jet.is_zero
 
     sectional_check = NamedCheck("constant-sectional-curvature", kappa is not None,

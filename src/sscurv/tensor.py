@@ -12,7 +12,7 @@ so den is the lcm of the reduced denominators and equal tensors have equal
 storage (== and hash read it directly). Outside this module only the
 integer kernels read nums by position, each because it measurably beats the
 same sum written over the operations below: levi_civita and non_metricity,
-curvature, curvature.wedge and constant_sectional, and in geometry the
+curvature, the wedge kernel and constant_sectional, and in geometry the
 Bareiss elimination (metric inverse and Sylvester's test), the structure
 constants of FrameAlgebra.from_entries, the antisymmetry and Jacobi checks,
 jet consistency and validate's unit-xi and psi-xi checks. They accumulate in

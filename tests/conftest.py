@@ -21,8 +21,9 @@ from sscurv.tensor import DOWN
 
 DIM = 3
 
-# A longer pass over the tensor kernels, for CI: pytest --hypothesis-profile=deep.
-# Only tests that set no max_examples of their own run longer under it.
+# A longer pass over the tensor kernels and the JSON writer, for CI: pytest
+# --hypothesis-profile=deep. Only tests that set no max_examples of their own,
+# or take it from the loaded profile, run longer under it.
 settings.register_profile("deep", max_examples=1000, deadline=None)
 
 

@@ -9,9 +9,9 @@ import pytest
 
 import sscurv.connection
 from conftest import count_calls
-from sscurv import (DistinguishedField, FuzzConfig, GeometrySpec, ProbeContext, ProbeStatus,
-                    SscurvError, Tensor, builtin, emit_report, exit_code, format_rat, fuzz,
-                    rat, run_probe, run_suite)
+from sscurv import (DistinguishedField, FrameAlgebra, FuzzConfig, GeometrySpec, ProbeContext,
+                    ProbeStatus, SscurvError, Tensor, builtin, emit_report, exit_code,
+                    format_rat, fuzz, rat, run_probe, run_suite)
 from sscurv import probes
 from sscurv.context import FieldContext
 from sscurv.geomio import geometry_from_dict
@@ -184,6 +184,23 @@ def test_consecutive_streams_build_the_field_once(monkeypatch):
     docs = [fuzz(FuzzConfig(count=30, seed=seed, require_parallel_xi=True)) for seed in (42, 7)]
     assert all(doc["accepted"] >= 2 for doc in docs)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+
+def test_fuzz_scans_each_candidate_for_antisymmetry_once(monkeypatch):
+    # The Jacobi prefilter and validate read one pair of verdicts kept on
+    # the frame: one antisymmetry scan per candidate, accepted ones included.
+    scans = []
+    scan = FrameAlgebra.antisymmetry_violations
+
+    def counting(frame):
+        scans.append(frame)
+        return scan(frame)
+
+    monkeypatch.setattr(FrameAlgebra, "antisymmetry_violations", counting)
+    doc = fuzz(FuzzConfig(count=40, seed=42))
+    assert doc["accepted"] >= 2
+    assert len(scans) == doc["generated"]
+    assert len({id(frame) for frame in scans}) == len(scans)
 
 
 @pytest.mark.parametrize("parallel, xi", [(True, (0, 0, -1)), (False, (1, 0, 0))])

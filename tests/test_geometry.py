@@ -163,6 +163,8 @@ def test_validate_decides_antisymmetry_once(monkeypatch, entries):
     report = validate(spec)
     assert len(scans) == 1
     jac = spec.frame.jacobi_violations()
+    assert len(scans) == 1  # the frame kept both verdicts
+    assert spec.frame.jacobi_violations() is not jac  # each caller gets its own list
     assert report.check("jacobi").passed is not bool(jac)
     if jac:
         assert f"{jac[0][:3]} (value slot l = {jac[0][3]})" in report.check("jacobi").detail

@@ -15,7 +15,7 @@ from conftest import DIM, int_str_limit_lifted, rat_tensor, small_rats, spd_metr
 from sscurv import DistinguishedField, MetricFrame, Tensor, ValenceError, rat
 from sscurv.connection import semi_symmetric_torsion
 from sscurv.context import operator_derivative
-from sscurv.curvature import wedge
+from sscurv.curvature import _wedge_sum, wedge
 from sscurv.solitons import _m61_rhs
 from sscurv.rat import Rat, format_rat, format_rats, parse_rat
 from sscurv.tensor import DOWN, UP
@@ -551,6 +551,38 @@ def test_derived_tensors_match_their_index_loops(inputs):
         assert fractions(t) == ref
     for t, _ in cases[:4]:
         assert t.variance == (UP, DOWN, DOWN, DOWN)
+
+
+@st.composite
+def wedge_sums(draw):
+    """dim 1-4, a rank-4 base or None, and 1-3 terms (c, a, q): c an int or a
+    Fraction (zero and negative included), a (0,2) and q (1,1) values or None."""
+    n = draw(st.integers(1, 4), label="dim")
+
+    def values(count):
+        return draw(st.lists(small_rats, min_size=count, max_size=count))
+
+    base = values(n ** 4) if draw(st.booleans(), label="base") else None
+    terms = [(draw(st.integers(-3, 3) | small_rats), values(n * n),
+              values(n * n) if draw(st.booleans(), label="q") else None)
+             for _ in range(draw(st.integers(1, 3), label="terms"))]
+    return n, base, terms
+
+
+@given(wedge_sums())
+def test_wedge_kernel_matches_its_index_loop(case):
+    # The one kernel behind wedge, projective, conformal and the B3/B15/B22
+    # right sides, against base + sum of c * loop_wedge over Fractions.
+    n, base, terms = case
+    expected = [Fraction(0)] * n ** 4 if base is None else base
+    for c, a, q in terms:
+        expected = [e + c * w for e, w in zip(expected, loop_wedge(n, a, q))]
+    t = _wedge_sum(None if base is None else of((UP, DOWN, DOWN, DOWN), n, base),
+                   [(c if isinstance(c, int) else rat(str(c)), of((DOWN, DOWN), n, a),
+                     None if q is None else of((UP, DOWN), n, q)) for c, a, q in terms])
+    assert t.variance == (UP, DOWN, DOWN, DOWN)
+    assert_canonical(t)
+    assert fractions(t) == expected
 
 
 def test_wedge_refuses_wrong_shapes():

@@ -9,6 +9,7 @@ no room for a sum taken in another order to differ.
 import gc
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -365,8 +366,59 @@ def _trees_sharing_a_list(draw):
     return {"a": shared, "b": [other, {"c": shared}], "d": [[shared]]}
 
 
-@settings(max_examples=300)
-@given(_report_trees | _matrices | _trees_sharing_a_list())
+# Near-grids: uniform grids of strings of depth 1-4, square or not, as they
+# are, with one defect that sends the writer item by item (a tuple level, an
+# empty sub-list, a ragged level, an int leaf, a str among lists), or with one
+# of their sub-grids shared at a second depth.
+_GRID_DEFECTS = ("none", "tuple", "empty", "ragged", "int", "str", "shared")
+
+
+def _grid_of(shape, leaves):
+    """A fresh nested list of this shape, filled row-major from the iterator leaves."""
+    if len(shape) == 1:
+        return [next(leaves) for _ in range(shape[0])]
+    return [_grid_of(shape[1:], leaves) for _ in range(shape[0])]
+
+
+@st.composite
+def _near_grids(draw):
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="shape")
+    size = math.prod(shape)
+    leaves = draw(st.lists(st.text(max_size=3) | _awkward_text, min_size=size, max_size=size))
+    grid = _grid_of(shape, iter(leaves))
+    defect = draw(st.sampled_from(_GRID_DEFECTS), label="defect")
+    if defect == "none":
+        return grid
+    # Walk down to a list node; an int leaf goes into a row of leaves.
+    depth = len(shape) - 1 if defect == "int" else draw(st.integers(0, len(shape) - 1))
+    parent, at, node = None, 0, grid
+    for _ in range(depth):
+        parent, at = node, draw(st.integers(0, len(node) - 1))
+        node = node[at]
+    i = draw(st.integers(0, len(node) - 1))
+    if defect == "tuple":
+        if parent is None:
+            return tuple(grid)
+        parent[at] = tuple(node)
+    elif defect == "empty":
+        node[i] = []
+    elif defect == "ragged":
+        node.append(node[-1])
+    elif defect == "int":
+        node[i] = draw(st.integers(-5, 5))
+    elif defect == "str":
+        node[i] = draw(st.text(max_size=3))
+    else:  # one level deeper than it sits in the grid
+        for _ in range(depth + 1):
+            node = [node]
+        return {"grid": grid, "again": node}
+    return grid
+
+
+@settings(max_examples=max(300, settings.default.max_examples))
+@given(_report_trees | _matrices | _trees_sharing_a_list() | _near_grids())
+@example(_grid_of((3, 3, 3, 3), iter(map(str, range(81)))))
+@example(_grid_of((2, 5), iter(["0", "1/2", "-3", "\u00e9", "\u2028", "", '"', "\\", "x", "9"])))
 @example(["0", "1/2", 3, True, "-1"])
 @example([True, 1, False, 0, None, -0])
 @example({"": [], "e": {}, "n": [[], [[]], {"x": {}}], "t": ("a", ("b",))})

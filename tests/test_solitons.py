@@ -302,22 +302,28 @@ def test_proof_step_probes_builds_levi_civita_once(monkeypatch):
 
 def test_report_and_soliton_checks_on_one_spec_build_once(monkeypatch):
     # A suite report, then the residual and proof steps of four problems, on
-    # one spec object: one validation, one Levi-Civita connection and one
-    # curvature per connection, as in the general-metric benchmark operation.
+    # one spec object: one validation, one Levi-Civita connection, one
+    # curvature and one constant-sectional verdict per connection, as in the
+    # general-metric benchmark operation; the Yamabe problem is a genuine
+    # soliton (r-hat = 0), so its conclusion checks read kappa too.
     import importlib
     import sscurv.connection
     import sscurv.geometry
+    curvature_module = importlib.import_module("sscurv.curvature")
     validations = count_calls(monkeypatch, sscurv.geometry, "validate")
     builds = count_calls(monkeypatch, sscurv.connection, "levi_civita")
-    bundles = count_calls(monkeypatch, importlib.import_module("sscurv.curvature"), "curvature")
+    bundles = count_calls(monkeypatch, curvature_module, "curvature")
+    kappas = count_calls(monkeypatch, curvature_module, "constant_sectional")
     spec = builtin("h2xr")
     run_suite(spec, "all")
+    genuine = []
     for kind in SolitonKind:
         m = 2 if kind is SolitonKind.M_QUASI else None
         problem = SolitonProblem(kind, rat(0), zero_jet(), m)
-        residual(spec, problem)
+        genuine.append(residual(spec, problem).is_soliton)
         proof_step_probes(spec, problem)
-    assert (len(validations), len(builds), len(bundles)) == (1, 1, 2)
+    assert genuine[list(SolitonKind).index(SolitonKind.YAMABE)]
+    assert (len(validations), len(builds), len(bundles), len(kappas)) == (1, 1, 2, 2)
 
 
 def test_proof_steps_reuse_the_residual_of_the_same_problem(monkeypatch):
