@@ -18,13 +18,21 @@ never by equality: a spec is kept for the same spec object, a field for the
 same metric and distinguished-field objects. All three are frozen records,
 so a kept level never goes stale, and an equal but distinct object gets a
 level of its own.
+
+A field also holds the fuzzer's verdict table, the one table keyed by value:
+a frame's structure constants map to what the 21 probes said of that frame on
+this field, so a frame drawn again is judged once. Equal structure constants
+on one field are one geometry, and a Tensor compares and hashes by its exact
+canonical entries, so an entry never goes stale. The table belongs to one
+snapshot of the probe definitions and starts empty under another.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from itertools import product
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
@@ -100,6 +108,23 @@ def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
     return ProbeResult(probe_id, status, lhs, rhs, dev, note=note)
 
 
+# Frames one verdict table holds; a full table is cleared and starts again,
+# so a large custom fuzz pool cannot grow it without bound.
+VERDICT_CAP = 4096
+
+
+class Verdict(NamedTuple):
+    """What the fuzzer keeps of one frame on one field: whether the geometry
+    validates and has parallel xi, each probe's status value in probe order,
+    and (probe id, status value, max |deviation| string, 1-based component,
+    part key or None) for each result that is an unexpected failure."""
+
+    ok: bool
+    parallel: bool
+    statuses: tuple[str, ...]
+    bad: tuple[tuple, ...]
+
+
 class FieldContext:
     """What reads only the metric and xi, built once for the geometries on that field.
 
@@ -115,6 +140,9 @@ class FieldContext:
         self.metric = metric
         self.distinguished = distinguished
         self._kept: dict = {}
+        self._probe_defs: tuple = ()
+        self._verdicts: dict[Tensor, Verdict] = {}
+        self._shared: dict[Verdict, Verdict] = {}
 
     @staticmethod
     def of(metric: MetricFrame, distinguished: DistinguishedField) -> FieldContext:
@@ -130,6 +158,28 @@ class FieldContext:
         if value is None:
             value = self._kept[fn] = fn(self)
         return value
+
+    def verdicts(self, probe_defs: tuple) -> dict[Tensor, Verdict]:
+        """The verdicts of frames judged on this field, keyed by their structure
+        constants, under probe_defs; empty if probe_defs differs by identity,
+        element by element, from the definitions last asked about."""
+        kept = self._probe_defs
+        if len(kept) != len(probe_defs) or not all(map(operator.is_, kept, probe_defs)):
+            self._probe_defs = probe_defs
+            self._verdicts, self._shared = {}, {}
+        return self._verdicts
+
+    def keep_verdict(self, c: Tensor, verdict: Verdict) -> Verdict:
+        """Enter a frame's verdict in the table last returned by verdicts(),
+        clearing the table first when it is full. Frames with one status
+        pattern share one statuses tuple, and equal verdicts one Verdict."""
+        shared = self._shared  # statuses tuples and verdicts, each its own key
+        if len(self._verdicts) >= VERDICT_CAP:
+            self._verdicts.clear()
+            shared.clear()
+        verdict = verdict._replace(statuses=shared.setdefault(verdict.statuses, verdict.statuses))
+        verdict = self._verdicts[c] = shared.setdefault(verdict, verdict)
+        return verdict
 
     def zeros(self, variance: tuple[str, ...]) -> Tensor:
         """The zero tensor of this variance in the field's dimension."""

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 
-from .context import worst_component
+from .context import FieldContext, Verdict, worst_component
 from .errors import InputError, SscurvError
 from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
 from .geomio import geometry_to_dict, rat_value
-from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, SUITES, ProbeContext,
+from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, REGISTRY, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
 from .rat import ONE, ZERO, Rat, RatLike, format_rat, rat
 from .record import Record
@@ -49,6 +50,9 @@ def run_suite(spec: GeometrySpec, suite: str = "all", ids: tuple[str, ...] | Non
 class FuzzConfig(Record):
     def __init__(self, count: int = 100, seed: int = 0, pool: tuple[RatLike, ...] = DEFAULT_POOL,
                  require_parallel_xi: bool = False):
+        for name, value in (("count", count), ("seed", seed)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SscurvError(f"{name} must be an int, got {value!r}")
         if count < 1:
             raise SscurvError("count must be positive")
         try:
@@ -100,6 +104,24 @@ def _fuzz_field() -> tuple[MetricFrame, DistinguishedField]:
     return metric, DistinguishedField.from_xi(Tensor.vector([ZERO, ZERO, ONE]), metric)
 
 
+def _judge_frame(spec: GeometrySpec) -> Verdict:
+    """Validate a fuzz candidate and, if it is valid, run every probe on it."""
+    ctx = ProbeContext.of(spec)
+    if not ctx.validation.ok:
+        return Verdict(False, False, (), ())
+    statuses, bad = [], []
+    for pid in PROBE_ORDER:
+        result = run_probe(spec, pid)
+        status = result.status
+        statuses.append(status.value)
+        if status is ProbeStatus.FAIL or (status is ProbeStatus.PAPER_MISMATCH
+                                          and pid not in DISCREPANCY_PROBES):
+            part, component = worst_component(result.lhs, result.rhs)
+            bad.append((pid, status.value, format_rat(result.max_abs_deviation),
+                        component, part))
+    return Verdict(True, ctx.parallel, tuple(statuses), tuple(bad))
+
+
 def fuzz(config: FuzzConfig) -> dict:
     """Generate random frame algebras, keep the valid ones, run every probe.
 
@@ -109,12 +131,19 @@ def fuzz(config: FuzzConfig) -> dict:
     reproducible counterexample certificate. The certificate names where
     the two sides differ most: the 1-based component index and, for a
     probe with dict-valued sides, the part key.
+
+    The pool is small, so frames repeat, within a stream and across
+    streams. Each frame that passes the Jacobi filter is judged once per
+    field and probe registry: its verdict goes into the field's table
+    (FieldContext.verdicts), and a frame drawn again is counted from the
+    table, its certificates naming its own index and geometry.
     """
     rng = random.Random(config.seed)
     metric, dist = _fuzz_field()
+    field = FieldContext.of(metric, dist)
+    verdicts = field.verdicts(tuple(REGISTRY[pid] for pid in PROBE_ORDER))
 
-    statuses = [s.value for s in ProbeStatus]
-    counts = {pid: dict.fromkeys(statuses, 0) for pid in PROBE_ORDER}
+    patterns = Counter()  # statuses tuple -> accepted candidates with it
     unexpected = []
     accepted = 0
     parallel_accepted = 0
@@ -124,33 +153,33 @@ def fuzz(config: FuzzConfig) -> dict:
         if frame.jacobi_violations():
             continue
         spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
-        ctx = ProbeContext.of(spec)
-        if not ctx.validation.ok:
-            continue
-        if config.require_parallel_xi and not ctx.parallel:
+        verdict = verdicts.get(frame.c)
+        if verdict is None:
+            verdict = field.keep_verdict(frame.c, _judge_frame(spec))
+        ok, parallel, statuses, bad = verdict
+        if not ok or (config.require_parallel_xi and not parallel):
             continue
         accepted += 1
-        if ctx.parallel:
+        if parallel:
             parallel_accepted += 1
-        for pid in PROBE_ORDER:
-            result = run_probe(spec, pid)
-            counts[pid][result.status.value] += 1
-            bad_fail = result.status is ProbeStatus.FAIL
-            bad_mismatch = (result.status is ProbeStatus.PAPER_MISMATCH
-                            and pid not in DISCREPANCY_PROBES)
-            if bad_fail or bad_mismatch:
-                part, component = worst_component(result.lhs, result.rhs)
-                cert = {
-                    "candidate_index": index,
-                    "probe_id": pid,
-                    "status": result.status.value,
-                    "max_abs_deviation": format_rat(result.max_abs_deviation),
-                    "component": list(component),
-                }
-                if part is not None:
-                    cert["part"] = part
-                cert["geometry"] = geometry_to_dict(spec)
-                unexpected.append(cert)
+        patterns[statuses] += 1
+        for pid, status, dev, component, part in bad:
+            cert = {
+                "candidate_index": index,
+                "probe_id": pid,
+                "status": status,
+                "max_abs_deviation": dev,
+                "component": list(component),
+            }
+            if part is not None:
+                cert["part"] = part
+            cert["geometry"] = geometry_to_dict(spec)
+            unexpected.append(cert)
+
+    counts = {pid: dict.fromkeys([s.value for s in ProbeStatus], 0) for pid in PROBE_ORDER}
+    for statuses, n in patterns.items():
+        for pid, status in zip(PROBE_ORDER, statuses):
+            counts[pid][status] += n
 
     cfg = {
         "seed": config.seed,

@@ -4,10 +4,14 @@ import copy
 import dataclasses
 import itertools
 import json
+import random
+from collections import defaultdict
 
 import pytest
 
 import sscurv.connection
+import sscurv.context
+import sscurv.geometry
 from conftest import count_calls
 from sscurv import (DistinguishedField, FrameAlgebra, FuzzConfig, GeometrySpec, ProbeContext,
                     ProbeStatus, SscurvError, Tensor, builtin, emit_report, exit_code,
@@ -16,7 +20,7 @@ from sscurv import probes
 from sscurv.context import FieldContext
 from sscurv.geomio import geometry_from_dict
 from sscurv.geometry import validate
-from sscurv.suite import DEFAULT_POOL
+from sscurv.suite import DEFAULT_POOL, _draw_candidate, _fuzz_field
 
 
 def test_config_validation():
@@ -29,6 +33,12 @@ def test_config_validation():
     for require_parallel_xi in (False, True):
         with pytest.raises(SscurvError, match="pool must not be empty"):
             FuzzConfig(pool=(), require_parallel_xi=require_parallel_xi)
+    # count and seed are refused up front unless they are ints: not written
+    # to the report as true, nor left to range or to the report writer.
+    for bad in ({"count": True}, {"count": 2.5}, {"count": "3"}, {"seed": 1.5},
+                {"seed": False}, {"seed": None}):
+        with pytest.raises(SscurvError, match="must be an int"):
+            FuzzConfig(**bad)
 
 
 def test_pool_entries_are_normalised_to_rats():
@@ -95,20 +105,13 @@ def test_accepted_geometries_reconstructible():
     # Counterexample certificates must parse back to valid geometries; the
     # same dict shape is used for accepted geometries, checked here via a
     # direct draw replay.
-    import random
-    from sscurv.suite import _draw_candidate
-    from sscurv.geometry import GeometrySpec, MetricFrame, DistinguishedField
-    from sscurv.tensor import Tensor
+    from sscurv.geometry import MetricFrame
     from sscurv.geomio import geometry_to_dict
 
     config = FuzzConfig(count=50, seed=5)
-    rng = random.Random(config.seed)
     metric = MetricFrame.identity(3)
     dist = DistinguishedField.from_xi(Tensor.vector([0, 0, 1]), metric)
-    for index in range(config.count):
-        frame = _draw_candidate(rng, config)
-        if frame.jacobi_violations():
-            continue
+    for index, frame in _accepted_frames(config):
         spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
         assert validate(spec).ok
         round_tripped = geometry_from_dict(geometry_to_dict(spec))
@@ -118,13 +121,7 @@ def test_accepted_geometries_reconstructible():
 def test_wrong_probe_yields_reproducible_certificates(monkeypatch):
     # A B2 whose right side is doubled fails on every accepted candidate,
     # since psi = e3 makes the true right side nonzero.
-    defn = probes.REGISTRY["B2"]
-
-    def doubled(ctx):
-        lhs, rhs = defn.fn(ctx)
-        return lhs, rhs.scale(2)
-
-    monkeypatch.setitem(probes.REGISTRY, "B2", dataclasses.replace(defn, fn=doubled))
+    _double_b2(monkeypatch)
     doc = fuzz(FuzzConfig(count=20, seed=42))
     certs = doc["unexpected"]
     assert doc["accepted"] >= 1
@@ -207,10 +204,12 @@ def test_fuzz_scans_each_candidate_for_antisymmetry_once(monkeypatch):
 def test_another_xi_after_a_stream_gets_its_own_field(parallel, xi):
     # The stream's last frame and its metric object, with another xi: the
     # field kept from the stream must not answer for it.
-    fuzz(FuzzConfig(count=30, seed=42, require_parallel_xi=parallel))
-    last = ProbeContext._last.spec
-    spec = GeometrySpec("other-xi", last.frame, last.metric,
-                        DistinguishedField.from_xi(Tensor.vector(xi), last.metric))
+    config = FuzzConfig(count=30, seed=42, require_parallel_xi=parallel)
+    fuzz(config)
+    _, frame = _accepted_frames(config)[-1]
+    metric, _ = _fuzz_field()
+    spec = GeometrySpec("other-xi", frame, metric,
+                        DistinguishedField.from_xi(Tensor.vector(xi), metric))
     report = emit_report(run_suite(spec), "json")
     # A deep copy has its own metric and xi objects, so fresh contexts at both levels.
     assert emit_report(run_suite(copy.deepcopy(spec)), "json") == report
@@ -228,3 +227,104 @@ def test_stream_bytes_do_not_depend_on_what_ran_before(monkeypatch, parallel):
     again = emit_report(fuzz(config), "json")  # on the field the first stream kept
     run_suite(builtin("h2xr"))  # another geometry on another field
     assert first == again == emit_report(fuzz(config), "json")
+
+
+def _accepted_frames(config):
+    """(index, frame) of each candidate of the stream that passes Jacobi; on
+    g = I and xi = e3 each one validates, and the parallel draws have nabla xi = 0."""
+    rng = random.Random(config.seed)
+    drawn = ((index, _draw_candidate(rng, config)) for index in range(config.count))
+    return [(index, frame) for index, frame in drawn if not frame.jacobi_violations()]
+
+
+def _double_b2(monkeypatch):
+    """Swap in a B2 whose right side is doubled: it fails on every candidate."""
+    defn = probes.REGISTRY["B2"]
+
+    def doubled(ctx):
+        lhs, rhs = defn.fn(ctx)
+        return lhs, rhs.scale(2)
+
+    monkeypatch.setitem(probes.REGISTRY, "B2", dataclasses.replace(defn, fn=doubled))
+
+
+def _shipped_verdicts():
+    """The kept field's verdict table under the probes as they are now."""
+    return FieldContext._last.verdicts(tuple(probes.REGISTRY[pid] for pid in probes.PROBE_ORDER))
+
+
+@pytest.mark.parametrize("parallel", (False, True))
+def test_a_repeated_stream_runs_no_probe(monkeypatch, parallel):
+    # The field keeps a verdict for every frame the first run judged, so the
+    # second run validates nothing and runs no probe, and writes the same bytes.
+    config = FuzzConfig(count=60, seed=42, require_parallel_xi=parallel)
+    first = emit_report(fuzz(config), "json")
+    probes_run = count_calls(monkeypatch, probes, "run_probe")
+    validations = count_calls(monkeypatch, sscurv.geometry, "validate")
+    assert emit_report(fuzz(config), "json") == first
+    assert probes_run == [] and validations == []
+
+
+def test_frames_repeated_in_a_stream_are_judged_once(monkeypatch):
+    # A two-value pool leaves five parallel frames that pass Jacobi, each
+    # drawn many times in one stream on a fresh field.
+    monkeypatch.setattr(FieldContext, "_last", None)
+    config = FuzzConfig(count=80, seed=3, pool=(0, 1), require_parallel_xi=True)
+    frames = [frame for _, frame in _accepted_frames(config)]
+    distinct = {frame.c for frame in frames}
+    assert len(frames) > 2 * len(distinct)
+    probes_run = count_calls(monkeypatch, probes, "run_probe")
+    validations = count_calls(monkeypatch, sscurv.geometry, "validate")
+    doc = fuzz(config)
+    assert doc["ok"] and doc["accepted"] == doc["parallel_accepted"] == len(frames)
+    assert len(validations) == len(distinct)
+    assert {spec.frame.c for spec, in validations} == distinct
+    assert len(probes_run) == len(distinct) * len(probes.PROBE_ORDER)
+    assert len(_shipped_verdicts()) == len(distinct)
+
+
+def test_a_registry_swap_after_a_warm_stream_yields_every_certificate(monkeypatch):
+    config = FuzzConfig(count=40, seed=42)
+    clean = fuzz(config)  # every frame of the stream judged by the shipped probes
+    assert clean["ok"] and clean["accepted"] >= 2
+    _double_b2(monkeypatch)
+    doc = fuzz(config)
+    certs = doc["unexpected"]
+    assert doc["accepted"] == clean["accepted"]
+    assert len(certs) == doc["accepted"] == doc["probe_counts"]["B2"]["fail"]
+    assert [c["candidate_index"] for c in certs] == [i for i, _ in _accepted_frames(config)]
+    monkeypatch.undo()
+    assert emit_report(fuzz(config), "json") == emit_report(clean, "json")
+
+
+def test_certificates_of_a_repeated_frame_name_their_own_candidate(monkeypatch):
+    _double_b2(monkeypatch)
+    config = FuzzConfig(count=40, seed=3, pool=(0, 1), require_parallel_xi=True)
+    doc = fuzz(config)
+    certs = doc["unexpected"]
+    accepted = _accepted_frames(config)
+    assert [c["candidate_index"] for c in certs] == [index for index, _ in accepted]
+    by_frame = defaultdict(list)
+    for cert, (index, frame) in zip(certs, accepted):
+        spec = geometry_from_dict(cert["geometry"]).spec
+        assert spec.name == f"fuzz-3-{index}" and spec.frame == frame
+        by_frame[frame.c].append(cert)
+    assert max(map(len, by_frame.values())) > 1
+    for same in by_frame.values():
+        # One frame, one verdict: the certificates differ in the index and name only.
+        parts = {json.dumps({**c, "candidate_index": None,
+                             "geometry": {**c["geometry"], "name": None}}) for c in same}
+        assert len(parts) == 1
+
+
+@pytest.mark.parametrize("parallel", (False, True))
+@pytest.mark.parametrize("cap", (1, 3))
+def test_a_small_verdict_cap_leaves_stream_bytes_unchanged(monkeypatch, parallel, cap):
+    config = FuzzConfig(count=100, seed=42, require_parallel_xi=parallel)
+    monkeypatch.setattr(FieldContext, "_last", None)
+    want = emit_report(fuzz(config), "json")
+    monkeypatch.setattr(FieldContext, "_last", None)
+    monkeypatch.setattr(sscurv.context, "VERDICT_CAP", cap)
+    assert emit_report(fuzz(config), "json") == want  # on a fresh field
+    assert 1 <= len(_shipped_verdicts()) <= cap
+    assert emit_report(fuzz(config), "json") == want  # on the field it left

@@ -21,6 +21,7 @@ from sscurv import (BUILTIN_NAMES, DistinguishedField, FrameAlgebra, FuzzConfig,
                     GeometrySpec, MetricFrame, ProbeContext, ScalarJet, SolitonKind,
                     SolitonProblem, Tensor, build_report, builtin, constant_sectional, fuzz,
                     proof_step_probes, rat, residual, run_suite)
+from sscurv.context import FieldContext
 from sscurv.geomio import dumps_json
 from sscurv.report import emit_report, serialize_value, verdict_to_dict
 from sscurv.tensor import DOWN, UP
@@ -55,10 +56,15 @@ def test_builtin_suite_report_bytes(name):
 
 
 @pytest.mark.parametrize("parallel", (False, True))
-def test_fuzz_report_bytes(parallel):
-    doc = fuzz(FuzzConfig(count=100, seed=42, require_parallel_xi=parallel))
-    for fmt in ("json", "text"):
-        assert digest(doc, fmt) == FUZZ_DIGESTS[parallel, fmt], (parallel, fmt)
+def test_fuzz_report_bytes(monkeypatch, parallel):
+    # First on a fresh field, whose verdict table is empty, then on the field
+    # the same stream just filled, where every frame is counted from its verdict.
+    monkeypatch.setattr(FieldContext, "_last", None)
+    config = FuzzConfig(count=100, seed=42, require_parallel_xi=parallel)
+    for field in ("fresh", "warm"):
+        doc = fuzz(config)
+        for fmt in ("json", "text"):
+            assert digest(doc, fmt) == FUZZ_DIGESTS[parallel, fmt], (parallel, fmt, field)
 
 
 # -- general metrics --------------------------------------------------------
