@@ -3,43 +3,24 @@
 This is what the soliton checks, the reports and the CLI need of the probes:
 ProbeContext, which validates a spec and builds each connection and
 curvature once, and which every public function finds by ProbeContext.of;
-FieldContext, the level below it, which holds what reads only the metric and
-xi (a probe's field-only right side, the zero tensors) and which a context
-finds by FieldContext.of, so that geometries on one field (every fuzz
-candidate: g = I, xi = e3) build those quantities once between them;
 ProbeContext.unmet, the one decider of the paper's class, whose entries give
 both the probe skip notes and the soliton out-of-scope reasons; the verdict
 types and judge, the one rule that turns a computed lhs/rhs pair into pass,
 fail or paper-mismatch; and the names of the probe suites. The probe
 registry and the suites live in probes, which a soliton check never loads.
-
-Both levels keep the last one they were asked about and decide by identity,
-never by equality: a spec is kept for the same spec object, a field for the
-same metric and distinguished-field objects. All three are frozen records,
-so a kept level never goes stale, and an equal but distinct object gets a
-level of its own.
-
-A field also holds the fuzzer's verdict table, the one table keyed by value:
-a frame's structure constants map to what the 21 probes said of that frame on
-this field, so a frame drawn again is judged once. Equal structure constants
-on one field are one geometry, and a Tensor compares and hashes by its exact
-canonical entries, so an entry never goes stale. The table belongs to one
-snapshot of the probe definitions and starts empty under another.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from itertools import product
-from typing import Callable, NamedTuple, Union
+from typing import Union
 
 from .connection import (Connection, alpha_star, is_parallel, levi_civita,
                          non_metricity, semi_symmetric_torsion, ssnmc, torsion)
 from .curvature import CurvatureBundle, conformal, constant_sectional, curvature
 from .errors import GeometryError
-from .geometry import (DistinguishedField, GeometrySpec, MetricFrame, ValidationReport,
-                       validate)
+from .geometry import GeometrySpec, ValidationReport, validate
 from .rat import ZERO, Rat
 from .record import Record, _memo
 from .tensor import Tensor
@@ -108,108 +89,6 @@ def judge(probe_id: str, lhs: Value, rhs: Value, note: str = "",
     return ProbeResult(probe_id, status, lhs, rhs, dev, note=note)
 
 
-# Frames one verdict table holds; a full table is cleared and starts again,
-# so a large custom fuzz pool cannot grow it without bound.
-VERDICT_CAP = 4096
-
-
-class Verdict(NamedTuple):
-    """What the fuzzer keeps of one frame on one field: whether the geometry
-    validates and has parallel xi, each probe's status value in probe order,
-    and (probe id, status value, max |deviation| string, 1-based component,
-    part key or None) for each result that is an unexpected failure."""
-
-    ok: bool
-    parallel: bool
-    statuses: tuple[str, ...]
-    bad: tuple[tuple, ...]
-
-
-class FieldContext:
-    """What reads only the metric and xi, built once for the geometries on that field.
-
-    A probe splits its right side in two: a module-level function of the
-    field, which once() runs once per field, and the rest, computed per
-    geometry. ProbeContext.field finds the field through FieldContext.of,
-    which keeps the last one: identity decides, never equality.
-    """
-
-    _last: FieldContext | None = None  # the field last asked about
-
-    def __init__(self, metric: MetricFrame, distinguished: DistinguishedField):
-        self.metric = metric
-        self.distinguished = distinguished
-        self._kept: dict = {}
-        self._probe_defs: tuple = ()
-        self._verdicts: dict[Tensor, Verdict] = {}
-        self._shared: dict[Verdict, Verdict] = {}
-
-    @staticmethod
-    def of(metric: MetricFrame, distinguished: DistinguishedField) -> FieldContext:
-        """The kept field if both objects are the last ones asked about, else a new one, kept instead."""
-        field = FieldContext._last  # read once, as in ProbeContext.of
-        if field is None or field.metric is not metric or field.distinguished is not distinguished:
-            field = FieldContext._last = FieldContext(metric, distinguished)
-        return field
-
-    def once(self, fn: Callable[[FieldContext], Value]) -> Value:
-        """fn(self), computed on the first call with this fn and kept; fn never returns None."""
-        value = self._kept.get(fn)
-        if value is None:
-            value = self._kept[fn] = fn(self)
-        return value
-
-    def verdicts(self, probe_defs: tuple) -> dict[Tensor, Verdict]:
-        """The verdicts of frames judged on this field, keyed by their structure
-        constants, under probe_defs; empty if probe_defs differs by identity,
-        element by element, from the definitions last asked about."""
-        kept = self._probe_defs
-        if len(kept) != len(probe_defs) or not all(map(operator.is_, kept, probe_defs)):
-            self._probe_defs = probe_defs
-            self._verdicts, self._shared = {}, {}
-        return self._verdicts
-
-    def keep_verdict(self, c: Tensor, verdict: Verdict) -> Verdict:
-        """Enter a frame's verdict in the table last returned by verdicts(),
-        clearing the table first when it is full. Frames with one status
-        pattern share one statuses tuple, and equal verdicts one Verdict."""
-        shared = self._shared  # statuses tuples and verdicts, each its own key
-        if len(self._verdicts) >= VERDICT_CAP:
-            self._verdicts.clear()
-            shared.clear()
-        verdict = verdict._replace(statuses=shared.setdefault(verdict.statuses, verdict.statuses))
-        verdict = self._verdicts[c] = shared.setdefault(verdict, verdict)
-        return verdict
-
-    def zeros(self, variance: tuple[str, ...]) -> Tensor:
-        """The zero tensor of this variance in the field's dimension."""
-        value = self._kept.get(variance)
-        if value is None:
-            value = self._kept[variance] = Tensor.zeros(variance, self.dim)
-        return value
-
-    @_memo
-    def torsion_shape(self) -> Tensor:
-        """psi(V)U - psi(U)V, the semi-symmetric torsion shape that A1 and B11 compare to."""
-        return semi_symmetric_torsion(self.distinguished)
-
-    @property
-    def psi(self) -> Tensor:
-        return self.distinguished.psi
-
-    @property
-    def xi(self) -> Tensor:
-        return self.distinguished.xi
-
-    @property
-    def g(self) -> Tensor:
-        return self.metric.g
-
-    @property
-    def dim(self) -> int:
-        return self.metric.dim
-
-
 class ProbeContext:
     """Shared computations for one geometry; probes reuse everything here.
 
@@ -217,7 +96,6 @@ class ProbeContext:
     ProbeContext.of, which keeps the last one: successive calls on one spec
     object validate it and build each quantity once. Identity decides, never
     equality; a spec is a frozen record, so a kept context never goes stale.
-    What reads only the metric and xi lives one level down, in self.field.
     """
 
     _last: ProbeContext | None = None  # the context of the spec last asked about
@@ -235,11 +113,6 @@ class ProbeContext:
         if ctx is None or ctx.spec is not spec:
             ctx = ProbeContext._last = ProbeContext(spec)
         return ctx
-
-    @_memo
-    def field(self) -> FieldContext:
-        """The spec's metric and xi, shared with every spec on the same two objects."""
-        return FieldContext.of(self.spec.metric, self.spec.distinguished)
 
     @_memo
     def validation(self) -> ValidationReport:
@@ -267,6 +140,11 @@ class ProbeContext:
     @_memo
     def hat_bundle(self) -> CurvatureBundle:
         return curvature(self.hat, self.spec.frame, self.spec.metric)
+
+    @_memo
+    def torsion_shape(self) -> Tensor:
+        """psi(V)U - psi(U)V, the semi-symmetric torsion shape that A1 and B11 compare to."""
+        return semi_symmetric_torsion(self.spec.distinguished)
 
     @_memo
     def alpha(self) -> Tensor:

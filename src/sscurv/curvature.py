@@ -17,7 +17,7 @@ divides once per tensor. So is _wedge_sum, base + sum of c_t wedge(a_t, Q_t)
 for wedge(a, Q) = a(V, Y) QU - a(U, Y) QV, the shape behind the projective,
 conformal and constant-curvature forms: one pass over the nonzero numerators
 of each a_t and Q_t, over one common denominator. wedge(), projective(),
-conformal() and the B3, B15 and B22 right sides in probes are its calls;
+conformal() and the B3, B8, B15 and B22 right sides in probes are its calls;
 projective() and conformal() take coefficients from the dimension n and
 raise UnsupportedDimensionError where they are undefined.
 constant_sectional() decides R = kappa wedge(g) on the numerators, by

@@ -13,12 +13,6 @@ evidence is preserved while the rest of the suite stays green.
 B22's right side uses the correction terms as re-derived from B8 and B9:
 the cataloged form carries a sign slip on its two xi terms (checked against
 the h2xr oracle geometry).
-
-The part of a right side that reads only the metric and xi is a
-module-level function of the field beside its probe, which ctx.field.once
-runs once per field; the zero right sides come from ctx.field.zeros. Only
-the rest is computed per geometry. Every number is exact, so the grouping
-leaves each side's value as it was.
 """
 
 from __future__ import annotations
@@ -26,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .context import (FieldContext, ProbeContext, ProbeResult, ProbeStatus, Value,
-                      judge, operator_derivative)
-from .curvature import _wedge_sum, projective, wedge
+from .context import (ProbeContext, ProbeResult, ProbeStatus, Value, judge,
+                      operator_derivative)
+from .curvature import _wedge_sum, projective
 from .errors import UnknownProbeError, UnsupportedDimensionError
 from .geometry import GeometrySpec
 from .rat import ZERO, rat
@@ -38,17 +32,13 @@ _RANK4 = (UP, DOWN, DOWN, DOWN)
 
 
 def _probe_a1(ctx: ProbeContext):
-    return ctx.torsion_hat, ctx.field.torsion_shape
-
-
-def _b2_rhs(field: FieldContext):
-    # -psi_j g_ik - psi_k g_ij at [i, j, k]
-    x = field.g.tensor_product(field.psi)
-    return -(x + x.permute((0, 2, 1)))
+    return ctx.torsion_hat, ctx.torsion_shape
 
 
 def _probe_b2(ctx: ProbeContext):
-    return ctx.non_metricity_hat, ctx.field.once(_b2_rhs)
+    # -psi_j g_ik - psi_k g_ij at [i, j, k]
+    x = ctx.g.tensor_product(ctx.psi)
+    return ctx.non_metricity_hat, -(x + x.permute((0, 2, 1)))
 
 
 def _probe_b3(ctx: ProbeContext):
@@ -57,35 +47,28 @@ def _probe_b3(ctx: ProbeContext):
 
 def _probe_b5(ctx: ProbeContext):
     lhs = ctx.lc_bundle.riemann.contract_with(1, ctx.xi)
-    return lhs, ctx.field.zeros((UP, DOWN, DOWN))
+    return lhs, Tensor.zeros((UP, DOWN, DOWN), ctx.dim)
 
 
 def _probe_b6(ctx: ProbeContext):
     lhs = ctx.lc_bundle.ricci.contract_with(1, ctx.xi)
-    return lhs, ctx.field.zeros((DOWN,))
+    return lhs, Tensor.zeros((DOWN,), ctx.dim)
 
 
 def _probe_b7(ctx: ProbeContext):
     lhs = -ctx.lc.gamma.contract_with(0, ctx.psi)
-    return lhs, ctx.field.zeros((DOWN, DOWN))
-
-
-def _b8_term(field: FieldContext):
-    psi = field.psi
-    return wedge(psi.tensor_product(psi))
+    return lhs, Tensor.zeros((DOWN, DOWN), ctx.dim)
 
 
 def _probe_b8(ctx: ProbeContext):
-    return ctx.hat_bundle.riemann, ctx.lc_bundle.riemann + ctx.field.once(_b8_term)
-
-
-def _b9_term(field: FieldContext):
-    psi = field.psi
-    return psi.tensor_product(psi).scale(field.dim - 1)
+    psi = ctx.psi
+    rhs = _wedge_sum(ctx.lc_bundle.riemann, ((1, psi.tensor_product(psi), None),))
+    return ctx.hat_bundle.riemann, rhs
 
 
 def _probe_b9(ctx: ProbeContext):
-    return ctx.hat_bundle.ricci, ctx.lc_bundle.ricci + ctx.field.once(_b9_term)
+    psi = ctx.psi
+    return ctx.hat_bundle.ricci, ctx.lc_bundle.ricci + psi.tensor_product(psi).scale(ctx.dim - 1)
 
 
 def _probe_b10(ctx: ProbeContext):
@@ -95,17 +78,12 @@ def _probe_b10(ctx: ProbeContext):
 def _probe_b11(ctx: ProbeContext):
     # psi_j delta^l_i - psi_i delta^l_j is the semi-symmetric torsion shape.
     lhs = ctx.hat_bundle.riemann.contract_with(1, ctx.xi)
-    return lhs, ctx.field.torsion_shape
+    return lhs, ctx.torsion_shape
 
 
 def _probe_b12(ctx: ProbeContext):
     lhs = ctx.hat_bundle.riemann.contract_with(0, ctx.psi)
-    return lhs, ctx.field.zeros((DOWN, DOWN, DOWN))
-
-
-def _b13_rhs(field: FieldContext):
-    return {"ricci_xi": field.psi.scale(field.dim - 1),
-            "operator_xi": field.xi.scale(field.dim - 1)}
+    return lhs, Tensor.zeros((DOWN, DOWN, DOWN), ctx.dim)
 
 
 def _probe_b13(ctx: ProbeContext):
@@ -113,8 +91,8 @@ def _probe_b13(ctx: ProbeContext):
         "ricci_xi": ctx.hat_bundle.ricci.contract_with(1, ctx.xi),
         "operator_xi": ctx.hat_bundle.ricci_op.contract_with(1, ctx.xi),
     }
-    # A dict of its own per result: the kept one is shared by the whole field.
-    return lhs, dict(ctx.field.once(_b13_rhs))
+    rhs = {"ricci_xi": ctx.psi.scale(ctx.dim - 1), "operator_xi": ctx.xi.scale(ctx.dim - 1)}
+    return lhs, rhs
 
 
 def _probe_b14(ctx: ProbeContext):
@@ -129,33 +107,27 @@ def _probe_b15(ctx: ProbeContext):
                                         (b.scalar * rat(-1, 2), g, None)))
 
 
-def _b17_parts(field: FieldContext):
-    return Tensor.delta(field.dim), field.xi.tensor_product(field.psi)
-
-
 def _probe_b17(ctx: ProbeContext):
     half_rhat = ctx.hat_bundle.scalar * rat(1, 2)
-    delta, xi_psi = ctx.field.once(_b17_parts)
-    return ctx.hat_bundle.ricci_op, delta.scale(half_rhat + 1) - xi_psi.scale(half_rhat - 1)
+    rhs = (Tensor.delta(ctx.dim).scale(half_rhat + 1)
+           - ctx.xi.tensor_product(ctx.psi).scale(half_rhat - 1))
+    return ctx.hat_bundle.ricci_op, rhs
 
 
 def _probe_b18(ctx: ProbeContext):
     lhs = operator_derivative(ctx.hat_bundle.ricci_op, ctx.lc.gamma)
-    return lhs, ctx.field.zeros((UP, DOWN, DOWN))
+    return lhs, Tensor.zeros((UP, DOWN, DOWN), ctx.dim)
 
 
 def _probe_b20(ctx: ProbeContext):
     return projective(ctx.hat_bundle), projective(ctx.lc_bundle)
 
 
-def _b22_correction(field: FieldContext):
-    psi, g = field.psi, field.g
-    return _wedge_sum(None, ((1, g - psi.tensor_product(psi), None),
-                             (-2, g, field.xi.tensor_product(psi))))
-
-
 def _probe_b22(ctx: ProbeContext):
-    return ctx.conformal_hat, ctx.conformal_lc + ctx.field.once(_b22_correction)
+    psi, g = ctx.psi, ctx.g
+    rhs = _wedge_sum(ctx.conformal_lc, ((1, g - psi.tensor_product(psi), None),
+                                        (-2, g, ctx.xi.tensor_product(psi))))
+    return ctx.conformal_hat, rhs
 
 
 def _probe_b23(ctx: ProbeContext):
@@ -168,11 +140,11 @@ def _probe_bianchi(ctx: ProbeContext):
     # R[l, k, i, j] + R[l, i, j, k] + R[l, j, k, i]
     r = ctx.lc_bundle.riemann
     lhs = r + r.permute((0, 3, 1, 2)) + r.permute((0, 2, 3, 1))
-    return lhs, ctx.field.zeros(_RANK4)
+    return lhs, Tensor.zeros(_RANK4, ctx.dim)
 
 
 def _probe_cflat(ctx: ProbeContext):
-    return ctx.conformal_lc, ctx.field.zeros(_RANK4)
+    return ctx.conformal_lc, Tensor.zeros(_RANK4, ctx.dim)
 
 
 # Hypotheses a probe can require, by name; ProbeContext.unmet lists the failed ones.

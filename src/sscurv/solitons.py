@@ -51,8 +51,8 @@ class SolitonProblem(Record):
         fields["jet"] = jet
         fields["m"] = m
         if kind is SolitonKind.M_QUASI:
-            if m is None or m == 0:
-                raise SscurvError("the m-quasi kind needs a nonzero integer m")
+            if not isinstance(m, int) or isinstance(m, bool) or m == 0:
+                raise SscurvError(f"the m-quasi kind needs a nonzero integer m, got m={m!r}")
         elif m is not None:
             raise SscurvError(f"m is only meaningful for the m-quasi kind, got m={m}")
 

@@ -1,12 +1,23 @@
-"""Probe-suite runner and the randomized fuzzer; both probe specs in their shared contexts."""
+"""Probe-suite runner and the randomized fuzzer; both probe specs in their shared contexts.
+
+The fuzzer keeps a verdict table, the one table keyed by value: a frame's
+structure constants map to what validation and the 21 probes said of that
+frame, so a frame drawn again is judged once. Every fuzz candidate has the
+same metric and xi (_fuzz_field), so equal structure constants are one
+geometry, and a Tensor compares and hashes by its exact canonical entries:
+an entry never goes stale. The table belongs to one snapshot of the probe
+definitions and starts empty under another.
+"""
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from collections import Counter
+from typing import NamedTuple
 
-from .context import FieldContext, Verdict, worst_component
+from .context import worst_component
 from .errors import InputError, SscurvError
 from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame
 from .geomio import geometry_to_dict, rat_value
@@ -55,6 +66,8 @@ class FuzzConfig(Record):
                 raise SscurvError(f"{name} must be an int, got {value!r}")
         if count < 1:
             raise SscurvError("count must be positive")
+        if not isinstance(require_parallel_xi, bool):
+            raise SscurvError(f"require_parallel_xi must be a bool, got {require_parallel_xi!r}")
         try:
             pool = tuple(sorted(rat_value(x, path=None, field="pool") for x in pool))
         except InputError as exc:
@@ -99,9 +112,62 @@ def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
 @functools.cache
 def _fuzz_field() -> tuple[MetricFrame, DistinguishedField]:
     """g = I and the unit xi = e3 of every fuzz candidate, built once per process:
-    every stream's candidates share them, and so one FieldContext."""
+    every stream's candidates share them, so a frame's structure constants
+    alone decide its geometry, and so its verdict."""
     metric = MetricFrame.identity(3)
     return metric, DistinguishedField.from_xi(Tensor.vector([ZERO, ZERO, ONE]), metric)
+
+
+# Frames the verdict table holds; a full table is cleared and starts again,
+# so a large custom fuzz pool cannot grow it without bound.
+VERDICT_CAP = 4096
+
+
+class Verdict(NamedTuple):
+    """What the fuzzer keeps of one frame: whether the geometry validates and
+    has parallel xi, each probe's status value in probe order, and (probe
+    id, status value, max |deviation| string, 1-based component, part key or
+    None) for each result that is an unexpected failure."""
+
+    ok: bool
+    parallel: bool
+    statuses: tuple[str, ...]
+    bad: tuple[tuple, ...]
+
+
+class _VerdictTable:
+    """The verdicts of frames judged under one snapshot of the probe definitions, by frame.c."""
+
+    def __init__(self, probe_defs: tuple):
+        self.probe_defs = probe_defs
+        self.verdicts: dict[Tensor, Verdict] = {}
+        self._shared: dict = {}  # statuses tuples and verdicts, each its own key
+
+    def keep(self, c: Tensor, verdict: Verdict) -> Verdict:
+        """Enter a frame's verdict, clearing the table first when it is full.
+        Frames with one status pattern share one statuses tuple, and equal
+        verdicts one Verdict."""
+        shared = self._shared
+        if len(self.verdicts) >= VERDICT_CAP:
+            self.verdicts.clear()
+            shared.clear()
+        verdict = verdict._replace(statuses=shared.setdefault(verdict.statuses, verdict.statuses))
+        verdict = self.verdicts[c] = shared.setdefault(verdict, verdict)
+        return verdict
+
+
+_table: _VerdictTable | None = None  # the table of the last stream
+
+
+def _verdict_table() -> _VerdictTable:
+    """The kept table if the probe definitions are, element by element and by
+    identity, those it was filled under, else a new one, kept instead."""
+    global _table
+    probe_defs = tuple(REGISTRY[pid] for pid in PROBE_ORDER)
+    table = _table
+    if table is None or not all(map(operator.is_, table.probe_defs, probe_defs)):
+        table = _table = _VerdictTable(probe_defs)
+    return table
 
 
 def _judge_frame(spec: GeometrySpec) -> Verdict:
@@ -134,14 +200,14 @@ def fuzz(config: FuzzConfig) -> dict:
 
     The pool is small, so frames repeat, within a stream and across
     streams. Each frame that passes the Jacobi filter is judged once per
-    field and probe registry: its verdict goes into the field's table
-    (FieldContext.verdicts), and a frame drawn again is counted from the
-    table, its certificates naming its own index and geometry.
+    probe registry: its verdict goes into the verdict table, and a frame
+    drawn again is counted from the table, its certificates naming its own
+    index and geometry.
     """
     rng = random.Random(config.seed)
     metric, dist = _fuzz_field()
-    field = FieldContext.of(metric, dist)
-    verdicts = field.verdicts(tuple(REGISTRY[pid] for pid in PROBE_ORDER))
+    table = _verdict_table()
+    verdicts = table.verdicts
 
     patterns = Counter()  # statuses tuple -> accepted candidates with it
     unexpected = []
@@ -155,7 +221,7 @@ def fuzz(config: FuzzConfig) -> dict:
         spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
         verdict = verdicts.get(frame.c)
         if verdict is None:
-            verdict = field.keep_verdict(frame.c, _judge_frame(spec))
+            verdict = table.keep(frame.c, _judge_frame(spec))
         ok, parallel, statuses, bad = verdict
         if not ok or (config.require_parallel_xi and not parallel):
             continue

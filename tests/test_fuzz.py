@@ -9,15 +9,13 @@ from collections import defaultdict
 
 import pytest
 
-import sscurv.connection
-import sscurv.context
 import sscurv.geometry
+import sscurv.suite
 from conftest import count_calls
 from sscurv import (DistinguishedField, FrameAlgebra, FuzzConfig, GeometrySpec, ProbeContext,
                     ProbeStatus, SscurvError, Tensor, builtin, emit_report, exit_code,
                     format_rat, fuzz, rat, run_probe, run_suite)
 from sscurv import probes
-from sscurv.context import FieldContext
 from sscurv.geomio import geometry_from_dict
 from sscurv.geometry import validate
 from sscurv.suite import DEFAULT_POOL, _draw_candidate, _fuzz_field
@@ -39,6 +37,11 @@ def test_config_validation():
                 {"seed": False}, {"seed": None}):
         with pytest.raises(SscurvError, match="must be an int"):
             FuzzConfig(**bad)
+    # require_parallel_xi is refused unless it is a bool: "no" does not run
+    # the parallel stream, nor 1 get written to the report as 1.
+    for bad in ("no", 1, 0, None):
+        with pytest.raises(SscurvError, match="require_parallel_xi must be a bool"):
+            FuzzConfig(require_parallel_xi=bad)
 
 
 def test_pool_entries_are_normalised_to_rats():
@@ -169,20 +172,6 @@ def test_wrong_probe_yields_reproducible_certificates(monkeypatch):
     assert "probe B13 status fail at operator_xi(3)" in emit_report(doc, "text")
 
 
-def test_consecutive_streams_build_the_field_once(monkeypatch):
-    # Every candidate of every stream has the same g = I and xi = e3 objects,
-    # so each part of a right side that reads only those two is built once.
-    monkeypatch.setattr(FieldContext, "_last", None)
-    field_parts = ("_b2_rhs", "_b8_term", "_b9_term", "_b13_rhs", "_b17_parts",
-                   "_b22_correction")
-    calls = {name: count_calls(monkeypatch, probes, name) for name in field_parts}
-    calls["torsion_shape"] = count_calls(monkeypatch, sscurv.connection,
-                                         "semi_symmetric_torsion")
-    docs = [fuzz(FuzzConfig(count=30, seed=seed, require_parallel_xi=True)) for seed in (42, 7)]
-    assert all(doc["accepted"] >= 2 for doc in docs)
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
-
-
 def test_fuzz_scans_each_candidate_for_antisymmetry_once(monkeypatch):
     # The Jacobi prefilter and validate read one pair of verdicts kept on
     # the frame: one antisymmetry scan per candidate, accepted ones included.
@@ -201,9 +190,9 @@ def test_fuzz_scans_each_candidate_for_antisymmetry_once(monkeypatch):
 
 
 @pytest.mark.parametrize("parallel, xi", [(True, (0, 0, -1)), (False, (1, 0, 0))])
-def test_another_xi_after_a_stream_gets_its_own_field(parallel, xi):
-    # The stream's last frame and its metric object, with another xi: the
-    # field kept from the stream must not answer for it.
+def test_another_xi_on_a_stream_frame_gets_its_own_context(parallel, xi):
+    # The stream's last frame and its metric object, with another xi: neither
+    # the context nor the verdict kept from the stream may answer for it.
     config = FuzzConfig(count=30, seed=42, require_parallel_xi=parallel)
     fuzz(config)
     _, frame = _accepted_frames(config)[-1]
@@ -211,7 +200,7 @@ def test_another_xi_after_a_stream_gets_its_own_field(parallel, xi):
     spec = GeometrySpec("other-xi", frame, metric,
                         DistinguishedField.from_xi(Tensor.vector(xi), metric))
     report = emit_report(run_suite(spec), "json")
-    # A deep copy has its own metric and xi objects, so fresh contexts at both levels.
+    # A deep copy is another spec object, so it gets a fresh context.
     assert emit_report(run_suite(copy.deepcopy(spec)), "json") == report
     statuses = {p["id"]: p["status"] for p in json.loads(report)["probes"]}
     assert "fail" not in statuses.values()
@@ -222,10 +211,10 @@ def test_another_xi_after_a_stream_gets_its_own_field(parallel, xi):
 def test_stream_bytes_do_not_depend_on_what_ran_before(monkeypatch, parallel):
     config = FuzzConfig(count=60, seed=42, require_parallel_xi=parallel)
     monkeypatch.setattr(ProbeContext, "_last", None)
-    monkeypatch.setattr(FieldContext, "_last", None)
+    monkeypatch.setattr(sscurv.suite, "_table", None)
     first = emit_report(fuzz(config), "json")
-    again = emit_report(fuzz(config), "json")  # on the field the first stream kept
-    run_suite(builtin("h2xr"))  # another geometry on another field
+    again = emit_report(fuzz(config), "json")  # on the table the first stream filled
+    run_suite(builtin("h2xr"))  # another geometry, in a context of its own
     assert first == again == emit_report(fuzz(config), "json")
 
 
@@ -249,13 +238,13 @@ def _double_b2(monkeypatch):
 
 
 def _shipped_verdicts():
-    """The kept field's verdict table under the probes as they are now."""
-    return FieldContext._last.verdicts(tuple(probes.REGISTRY[pid] for pid in probes.PROBE_ORDER))
+    """The fuzzer's verdict table under the probes as they are now."""
+    return sscurv.suite._verdict_table().verdicts
 
 
 @pytest.mark.parametrize("parallel", (False, True))
 def test_a_repeated_stream_runs_no_probe(monkeypatch, parallel):
-    # The field keeps a verdict for every frame the first run judged, so the
+    # The table keeps a verdict for every frame the first run judged, so the
     # second run validates nothing and runs no probe, and writes the same bytes.
     config = FuzzConfig(count=60, seed=42, require_parallel_xi=parallel)
     first = emit_report(fuzz(config), "json")
@@ -267,8 +256,8 @@ def test_a_repeated_stream_runs_no_probe(monkeypatch, parallel):
 
 def test_frames_repeated_in_a_stream_are_judged_once(monkeypatch):
     # A two-value pool leaves five parallel frames that pass Jacobi, each
-    # drawn many times in one stream on a fresh field.
-    monkeypatch.setattr(FieldContext, "_last", None)
+    # drawn many times in one stream on a fresh table.
+    monkeypatch.setattr(sscurv.suite, "_table", None)
     config = FuzzConfig(count=80, seed=3, pool=(0, 1), require_parallel_xi=True)
     frames = [frame for _, frame in _accepted_frames(config)]
     distinct = {frame.c for frame in frames}
@@ -321,10 +310,10 @@ def test_certificates_of_a_repeated_frame_name_their_own_candidate(monkeypatch):
 @pytest.mark.parametrize("cap", (1, 3))
 def test_a_small_verdict_cap_leaves_stream_bytes_unchanged(monkeypatch, parallel, cap):
     config = FuzzConfig(count=100, seed=42, require_parallel_xi=parallel)
-    monkeypatch.setattr(FieldContext, "_last", None)
+    monkeypatch.setattr(sscurv.suite, "_table", None)
     want = emit_report(fuzz(config), "json")
-    monkeypatch.setattr(FieldContext, "_last", None)
-    monkeypatch.setattr(sscurv.context, "VERDICT_CAP", cap)
-    assert emit_report(fuzz(config), "json") == want  # on a fresh field
+    monkeypatch.setattr(sscurv.suite, "_table", None)
+    monkeypatch.setattr(sscurv.suite, "VERDICT_CAP", cap)
+    assert emit_report(fuzz(config), "json") == want  # on a fresh table
     assert 1 <= len(_shipped_verdicts()) <= cap
-    assert emit_report(fuzz(config), "json") == want  # on the field it left
+    assert emit_report(fuzz(config), "json") == want  # on the table it left

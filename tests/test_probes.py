@@ -1,7 +1,5 @@
 """Identity probe statuses on the oracle geometries and fuzzed streams."""
 
-import copy
-
 import pytest
 from hypothesis import given, settings
 
@@ -11,9 +9,7 @@ from sscurv import (GENERAL_SUITE, PARALLEL_SUITE, PROBE_ORDER, DistinguishedFie
                     FrameAlgebra, GeometrySpec, MetricFrame, ProbeStatus, ScalarJet,
                     SolitonKind, SolitonProblem, SscurvError, Tensor, UnknownProbeError,
                     builtin, conclusion_check, rat, run_suite)
-from sscurv.context import FieldContext
 from sscurv.probes import DISCREPANCY_PROBES, REGISTRY, ProbeContext, run_probe
-from sscurv.report import emit_report
 
 
 def statuses(spec, ids=PROBE_ORDER):
@@ -35,26 +31,6 @@ def test_a1_and_b11_share_one_torsion_shape(monkeypatch):
     assert all(r.status is ProbeStatus.PASS for r in results.values())
     assert len(shapes) == 1
     assert results["A1"].rhs is results["B11"].rhs
-
-
-def test_field_is_kept_by_identity_not_equality():
-    spec = builtin("h2xr")
-    field = ProbeContext.of(spec).field
-    assert FieldContext.of(spec.metric, spec.distinguished) is field
-    # Another spec on the same metric and xi objects shares the field.
-    twin = GeometrySpec("twin", spec.frame, spec.metric, spec.distinguished)
-    assert ProbeContext.of(twin).field is field
-    # An equal but distinct metric, or xi, gets a field of its own.
-    report = emit_report(run_suite(spec), "json")
-    for metric, dist in ((copy.deepcopy(spec.metric), spec.distinguished),
-                         (spec.metric, copy.deepcopy(spec.distinguished))):
-        assert (metric, dist) == (spec.metric, spec.distinguished)
-        kept = FieldContext.of(spec.metric, spec.distinguished)
-        other = GeometrySpec("h2xr", spec.frame, metric, dist)
-        other_field = ProbeContext.of(other).field
-        assert other_field is not kept
-        assert other_field.metric is metric and other_field.distinguished is dist
-        assert emit_report(run_suite(other), "json") == report
 
 
 def test_unknown_probe_id():

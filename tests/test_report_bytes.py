@@ -21,7 +21,7 @@ from sscurv import (BUILTIN_NAMES, DistinguishedField, FrameAlgebra, FuzzConfig,
                     GeometrySpec, MetricFrame, ProbeContext, ScalarJet, SolitonKind,
                     SolitonProblem, Tensor, build_report, builtin, constant_sectional, fuzz,
                     proof_step_probes, rat, residual, run_suite)
-from sscurv.context import FieldContext
+import sscurv.suite
 from sscurv.geomio import dumps_json
 from sscurv.report import emit_report, serialize_value, verdict_to_dict
 from sscurv.tensor import DOWN, UP
@@ -57,9 +57,9 @@ def test_builtin_suite_report_bytes(name):
 
 @pytest.mark.parametrize("parallel", (False, True))
 def test_fuzz_report_bytes(monkeypatch, parallel):
-    # First on a fresh field, whose verdict table is empty, then on the field
-    # the same stream just filled, where every frame is counted from its verdict.
-    monkeypatch.setattr(FieldContext, "_last", None)
+    # First on a fresh verdict table, then on the table the same stream just
+    # filled, where every frame is counted from its verdict.
+    monkeypatch.setattr(sscurv.suite, "_table", None)
     config = FuzzConfig(count=100, seed=42, require_parallel_xi=parallel)
     for field in ("fresh", "warm"):
         doc = fuzz(config)

@@ -34,6 +34,11 @@ def test_problem_validation():
         SolitonProblem(SolitonKind.M_QUASI, rat(0), zero_jet())
     with pytest.raises(SscurvError):
         SolitonProblem(SolitonKind.RICCI, rat(0), zero_jet(), m=3)
+    # m is refused unless it is an int: not written to the report as true,
+    # nor left to fail in the residual or the report writer.
+    for bad in (True, rat(1, 2), 2.0, "2"):
+        with pytest.raises(SscurvError, match="nonzero integer m"):
+            SolitonProblem(SolitonKind.M_QUASI, rat(0), zero_jet(), m=bad)
 
 
 def test_classification_table():
