@@ -17,13 +17,15 @@ g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import lcm
+from operator import add, mul
 
 from .errors import DegenerateMetricError, ValenceError
 from .rat import Rat, rat
 from .record import Record, _memo
-from .tensor import DOWN, UP, Tensor
+from .tensor import DOWN, UP, Tensor, _gather
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[bool, int]:
@@ -85,16 +87,11 @@ class FrameAlgebra(Record):
         return cls(dim, Tensor.from_ints((UP, DOWN, DOWN), dim, nums, den))
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
-        """1-based (i, j, k) where C^k_ij != -C^k_ji, decided on the numerators of C."""
-        n, c = self.dim, self.c.nums
-        bad = []
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    x, y = c[(k * n + i) * n + j], c[(k * n + j) * n + i]
-                    if (x or y) and x != -y:
-                        bad.append((i + 1, j + 1, k + 1))
-        return bad
+        """1-based (i, j, k) where C^k_ij != -C^k_ji, decided on the numerators of C:
+        the entries at i <= j plus their mirrors, summed and filtered in C."""
+        ijk, upper, lower = _triangles(self.dim)
+        c = self.c.nums
+        return list(itertools.compress(ijk, map(add, upper(c), lower(c))))
 
     def jacobi_violations(self) -> list[tuple[int, int, int, int]]:
         """1-based (i, j, k, l) where the cyclic Jacobi sum is nonzero, in lexicographic order.
@@ -113,28 +110,38 @@ class FrameAlgebra(Record):
     @_memo
     def _verdicts(self) -> tuple[tuple, tuple]:
         """(antisymmetry_violations(), jacobi_violations()) as tuples, decided once
-        per frame and kept in its __dict__; the antisymmetry verdict picks the Jacobi loop."""
+        per frame and kept in its __dict__; the antisymmetry verdict picks the Jacobi plan."""
         anti = tuple(self.antisymmetry_violations())
-        n, c = self.dim, self.c.nums
-        rng = range(n)
-        triples = itertools.product(rng, repeat=3) if anti else itertools.combinations(rng, 3)
-        return anti, tuple((i + 1, j + 1, k + 1, l + 1) for i, j, k in triples for l in rng
-                           if _jacobi_sum(c, n, i, j, k, l))
+        c = self.c.nums
+        return anti, tuple(ijkl for ijkl, xs, ys in _jacobi_plan(self.dim, not anti)
+                           if sum(map(mul, xs(c), ys(c))))
 
 
-def _jacobi_sum(c, n: int, i: int, j: int, k: int, l: int) -> int:
-    """sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj over flat integer components c."""
-    total = 0
-    cyclic = ((i * n + j, k), (j * n + k, i), (k * n + i, j))
-    for m in range(n):
-        low, out = m * n * n, (l * n + m) * n
-        for ab, z in cyclic:
-            x = c[low + ab]
-            if x:
-                y = c[out + z]
-                if y:
-                    total += x * y
-    return total
+@functools.lru_cache(maxsize=8)
+def _triangles(n: int) -> tuple:
+    """Each 1-based (i, j, k) with i <= j, in lexicographic (k, i, j) order, and
+    the gathers of the numerators C^k_ij and C^k_ji in that order."""
+    slots = [(k, i, j) for k in range(n) for i in range(n) for j in range(i, n)]
+    return (tuple((i + 1, j + 1, k + 1) for k, i, j in slots),
+            _gather([(k * n + i) * n + j for k, i, j in slots]),
+            _gather([(k * n + j) * n + i for k, i, j in slots]))
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobi_plan(n: int, antisymmetric: bool) -> tuple:
+    """Per 1-based (i, j, k, l), i < j < k if antisymmetric, else every triple, in
+    lexicographic order: (i, j, k, l) and the gathers xs, ys of the numerators
+    whose products sum to sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj."""
+    rng = range(n)
+    triples = itertools.combinations(rng, 3) if antisymmetric else itertools.product(rng, repeat=3)
+    plan = []
+    for i, j, k in triples:
+        cyclic = ((i * n + j, k), (j * n + k, i), (k * n + i, j))
+        xs = _gather([m * n * n + ab for ab, _ in cyclic for m in rng])
+        for l in rng:
+            plan.append(((i + 1, j + 1, k + 1, l + 1), xs,
+                         _gather([(l * n + m) * n + z for _, z in cyclic for m in rng])))
+    return tuple(plan)
 
 
 class MetricFrame(Record):

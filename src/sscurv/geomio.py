@@ -9,11 +9,12 @@ writes rationals and tensors as canonical (nested) strings, and, given a
 report's memo, one shared nested list per distinct tensor. dumps_json, the
 one JSON writer of reports and geometry files, writes the result and renders
 each list object once per indent, however often the tree holds it, and a
-tensor's nested list in one join.
+tensor's nested list or a table of counts in one join.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from decimal import Decimal
 from itertools import chain
@@ -268,7 +269,11 @@ def dumps_json(value) -> str:
     ragged level, a leaf that is not a str) is written item by item, so no
     output goes through json's pure-Python indenting encoder. Each list
     object is rendered once per indent: a report that shares one list
-    between equal tensors writes its text once and copies it.
+    between equal tensors writes its text once and copies it. A table (a
+    dict whose every value is a dict with one non-empty tuple of str keys,
+    every leaf an int and not a bool), as a fuzz report's probe_counts is,
+    is written in one join too: its text around the leaves is built once
+    per key tuples and indent and kept across calls in a bounded cache.
     """
     parts: list[str] = []
     _write_json(value, parts, "\n", {})
@@ -304,6 +309,13 @@ def _write_json(value, parts: list[str], newline: str, written: dict) -> None:
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
+            return
+        table = _table(value)
+        if table is not None:
+            keys, cols, leaves = table
+            text = list(_table_frame(keys, cols, newline))
+            text[1::2] = map(int.__repr__, leaves)
+            parts.append("".join(text))
             return
         inner = newline + "  "
         sep = "{" + inner
@@ -379,3 +391,34 @@ def _grid_frame(shape: tuple[int, ...], newline: str, written: dict) -> list[str
                      + [close + newline + "]"])
         written[key] = frame
     return frame
+
+
+def _table(value: dict) -> tuple[tuple[str, ...], tuple[str, ...], list[int]] | None:
+    """(row keys, column keys, leaves row by row) if every value of the non-empty
+    dict value is a dict with one non-empty tuple of str keys, every key is a
+    str and every leaf an int (not a bool), else None."""
+    rows = list(value.values())
+    if type(rows[0]) is not dict:
+        return None
+    cols = tuple(rows[0])
+    if not cols or any(type(row) is not dict or tuple(row) != cols for row in rows[1:]):
+        return None
+    keys = tuple(value)
+    leaves = [x for row in rows for x in row.values()]
+    if set(map(type, leaves)) != {int} or set(map(type, keys + cols)) != {str}:
+        return None
+    return keys, cols, leaves
+
+
+@functools.lru_cache(maxsize=32)
+def _table_frame(keys: tuple[str, ...], cols: tuple[str, ...], newline: str) -> tuple[str, ...]:
+    """The text of a table whose closing brace sits after newline, with an empty
+    slot for each leaf at the odd positions, row by row."""
+    inner = newline + "  "
+    cell = inner + "  "
+    later = [s for col in cols[1:] for s in ("," + cell + _quote(col) + ": ", "")]
+    frame, sep = [], "{" + inner
+    for key in keys:
+        frame += [sep + _quote(key) + ": {" + cell + _quote(cols[0]) + ": ", ""] + later
+        sep = inner + "}," + inner
+    return (*frame, inner + "}" + newline + "}")

@@ -15,6 +15,7 @@ import functools
 import operator
 import random
 from collections import Counter
+from math import lcm
 from typing import NamedTuple
 
 from .context import worst_component
@@ -24,13 +25,15 @@ from .geomio import geometry_to_dict, rat_value
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, REGISTRY, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
 from .rat import ONE, ZERO, Rat, RatLike, format_rat, rat
-from .record import Record
+from .record import Record, _memo
 from .report import build_report, config_digest
 from ._version import __version__
-from .tensor import Tensor
+from .tensor import DOWN, UP, Tensor
 
 DEFAULT_POOL: tuple[Rat, ...] = (rat(-2), rat(-1), rat(-1, 2), rat(0),
                                  rat(1, 2), rat(1), rat(2))
+
+_STATUS_VALUES = tuple(s.value for s in ProbeStatus)  # the probe_counts keys, in order
 
 
 def run_suite(spec: GeometrySpec, suite: str = "all", ids: tuple[str, ...] | None = None,
@@ -80,22 +83,32 @@ class FuzzConfig(Record):
         fields["pool"] = pool
         fields["require_parallel_xi"] = require_parallel_xi
 
+    @_memo
+    def _pool_ints(self) -> tuple[tuple[int, ...], int]:
+        """The pool as integer numerators, in pool order, over their lcm."""
+        den = lcm(*[x.denominator for x in self.pool])
+        return tuple(x.numerator * (den // x.denominator) for x in self.pool), den
+
 
 # 0-based (k, i, j) with i < j: the independent structure-constant slots in
-# dimension 3, in the fixed draw order used by the fuzzer.
-_FREE_SLOTS = tuple((k, i, j) for k in range(3) for (i, j) in ((0, 1), (0, 2), (1, 2)))
+# dimension 3, in the fixed draw order used by the fuzzer, as the flat offsets
+# of C^k_ij and C^k_ji. The offsets of C^k_ij rise with (k, i, j), so sorting
+# the pairs sorts the slots.
+_FREE_SLOTS = tuple(((k * 3 + i) * 3 + j, (k * 3 + j) * 3 + i)
+                    for k in range(3) for (i, j) in ((0, 1), (0, 2), (1, 2)))
 
 
 def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
-    entries: dict[tuple[int, int, int], Rat] = {}
+    pool, den = config._pool_ints
+    nums = [0] * 27
     if config.require_parallel_xi:
         # Solution space of nabla xi = 0 with g = id, xi = e3: everything
         # vanishes except C^1_12, C^2_12 and the pair C^1_23 = -C^2_13.
-        a, b, t = (rng.choice(config.pool) for _ in range(3))
-        entries[(0, 0, 1)] = a
-        entries[(1, 0, 1)] = b
-        entries[(0, 1, 2)] = t
-        entries[(1, 0, 2)] = -t
+        a, b, t = (rng.choice(pool) for _ in range(3))
+        nums[1], nums[3] = a, -a      # C^1_12, C^1_21
+        nums[10], nums[12] = b, -b    # C^2_12, C^2_21
+        nums[5], nums[7] = t, -t      # C^1_23, C^1_32
+        nums[11], nums[15] = -t, t    # C^2_13, C^2_31
     else:
         # Sparsity-stratified sampling: filling all nine slots i.i.d. from
         # the pool passes Jacobi on well under 1% of draws, which would
@@ -103,10 +116,10 @@ def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
         # sparsity level first keeps the same support (0 is in the pool)
         # while accepting a useful fraction.
         level = rng.randrange(len(_FREE_SLOTS) + 1)
-        chosen = sorted(rng.sample(_FREE_SLOTS, level))
-        for slot in chosen:
-            entries[slot] = rng.choice(config.pool)
-    return FrameAlgebra.from_entries(3, entries)
+        for ij, ji in sorted(rng.sample(_FREE_SLOTS, level)):
+            x = rng.choice(pool)
+            nums[ij], nums[ji] = x, -x
+    return FrameAlgebra(3, Tensor.from_ints((UP, DOWN, DOWN), 3, nums, den))
 
 
 @functools.cache
@@ -242,7 +255,7 @@ def fuzz(config: FuzzConfig) -> dict:
             cert["geometry"] = geometry_to_dict(spec)
             unexpected.append(cert)
 
-    counts = {pid: dict.fromkeys([s.value for s in ProbeStatus], 0) for pid in PROBE_ORDER}
+    counts = {pid: dict.fromkeys(_STATUS_VALUES, 0) for pid in PROBE_ORDER}
     for statuses, n in patterns.items():
         for pid, status in zip(PROBE_ORDER, statuses):
             counts[pid][status] += n

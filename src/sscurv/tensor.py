@@ -12,10 +12,12 @@ so den is the lcm of the reduced denominators and equal tensors have equal
 storage (== and hash read it directly). Outside this module only the
 integer kernels read nums by position, each because it measurably beats the
 same sum written over the operations below: levi_civita and non_metricity,
-curvature, the wedge kernel and constant_sectional, and in geometry the
+curvature, the wedge kernel and constant_sectional; in geometry the
 Bareiss elimination (metric inverse and Sylvester's test), the structure
-constants of FrameAlgebra.from_entries, the antisymmetry and Jacobi checks,
-jet consistency and validate's unit-xi and psi-xi checks. They accumulate in
+constants of FrameAlgebra.from_entries, the antisymmetry and Jacobi checks
+(through _gather plans memoised per dimension, as permute's), jet
+consistency and validate's unit-xi and psi-xi checks; and the fuzzer's
+draw, which writes its numerators over the pool's lcm. They accumulate in
 plain ints and return through Tensor.from_ints, the one trusted constructor,
 which divides out the gcd and makes den positive; the fraction-free division
 of Bareiss (Math. Comp. 22, 1968) is done once per tensor. Nothing else reads

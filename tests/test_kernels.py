@@ -345,8 +345,21 @@ def check_specs(draw):
                         metric, dist, jet)
 
 
-@settings(max_examples=300, deadline=None)
+def example_spec(n, c, g, xi):
+    """A spec for an @example of the property below, with psi = g xi."""
+    psi = [sum(Fraction(g[b * n + a]) * xi[b] for b in range(n)) for a in range(n)]
+    return GeometrySpec("check", FrameAlgebra(n, rat_tensor((UP, DOWN, DOWN), n, c)),
+                        metric_of(n, g), DistinguishedField(rat_tensor((UP,), n, xi),
+                                                            rat_tensor((DOWN,), n, psi)))
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(check_specs())
+# dim 1, C^1_11 = 2/3: not antisymmetric, and every gather reads one offset
+@example(example_spec(1, [Fraction(2, 3)], [1], [1]))
+# dim 2, C^1_12 = 1 but C^1_21 = 1/2: one broken pair
+@example(example_spec(2, [0, 1, Fraction(1, 2), 0, 0, Fraction(-3, 7), Fraction(3, 7), 0],
+                      [2, 0, 0, 1], [0, 1]))
 def test_validate_matches_fraction_reference(spec):
     n = spec.dim
     c, g = fractions_of(spec.frame.c), fractions_of(spec.metric.g)

@@ -44,6 +44,20 @@ FUZZ_DIGESTS = {
 }
 
 
+# Seed 7, 200 candidates per stream, on pools other than the default: the
+# draws are put over the pool's lcm (15 and 1 here, 2 by default), with signs.
+# (json, text) digests, recorded at commit 7cb8cd9.
+POOL = ("-1/5", 0, "1/3", 7)
+POOL_FUZZ_DIGESTS = {
+    (POOL, False): ("0cac20ac0fb1c79f7aae24efa48a9a0caaf5d18077b39ae553922675ceb7db95",
+                    "29fb563bd283bd0dcd93b80785239264aa7ded5f4e36153e4a9ca677337dee4c"),
+    (POOL, True): ("5331cef9da2be8bb0c6ed1ff5af0dfa4fe84efe9149a824a8006f64367d57194",
+                   "4abd960d749180f124a652891d28a6a96accb04c8f84cd0a904b6a7f782cbc0d"),
+    ((0,), False): ("d64b517175c8fecfadd1d73e1937eb7712e4f446153e0f5cb6a2cc02090292a8",
+                    "e7ca39853c18d773e24d9e8baf8fbc2da9de2224bd4b791f631921091a180939"),
+}
+
+
 def digest(doc, fmt):
     return hashlib.sha256(emit_report(doc, fmt).encode()).hexdigest()
 
@@ -65,6 +79,12 @@ def test_fuzz_report_bytes(monkeypatch, parallel):
         doc = fuzz(config)
         for fmt in ("json", "text"):
             assert digest(doc, fmt) == FUZZ_DIGESTS[parallel, fmt], (parallel, fmt, field)
+
+
+@pytest.mark.parametrize("pool, parallel", list(POOL_FUZZ_DIGESTS))
+def test_custom_pool_fuzz_report_bytes(pool, parallel):
+    doc = fuzz(FuzzConfig(count=200, seed=7, pool=pool, require_parallel_xi=parallel))
+    assert (digest(doc, "json"), digest(doc, "text")) == POOL_FUZZ_DIGESTS[pool, parallel]
 
 
 # -- general metrics --------------------------------------------------------
@@ -421,8 +441,42 @@ def _near_grids(draw):
     return grid
 
 
+# Near-tables: dicts of dicts with one tuple of str keys and int leaves, as
+# probe_counts is, as they are or with one defect that sends the writer item
+# by item (a bool, str or nested-list leaf, a row with its keys in another
+# order or one key missing, an empty row), or with one row object under a
+# second key; each sometimes twice in a list, one level deeper.
+_TABLE_DEFECTS = ("none", "bool", "str", "list", "order", "missing", "empty", "shared")
+_keys = st.lists(st.text(max_size=3) | _awkward_text, min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _near_tables(draw):
+    keys, cols = draw(_keys, label="keys"), draw(_keys, label="cols")
+    table = {key: {col: draw(st.integers() | st.integers(-10 ** 30, 10 ** 30)) for col in cols}
+             for key in keys}
+    defect = draw(st.sampled_from(_TABLE_DEFECTS), label="defect")
+    key, col = draw(st.sampled_from(keys)), draw(st.sampled_from(cols))
+    row = table[key]
+    if defect == "bool":
+        row[col] = draw(st.booleans())
+    elif defect == "str":
+        row[col] = draw(st.text(max_size=3))
+    elif defect == "list":
+        row[col] = draw(st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2))
+    elif defect == "order":
+        table[key] = dict(reversed(row.items()))
+    elif defect == "missing":
+        del row[col]
+    elif defect == "empty":
+        table[key] = {}
+    elif defect == "shared":
+        table["again " + key] = row
+    return {"t": [table, table]} if draw(st.booleans()) else table
+
+
 @settings(max_examples=max(300, settings.default.max_examples))
-@given(_report_trees | _matrices | _trees_sharing_a_list() | _near_grids())
+@given(_report_trees | _matrices | _trees_sharing_a_list() | _near_grids() | _near_tables())
 @example(_grid_of((3, 3, 3, 3), iter(map(str, range(81)))))
 @example(_grid_of((2, 5), iter(["0", "1/2", "-3", "\u00e9", "\u2028", "", '"', "\\", "x", "9"])))
 @example(["0", "1/2", 3, True, "-1"])
@@ -432,6 +486,8 @@ def _near_grids(draw):
 @example([["a"], "b"])
 @example([["a"], {"b": "c"}])
 @example({"x": _SHARED_ROW, "y": [_SHARED_ROW, [_SHARED_ROW]], "z": [[_SHARED_ROW]] * 2})
+@example({"B2": {"pass": 3, "fail": 0}, "B3": {"pass": -1, "fail": 10 ** 40}})
+@example([{"a": {"x": 1}}, {"a": {"x": True}}, {"a": {"x": 1}, "b": {}}])
 def test_writer_matches_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
 
@@ -442,6 +498,14 @@ def test_writer_matches_json_dumps_indent_2(value):
         "none-key"])
 def test_writer_refuses_non_report_values(value):
     with pytest.raises(TypeError):
+        dumps_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {"x": 1}, 2: {"x": 1}}, {"a": {1: 0}, "b": {1: 0}}, {"a": {"x": 1}, "b": {"x": 1, 2: 0}},
+], ids=["row-key", "column-key", "one-column-key"])
+def test_writer_refuses_a_table_with_a_non_str_key(value):
+    with pytest.raises(TypeError, match="report keys must be str, got int"):
         dumps_json(value)
 
 
