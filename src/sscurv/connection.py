@@ -6,19 +6,24 @@ metric-derivative terms of the Koszul formula vanish, leaving the three
 bracket terms.
 
 levi_civita and non_metricity are fraction-free integer kernels: they read
-their inputs' integer numerators and denominators (see tensor), accumulate in
-plain ints and divide once per tensor. torsion and the rest are expressions
-over the tensor algebra.
+their inputs' integer numerators and denominators (see tensor), sum their
+products through plans memoised per dimension (tensor._sum_plan) and divide
+once per tensor. levi_civita lowers C by g, forms the three Koszul terms by
+one gather and raises by g^-1, a planned sum each. torsion and the rest are
+expressions over the tensor algebra.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+from itertools import product
+from operator import neg
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
 from .record import Record
-from .tensor import DOWN, UP, Tensor
+from .tensor import DOWN, UP, Tensor, _sum_plan
 
 
 class ConnectionKind(enum.Enum):
@@ -45,43 +50,36 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
 
     2 g(nabla_{e_i} e_j, e_k) = -g(e_i,[e_j,e_k]) - g(e_j,[e_i,e_k]) + g(e_k,[e_i,e_j])
 
-    Fraction-free: the scatter and the raise run on the numerators of C, g
-    and g^-1, and the result is divided once, by 2 dc dg dh.
+    Fraction-free: the Koszul sums and the raise are planned sums over the
+    numerators of C, g and g^-1, and the result is divided once, by 2 dc dg dh.
     """
     n = frame.dim
-    c, dc = frame.c.nums, frame.c.den
-    g, dg = metric.g.nums, metric.g.den
-    g_inv, dh = metric.g_inv.nums, metric.g_inv.den
-    # koszul[(i * n + j) * n + k] = 2 dc dg g(nabla_i e_j, e_k), scattered
-    # from each nonzero C^m_ab: it enters the three terms at (x, a, b),
-    # (a, x, b) and (a, b, x) with the factor g_xm.
-    koszul = [0] * n ** 3
-    for m in range(n):
-        for a in range(n):
-            for b in range(n):
-                cm = c[(m * n + a) * n + b]
-                if not cm:
-                    continue
-                for x in range(n):
-                    gxm = g[x * n + m]
-                    if gxm:
-                        p = gxm * cm
-                        koszul[(x * n + a) * n + b] -= p
-                        koszul[(a * n + x) * n + b] -= p
-                        koszul[(a * n + b) * n + x] += p
-    nums = [0] * n ** 3
-    for ij in range(n * n):
-        for k in range(n):
-            kz = koszul[ij * n + k]
-            if kz:
-                for l in range(n):
-                    gkl = g_inv[k * n + l]
-                    if gkl:
-                        nums[l * n * n + ij] += kz * gkl
-    gamma = Tensor.from_ints((UP, DOWN, DOWN), n, nums, 2 * dc * dg * dh)
+    g, g_inv = metric.g, metric.g_inv
+    lower_sums, koszul_sums, raise_sums = _levi_civita_plan(n)
+    # c_low[(x * n + a) * n + b] = g_xm C^m_ab, and koszul[(i * n + j) * n + k]
+    # = 2 dc dg g(nabla_i e_j, e_k) = -c_low_ijk - c_low_jik + c_low_kij.
+    c_low = tuple(lower_sums(g.nums, frame.c.nums))
+    koszul = tuple(koszul_sums(c_low + tuple(map(neg, c_low))))
+    gamma = Tensor.from_ints((UP, DOWN, DOWN), n, raise_sums(koszul, g_inv.nums),
+                             2 * frame.c.den * g.den * g_inv.den)
     conn = Connection(gamma, ConnectionKind.LEVI_CIVITA)
     _check_levi_civita(conn, frame, metric)
     return conn
+
+
+@functools.lru_cache(maxsize=8)
+def _levi_civita_plan(n: int) -> tuple:
+    """The sums of levi_civita in dimension n: C lowered by g at (x, a, b), the
+    Koszul sums off it and its negation at (i, j, k), and the raise
+    Gamma^l_ij = koszul_ijk g^kl, summed over k, at (l, i, j)."""
+    n2, n3, rng = n * n, n ** 3, range(n)
+    return (_sum_plan([x * n + m for x in rng for ab in range(n2) for m in rng],
+                      [m * n2 + ab for x in rng for ab in range(n2) for m in rng], n),
+            _sum_plan([o for i, j, k in product(rng, repeat=3)
+                       for o in (n3 + (i * n + j) * n + k, n3 + (j * n + i) * n + k,
+                                 (k * n + i) * n + j)], None, 3),
+            _sum_plan([ij * n + k for l in rng for ij in range(n2) for k in rng],
+                      [k * n + l for l in rng for ij in range(n2) for k in rng], n))
 
 
 def _check_levi_civita(conn: Connection, frame: FrameAlgebra, metric: MetricFrame):
@@ -117,23 +115,20 @@ def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
     Fraction-free like levi_civita: integer sums over the denominator dG dg.
     """
     n = conn.dim
-    gam, d_gam = conn.gamma.nums, conn.gamma.den
-    g, dg = metric.g.nums, metric.g.den
-    nums = [0] * n ** 3
-    for m in range(n):
-        for i in range(n):
-            for j in range(n):
-                a = gam[(m * n + i) * n + j]
-                if not a:
-                    continue
-                for k in range(n):
-                    b = g[m * n + k]    # Gamma^m_ij g_mk at (i, j, k)
-                    if b:
-                        nums[(i * n + j) * n + k] -= a * b
-                    b = g[k * n + m]    # Gamma^m_ij g_km at (i, k, j)
-                    if b:
-                        nums[(i * n + k) * n + j] -= a * b
-    return Tensor.from_ints((DOWN, DOWN, DOWN), n, nums, d_gam * dg)
+    nums = _non_metricity_plan(n)(tuple(map(neg, conn.gamma.nums)), metric.g.nums)
+    return Tensor.from_ints((DOWN, DOWN, DOWN), n, nums, conn.gamma.den * metric.g.den)
+
+
+@functools.lru_cache(maxsize=8)
+def _non_metricity_plan(n: int):
+    """The sum of non_metricity in dimension n at (i, j, k): over m, -Gamma^m_ij g_mk
+    and -Gamma^m_ik g_jm, with x -Gamma and y g."""
+    xs, ys = [], []
+    for i, j, k in product(range(n), repeat=3):
+        for m in range(n):
+            xs += ((m * n + i) * n + j, (m * n + i) * n + k)
+            ys += (m * n + k, j * n + m)
+    return _sum_plan(xs, ys, 2 * n)
 
 
 def is_parallel(lc: Connection, dist: DistinguishedField) -> bool:

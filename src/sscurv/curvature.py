@@ -12,29 +12,37 @@ quantities are always contracted from their own curvature tensor, never
 substituted from a cross-relation.
 
 curvature() is a fraction-free integer kernel: it reads its inputs' integer
-numerators and denominators (see tensor), accumulates in plain ints and
-divides once per tensor. So is _wedge_sum, base + sum of c_t wedge(a_t, Q_t)
-for wedge(a, Q) = a(V, Y) QU - a(U, Y) QV, the shape behind the projective,
-conformal and constant-curvature forms: one pass over the nonzero numerators
-of each a_t and Q_t, over one common denominator. wedge(), projective(),
-conformal() and the B3, B8, B15 and B22 right sides in probes are its calls;
-projective() and conformal() take coefficients from the dimension n and
-raise UnsupportedDimensionError where they are undefined.
-constant_sectional() decides R = kappa wedge(g) on the numerators, by
-cross-multiplication, and builds kappa as one rational.
+numerators and denominators (see tensor), sums their products through plans
+memoised per dimension (tensor._sum_plan) and divides once per tensor. With
+antisymmetric C, which the frame's kept antisymmetry verdict decides,
+Riemann is summed at i < j only and the rest filled in by one gather; any
+other C is summed at every (i, j). So is _wedge_sum a kernel, base + sum of
+c_t wedge(a_t, Q_t) for wedge(a, Q) = a(V, Y) QU - a(U, Y) QV, the shape
+behind the projective, conformal and constant-curvature forms, over one
+common denominator: the terms with Q the delta are one gather of the sum of
+their c_t a_t, and the others one planned sum at i < j and the same fill.
+wedge(), projective(), conformal() and the B3, B8, B15 and B22 right sides
+in probes are its calls; projective() and conformal() take coefficients from
+the dimension n and raise UnsupportedDimensionError where they are
+undefined. constant_sectional() decides R = kappa wedge(g) on the
+numerators, by cross-multiplication, with wedge(g) kept once per metric,
+and builds kappa as one rational.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import combinations, product, repeat
 from math import lcm
-from typing import Optional
+from operator import add, mul, neg
+from typing import Callable, Optional
 
 from .connection import Connection
 from .errors import DegeneratePlaneError, UnsupportedDimensionError, ValenceError
 from .geometry import FrameAlgebra, MetricFrame
 from .rat import ZERO, Rat, rat
 from .record import Record
-from .tensor import DOWN, UP, Tensor
+from .tensor import DOWN, UP, Tensor, _gather, _sum_plan
 
 
 class CurvatureBundle(Record):
@@ -55,69 +63,74 @@ def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> Cur
 
     Fraction-free: Gamma, C and g^-1 are read as numerators over dG, dc
     and dh. Riemann and Ricci are integer sums over dG^2 dc, the scalar and
-    the Ricci operator over dG^2 dc dh, and each is divided once.
+    the Ricci operator over dG^2 dc dh, and each is divided once. Each sum
+    runs through the plans of _curvature_plan; with antisymmetric C (the
+    frame's kept verdict) Riemann is summed at i < j only and filled in.
     """
     n = conn.dim
     gam, d_gam = conn.gamma.nums, conn.gamma.den
     c, dc = frame.c.nums, frame.c.den
     g_inv, dh = metric.g_inv.nums, metric.g_inv.den
-    nn = n * n
-    n3 = nn * n
-    # Nonzero Gamma^l_pq: by_last[q] holds (l, p, value * dc), by_first[p]
-    # holds (l, q, value); the dc brings the Gamma Gamma products to dG^2 dc.
-    by_last = [[] for _ in range(n)]
-    by_first = [[] for _ in range(n)]
-    for flat, v in enumerate(gam):
-        if v:
-            l, p, q = flat // nn, flat // n % n, flat % n
-            by_last[q].append((l, p, v * dc))
-            by_first[p].append((l, q, v))
-
-    riemann = [0] * (n3 * n)
-    for flat, a in enumerate(gam):
-        if not a:
-            continue
-        m, j, k = flat // nn, flat // n % n, flat % n
-        # Gamma^m_jk Gamma^l_im enters R[l, k, i, j] and, with i and j
-        # swapped, the second term of R[l, k, j, i].
-        for l, i, b in by_last[m]:
-            if i != j:
-                prod = a * b
-                riemann[l * n3 + k * nn + i * n + j] += prod
-                riemann[l * n3 + k * nn + j * n + i] -= prod
-    for flat, cm in enumerate(c):
-        if not cm:
-            continue
-        m, i, j = flat // nn, flat // n % n, flat % n
-        cm *= d_gam
-        for l, k, b in by_first[m]:  # C^m_ij Gamma^l_mk
-            riemann[l * n3 + k * nn + i * n + j] -= cm * b
+    antisymmetric = not frame._verdicts[0]
+    riemann_sums, ricci_sums, op_sums = _curvature_plan(n, antisymmetric)
+    # x holds dc Gamma, -dc Gamma and -dG C, so each product is over dG^2 dc.
+    g_dc = gam if dc == 1 else tuple(map(mul, gam, repeat(dc)))
+    x = g_dc + tuple(map(neg, g_dc)) + tuple(map(mul, c, repeat(-d_gam)))
+    riemann = tuple(riemann_sums(x, gam))
+    if antisymmetric:
+        riemann = _antisymmetric_fill(n)(riemann + tuple(map(neg, riemann)) + (0,))
+    ricci = tuple(ricci_sums(riemann))
     den = d_gam * d_gam * dc
-
-    # S(e_a, e_b) = R[i, b, i, a] summed over i.
-    ricci = [sum(riemann[i * n3 + b * nn + i * n + a] for i in range(n))
-             for a in range(n) for b in range(n)]
-
-    scalar = 0
-    ricci_op = [0] * nn
-    for a in range(n):
-        for b in range(n):
-            s_ab = ricci[a * n + b]
-            if not s_ab:
-                continue
-            g_ab = g_inv[a * n + b]
-            if g_ab:
-                scalar += g_ab * s_ab
-            for l in range(n):
-                g_bl = g_inv[b * n + l]
-                if g_bl:
-                    ricci_op[l * n + a] += s_ab * g_bl
-
     return CurvatureBundle(
         Tensor.from_ints((UP, DOWN, DOWN, DOWN), n, riemann, den),
         Tensor.from_ints((DOWN, DOWN), n, ricci, den),
-        Rat(scalar, den * dh),
-        Tensor.from_ints((UP, DOWN), n, ricci_op, den * dh))
+        Rat(sum(map(mul, g_inv, ricci)), den * dh),
+        Tensor.from_ints((UP, DOWN), n, op_sums(ricci, g_inv), den * dh))
+
+
+def _pairs(n: int, antisymmetric: bool):
+    """The (i, j) a (1,3) kernel sums at: i < j when the result is antisymmetric
+    in its last two slots, else every (i, j); row-major either way."""
+    rng = range(n)
+    return list(combinations(rng, 2) if antisymmetric else product(rng, repeat=2))
+
+
+@functools.lru_cache(maxsize=8)
+def _curvature_plan(n: int, antisymmetric: bool) -> tuple:
+    """The sums of curvature in dimension n: Riemann at [l, k, i, j] for each
+    (i, j) of _pairs, Ricci off Riemann, and the Ricci operator off Ricci and g^-1.
+
+    Riemann's x is dc Gamma, -dc Gamma and -dG C, each n^3 long, and its y Gamma:
+    Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm - C^m_ij Gamma^l_mk over m.
+    """
+    n3 = n ** 3
+    xs, ys = [], []
+    for l, k, (i, j) in product(range(n), range(n), _pairs(n, antisymmetric)):
+        for m in range(n):
+            xs += ((m * n + j) * n + k, n3 + (m * n + i) * n + k, 2 * n3 + (m * n + i) * n + j)
+            ys += ((l * n + i) * n + m, (l * n + j) * n + m, (l * n + m) * n + k)
+    # S(e_a, e_b) = R[i, b, i, a] summed over i; (Q e_a)^l = S_ab g^bl over b.
+    ricci = [((i * n + b) * n + i) * n + a for a, b, i in product(range(n), repeat=3)]
+    rng = range(n)
+    return (_sum_plan(xs, ys, 3 * n),
+            _sum_plan(ricci, None, n),
+            _sum_plan([a * n + b for l in rng for a in rng for b in rng],
+                      [b * n + l for l in rng for a in rng for b in rng], n))
+
+
+@functools.lru_cache(maxsize=8)
+def _antisymmetric_fill(n: int) -> Callable[[tuple], tuple]:
+    """Reads a (1,3) tensor, row-major, off v + -v + (0,) for v its values at
+    [l, k, i, j] with i < j in _pairs order: [l, k, j, i] is -[l, k, i, j]
+    and [l, k, i, i] is 0."""
+    at = {ij: s for s, ij in enumerate(_pairs(n, True))}
+    p = len(at)
+    half = n * n * p
+    offsets = []
+    for l, k, i, j in product(range(n), repeat=4):
+        lk = (l * n + k) * p
+        offsets.append(lk + at[i, j] if i < j else half + lk + at[j, i] if i > j else 2 * half)
+    return _gather(offsets)
 
 
 def sectional(bundle: CurvatureBundle, metric: MetricFrame, u: Tensor, v: Tensor) -> Rat:
@@ -152,50 +165,70 @@ def _wedge_sum(base: Optional[Tensor], terms) -> Tensor:
 
     c is a Rat or int, a a (0,2) and q a (1,1) tensor or None (the delta),
     all of one dim, unchecked. Fraction-free: over D, the lcm of base.den and
-    each c.den a.den q.den, one pass over the nonzero numerators of each a
-    and q adds c a_jk q^l_i at [l, k, i, j] and subtracts it at [l, k, j, i]
-    (for i == j the two cancel); the integer list is divided by D once.
+    each c.den a.den q.den, on integer numerators. wedge is linear in a, so
+    the terms with q None add up to one wedge(A) of A the sum of their c a,
+    which one gather writes; the others are one planned sum at [l, k, i, j]
+    for i < j and the antisymmetric fill. The parts are added and divided by
+    D once.
     """
     n = terms[0][1].dim
-    nn = n * n
-    n3 = nn * n
     dens = [c.denominator * a.den * (1 if q is None else q.den) for c, a, q in terms]
-    if base is None:
-        den = lcm(*dens)
-        out = [0] * (n3 * n)
-    else:
-        den = lcm(base.den, *dens)
-        out = list(base.nums) if den == base.den else [x * (den // base.den) for x in base.nums]
+    den = lcm(*dens) if base is None else lcm(base.den, *dens)
+    a_sum, x, y = None, [], []
     for (c, a, q), d in zip(terms, dens):
-        scale = c.numerator * (den // d)
-        if not scale:
-            continue
-        # Nonzero q^l_i as (offset of l in the value slot, i, value).
+        ca = tuple(map(mul, a.nums, repeat(c.numerator * (den // d))))
         if q is None:
-            q_terms = [(l * n3, l, scale) for l in range(n)]
+            a_sum = ca if a_sum is None else tuple(map(add, a_sum, ca))
         else:
-            q_terms = [(flat // n * n3, flat % n, y * scale) for flat, y in enumerate(q.nums) if y]
-        for flat, x in enumerate(a.nums):
-            if not x:
-                continue
-            j, k = flat // n, flat % n
-            for l3, i, y in q_terms:
-                if i != j:
-                    at, prod = l3 + k * nn, x * y
-                    out[at + i * n + j] += prod
-                    out[at + j * n + i] -= prod
+            x += ca
+            x += map(neg, ca)
+            y += q.nums
+    parts = []
+    if base is not None:
+        scale = den // base.den
+        parts.append(base.nums if scale == 1 else map(mul, base.nums, repeat(scale)))
+    if a_sum is not None:
+        parts.append(_delta_wedge(n)(a_sum + tuple(map(neg, a_sum)) + (0,)))
+    if y:
+        half = tuple(_wedge_plan(n, len(y) // (n * n))(x, y))
+        parts.append(_antisymmetric_fill(n)(half + tuple(map(neg, half)) + (0,)))
+    out = parts[0]
+    for part in parts[1:]:
+        out = map(add, out, part)
     return Tensor.from_ints((UP, DOWN, DOWN, DOWN), n, out, den)
+
+
+@functools.lru_cache(maxsize=8)
+def _delta_wedge(n: int) -> Callable[[tuple], tuple]:
+    """Reads wedge(A), row-major, off A + -A + (0,) for A's n^2 numerators:
+    A_jk at [l, k, l, j], -A_ik at [l, k, i, l] and 0 elsewhere (i != j)."""
+    n2 = n * n
+    return _gather([j * n + k if l == i != j else n2 + i * n + k if l == j != i else 2 * n2
+                    for l, k, i, j in product(range(n), repeat=4)])
+
+
+@functools.lru_cache(maxsize=8)
+def _wedge_plan(n: int, count: int):
+    """The sum of `count` terms c wedge(a, q) in dimension n at [l, k, i, j] for
+    i < j: term t's block of x is c a and -c a, and its block of y is q."""
+    n2 = n * n
+    xs, ys = [], []
+    for l, k, (i, j) in product(range(n), range(n), _pairs(n, True)):
+        for t in range(count):
+            xs += (2 * t * n2 + j * n + k, (2 * t + 1) * n2 + i * n + k)
+            ys += (t * n2 + l * n + i, t * n2 + l * n + j)
+    return _sum_plan(xs, ys, 2 * count)
 
 
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:
     """kappa if R^l_kij = kappa (g_jk delta^l_i - g_ik delta^l_j), else None.
 
-    Fraction-free: B = wedge(g) is read as numerators over dB, R over dR, and
-    R = kappa B holds iff R_x B_f == R_f B_x for every component x, f the
-    first nonzero entry of B. Then kappa = R_f dB / (B_f dR). With B = 0
-    (dim 1) kappa is 0 when R is.
+    Fraction-free: B = wedge(g), kept on the metric, is read as numerators
+    over dB, R over dR, and R = kappa B holds iff R_x B_f == R_f B_x for
+    every component x, f the first nonzero entry of B. Then
+    kappa = R_f dB / (B_f dR). With B = 0 (dim 1) kappa is 0 when R is.
     """
-    basis = wedge(metric.g)
+    basis = metric._wedge_basis
     b, db = basis.nums, basis.den
     r, dr = bundle.riemann.nums, bundle.riemann.den
     f = next((x for x, bx in enumerate(b) if bx), None)

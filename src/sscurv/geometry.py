@@ -25,7 +25,7 @@ from operator import add, mul
 from .errors import DegenerateMetricError, ValenceError
 from .rat import Rat, rat
 from .record import Record, _memo
-from .tensor import DOWN, UP, Tensor, _gather
+from .tensor import DOWN, UP, Tensor, _gather, _sum_plan
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[bool, int]:
@@ -184,6 +184,13 @@ class MetricFrame(Record):
         n, g = self.dim, self.g.nums
         return _bareiss([list(g[i * n:(i + 1) * n]) for i in range(n)])[0]
 
+    @_memo
+    def _wedge_basis(self) -> Tensor:
+        """wedge(g), the (1,3) tensor that constant_sectional compares R with,
+        built once per metric."""
+        from .curvature import wedge  # curvature imports this module
+        return wedge(self.g)
+
     def inner(self, u: Tensor, v: Tensor) -> Rat:
         """g(u, v) for two vectors."""
         return u.apply_metric(self.g, 0).contract_with(0, v)[()]
@@ -238,26 +245,28 @@ def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tupl
     """1-based (i, j) where dd_ij - dd_ji != C^k_ij d_k.
 
     With C = c / dc, d = e / de and dd = h / dh over their numerators, the
-    test is (h_ij - h_ji) dc de != dh sum_k c^k_ij e_k.
+    test is (h_ij - h_ji) dc de != dh sum_k c^k_ij e_k, one planned sum.
     """
     n = frame.dim
     if jet.dim != n:
         raise ValenceError(f"jet dimension {jet.dim} != frame dimension {n}")
-    c, dc = frame.c.nums, frame.c.den
-    d, de = jet.d.nums, jet.d.den
-    dd, dh = jet.dd.nums, jet.dd.den
-    scale = dc * de
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            bracket = 0
-            for k in range(n):
-                x = c[(k * n + i) * n + j]
-                if x and d[k]:
-                    bracket += x * d[k]
-            if (dd[i * n + j] - dd[j * n + i]) * scale != dh * bracket:
-                bad.append((i + 1, j + 1))
-    return bad
+    s, dh = frame.c.den * jet.d.den, jet.dd.den
+    sums, ij = _jet_plan(n)
+    y = (s, -s, *[-dh * x for x in jet.d.nums])
+    return list(itertools.compress(ij, sums(jet.dd.nums + frame.c.nums, y)))
+
+
+@functools.lru_cache(maxsize=8)
+def _jet_plan(n: int) -> tuple:
+    """Each 1-based (i, j), row-major, and the sum of jet_consistency_violations
+    there: h_ij s - h_ji s - sum_k c^k_ij (dh e_k), with x h and c and y
+    (s, -s, -dh e)."""
+    n2, rng = n * n, range(n)
+    xs, ys = [], []
+    for i, j in itertools.product(rng, repeat=2):
+        xs += (i * n + j, j * n + i, *[n2 + (k * n + i) * n + j for k in rng])
+        ys += range(n + 2)
+    return _sum_plan(xs, ys, n + 2), tuple((i + 1, j + 1) for i in rng for j in rng)
 
 
 class GeometrySpec(Record):

@@ -7,9 +7,13 @@ The hat Hessian follows the vector-gradient convention
 
     Hhat_ij = dd_ij - Gamma^k_ij d_k + (xi f) g_ij,
 
-which is symmetric for every consistent jet. Each public function takes a
-GeometrySpec and works in its shared context.ProbeContext, so a residual,
-its proof steps and a report on one spec object validate and build once.
+which is symmetric for every consistent jet. hat_hessian checks the jet
+first, then sums all three terms in one integer pass over one common
+denominator, and the residual adds a Ric-hat + s g + b d (x) d to that
+Hessian in one more pass (tensor._sum_plan), the kind choosing a, s and b.
+Each public function takes a GeometrySpec and works in its shared
+context.ProbeContext, so a residual, its proof steps and a report on one
+spec object validate and build once.
 The context also keeps the residual of the last problem object asked about,
 so proof_step_probes after residual on the same problem reuses it.
 """
@@ -17,6 +21,10 @@ so proof_step_probes after residual on the same problem reuses it.
 from __future__ import annotations
 
 import enum
+import functools
+from itertools import product
+from math import lcm
+from operator import mul
 
 from .context import ProbeContext, ProbeResult, ProbeStatus, judge, operator_derivative
 from .errors import InvalidJetError, SscurvError
@@ -24,7 +32,7 @@ from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
 from .rat import ZERO, Rat, format_rat, rat
 from .record import Record
-from .tensor import DOWN, Tensor
+from .tensor import DOWN, Tensor, _sum_plan
 
 
 class SolitonKind(enum.Enum):
@@ -90,9 +98,28 @@ def hat_hessian(jet: ScalarJet, spec: GeometrySpec) -> Tensor:
     bad = jet_consistency_violations(jet, spec.frame)
     if bad:
         raise InvalidJetError(f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = {bad[0]}")
-    # Hess_ij = dd_ij - Gamma^k_ij d_k, plus (xi f) g_ij.
-    hess = jet.dd - ProbeContext.of(spec).lc.gamma.contract_with(0, jet.d)
-    return hess + spec.metric.g.scale(xi_derivative(jet, spec.distinguished))
+    # Hess_ij = dd_ij - Gamma^k_ij d_k + (xi f) g_ij over D, the lcm of the
+    # three terms' denominators: dh, dG de and de dx dg.
+    gamma, g, xi = ProbeContext.of(spec).lc.gamma, spec.metric.g, spec.distinguished.xi
+    d, de = jet.d.nums, jet.d.den
+    dh, dgd, dxg = jet.dd.den, gamma.den * de, de * xi.den * g.den
+    den = lcm(dh, dgd, dxg)
+    scale = den // dgd
+    y = (den // dh, sum(map(mul, d, xi.nums)) * (den // dxg), *[-x * scale for x in d])
+    nums = _hessian_plan(spec.dim)(jet.dd.nums + gamma.nums + g.nums, y)
+    return Tensor.from_ints((DOWN, DOWN), spec.dim, nums, den)
+
+
+@functools.lru_cache(maxsize=8)
+def _hessian_plan(n: int):
+    """The sum of hat_hessian in dimension n at (i, j), over x dd, Gamma and g and
+    y (the dd scale, (xi f) times the g scale, and -d_k times the Gamma scale)."""
+    n2 = n * n
+    xs, ys = [], []
+    for i, j in product(range(n), repeat=2):
+        xs += (i * n + j, n2 + n ** 3 + i * n + j, *[n2 + (k * n + i) * n + j for k in range(n)])
+        ys += range(n + 2)
+    return _sum_plan(xs, ys, n + 2)
 
 
 def _kept_residual(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
@@ -107,18 +134,43 @@ def _kept_residual(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
 
 def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
     """The residual of the soliton equation on a valid context."""
-    g, bundle, lam, jet = ctx.spec.metric.g, ctx.hat_bundle, problem.lam, problem.jet
-    hess = hat_hessian(jet, ctx.spec)
+    jet, lam = problem.jet, problem.lam
+    hess = hat_hessian(jet, ctx.spec)  # first: it refuses an inconsistent jet
+    g, bundle = ctx.spec.metric.g, ctx.hat_bundle
+    # The residual is hess + a Ric-hat + s g + b d (x) d, with a 0 or 1 and
+    # s = sp / sq and b = bp / bq as integer pairs (sq, bq > 0), not reduced.
+    lp, lq = lam.numerator, lam.denominator
+    rp, rq = bundle.scalar.numerator, bundle.scalar.denominator
+    a, bp, bq = 1, 0, 1
     if problem.kind is SolitonKind.RICCI:
-        return hess + bundle.ricci + g.scale(lam)
-    if problem.kind is SolitonKind.YAMABE:
-        return hess - g.scale(bundle.scalar - lam)
-    if problem.kind is SolitonKind.EINSTEIN:
-        return bundle.ricci - g.scale(bundle.scalar * rat(1, 2)) + hess + g.scale(lam)
-    if problem.kind is SolitonKind.M_QUASI:
-        df_df = jet.d.tensor_product(jet.d)
-        return bundle.ricci - g.scale(lam) + hess - df_df.scale(rat(1, problem.m))
-    raise SscurvError(f"unknown soliton kind {problem.kind!r}")
+        sp, sq = lp, lq
+    elif problem.kind is SolitonKind.YAMABE:
+        a, sp, sq = 0, lp * rq - rp * lq, lq * rq
+    elif problem.kind is SolitonKind.EINSTEIN:
+        sp, sq = 2 * lp * rq - rp * lq, 2 * lq * rq
+    elif problem.kind is SolitonKind.M_QUASI:
+        sp, sq, bp, bq = -lp, lq, -1 if problem.m > 0 else 1, abs(problem.m)
+    else:
+        raise SscurvError(f"unknown soliton kind {problem.kind!r}")
+    ricci, d = bundle.ricci, jet.d
+    dg, dd = sq * g.den, bq * d.den * d.den
+    den = lcm(hess.den, dg, dd, ricci.den if a else 1)
+    y = (den // hess.den, a * (den // ricci.den), sp * (den // dg),
+         *[x * bp * (den // dd) for x in d.nums])
+    nums = _residual_plan(g.dim)(hess.nums + ricci.nums + g.nums + d.nums, y)
+    return Tensor.from_ints((DOWN, DOWN), g.dim, nums, den)
+
+
+@functools.lru_cache(maxsize=8)
+def _residual_plan(n: int):
+    """The sum of the residual in dimension n at (i, j), over x hess, Ric-hat, g
+    and d and y (their scales, then each d_j times the d (x) d scale)."""
+    n2 = n * n
+    xs, ys = [], []
+    for i, j in product(range(n), repeat=2):
+        xs += (i * n + j, n2 + i * n + j, 2 * n2 + i * n + j, 3 * n2 + i)
+        ys += (0, 1, 2, 3 + j)
+    return _sum_plan(xs, ys, 4)
 
 
 def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:

@@ -24,7 +24,7 @@ from .geometry import DistinguishedField, FrameAlgebra, GeometrySpec, MetricFram
 from .geomio import geometry_to_dict, rat_value
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, REGISTRY, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
-from .rat import ONE, ZERO, Rat, RatLike, format_rat, rat
+from .rat import ONE, ZERO, Rat, RatLike, format_rat, format_rats, rat
 from .record import Record, _memo
 from .report import build_report, config_digest
 from ._version import __version__
@@ -72,22 +72,32 @@ class FuzzConfig(Record):
         if not isinstance(require_parallel_xi, bool):
             raise SscurvError(f"require_parallel_xi must be a bool, got {require_parallel_xi!r}")
         try:
-            pool = tuple(sorted(rat_value(x, path=None, field="pool") for x in pool))
+            values = [rat_value(x, path=None, field="pool") for x in pool]
         except InputError as exc:
             raise SscurvError(f"pool must contain exact rationals: {exc}") from None
-        if not pool:
+        if not values:
             raise SscurvError("pool must not be empty")
+        # Sorted by exact integer keys, the numerators over the pool's lcm;
+        # sorted is stable, so equal values keep their order.
+        keys = _over_lcm(values)[0]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         fields = self.__dict__
         fields["count"] = count
         fields["seed"] = seed
-        fields["pool"] = pool
+        fields["pool"] = tuple(map(values.__getitem__, order))
         fields["require_parallel_xi"] = require_parallel_xi
 
     @_memo
     def _pool_ints(self) -> tuple[tuple[int, ...], int]:
         """The pool as integer numerators, in pool order, over their lcm."""
-        den = lcm(*[x.denominator for x in self.pool])
-        return tuple(x.numerator * (den // x.denominator) for x in self.pool), den
+        nums, den = _over_lcm(self.pool)
+        return tuple(nums), den
+
+
+def _over_lcm(values: list[Rat]) -> tuple[list[int], int]:
+    """The rationals as integer numerators over their lcm, and that lcm."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 # 0-based (k, i, j) with i < j: the independent structure-constant slots in
@@ -263,7 +273,7 @@ def fuzz(config: FuzzConfig) -> dict:
     cfg = {
         "seed": config.seed,
         "count": config.count,
-        "pool": [format_rat(x) for x in config.pool],
+        "pool": format_rats(*config._pool_ints),
         "require_parallel_xi": config.require_parallel_xi,
     }
     return {

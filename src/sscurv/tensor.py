@@ -11,18 +11,28 @@ nums[i] / den in row-major order, in canonical form: gcd(den, *nums) == 1,
 so den is the lcm of the reduced denominators and equal tensors have equal
 storage (== and hash read it directly). Outside this module only the
 integer kernels read nums by position, each because it measurably beats the
-same sum written over the operations below: levi_civita and non_metricity,
-curvature, the wedge kernel and constant_sectional; in geometry the
-Bareiss elimination (metric inverse and Sylvester's test), the structure
-constants of FrameAlgebra.from_entries, the antisymmetry and Jacobi checks
-(through _gather plans memoised per dimension, as permute's), jet
-consistency and validate's unit-xi and psi-xi checks; and the fuzzer's
-draw, which writes its numerators over the pool's lcm. They accumulate in
-plain ints and return through Tensor.from_ints, the one trusted constructor,
-which divides out the gcd and makes den positive; the fraction-free division
-of Bareiss (Math. Comp. 22, 1968) is done once per tensor. Nothing else reads
-nums by position: torsion and metric symmetry are expressions over the
-operations below, and the report writers read through strings() and t[idx].
+same sum written over the operations below. Most of them are planned sums
+(_sum_plan): levi_civita and non_metricity, curvature and the wedge kernel,
+the soliton Hessian and residual, and jet consistency. The others are
+constant_sectional; in geometry the Bareiss elimination (metric inverse and
+Sylvester's test), the structure constants of FrameAlgebra.from_entries, the
+antisymmetry and Jacobi checks (through _gather plans memoised per
+dimension, as permute's) and validate's unit-xi and psi-xi checks; and the
+fuzzer's draw, which writes its numerators over the pool's lcm. They
+accumulate in plain ints and return through Tensor.from_ints, the one
+trusted constructor, which divides out the gcd and makes den positive; the
+fraction-free division of Bareiss (Math. Comp. 22, 1968) is done once per
+tensor. Nothing else reads nums by position: torsion and metric symmetry are
+expressions over the operations below, and the report writers read through
+strings() and t[idx].
+
+A planned sum computes, for every output of a kernel, a sum of products
+x[a] * y[b] over a fixed list of offset pairs, x and y being tuples of
+numerators (often several tensors' numerators, scaled to one denominator,
+laid end to end). _sum_plan turns the offsets into two _gathers and a group
+width, so the gathers, the products and the grouped sums run in C; each
+kernel builds its plans lazily and memoises them per dimension (and index
+pattern) with a bounded lru_cache.
 
 Every other derived tensor is an expression over the operations here, all
 of which run on the integers: +, -, negation, scale, tensor_product,
@@ -328,6 +338,23 @@ def _gather(offsets: list) -> Callable[[tuple], tuple]:
     if len(offsets) == 1:  # itemgetter of one offset returns the entry itself
         return itemgetter(slice(offsets[0], offsets[0] + 1))
     return itemgetter(*offsets)
+
+
+def _sum_plan(xs: list, ys: list | None, width: int) -> Callable[..., Iterable[int]]:
+    """A planned sum of products: the function of (x, y) whose result, an
+    iterator, holds sum(x[a] * y[b]) over each run of `width` consecutive
+    offset pairs (a, b) of xs and ys, in order; with ys None, sum(x[a]) over
+    each run of xs, and y is not read. The gathers, the products, the grouping
+    and the sums run in C; a kernel memoises its plans per dimension."""
+    if not xs:
+        return lambda x, y=None: iter(())
+    gx = _gather(xs)
+    gy = None if ys is None else _gather(ys)
+
+    def sums(x, y=None):
+        terms = iter(gx(x) if gy is None else map(mul, gx(x), gy(y)))
+        return map(sum, zip(*[terms] * width))
+    return sums
 
 
 @functools.lru_cache(maxsize=None)

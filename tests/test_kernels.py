@@ -1,10 +1,11 @@
 """The fraction-free kernels and checks against a plain Fraction reference.
 
-levi_civita, non_metricity and curvature read their inputs' integer
-numerators over one denominator each and divide once per tensor. The
-reference below evaluates the defining sums directly in fractions.Fraction,
-densely, in any dimension, so a wrong scale or a wrong final denominator
-shows as a component mismatch.
+levi_civita, non_metricity, curvature and the soliton residual read their
+inputs' integer numerators over one denominator each and divide once per
+tensor. The reference below evaluates the defining sums directly in
+fractions.Fraction, densely, in any dimension, so a wrong scale, a wrong
+final denominator or a wrongly filled-in entry shows as a component
+mismatch.
 
 validate, jet_consistency_violations and constant_sectional decide their
 yes/no questions on integers too. The references for them are the dense
@@ -24,9 +25,10 @@ from hypothesis import assume, example, given, settings
 
 from conftest import assert_jacobi_list, oracle_inverse, spd_metrics
 from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, DegenerateMetricError,
-                    DistinguishedField, FrameAlgebra, GeometrySpec, MetricFrame, ScalarJet, Tensor,
+                    DistinguishedField, FrameAlgebra, GeometrySpec, InvalidJetError, MetricFrame,
+                    ProbeContext, ScalarJet, SolitonKind, SolitonProblem, Tensor,
                     ValidationReport, constant_sectional, curvature, levi_civita,
-                    non_metricity, rat, ssnmc, torsion, validate)
+                    non_metricity, rat, residual, ssnmc, torsion, validate)
 from sscurv.geometry import jet_consistency_violations
 from sscurv.rat import Rat
 from sscurv.tensor import DOWN, UP
@@ -123,7 +125,7 @@ def assert_curvature_matches(conn, frame, metric):
         assert isinstance(t[(0,) * t.rank], Rat)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_levi_civita_ssnmc_kernels_match_reference(data):
     n = data.draw(st.integers(1, 4), label="dim")
@@ -145,7 +147,7 @@ def test_levi_civita_ssnmc_kernels_match_reference(data):
         assert_curvature_matches(conn, frame, metric)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_custom_connection_kernels_match_reference(data):
     # Arbitrary coefficients and a C that need not be antisymmetric, passed
@@ -172,6 +174,102 @@ def test_non_antisymmetric_structure_constants_reach_curvature():
     gam = [Fraction(k + 2 * i - j, 3 + k) for k, i, j in product(range(n), repeat=3)]
     conn = Connection(rat_tensor((UP, DOWN, DOWN), n, gam), ConnectionKind.CUSTOM)
     assert_curvature_matches(conn, frame, metric)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_non_antisymmetric_structure_constants_reach_curvature_in_any_dim(n):
+    # C^m_ii != 0 and C^m_ij != -C^m_ji: the C term of R[l, k, i, j] is then
+    # neither antisymmetric in (i, j) nor zero at i == j, so no entry of
+    # Riemann may be filled in from another.
+    c = [Fraction(m + 2 * i - j, 1 + (m + i * j) % 3) + Fraction(i == j, 5)
+         for m, i, j in product(range(n), repeat=3)]
+    frame = FrameAlgebra(n, rat_tensor((UP, DOWN, DOWN), n, c))
+    assert frame.antisymmetry_violations()
+    g = [Fraction(3 if i == j else 1, 1 + i + j) for i, j in product(range(n), repeat=2)]
+    metric = MetricFrame.from_tensor(rat_tensor((DOWN, DOWN), n, g))
+    gam = [Fraction(k - 2 * i + j + 1, 2 + k) for k, i, j in product(range(n), repeat=3)]
+    conn = Connection(rat_tensor((UP, DOWN, DOWN), n, gam), ConnectionKind.CUSTOM)
+    riemann = ref_curvature(gam, c, fractions_of(metric.g_inv), n)[0]
+    assert any(riemann[((l * n + k) * n + i) * n + i]
+               for l, k, i in product(range(n), repeat=3))
+    assert_curvature_matches(conn, frame, metric)
+
+
+@st.composite
+def lie_frames(draw, n):
+    """An n-dimensional Lie algebra: any antisymmetric C in dims 1 and 2, else
+    R^(n-1) semidirect R, [e_a, e_n] = A^b_a e_b for a dense A, and Jacobi holds."""
+    if n <= 2:
+        return draw(antisymmetric_frames(n))
+    comps = [Fraction(0)] * n ** 3
+    last = n - 1
+    for b, a in product(range(last), repeat=2):
+        v = draw(coprime_rats)
+        comps[(b * n + a) * n + last] = v
+        comps[(b * n + last) * n + a] = -v
+    return FrameAlgebra(n, rat_tensor((UP, DOWN, DOWN), n, comps))
+
+
+def ref_residual(kind, lam, m, c, g, g_inv, xi, d, dd, n):
+    """The soliton residual from the Levi-Civita reference, in Fractions:
+    Hhat = dd - Gamma^k_ij d_k + (xi f) g, with Ric-hat and r-hat of Gamma + psi_j delta^k_i."""
+    gam = ref_levi_civita(c, g, g_inv, n)
+    psi = [sum(g[b * n + a] * xi[b] for b in range(n)) for a in range(n)]
+    hat = [gam[(k * n + i) * n + j] + psi[j] * (k == i) for k, i, j in product(range(n), repeat=3)]
+    _, ric, r, _ = ref_curvature(hat, c, g_inv, n)
+    xf = sum(dk * x for dk, x in zip(d, xi))
+    hess = [dd[i * n + j] - sum(gam[(k * n + i) * n + j] * d[k] for k in range(n))
+            + xf * g[i * n + j] for i, j in product(range(n), repeat=2)]
+    out = []
+    for i, j in product(range(n), repeat=2):
+        h, s, gij = hess[i * n + j], ric[i * n + j], g[i * n + j]
+        if kind is SolitonKind.RICCI:
+            out.append(h + s + lam * gij)
+        elif kind is SolitonKind.YAMABE:
+            out.append(h - (r - lam) * gij)
+        elif kind is SolitonKind.EINSTEIN:
+            out.append(s - r / 2 * gij + h + lam * gij)
+        else:
+            out.append(s - lam * gij + h - d[i] * d[j] / m)
+    return out
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(st.data())
+def test_residual_matches_fraction_reference(data):
+    n = data.draw(st.integers(1, 4), label="dim")
+    frame = data.draw(lie_frames(n), label="frame")
+    metric = data.draw(general_metrics(n), label="metric")
+    xi = data.draw(st.lists(coprime_rats, min_size=n, max_size=n), label="xi")
+    dist = DistinguishedField.from_xi(rat_tensor((UP,), n, xi), metric)
+    spec = GeometrySpec("residual", frame, metric, dist)
+    kind = data.draw(st.sampled_from(list(SolitonKind)), label="kind")
+    m = None
+    if kind is SolitonKind.M_QUASI:
+        m = data.draw(st.integers(-5, 5).filter(bool), label="m")
+    lam = data.draw(coprime_rats, label="lambda")
+    # dd = sym + C d / 2 is consistent: dd_ij - dd_ji = C^k_ij d_k for antisymmetric C.
+    c = fractions_of(frame.c)
+    d = data.draw(st.lists(coprime_rats, min_size=n, max_size=n), label="d")
+    sym = data.draw(st.lists(coprime_rats, min_size=n * n, max_size=n * n), label="sym")
+    dd = [sym[i * n + j] + sym[j * n + i] + sum(c[(k * n + i) * n + j] * d[k] for k in range(n)) / 2
+          for i, j in product(range(n), repeat=2)]
+    if data.draw(st.booleans(), label="break the jet"):
+        dd[data.draw(st.integers(0, n * n - 1))] += data.draw(coprime_rats.filter(bool))
+    jet = ScalarJet(rat_tensor((DOWN,), n, d), rat_tensor((DOWN, DOWN), n, dd))
+    problem = SolitonProblem(kind, rat(str(lam)), jet, m)
+
+    bad = ref_jet(c, d, dd, n)
+    if bad:
+        with pytest.raises(InvalidJetError, match=rf"at \(i, j\) = \({bad[0][0]}, {bad[0][1]}\)$"):
+            residual(spec, problem)
+        # Refused before any kernel ran: the context built no connection.
+        assert not {"lc", "hat", "lc_bundle", "hat_bundle"} & vars(ProbeContext.of(spec)).keys()
+        return
+    res = residual(spec, problem).residual
+    assert fractions_of(res) == ref_residual(kind, lam, m, c, fractions_of(metric.g),
+                                             fractions_of(metric.g_inv), xi, d, dd, n)
+    assert all(type(x) is int for x in (*res.nums, res.den))
 
 
 @given(st.lists(coprime_rats, min_size=1, max_size=12))
