@@ -7,6 +7,8 @@ exact rational arithmetic.
 
 The public names load their submodule on first use (PEP 562), so a command
 that checks one soliton never compiles the probe registry or the fuzzer.
+The package keeps each home module once loaded, in a table no larger than
+__all__, but no name: each access reads the name from its module.
 """
 
 from importlib import import_module
@@ -50,14 +52,23 @@ from .curvature import curvature  # noqa: E402
 from .rat import rat  # noqa: E402
 
 
+# Each public name's home module, once a first access has loaded it.
+_loaded: dict[str, object] = {}
+
+
 def __getattr__(name: str):
-    # Not cached in the package: a name rebound in its home module (as a
-    # test or a tracer does) reads through here as rebound.
+    # The home module object is kept, the name is not: it is read from the
+    # module on every access, so a name rebound there (as a test or a tracer
+    # does) reads through here as rebound.
     try:
-        module = _HOME[name]
+        module = _loaded[name]
     except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(f".{module}", __name__), name)
+        try:
+            home = _HOME[name]
+        except KeyError:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+        module = _loaded[name] = import_module(f".{home}", __name__)
+    return getattr(module, name)
 
 
 def __dir__() -> list[str]:

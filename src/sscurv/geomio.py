@@ -8,8 +8,8 @@ fills in each antisymmetric partner. serialize_value, which reports use too,
 writes rationals and tensors as canonical (nested) strings, and, given a
 report's memo, one shared nested list per distinct tensor. dumps_json, the
 one JSON writer of reports and geometry files, writes the result and renders
-each list object once per indent, however often the tree holds it, and a
-tensor's nested list or a table of counts in one join.
+each list object once per indent, however often the tree holds it, a
+tensor's nested list in one join and a table of counts in one %-format.
 """
 
 from __future__ import annotations
@@ -272,8 +272,10 @@ def dumps_json(value) -> str:
     between equal tensors writes its text once and copies it. A table (a
     dict whose every value is a dict with one non-empty tuple of str keys,
     every leaf an int and not a bool), as a fuzz report's probe_counts is,
-    is written in one join too: its text around the leaves is built once
-    per key tuples and indent and kept across calls in a bounded cache.
+    is written by one %-format of its leaves. The text that depends on no
+    leaf is kept across calls, each kind in a bounded functools.lru_cache:
+    a grid's frame per shape and indent, a dict's quoted key prefixes per
+    key tuple and indent, and a table's format per key tuples and indent.
     """
     parts: list[str] = []
     _write_json(value, parts, "\n", {})
@@ -283,10 +285,9 @@ def dumps_json(value) -> str:
 def _write_json(value, parts: list[str], newline: str, written: dict) -> None:
     # Recursion with the output list passed in: a self-referencing closure
     # would be a reference cycle holding every chunk until cyclic GC runs.
-    # written maps (id(list), newline) to the list's text, id(list) to its
-    # grid (None if it is none) and (shape, newline) to a grid shape's frame;
-    # the tree keeps every list alive for the whole call, so no id is reused
-    # within it.
+    # written maps (id(list), newline) to the list's text and id(list) to its
+    # grid (None if it is none); the tree keeps every list alive for the
+    # whole call, so no id is reused within it.
     if isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
@@ -313,23 +314,17 @@ def _write_json(value, parts: list[str], newline: str, written: dict) -> None:
         table = _table(value)
         if table is not None:
             keys, cols, leaves = table
-            text = list(_table_frame(keys, cols, newline))
-            text[1::2] = map(int.__repr__, leaves)
-            parts.append("".join(text))
+            parts.append(_table_frame(keys, cols, newline) % leaves)
             return
         inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+        for prefix, item in zip(_key_prefixes(tuple(value), newline), value.values()):
             if isinstance(item, str):  # no call for a string or count field
-                parts.append(sep + _quote(key) + ": " + _quote(item))
+                parts.append(prefix + _quote(item))
             elif type(item) is int:  # not bool, whose type is bool
-                parts.append(sep + _quote(key) + ": " + int.__repr__(item))
+                parts.append(prefix + int.__repr__(item))
             else:
-                parts.append(sep + _quote(key) + ": ")
+                parts.append(prefix)
                 _write_json(item, parts, inner, written)
-            sep = "," + inner
         parts.append(newline + "}")
     else:
         raise TypeError(f"{type(value).__name__} is not a report value")
@@ -341,7 +336,7 @@ def _list_text(value, newline: str, written: dict) -> str:
     if grid is False:
         grid = written[id(value)] = _grid(value)
     if grid is not None:
-        text = _grid_frame(grid[0], newline, written).copy()
+        text = list(_grid_frame(grid[0], newline))
         text[1::2] = grid[1]
         return "".join(text)
     inner = newline + "  "
@@ -373,52 +368,60 @@ def _grid(value) -> tuple[tuple[int, ...], list[str]] | None:
         return None
 
 
-def _grid_frame(shape: tuple[int, ...], newline: str, written: dict) -> list[str]:
+@functools.lru_cache(maxsize=128)
+def _grid_frame(shape: tuple[int, ...], newline: str) -> tuple[str, ...]:
     """The text of a grid of this shape whose closing bracket sits after newline,
     with an empty slot for each leaf at the odd positions; built from the frame
-    of the shape one level down and kept in written."""
-    key = (shape, newline)
-    frame = written.get(key)
-    if frame is None:
-        inner = newline + "  "
-        if len(shape) == 1:
-            frame = ["[" + inner, ""] + ["," + inner, ""] * (shape[0] - 1) + [newline + "]"]
-        else:
-            sub = _grid_frame(shape[1:], inner, written)
-            head, body, close = sub[0], sub[1:-1], sub[-1]
-            frame = (["[" + inner + head] + body
-                     + ([close + "," + inner + head] + body) * (shape[0] - 1)
-                     + [close + newline + "]"])
-        written[key] = frame
-    return frame
+    of the shape one level down."""
+    inner = newline + "  "
+    if len(shape) == 1:
+        return ("[" + inner, "", *("," + inner, "") * (shape[0] - 1), newline + "]")
+    sub = _grid_frame(shape[1:], inner)
+    head, body, close = sub[0], sub[1:-1], sub[-1]
+    return ("[" + inner + head, *body,
+            *((close + "," + inner + head,) + body) * (shape[0] - 1),
+            close + newline + "]")
 
 
-def _table(value: dict) -> tuple[tuple[str, ...], tuple[str, ...], list[int]] | None:
+@functools.lru_cache(maxsize=256)
+def _key_prefixes(keys: tuple, newline: str) -> tuple[str, ...]:
+    """The text before each value of a dict with these keys whose closing brace
+    sits after newline: the separator, the quoted key and the colon."""
+    inner = newline + "  "
+    prefixes, sep = [], "{" + inner
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, got {type(key).__name__}")
+        prefixes.append(sep + _quote(key) + ": ")
+        sep = "," + inner
+    return tuple(prefixes)
+
+
+def _table(value: dict) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]] | None:
     """(row keys, column keys, leaves row by row) if every value of the non-empty
     dict value is a dict with one non-empty tuple of str keys, every key is a
     str and every leaf an int (not a bool), else None."""
     rows = list(value.values())
-    if type(rows[0]) is not dict:
+    if type(rows[0]) is not dict or set(map(type, rows)) != {dict}:
         return None
-    cols = tuple(rows[0])
-    if not cols or any(type(row) is not dict or tuple(row) != cols for row in rows[1:]):
+    shapes = set(map(tuple, rows))  # each row's key tuple; one if they all agree
+    if len(shapes) != 1:
         return None
+    cols = shapes.pop()
     keys = tuple(value)
-    leaves = [x for row in rows for x in row.values()]
-    if set(map(type, leaves)) != {int} or set(map(type, keys + cols)) != {str}:
+    leaves = tuple(chain.from_iterable(map(dict.values, rows)))
+    if not cols or set(map(type, leaves)) != {int} or set(map(type, keys + cols)) != {str}:
         return None
     return keys, cols, leaves
 
 
 @functools.lru_cache(maxsize=32)
-def _table_frame(keys: tuple[str, ...], cols: tuple[str, ...], newline: str) -> tuple[str, ...]:
-    """The text of a table whose closing brace sits after newline, with an empty
-    slot for each leaf at the odd positions, row by row."""
+def _table_frame(keys: tuple[str, ...], cols: tuple[str, ...], newline: str) -> str:
+    """The text of a table whose closing brace sits after newline, as a %-format
+    with one %d per leaf, row by row (a key's own % is written %%)."""
     inner = newline + "  "
     cell = inner + "  "
-    later = [s for col in cols[1:] for s in ("," + cell + _quote(col) + ": ", "")]
-    frame, sep = [], "{" + inner
-    for key in keys:
-        frame += [sep + _quote(key) + ": {" + cell + _quote(cols[0]) + ": ", ""] + later
-        sep = inner + "}," + inner
-    return (*frame, inner + "}" + newline + "}")
+    cols = [_quote(col).replace("%", "%%") for col in cols]
+    row = ": {" + cell + cols[0] + ": %d" + "".join("," + cell + col + ": %d" for col in cols[1:])
+    body = (inner + "}," + inner).join(_quote(key).replace("%", "%%") + row for key in keys)
+    return "{" + inner + body + inner + "}" + newline + "}"

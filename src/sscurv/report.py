@@ -27,8 +27,13 @@ from .rat import format_rat
 from .solitons import SolitonProblem, SolitonVerdict
 
 
+# The encoder json.dumps(sort_keys=True, separators=(",", ":")) builds on each
+# call, built once: it holds no state between calls.
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def config_digest(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    blob = _DIGEST_ENCODER.encode(config).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -6,7 +6,8 @@ frame, so a frame drawn again is judged once. Every fuzz candidate has the
 same metric and xi (_fuzz_field), so equal structure constants are one
 geometry, and a Tensor compares and hashes by its exact canonical entries:
 an entry never goes stale. The table belongs to one snapshot of the probe
-definitions and starts empty under another.
+definitions and starts empty under another. FuzzConfig keeps one prepared
+pool, that of the last pool tuple it was given, matched by identity.
 """
 
 from __future__ import annotations
@@ -61,7 +62,47 @@ def run_suite(spec: GeometrySpec, suite: str = "all", ids: tuple[str, ...] | Non
     return build_report(spec, suite=suite, probes=results, include_tables=include_tables)
 
 
+class _Pool(NamedTuple):
+    """A fuzz pool prepared once: its Rats in ascending order, their integer
+    numerators over their lcm with that lcm, and their canonical strings."""
+
+    rats: tuple[Rat, ...]
+    ints: tuple[tuple[int, ...], int]
+    strings: tuple[str, ...]
+
+
+def _prepare_pool(pool) -> _Pool:
+    """Check and sort a pool, and write its numerators and strings."""
+    try:
+        values = [rat_value(x, path=None, field="pool") for x in pool]
+    except InputError as exc:
+        raise SscurvError(f"pool must contain exact rationals: {exc}") from None
+    if not values:
+        raise SscurvError("pool must not be empty")
+    # Sorted by exact integer keys, the numerators over the pool's lcm;
+    # sorted is stable, so equal values keep their order.
+    den = lcm(*[x.denominator for x in values])
+    keys = [x.numerator * (den // x.denominator) for x in values]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    nums = tuple(map(keys.__getitem__, order))
+    return _Pool(tuple(map(values.__getitem__, order)), (nums, den),
+                 tuple(format_rats(nums, den)))
+
+
 class FuzzConfig(Record):
+    """One fuzz stream's settings; the pool is kept as exact Rats in ascending order.
+
+    The class keeps the prepared pool of the last pool tuple it was given
+    and reuses it when the next config is given the same tuple object
+    (identity, as ProbeContext.of matches specs): every stream of a
+    campaign passes one pool, DEFAULT_POOL unless told otherwise. Only a
+    tuple is kept, never a list, which its caller may change; and never by
+    value, since 0.5 == Fraction(1, 2) with an equal hash, and the float
+    must be refused. The kept tuple is held, so its id is never reused.
+    """
+
+    _kept: tuple | None = None  # (the pool tuple given, its _Pool)
+
     def __init__(self, count: int = 100, seed: int = 0, pool: tuple[RatLike, ...] = DEFAULT_POOL,
                  require_parallel_xi: bool = False):
         for name, value in (("count", count), ("seed", seed)):
@@ -71,33 +112,24 @@ class FuzzConfig(Record):
             raise SscurvError("count must be positive")
         if not isinstance(require_parallel_xi, bool):
             raise SscurvError(f"require_parallel_xi must be a bool, got {require_parallel_xi!r}")
-        try:
-            values = [rat_value(x, path=None, field="pool") for x in pool]
-        except InputError as exc:
-            raise SscurvError(f"pool must contain exact rationals: {exc}") from None
-        if not values:
-            raise SscurvError("pool must not be empty")
-        # Sorted by exact integer keys, the numerators over the pool's lcm;
-        # sorted is stable, so equal values keep their order.
-        keys = _over_lcm(values)[0]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        kept = FuzzConfig._kept  # read once: a racing thread costs a rebuild, never a wrong pool
+        if kept is None or kept[0] is not pool:
+            kept = (pool, _prepare_pool(pool))
+            if type(pool) is tuple:
+                FuzzConfig._kept = kept
         fields = self.__dict__
         fields["count"] = count
         fields["seed"] = seed
-        fields["pool"] = tuple(map(values.__getitem__, order))
+        fields["pool"] = kept[1].rats
         fields["require_parallel_xi"] = require_parallel_xi
 
     @_memo
-    def _pool_ints(self) -> tuple[tuple[int, ...], int]:
-        """The pool as integer numerators, in pool order, over their lcm."""
-        nums, den = _over_lcm(self.pool)
-        return tuple(nums), den
-
-
-def _over_lcm(values: list[Rat]) -> tuple[list[int], int]:
-    """The rationals as integer numerators over their lcm, and that lcm."""
-    den = lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values], den
+    def _prepared(self) -> _Pool:
+        """The prepared pool: the kept one if it holds this config's Rats, else built again."""
+        kept = FuzzConfig._kept
+        if kept is not None and kept[1].rats is self.pool:
+            return kept[1]
+        return _prepare_pool(self.pool)
 
 
 # 0-based (k, i, j) with i < j: the independent structure-constant slots in
@@ -109,7 +141,7 @@ _FREE_SLOTS = tuple(((k * 3 + i) * 3 + j, (k * 3 + j) * 3 + i)
 
 
 def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
-    pool, den = config._pool_ints
+    pool, den = config._prepared.ints
     nums = [0] * 27
     if config.require_parallel_xi:
         # Solution space of nabla xi = 0 with g = id, xi = e3: everything
@@ -186,7 +218,7 @@ def _verdict_table() -> _VerdictTable:
     """The kept table if the probe definitions are, element by element and by
     identity, those it was filled under, else a new one, kept instead."""
     global _table
-    probe_defs = tuple(REGISTRY[pid] for pid in PROBE_ORDER)
+    probe_defs = tuple(map(REGISTRY.__getitem__, PROBE_ORDER))
     table = _table
     if table is None or not all(map(operator.is_, table.probe_defs, probe_defs)):
         table = _table = _VerdictTable(probe_defs)
@@ -241,9 +273,10 @@ def fuzz(config: FuzzConfig) -> dict:
         frame = _draw_candidate(rng, config)
         if frame.jacobi_violations():
             continue
-        spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
+        # A candidate's spec is built only to judge its frame or to certify it.
         verdict = verdicts.get(frame.c)
         if verdict is None:
+            spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
             verdict = table.keep(frame.c, _judge_frame(spec))
         ok, parallel, statuses, bad = verdict
         if not ok or (config.require_parallel_xi and not parallel):
@@ -252,6 +285,8 @@ def fuzz(config: FuzzConfig) -> dict:
         if parallel:
             parallel_accepted += 1
         patterns[statuses] += 1
+        if bad:
+            spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
         for pid, status, dev, component, part in bad:
             cert = {
                 "candidate_index": index,
@@ -273,7 +308,7 @@ def fuzz(config: FuzzConfig) -> dict:
     cfg = {
         "seed": config.seed,
         "count": config.count,
-        "pool": format_rats(*config._pool_ints),
+        "pool": list(config._prepared.strings),  # a list of its own in each report
         "require_parallel_xi": config.require_parallel_xi,
     }
     return {

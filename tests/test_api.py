@@ -99,13 +99,16 @@ def test_one_failure_summary_for_library_and_cli(tmp_path, capsys):
     assert err == f"input error: geometry fails validation ({failures})\n"
 
 
+# `curvature` and `rat` are bound at import; the modules curvature imports
+# come with it. Everything else waits for first use.
+EAGER_MODULES = {"sscurv", "sscurv._version", "sscurv.rat", "sscurv.curvature",
+                 "sscurv.connection", "sscurv.geometry", "sscurv.errors", "sscurv.tensor",
+                 "sscurv.record"}
+
+
 def test_import_loads_only_the_eager_submodules():
-    # `curvature` and `rat` are bound at import; the modules curvature
-    # imports come with it. Everything else waits for first use.
     loaded = {m for m in child_modules("-c", "import sscurv") if m.startswith("sscurv")}
-    assert loaded == {"sscurv", "sscurv._version", "sscurv.rat", "sscurv.curvature",
-                      "sscurv.connection", "sscurv.geometry", "sscurv.errors",
-                      "sscurv.tensor", "sscurv.record"}
+    assert loaded == EAGER_MODULES
 
 
 def test_soliton_command_skips_registry_suite_and_dataclasses():
@@ -137,6 +140,35 @@ def test_every_public_name_is_its_home_modules_object():
     assert set(sscurv.SUITES) == set(sscurv.context.SUITE_NAMES)
     with pytest.raises(AttributeError):
         sscurv.no_such_name
+
+
+def test_package_names_read_through_to_their_home_module(monkeypatch):
+    # The package keeps the home module, not the name: a name rebound there
+    # is read through, and the original again once it is put back.
+    suite = importlib.import_module("sscurv.suite")
+    original = sscurv.fuzz
+    assert original is suite.fuzz
+
+    def patched(config):
+        return {}
+
+    monkeypatch.setattr(suite, "fuzz", patched)
+    assert sscurv.fuzz is patched
+    monkeypatch.undo()
+    assert sscurv.fuzz is original
+
+
+def test_first_access_to_a_name_loads_its_home_module():
+    code = ("import sys, sscurv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sscurv')))\n"
+            "run_suite = sscurv.run_suite\n"
+            "print('sscurv.suite' in sys.modules, run_suite is sys.modules['sscurv.suite'].run_suite)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_access = proc.stdout.splitlines()
+    assert at_import == repr(sorted(EAGER_MODULES))
+    assert after_access == "True True"
 
 
 def comps_readers(path: Path) -> set[str]:

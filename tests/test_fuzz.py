@@ -61,6 +61,51 @@ def test_pool_entries_are_normalised_to_rats():
             FuzzConfig(pool=bad)
 
 
+def test_a_kept_pool_answers_only_for_its_own_tuple():
+    # The prepared pool is kept by the identity of the tuple given. 0.5 equals
+    # 1/2 and hashes alike, so a pool kept by value would let the float in.
+    half = (rat(1, 2),)
+    assert 0.5 == half[0] and hash(0.5) == hash(half[0])
+    kept = FuzzConfig(pool=half)
+    assert FuzzConfig(count=3, pool=half).pool is kept.pool
+    for bad in ((0.5,), (True,), (), ("1/x",), ([1, 2],)):
+        FuzzConfig(pool=half)
+        with pytest.raises(SscurvError):
+            FuzzConfig(pool=bad)
+
+
+def test_a_list_pool_is_read_on_every_config():
+    pool = [rat(1), rat(2)]
+    before = FuzzConfig(count=30, seed=4, pool=pool)
+    pool[0] = rat(-3)
+    after = FuzzConfig(count=30, seed=4, pool=pool)
+    assert (before.pool, after.pool) == ((rat(1), rat(2)), (rat(-3), rat(2)))
+    for config, spelled in ((after, (-3, 2)), (before, (1, 2))):
+        doc = fuzz(config)
+        assert doc["fuzz"]["pool"] == list(map(str, spelled))
+        assert doc == fuzz(FuzzConfig(count=30, seed=4, pool=spelled))
+
+
+def test_reports_of_one_config_own_their_pool_lists():
+    config = FuzzConfig(count=10, seed=5)
+    first, second = fuzz(config), fuzz(config)
+    assert first["fuzz"]["pool"] is not second["fuzz"]["pool"]
+    want = emit_report(second, "json")
+    first["fuzz"]["pool"].append("99")
+    assert emit_report(second, "json") == want == emit_report(fuzz(config), "json")
+
+
+def test_a_kept_pool_leaves_fields_equality_and_repr():
+    kept = FuzzConfig(count=5, seed=2)
+    listed = FuzzConfig(count=5, seed=2, pool=list(DEFAULT_POOL))
+    for config in (kept, listed):
+        assert list(vars(config)) == ["count", "seed", "pool", "require_parallel_xi"]
+        assert repr(config) == (f"FuzzConfig(count=5, seed=2, pool={tuple(sorted(DEFAULT_POOL))!r}"
+                                f", require_parallel_xi=False)")
+    assert kept == listed and hash(kept) == hash(listed)
+    assert kept != FuzzConfig(count=5, seed=2, pool=DEFAULT_POOL[1:])
+
+
 def test_default_pool():
     assert sorted(DEFAULT_POOL) == sorted(
         (rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 2), rat(1), rat(2)))

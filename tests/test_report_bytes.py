@@ -487,6 +487,7 @@ def _near_tables(draw):
 @example([["a"], {"b": "c"}])
 @example({"x": _SHARED_ROW, "y": [_SHARED_ROW, [_SHARED_ROW]], "z": [[_SHARED_ROW]] * 2})
 @example({"B2": {"pass": 3, "fail": 0}, "B3": {"pass": -1, "fail": 10 ** 40}})
+@example({"%d": {"%": 1, "x%s": 2}, "%%": {"%": -3, "x%s": 10 ** 40}})
 @example([{"a": {"x": 1}}, {"a": {"x": True}}, {"a": {"x": 1}, "b": {}}])
 def test_writer_matches_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
@@ -549,3 +550,29 @@ def test_writer_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_writer_keeps_bytes_across_interleaved_reports():
+    # The writer keeps grid frames, dict key prefixes and table frames across
+    # calls: reports of other shapes written in between change no byte.
+    spec = milnor_pushed()
+    problem = milnor_problems(spec)[0]
+    docs = {
+        "h2xr suite": run_suite(builtin("h2xr"), "all"),
+        "fuzz": fuzz(FuzzConfig(count=100, seed=42)),
+        "general-metric suite": run_suite(spec, "all"),
+        "general-metric verdict": verdict_to_dict(problem, residual(spec, problem),
+                                                  proof_step_probes(spec, problem)),
+    }
+    first = {name: emit_report(doc, "json") for name, doc in docs.items()}
+    for name, doc in docs.items():
+        assert first[name] == json.dumps(doc, indent=2) + "\n", name
+    for _ in range(3):
+        for name, doc in reversed(docs.items()):
+            assert emit_report(doc, "json") == first[name], name
+
+
+def test_writer_caches_are_bounded():
+    from sscurv import geomio
+    for cache in (geomio._grid_frame, geomio._key_prefixes, geomio._table_frame):
+        assert cache.cache_info().maxsize is not None, cache.__name__
