@@ -6,24 +6,22 @@ metric-derivative terms of the Koszul formula vanish, leaving the three
 bracket terms.
 
 levi_civita and non_metricity are fraction-free integer kernels: they read
-their inputs' integer numerators and denominators (see tensor), sum their
-products through plans memoised per dimension (tensor._sum_plan) and divide
-once per tensor. levi_civita lowers C by g, forms the three Koszul terms by
-one gather and raises by g^-1, a planned sum each. torsion and the rest are
-expressions over the tensor algebra.
+their inputs' integer numerators and denominators (see tensor), state each
+sum of products in index notation to tensor._index_plan, which plans it, and
+divide once per tensor. levi_civita lowers C by g, forms the three Koszul
+terms off the lowered C and its negation and raises by g^-1, a planned sum
+each. torsion and the rest are expressions over the tensor algebra.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from itertools import product
 from operator import neg
 
 from .errors import SscurvError, ValenceError
 from .geometry import DistinguishedField, FrameAlgebra, MetricFrame
 from .record import Record
-from .tensor import DOWN, UP, Tensor, _sum_plan
+from .tensor import DOWN, UP, Tensor, _index_plan
 
 
 class ConnectionKind(enum.Enum):
@@ -54,32 +52,20 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
     numerators of C, g and g^-1, and the result is divided once, by 2 dc dg dh.
     """
     n = frame.dim
+    n3 = n ** 3
     g, g_inv = metric.g, metric.g_inv
-    lower_sums, koszul_sums, raise_sums = _levi_civita_plan(n)
-    # c_low[(x * n + a) * n + b] = g_xm C^m_ab, and koszul[(i * n + j) * n + k]
-    # = 2 dc dg g(nabla_i e_j, e_k) = -c_low_ijk - c_low_jik + c_low_kij.
-    c_low = tuple(lower_sums(g.nums, frame.c.nums))
-    koszul = tuple(koszul_sums(c_low + tuple(map(neg, c_low))))
-    gamma = Tensor.from_ints((UP, DOWN, DOWN), n, raise_sums(koszul, g_inv.nums),
+    # c_low_xab = g_xm C^m_ab; koszul_ijk = 2 dc dg g(nabla_i e_j, e_k)
+    # = -c_low_ijk - c_low_jik + c_low_kij, read off c_low and its negation;
+    # then Gamma^l_ij = koszul_ijk g^kl.
+    c_low = tuple(_index_plan(n, "xab", (("xm", "mab"),))(g.nums, frame.c.nums))
+    koszul = tuple(_index_plan(n, "ijk", (((n3, "ijk"), None), ((n3, "jik"), None),
+                                          ("kij", None)))(c_low + tuple(map(neg, c_low))))
+    gamma = Tensor.from_ints((UP, DOWN, DOWN), n,
+                             _index_plan(n, "lij", (("ijk", "kl"),))(koszul, g_inv.nums),
                              2 * frame.c.den * g.den * g_inv.den)
     conn = Connection(gamma, ConnectionKind.LEVI_CIVITA)
     _check_levi_civita(conn, frame, metric)
     return conn
-
-
-@functools.lru_cache(maxsize=8)
-def _levi_civita_plan(n: int) -> tuple:
-    """The sums of levi_civita in dimension n: C lowered by g at (x, a, b), the
-    Koszul sums off it and its negation at (i, j, k), and the raise
-    Gamma^l_ij = koszul_ijk g^kl, summed over k, at (l, i, j)."""
-    n2, n3, rng = n * n, n ** 3, range(n)
-    return (_sum_plan([x * n + m for x in rng for ab in range(n2) for m in rng],
-                      [m * n2 + ab for x in rng for ab in range(n2) for m in rng], n),
-            _sum_plan([o for i, j, k in product(rng, repeat=3)
-                       for o in (n3 + (i * n + j) * n + k, n3 + (j * n + i) * n + k,
-                                 (k * n + i) * n + j)], None, 3),
-            _sum_plan([ij * n + k for l in rng for ij in range(n2) for k in rng],
-                      [k * n + l for l in rng for ij in range(n2) for k in rng], n))
 
 
 def _check_levi_civita(conn: Connection, frame: FrameAlgebra, metric: MetricFrame):
@@ -115,20 +101,10 @@ def non_metricity(conn: Connection, metric: MetricFrame) -> Tensor:
     Fraction-free like levi_civita: integer sums over the denominator dG dg.
     """
     n = conn.dim
-    nums = _non_metricity_plan(n)(tuple(map(neg, conn.gamma.nums)), metric.g.nums)
+    # x is -Gamma and y is g: -Gamma^m_ij g_mk - Gamma^m_ik g_jm, summed over m.
+    nums = _index_plan(n, "ijk", (("mij", "mk"), ("mik", "jm")))(
+        tuple(map(neg, conn.gamma.nums)), metric.g.nums)
     return Tensor.from_ints((DOWN, DOWN, DOWN), n, nums, conn.gamma.den * metric.g.den)
-
-
-@functools.lru_cache(maxsize=8)
-def _non_metricity_plan(n: int):
-    """The sum of non_metricity in dimension n at (i, j, k): over m, -Gamma^m_ij g_mk
-    and -Gamma^m_ik g_jm, with x -Gamma and y g."""
-    xs, ys = [], []
-    for i, j, k in product(range(n), repeat=3):
-        for m in range(n):
-            xs += ((m * n + i) * n + j, (m * n + i) * n + k)
-            ys += (m * n + k, j * n + m)
-    return _sum_plan(xs, ys, 2 * n)
 
 
 def is_parallel(lc: Connection, dist: DistinguishedField) -> bool:

@@ -12,11 +12,11 @@ quantities are always contracted from their own curvature tensor, never
 substituted from a cross-relation.
 
 curvature() is a fraction-free integer kernel: it reads its inputs' integer
-numerators and denominators (see tensor), sums their products through plans
-memoised per dimension (tensor._sum_plan) and divides once per tensor. With
-antisymmetric C, which the frame's kept antisymmetry verdict decides,
-Riemann is summed at i < j only and the rest filled in by one gather; any
-other C is summed at every (i, j). So is _wedge_sum a kernel, base + sum of
+numerators and denominators (see tensor), states each sum of products in
+index notation to tensor._index_plan, which plans it, and divides once per
+tensor. With antisymmetric C, which the frame's kept antisymmetry verdict
+decides, Riemann is summed at i < j only and the rest filled in by one
+gather; any other C is summed at every (i, j). So is _wedge_sum a kernel, base + sum of
 c_t wedge(a_t, Q_t) for wedge(a, Q) = a(V, Y) QU - a(U, Y) QV, the shape
 behind the projective, conformal and constant-curvature forms, over one
 common denominator: the terms with Q the delta are one gather of the sum of
@@ -42,7 +42,7 @@ from .errors import DegeneratePlaneError, UnsupportedDimensionError, ValenceErro
 from .geometry import FrameAlgebra, MetricFrame
 from .rat import ZERO, Rat, rat
 from .record import Record
-from .tensor import DOWN, UP, Tensor, _gather, _sum_plan
+from .tensor import DOWN, UP, Tensor, _gather, _index_plan
 
 
 class CurvatureBundle(Record):
@@ -63,67 +63,41 @@ def curvature(conn: Connection, frame: FrameAlgebra, metric: MetricFrame) -> Cur
 
     Fraction-free: Gamma, C and g^-1 are read as numerators over dG, dc
     and dh. Riemann and Ricci are integer sums over dG^2 dc, the scalar and
-    the Ricci operator over dG^2 dc dh, and each is divided once. Each sum
-    runs through the plans of _curvature_plan; with antisymmetric C (the
-    frame's kept verdict) Riemann is summed at i < j only and filled in.
+    the Ricci operator over dG^2 dc dh, and each is divided once. With
+    antisymmetric C (the frame's kept verdict) Riemann is summed at i < j
+    only and filled in.
     """
     n = conn.dim
+    n3 = n ** 3
     gam, d_gam = conn.gamma.nums, conn.gamma.den
     c, dc = frame.c.nums, frame.c.den
     g_inv, dh = metric.g_inv.nums, metric.g_inv.den
     antisymmetric = not frame._verdicts[0]
-    riemann_sums, ricci_sums, op_sums = _curvature_plan(n, antisymmetric)
     # x holds dc Gamma, -dc Gamma and -dG C, so each product is over dG^2 dc.
     g_dc = gam if dc == 1 else tuple(map(mul, gam, repeat(dc)))
     x = g_dc + tuple(map(neg, g_dc)) + tuple(map(mul, c, repeat(-d_gam)))
-    riemann = tuple(riemann_sums(x, gam))
+    riemann = tuple(_index_plan(n, "lkij", (("mjk", "lim"), ((n3, "mik"), "ljm"),
+                                            ((2 * n3, "mij"), "lmk")),
+                                "ij" if antisymmetric else "")(x, gam))
     if antisymmetric:
         riemann = _antisymmetric_fill(n)(riemann + tuple(map(neg, riemann)) + (0,))
-    ricci = tuple(ricci_sums(riemann))
+    # S(e_a, e_b) = R[i, b, i, a] summed over i; (Q e_a)^l = S_ab g^bl over b.
+    ricci = tuple(_index_plan(n, "ab", (("ibia", None),))(riemann))
     den = d_gam * d_gam * dc
     return CurvatureBundle(
         Tensor.from_ints((UP, DOWN, DOWN, DOWN), n, riemann, den),
         Tensor.from_ints((DOWN, DOWN), n, ricci, den),
         Rat(sum(map(mul, g_inv, ricci)), den * dh),
-        Tensor.from_ints((UP, DOWN), n, op_sums(ricci, g_inv), den * dh))
-
-
-def _pairs(n: int, antisymmetric: bool):
-    """The (i, j) a (1,3) kernel sums at: i < j when the result is antisymmetric
-    in its last two slots, else every (i, j); row-major either way."""
-    rng = range(n)
-    return list(combinations(rng, 2) if antisymmetric else product(rng, repeat=2))
-
-
-@functools.lru_cache(maxsize=8)
-def _curvature_plan(n: int, antisymmetric: bool) -> tuple:
-    """The sums of curvature in dimension n: Riemann at [l, k, i, j] for each
-    (i, j) of _pairs, Ricci off Riemann, and the Ricci operator off Ricci and g^-1.
-
-    Riemann's x is dc Gamma, -dc Gamma and -dG C, each n^3 long, and its y Gamma:
-    Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm - C^m_ij Gamma^l_mk over m.
-    """
-    n3 = n ** 3
-    xs, ys = [], []
-    for l, k, (i, j) in product(range(n), range(n), _pairs(n, antisymmetric)):
-        for m in range(n):
-            xs += ((m * n + j) * n + k, n3 + (m * n + i) * n + k, 2 * n3 + (m * n + i) * n + j)
-            ys += ((l * n + i) * n + m, (l * n + j) * n + m, (l * n + m) * n + k)
-    # S(e_a, e_b) = R[i, b, i, a] summed over i; (Q e_a)^l = S_ab g^bl over b.
-    ricci = [((i * n + b) * n + i) * n + a for a, b, i in product(range(n), repeat=3)]
-    rng = range(n)
-    return (_sum_plan(xs, ys, 3 * n),
-            _sum_plan(ricci, None, n),
-            _sum_plan([a * n + b for l in rng for a in rng for b in rng],
-                      [b * n + l for l in rng for a in rng for b in rng], n))
+        Tensor.from_ints((UP, DOWN), n, _index_plan(n, "la", (("ab", "bl"),))(ricci, g_inv),
+                         den * dh))
 
 
 @functools.lru_cache(maxsize=8)
 def _antisymmetric_fill(n: int) -> Callable[[tuple], tuple]:
     """Reads a (1,3) tensor, row-major, off v + -v + (0,) for v its values at
-    [l, k, i, j] with i < j in _pairs order: [l, k, j, i] is -[l, k, i, j]
-    and [l, k, i, i] is 0."""
-    at = {ij: s for s, ij in enumerate(_pairs(n, True))}
+    [l, k, i, j] with i < j, row-major: [l, k, j, i] is -[l, k, i, j] and
+    [l, k, i, i] is 0."""
+    at = {ij: s for s, ij in enumerate(combinations(range(n), 2))}
     p = len(at)
     half = n * n * p
     offsets = []
@@ -174,12 +148,15 @@ def _wedge_sum(base: Optional[Tensor], terms) -> Tensor:
     n = terms[0][1].dim
     dens = [c.denominator * a.den * (1 if q is None else q.den) for c, a, q in terms]
     den = lcm(*dens) if base is None else lcm(base.den, *dens)
-    a_sum, x, y = None, [], []
+    n2 = n * n
+    a_sum, x, y, wedges = None, [], [], ()
     for (c, a, q), d in zip(terms, dens):
         ca = tuple(map(mul, a.nums, repeat(c.numerator * (den // d))))
         if q is None:
             a_sum = ca if a_sum is None else tuple(map(add, a_sum, ca))
         else:
+            # c a_jk q^l_i - c a_ik q^l_j, off c a and -c a in x and q in y.
+            wedges += (((len(x), "jk"), (len(y), "li")), ((len(x) + n2, "ik"), (len(y), "lj")))
             x += ca
             x += map(neg, ca)
             y += q.nums
@@ -189,8 +166,8 @@ def _wedge_sum(base: Optional[Tensor], terms) -> Tensor:
         parts.append(base.nums if scale == 1 else map(mul, base.nums, repeat(scale)))
     if a_sum is not None:
         parts.append(_delta_wedge(n)(a_sum + tuple(map(neg, a_sum)) + (0,)))
-    if y:
-        half = tuple(_wedge_plan(n, len(y) // (n * n))(x, y))
+    if wedges:
+        half = tuple(_index_plan(n, "lkij", wedges, "ij")(x, y))
         parts.append(_antisymmetric_fill(n)(half + tuple(map(neg, half)) + (0,)))
     out = parts[0]
     for part in parts[1:]:
@@ -205,19 +182,6 @@ def _delta_wedge(n: int) -> Callable[[tuple], tuple]:
     n2 = n * n
     return _gather([j * n + k if l == i != j else n2 + i * n + k if l == j != i else 2 * n2
                     for l, k, i, j in product(range(n), repeat=4)])
-
-
-@functools.lru_cache(maxsize=8)
-def _wedge_plan(n: int, count: int):
-    """The sum of `count` terms c wedge(a, q) in dimension n at [l, k, i, j] for
-    i < j: term t's block of x is c a and -c a, and its block of y is q."""
-    n2 = n * n
-    xs, ys = [], []
-    for l, k, (i, j) in product(range(n), range(n), _pairs(n, True)):
-        for t in range(count):
-            xs += (2 * t * n2 + j * n + k, (2 * t + 1) * n2 + i * n + k)
-            ys += (t * n2 + l * n + i, t * n2 + l * n + j)
-    return _sum_plan(xs, ys, 2 * count)
 
 
 def constant_sectional(bundle: CurvatureBundle, metric: MetricFrame) -> Optional[Rat]:

@@ -8,10 +8,11 @@ exact arithmetic.
 The hypothesis checks are fraction-free: they read each input's integer
 numerators over its one denominator (see tensor) and decide every yes/no
 question in plain ints. A zero test survives positive scaling, so
-antisymmetry, Jacobi and jet consistency read the numerators;
-positive-definiteness reads the pivots of Bareiss's fraction-free
-elimination, which are the leading principal minors; psi = g xi and
-g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
+antisymmetry, Jacobi and jet consistency read the numerators: antisymmetry
+through two gathers, Jacobi and jet consistency as sums stated in index
+notation to tensor._index_plan. Positive-definiteness reads the pivots of
+Bareiss's fraction-free elimination, which are the leading principal
+minors; psi = g xi and g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
 [d g | d I], gives the metric's exact inverse.
 """
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 from math import lcm
-from operator import add, mul
+from operator import add
 
 from .errors import DegenerateMetricError, ValenceError
 from .rat import Rat, rat
 from .record import Record, _memo
-from .tensor import DOWN, UP, Tensor, _gather, _sum_plan
+from .tensor import DOWN, UP, Tensor, _gather, _index_plan
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[bool, int]:
@@ -116,8 +117,9 @@ class FrameAlgebra(Record):
         per frame and kept in its __dict__; the antisymmetry verdict picks the Jacobi plan."""
         anti = tuple(self.antisymmetry_violations())
         c = self.c.nums
-        return anti, tuple(ijkl for ijkl, xs, ys in _jacobi_plan(self.dim, not anti)
-                           if sum(map(mul, xs(c), ys(c))))
+        sums = _index_plan(self.dim, "ijkl", (("mij", "lmk"), ("mjk", "lmi"), ("mki", "lmj")),
+                           "" if anti else "ijk")
+        return anti, tuple(itertools.compress(_jacobi_labels(self.dim, not anti), sums(c, c)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,20 +133,12 @@ def _triangles(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobi_plan(n: int, antisymmetric: bool) -> tuple:
-    """Per 1-based (i, j, k, l), i < j < k if antisymmetric, else every triple, in
-    lexicographic order: (i, j, k, l) and the gathers xs, ys of the numerators
-    whose products sum to sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj."""
-    rng = range(n)
+def _jacobi_labels(n: int, antisymmetric: bool) -> tuple:
+    """Each 1-based (i, j, k, l) of the Jacobi sums, i < j < k if antisymmetric, in
+    lexicographic order: sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj."""
+    rng = range(1, n + 1)
     triples = itertools.combinations(rng, 3) if antisymmetric else itertools.product(rng, repeat=3)
-    plan = []
-    for i, j, k in triples:
-        cyclic = ((i * n + j, k), (j * n + k, i), (k * n + i, j))
-        xs = _gather([m * n * n + ab for ab, _ in cyclic for m in rng])
-        for l in rng:
-            plan.append(((i + 1, j + 1, k + 1, l + 1), xs,
-                         _gather([(l * n + m) * n + z for _, z in cyclic for m in rng])))
-    return tuple(plan)
+    return tuple((*ijk, l) for ijk in triples for l in rng)
 
 
 class MetricFrame(Record):
@@ -254,22 +248,11 @@ def jet_consistency_violations(jet: ScalarJet, frame: FrameAlgebra) -> list[tupl
     if jet.dim != n:
         raise ValenceError(f"jet dimension {jet.dim} != frame dimension {n}")
     s, dh = frame.c.den * jet.d.den, jet.dd.den
-    sums, ij = _jet_plan(n)
+    # x is h and c, y is (s, -s, -dh e): h_ij s - h_ji s - sum_k c^k_ij (dh e_k).
+    sums = _index_plan(n, "ij", (("ij", (0, "")), ("ji", (1, "")), ((n * n, "kij"), (2, "k"))))
     y = (s, -s, *[-dh * x for x in jet.d.nums])
-    return list(itertools.compress(ij, sums(jet.dd.nums + frame.c.nums, y)))
-
-
-@functools.lru_cache(maxsize=8)
-def _jet_plan(n: int) -> tuple:
-    """Each 1-based (i, j), row-major, and the sum of jet_consistency_violations
-    there: h_ij s - h_ji s - sum_k c^k_ij (dh e_k), with x h and c and y
-    (s, -s, -dh e)."""
-    n2, rng = n * n, range(n)
-    xs, ys = [], []
-    for i, j in itertools.product(rng, repeat=2):
-        xs += (i * n + j, j * n + i, *[n2 + (k * n + i) * n + j for k in rng])
-        ys += range(n + 2)
-    return _sum_plan(xs, ys, n + 2), tuple((i + 1, j + 1) for i in rng for j in rng)
+    return list(itertools.compress(itertools.product(range(1, n + 1), repeat=2),
+                                   sums(jet.dd.nums + frame.c.nums, y)))
 
 
 class GeometrySpec(Record):

@@ -10,7 +10,10 @@ The hat Hessian follows the vector-gradient convention
 which is symmetric for every consistent jet. hat_hessian checks the jet
 first, then sums all three terms in one integer pass over one common
 denominator, and the residual adds a Ric-hat + s g + b d (x) d to that
-Hessian in one more pass (tensor._sum_plan), the kind choosing a, s and b.
+Hessian in one more pass, the kind choosing a, s and b; both passes are
+sums stated in index notation to tensor._index_plan. A SolitonProblem
+refuses a lambda that is not an int or a Rat, and an m that is not a
+nonzero int.
 Each public function takes a GeometrySpec and works in its shared
 context.ProbeContext, so a residual, its proof steps and a report on one
 spec object validate and build once.
@@ -21,8 +24,6 @@ so proof_step_probes after residual on the same problem reuses it.
 from __future__ import annotations
 
 import enum
-import functools
-from itertools import product
 from math import lcm
 from operator import mul
 
@@ -32,7 +33,7 @@ from .geometry import (DistinguishedField, GeometrySpec, ScalarJet, gradient,
                        jet_consistency_violations)
 from .rat import ZERO, Rat, format_rat, rat
 from .record import Record
-from .tensor import DOWN, Tensor, _sum_plan
+from .tensor import DOWN, Tensor, _index_plan
 
 
 class SolitonKind(enum.Enum):
@@ -58,6 +59,8 @@ class SolitonProblem(Record):
         fields["lam"] = lam
         fields["jet"] = jet
         fields["m"] = m
+        if not isinstance(lam, (int, Rat)) or isinstance(lam, bool):
+            raise SscurvError(f"lambda must be an int or a Rat, got lam={lam!r}")
         if kind is SolitonKind.M_QUASI:
             if not isinstance(m, int) or isinstance(m, bool) or m == 0:
                 raise SscurvError(f"the m-quasi kind needs a nonzero integer m, got m={m!r}")
@@ -106,20 +109,12 @@ def hat_hessian(jet: ScalarJet, spec: GeometrySpec) -> Tensor:
     den = lcm(dh, dgd, dxg)
     scale = den // dgd
     y = (den // dh, sum(map(mul, d, xi.nums)) * (den // dxg), *[-x * scale for x in d])
-    nums = _hessian_plan(spec.dim)(jet.dd.nums + gamma.nums + g.nums, y)
-    return Tensor.from_ints((DOWN, DOWN), spec.dim, nums, den)
-
-
-@functools.lru_cache(maxsize=8)
-def _hessian_plan(n: int):
-    """The sum of hat_hessian in dimension n at (i, j), over x dd, Gamma and g and
-    y (the dd scale, (xi f) times the g scale, and -d_k times the Gamma scale)."""
+    # x is dd, Gamma and g; y is their scales, (xi f) on g's, and -d_k on Gamma's.
+    n = spec.dim
     n2 = n * n
-    xs, ys = [], []
-    for i, j in product(range(n), repeat=2):
-        xs += (i * n + j, n2 + n ** 3 + i * n + j, *[n2 + (k * n + i) * n + j for k in range(n)])
-        ys += range(n + 2)
-    return _sum_plan(xs, ys, n + 2)
+    nums = _index_plan(n, "ij", (("ij", (0, "")), ((n2 + n ** 3, "ij"), (1, "")),
+                                 ((n2, "kij"), (2, "k"))))(jet.dd.nums + gamma.nums + g.nums, y)
+    return Tensor.from_ints((DOWN, DOWN), n, nums, den)
 
 
 def _kept_residual(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
@@ -157,20 +152,13 @@ def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
     den = lcm(hess.den, dg, dd, ricci.den if a else 1)
     y = (den // hess.den, a * (den // ricci.den), sp * (den // dg),
          *[x * bp * (den // dd) for x in d.nums])
-    nums = _residual_plan(g.dim)(hess.nums + ricci.nums + g.nums + d.nums, y)
-    return Tensor.from_ints((DOWN, DOWN), g.dim, nums, den)
-
-
-@functools.lru_cache(maxsize=8)
-def _residual_plan(n: int):
-    """The sum of the residual in dimension n at (i, j), over x hess, Ric-hat, g
-    and d and y (their scales, then each d_j times the d (x) d scale)."""
+    # x is hess, Ric-hat, g and d; y is their scales, then d_j times d (x) d's.
+    n = g.dim
     n2 = n * n
-    xs, ys = [], []
-    for i, j in product(range(n), repeat=2):
-        xs += (i * n + j, n2 + i * n + j, 2 * n2 + i * n + j, 3 * n2 + i)
-        ys += (0, 1, 2, 3 + j)
-    return _sum_plan(xs, ys, 4)
+    nums = _index_plan(n, "ij", (("ij", (0, "")), ((n2, "ij"), (1, "")),
+                                 ((2 * n2, "ij"), (2, "")), ((3 * n2, "i"), (3, "j"))))(
+        hess.nums + ricci.nums + g.nums + d.nums, y)
+    return Tensor.from_ints((DOWN, DOWN), n, nums, den)
 
 
 def residual(spec: GeometrySpec, problem: SolitonProblem) -> SolitonVerdict:

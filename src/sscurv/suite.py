@@ -26,7 +26,7 @@ from .geomio import geometry_to_dict, rat_value
 from .probes import (DISCREPANCY_PROBES, PROBE_ORDER, REGISTRY, SUITES, ProbeContext,
                      ProbeStatus, run_probe)
 from .rat import ONE, ZERO, Rat, RatLike, format_rat, format_rats, rat
-from .record import Record, _memo
+from .record import Record
 from .report import build_report, config_digest
 from ._version import __version__
 from .tensor import DOWN, UP, Tensor
@@ -99,8 +99,11 @@ class FuzzConfig(Record):
     tuple is kept, never a list, which its caller may change; and never by
     value, since 0.5 == Fraction(1, 2) with an equal hash, and the float
     must be refused. The kept tuple is held, so its id is never reused.
+    Each config holds the prepared pool it was made with in a slot, which
+    is not a field: equality, hash, repr and vars() skip it.
     """
 
+    __slots__ = ("_prepared",)
     _kept: tuple | None = None  # (the pool tuple given, its _Pool)
 
     def __init__(self, count: int = 100, seed: int = 0, pool: tuple[RatLike, ...] = DEFAULT_POOL,
@@ -122,14 +125,11 @@ class FuzzConfig(Record):
         fields["seed"] = seed
         fields["pool"] = kept[1].rats
         fields["require_parallel_xi"] = require_parallel_xi
+        object.__setattr__(self, "_prepared", kept[1])  # Record blocks __setattr__
 
-    @_memo
-    def _prepared(self) -> _Pool:
-        """The prepared pool: the kept one if it holds this config's Rats, else built again."""
-        kept = FuzzConfig._kept
-        if kept is not None and kept[1].rats is self.pool:
-            return kept[1]
-        return _prepare_pool(self.pool)
+    def __reduce__(self):
+        # Restoring the slot would go through the blocked __setattr__.
+        return FuzzConfig, self._values()
 
 
 # 0-based (k, i, j) with i < j: the independent structure-constant slots in

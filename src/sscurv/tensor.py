@@ -11,28 +11,31 @@ nums[i] / den in row-major order, in canonical form: gcd(den, *nums) == 1,
 so den is the lcm of the reduced denominators and equal tensors have equal
 storage (== and hash read it directly). Outside this module only the
 integer kernels read nums by position, each because it measurably beats the
-same sum written over the operations below. Most of them are planned sums
-(_sum_plan): levi_civita and non_metricity, curvature and the wedge kernel,
-the soliton Hessian and residual, and jet consistency. The others are
-constant_sectional; in geometry the Bareiss elimination (metric inverse and
-Sylvester's test), the structure constants of FrameAlgebra.from_entries, the
-antisymmetry and Jacobi checks (through _gather plans memoised per
-dimension, as permute's) and validate's unit-xi and psi-xi checks; and the
-fuzzer's draw, which writes its numerators over the pool's lcm. They
-accumulate in plain ints and return through Tensor.from_ints, the one
-trusted constructor, which divides out the gcd and makes den positive; the
-fraction-free division of Bareiss (Math. Comp. 22, 1968) is done once per
-tensor. Nothing else reads nums by position: torsion and metric symmetry are
-expressions over the operations below, and the report writers read through
-strings() and t[idx].
+same sum written over the operations below. Most of them are sums of
+products stated in index notation to _index_plan, which alone works out
+their row-major offsets: levi_civita and non_metricity, curvature and the
+wedge kernel, the soliton Hessian and residual, and the Jacobi and jet
+consistency checks. The others are constant_sectional; in geometry the
+Bareiss elimination (metric inverse and Sylvester's test), the structure
+constants of FrameAlgebra.from_entries, the antisymmetry check (through
+_gather pairs memoised per dimension, as permute's) and validate's unit-xi
+and psi-xi checks; and the fuzzer's draw, which writes its numerators over
+the pool's lcm. They accumulate in plain ints and return through
+Tensor.from_ints, the one trusted constructor, which divides out the gcd and
+makes den positive; the fraction-free division of Bareiss (Math. Comp. 22,
+1968) is done once per tensor. Nothing else reads nums by position: torsion
+and metric symmetry are expressions over the operations below, and the
+report writers read through strings() and t[idx].
 
-A planned sum computes, for every output of a kernel, a sum of products
-x[a] * y[b] over a fixed list of offset pairs, x and y being tuples of
-numerators (often several tensors' numerators, scaled to one denominator,
-laid end to end). _sum_plan turns the offsets into two _gathers and a group
-width, so the gathers, the products and the grouped sums run in C; each
-kernel builds its plans lazily and memoises them per dimension (and index
-pattern) with a bounded lru_cache.
+A plan is the function of x and y, tuples of numerators (often several
+tensors' numerators, scaled to one denominator, laid end to end), that
+returns one sum of products x[a] * y[b] per output index. A kernel states
+it as Riemann is stated, _index_plan(n, "lkij", (("mjk", "lim"), ...),
+"ij"): the output's index letters, a term per product of two operands'
+index words, summed over the letters the output lacks, and the letters
+that run strictly increasing. _index_plan turns that into two _gathers
+and a group width, so the gathers, the products and the grouped sums run
+in C, and keeps every plan in one bounded lru_cache.
 
 Every other derived tensor is an expression over the operations here, all
 of which run on the integers: +, -, negation, scale, tensor_product,
@@ -62,9 +65,9 @@ rat.format_rats. copy and pickle rebuild a Tensor through from_ints.
 from __future__ import annotations
 
 import functools
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul, neg, sub
+from operator import add, floordiv, itemgetter, lt, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValenceError
@@ -340,20 +343,53 @@ def _gather(offsets: list) -> Callable[[tuple], tuple]:
     return itemgetter(*offsets)
 
 
-def _sum_plan(xs: list, ys: list | None, width: int) -> Callable[..., Iterable[int]]:
-    """A planned sum of products: the function of (x, y) whose result, an
-    iterator, holds sum(x[a] * y[b]) over each run of `width` consecutive
-    offset pairs (a, b) of xs and ys, in order; with ys None, sum(x[a]) over
-    each run of xs, and y is not read. The gathers, the products, the grouping
-    and the sums run in C; a kernel memoises its plans per dimension."""
+@functools.lru_cache(maxsize=64)
+def _index_plan(n: int, out: str, terms: tuple, ordered: str = "") -> Callable[..., Iterable[int]]:
+    """The planned sum `terms` in dimension n: the function of (x, y) whose
+    result, an iterator, holds for each index of `out`, row-major, the sum of
+    x[a] * y[b] over the terms and over every value of each term's summed
+    letters, the ones `out` lacks.
+
+    A term is an (x spec, y spec) pair. A spec is a word of index letters, its
+    offset read row-major in dimension n, or (offset, word) for an operand at
+    that offset of a concatenated x or y; a letter repeated in one word reads
+    a diagonal. With every y spec None the sums are of x[a] alone and y is not
+    read. The letters of `ordered`, all in `out`, run strictly increasing: only
+    those indices are summed. The gathers, the products, the grouping and the
+    sums run in C.
+    """
+    rng = range(n)
+    keep = repeat(True)  # whether each index of out, row-major, is summed
+    if ordered:
+        values = list(zip(*product(rng, repeat=len(out))))  # per letter of out
+        keep = list(map(all, zip(*[map(lt, values[out.index(a)], values[out.index(b)])
+                                   for a, b in zip(ordered, ordered[1:])])))
+    runs, width = ([], []), 0  # per operand, per term: its offsets at each index of out
+    for term in terms:
+        specs = [(col, spec if type(spec) is tuple else (0, spec))
+                 for col, spec in zip(runs, term) if spec is not None]
+        summed = "".join(dict.fromkeys(c for _, (_, word) in specs for c in word if c not in out))
+        for col, (offset, word) in specs:
+            # At each index of out + summed, row-major: offset plus each
+            # letter's value times its stride in word, built from the last letter.
+            strides = dict.fromkeys(out + summed, 0)
+            for p, c in enumerate(reversed(word)):
+                strides[c] += n ** p
+            offsets = [offset]
+            for s in reversed(strides.values()):
+                offsets = [o + t for t in range(0, n * s, s) for o in offsets] if s else offsets * n
+            col.append(zip(*[iter(offsets)] * n ** len(summed)))
+        width += n ** len(summed)
+    xs, ys = (list(chain.from_iterable(chain.from_iterable(compress(zip(*col), keep))))
+              for col in runs)
     if not xs:
         return lambda x, y=None: iter(())
     gx = _gather(xs)
-    gy = None if ys is None else _gather(ys)
+    gy = _gather(ys) if ys else None
 
     def sums(x, y=None):
-        terms = iter(gx(x) if gy is None else map(mul, gx(x), gy(y)))
-        return map(sum, zip(*[terms] * width))
+        products = iter(gx(x) if gy is None else map(mul, gx(x), gy(y)))
+        return map(sum, zip(*[products] * width))
     return sums
 
 

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 from collections import defaultdict
 
@@ -84,6 +85,23 @@ def test_a_list_pool_is_read_on_every_config():
         doc = fuzz(config)
         assert doc["fuzz"]["pool"] == list(map(str, spelled))
         assert doc == fuzz(FuzzConfig(count=30, seed=4, pool=spelled))
+
+
+def test_each_config_prepares_its_pool_once(monkeypatch):
+    # A config holds the pool it prepared: a list pool is not prepared again
+    # by fuzz, nor a tuple pool once another config has taken the class's slot.
+    calls = count_calls(monkeypatch, sscurv.suite, "_prepare_pool")
+    listed = FuzzConfig(count=20, seed=3, pool=[rat(1), rat(-1)])
+    doc = fuzz(listed)
+    assert len(calls) == 1
+    a = FuzzConfig(count=20, seed=3, pool=(rat(1), rat(2)))
+    b = FuzzConfig(count=20, seed=3, pool=(rat(-1), rat(2)))
+    fuzz(a), fuzz(b), fuzz(a)
+    assert len(calls) == 3
+    # copy and pickle build the config anew, from its fields.
+    for twin in (copy.copy(listed), copy.deepcopy(listed), pickle.loads(pickle.dumps(listed))):
+        assert twin == listed and list(vars(twin)) == list(vars(listed))
+        assert fuzz(twin) == doc
 
 
 def test_reports_of_one_config_own_their_pool_lists():

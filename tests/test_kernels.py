@@ -13,6 +13,11 @@ Fraction forms: a cofactor determinant for Sylvester's test, the full
 81-term Jacobi loop, and R == kappa B with kappa divided out. The metric's
 inverse, from the same elimination as Sylvester's test, is checked against a
 Fraction Gauss-Jordan inverse.
+
+Each of those kernels states its sums in index notation to
+tensor._index_plan, which is checked against a nested-loop reference on
+random words, offsets and orderings, and whose one cache must hold every
+kernel's plans of dims 1-4 at once.
 """
 
 from fractions import Fraction
@@ -29,9 +34,10 @@ from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, Degenera
                     ProbeContext, ScalarJet, SolitonKind, SolitonProblem, Tensor,
                     ValidationReport, constant_sectional, curvature, levi_civita,
                     non_metricity, rat, residual, ssnmc, torsion, validate)
+from sscurv.curvature import wedge
 from sscurv.geometry import jet_consistency_violations
 from sscurv.rat import Rat
-from sscurv.tensor import DOWN, UP
+from sscurv.tensor import DOWN, UP, _index_plan
 
 # Denominators with no common factor (1/7, 3/11, ...) make the common
 # denominator a true product rather than one of the inputs' denominators.
@@ -533,3 +539,108 @@ def test_constant_sectional_matches_fraction_reference(case):
     kappa = constant_sectional(bundle, metric_of(n, g))
     assert as_fraction(kappa) == ref_constant_sectional(r, g, n)
     assert kappa is None or isinstance(kappa, Rat)
+
+
+# -- the index-notation planner --------------------------------------------
+
+def ref_index_sums(n, out, terms, ordered, x, y):
+    """The sums of _index_plan by nested loops: at each index of out, row-major,
+    with the letters of ordered increasing, the sum over the terms and their
+    summed letters of x at the x spec times y at the y spec (1 if it is None)."""
+    def split(spec):
+        return spec if isinstance(spec, tuple) else (0, spec)
+
+    def read(v, spec, at):
+        offset, word = split(spec)
+        flat = 0
+        for c in word:
+            flat = flat * n + at[c]
+        return v[offset + flat]
+
+    sums = []
+    for idx in product(range(n), repeat=len(out)):
+        at = dict(zip(out, idx))
+        if any(at[a] >= at[b] for a, b in zip(ordered, ordered[1:])):
+            continue
+        total = 0
+        for xs, ys in terms:
+            words = [split(spec)[1] for spec in (xs, ys) if spec is not None]
+            summed = sorted({c for word in words for c in word} - set(out))
+            for values in product(range(n), repeat=len(summed)):
+                at.update(zip(summed, values))
+                total += read(x, xs, at) * (1 if ys is None else read(y, ys, at))
+        sums.append(total)
+    return sums
+
+
+@st.composite
+def index_sums(draw):
+    """A dimension, an out word, terms over it and an ordered word, with x and y
+    long enough for every spec: x-only or x.y terms, offsets or none, repeated
+    letters, and summed letters of each term's own."""
+    n = draw(st.integers(1, 4), label="dim")
+    out = "".join(draw(st.permutations("abc"))[:draw(st.integers(0, 3))])
+    ordered = "".join(draw(st.permutations(out))[:draw(st.sampled_from([0, 2, 3]))])
+    ordered = ordered if len(ordered) >= 2 else ""
+    x_only = draw(st.booleans(), label="x only")
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = out + "".join(draw(st.permutations("yz"))[:draw(st.integers(0, 2))])
+        specs = []
+        for _ in range(1 if x_only else 2):
+            word = "".join(draw(st.lists(st.sampled_from(letters), max_size=4))) if letters else ""
+            offset = draw(st.none() | st.integers(0, 5))
+            specs.append(word if offset is None else (offset, word))
+        terms.append((specs[0], None if x_only else specs[1]))
+
+    def operand(col):
+        size = max((o + n ** len(w) for o, w in
+                    ((s if isinstance(s, tuple) else (0, s)) for s in (t[col] for t in terms)
+                     if s is not None)), default=0)
+        return tuple(draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)))
+
+    return n, out, tuple(terms), ordered, operand(0), operand(1)
+
+
+RIEMANN_TERMS = (("mjk", "lim"), ((27, "mik"), "ljm"), ((54, "mij"), "lmk"))
+JACOBI_TERMS = (("mij", "lmk"), ("mjk", "lmi"), ("mki", "lmj"))
+
+
+@settings(deadline=None)
+@given(index_sums())
+@example((3, "lkij", RIEMANN_TERMS, "ij", tuple(range(-40, 41)), tuple(range(27))))
+@example((3, "ab", (("ibia", None),), "", tuple(range(81)), ()))
+@example((3, "ijkl", JACOBI_TERMS, "ijk", tuple(range(-13, 14)), tuple(range(-13, 14))))
+def test_index_plan_matches_reference(case):
+    n, out, terms, ordered, x, y = case
+    plan = _index_plan(n, out, terms, ordered)
+    got = list(plan(x) if all(ys is None for _, ys in terms) else plan(x, y))
+    assert got == ref_index_sums(n, out, terms, ordered, x, y)
+
+
+def every_planned_sum(n):
+    """Run each kernel that plans a sum once in dimension n, on objects of its own."""
+    metric = MetricFrame.identity(n)
+    dist = DistinguishedField.from_xi(Tensor.vector([1] + [0] * (n - 1)), metric)
+    jet = ScalarJet.zero(n)
+    spec = GeometrySpec("flat", FrameAlgebra(n, Tensor.zeros((UP, DOWN, DOWN), n)),
+                        metric, dist, jet)
+    # validate (antisymmetric Jacobi, jet), Levi-Civita with non-metricity, the
+    # curvature of an antisymmetric C, the Hessian and the residual.
+    residual(spec, SolitonProblem(SolitonKind.RICCI, rat(0), jet))
+    # Jacobi and curvature of a C that is not antisymmetric, and wedge(g, Q).
+    general = FrameAlgebra(n, Tensor.from_ints((UP, DOWN, DOWN), n, range(1, n ** 3 + 1), 1))
+    general.jacobi_violations()
+    curvature(Connection(general.c, ConnectionKind.CUSTOM), general, metric)
+    wedge(metric.g, Tensor.delta(n))
+
+
+def test_a_second_pass_over_every_kernel_builds_no_plan():
+    # The planner's one cache holds every plan of dims 1-4 at once.
+    for n in range(1, 5):
+        every_planned_sum(n)
+    first = _index_plan.cache_info()
+    for n in range(1, 5):
+        every_planned_sum(n)
+    second = _index_plan.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits

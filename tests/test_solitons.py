@@ -1,5 +1,6 @@
 """Hat Hessians, soliton residuals, proof steps, conclusion checks."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,14 @@ def test_problem_validation():
     for bad in (True, rat(1, 2), 2.0, "2"):
         with pytest.raises(SscurvError, match="nonzero integer m"):
             SolitonProblem(SolitonKind.M_QUASI, rat(0), zero_jet(), m=bad)
+
+
+@pytest.mark.parametrize("lam", [0.5, "1/2", None, True, False, Decimal("0.5")])
+def test_problem_refuses_a_lambda_that_is_not_exact(lam):
+    # Refused up front, not left to die in the residual reading lam.numerator,
+    # nor, for a bool, computed as lambda = 1 or 0.
+    with pytest.raises(SscurvError, match="lambda must be an int or a Rat"):
+        SolitonProblem(SolitonKind.RICCI, lam, zero_jet())
 
 
 def test_classification_table():
