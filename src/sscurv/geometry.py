@@ -177,7 +177,12 @@ class MetricFrame(Record):
         return self.g == self.g.permute((1, 0))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion, read off the pivots of _bareiss on the numerators of g."""
+        return self._positive_definite
+
+    @_memo
+    def _positive_definite(self) -> bool:
+        """Sylvester's criterion, read off the pivots of _bareiss on the numerators
+        of g, decided once per metric."""
         n, g = self.dim, self.g.nums
         return _bareiss([list(g[i * n:(i + 1) * n]) for i in range(n)])[0]
 

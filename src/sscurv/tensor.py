@@ -18,7 +18,7 @@ wedge kernel, the soliton Hessian and residual, and the Jacobi and jet
 consistency checks. The others are constant_sectional; in geometry the
 Bareiss elimination (metric inverse and Sylvester's test), the structure
 constants of FrameAlgebra.from_entries, the antisymmetry check (through
-_gather pairs memoised per dimension, as permute's) and validate's unit-xi
+_gather pairs memoised per dimension) and validate's unit-xi
 and psi-xi checks; and the fuzzer's draw, which writes its numerators over
 the pool's lcm. They accumulate in plain ints and return through
 Tensor.from_ints, the one trusted constructor, which divides out the gcd and
@@ -35,7 +35,9 @@ it as Riemann is stated, _index_plan(n, "lkij", (("mjk", "lim"), ...),
 index words, summed over the letters the output lacks, and the letters
 that run strictly increasing. _index_plan turns that into two _gathers
 and a group width, so the gathers, the products and the grouped sums run
-in C, and keeps every plan in one bounded lru_cache.
+in C, and keeps every plan in one bounded lru_cache. Its result is an
+iterator of the sums, or, where each output index has one x[a] and no y
+factor, the tuple the gather returns.
 
 Every other derived tensor is an expression over the operations here, all
 of which run on the integers: +, -, negation, scale, tensor_product,
@@ -44,17 +46,18 @@ Kronecker delta. contract_with is the one contraction: a slot of self
 against slot 0, of opposite variance, of any tensor, the result's slots being
 self's remaining slots followed by the other's (permute the other first to
 contract one of its later slots). permute reorders slots
-(result slot s is source slot order[s]). apply_metric is a contraction with
-g or g^-1 followed by the permute that puts the flipped slot back in place.
+(result slot s is source slot order[s]). apply_metric contracts a slot with
+g or g^-1 and leaves the flipped slot where it was.
 
 Their per-component loops run in C: +, - (over equal denominators),
 negation, scale and from_ints's reduction map operator functions, which
-take any integer type, over the numerators. permute reads its result
-through an operator.itemgetter memoised per (dim, order). contract_with
-gathers the entries at each index m of the contracted slot through
-itemgetters memoised per (dim, rank, slot), scales the gathers (skipping
-zero factors) and sums them with map, and zip interleaves the result's
-columns when the other tensor has rank 2 or more.
+take any integer type, over the numerators. The three slot operations are
+planned sums, with slot s read by the letter chr(s): permute is the x-only
+sum with no summed letter, so its plan is one operator.itemgetter;
+contract_with is one term whose contracted letter both words share; and
+apply_metric is that term with the metric's free letter written in the
+flipped slot's place. In this module only _index_plan and t[idx] work out
+a row-major offset.
 
 The integers are the only representation. `t[idx]` is the checked read of
 one component as a Rat (t[()] for a rank-0 result), and strings() writes
@@ -204,8 +207,7 @@ class Tensor:
     # -- algebra -------------------------------------------------------
 
     def _check_same_shape(self, other: "Tensor"):
-        if not isinstance(other, Tensor):
-            raise ValenceError(f"expected Tensor, got {type(other).__name__}")
+        _check_tensor(other)
         if self.variance != other.variance or self.dim != other.dim:
             raise ValenceError(
                 f"shape mismatch: {self.variance}/{self.dim} vs {other.variance}/{other.dim}"
@@ -268,6 +270,7 @@ class Tensor:
             raise ValenceError(f"slot {slot} is not {kind}")
 
     def tensor_product(self, other: "Tensor") -> "Tensor":
+        _check_tensor(other)
         if self.dim != other.dim:
             raise ValenceError("tensor product requires equal dimensions")
         nums = [a * b for a in self.nums for b in other.nums]
@@ -280,29 +283,19 @@ class Tensor:
         The result's slots are self's remaining slots followed by other's.
         """
         self._check_slot(slot)
+        _check_tensor(other)
         other._check_slot(0)
         if other.dim != self.dim:
             raise ValenceError("contract_with requires equal dimensions")
         if other.variance[0] == self.variance[slot]:
             raise ValenceError("contract_with requires opposite variance")
-        dim, src, onums = self.dim, self.nums, other.nums
-        # getters[m] reads self's entries with index m at slot, row-major over its
-        # other slots. Column j of the result, j the other's remaining index, is
-        # the sum over m of those entries times other[m, j].
-        getters = _slot_getters(dim, self.rank, slot)
-        width = len(onums) // dim  # other's entries per index of its slot 0
-        cols = []
-        for j in range(width):
-            col = None
-            for m in range(dim):
-                y = onums[m * width + j]
-                if y:
-                    term = getters[m](src) if y == 1 else map(mul, getters[m](src), repeat(y))
-                    col = term if col is None else map(add, col, term)
-            cols.append(repeat(0, len(src) // dim) if col is None else col)
-        nums = cols[0] if width == 1 else chain.from_iterable(zip(*cols))
+        rank = self.rank
+        letters = _word(range(rank + other.rank - 1))  # self's, then other's free ones
+        x, free = letters[:rank], letters[rank:]
+        sums = _index_plan(self.dim, x[:slot] + x[slot + 1:] + free, ((x, x[slot] + free),))
         variance = self.variance[:slot] + self.variance[slot + 1:]
-        return Tensor.from_ints(variance + other.variance[1:], dim, nums, self.den * other.den)
+        return Tensor.from_ints(variance + other.variance[1:], self.dim,
+                                sums(self.nums, other.nums), self.den * other.den)
 
     def permute(self, order: Sequence[int]) -> "Tensor":
         """Reorder the slots: slot s of the result is slot order[s] of self."""
@@ -313,15 +306,18 @@ class Tensor:
             return self
         t = Tensor.__new__(Tensor)  # reordered numerators are still canonical
         t._set(tuple(self.variance[s] for s in order), self.dim,
-               _permuted(self.dim, order)(self.nums), self.den)
+               _index_plan(self.dim, _word(order), ((_word(identity), None),))(self.nums),
+               self.den)
         return t
 
     def apply_metric(self, matrix: "Tensor", slot: int) -> "Tensor":
         """Flip one slot's variance in place by contracting with g or g-inverse.
 
         matrix must be rank 2 with both slots DOWN (lowers an UP slot) or
-        both UP (raises a DOWN slot); its first slot is the contracted one.
+        both UP (raises a DOWN slot); its first slot is the contracted one,
+        and its second takes the flipped slot's place in one planned sum.
         """
+        _check_tensor(matrix)
         if matrix.rank != 2 or matrix.dim != self.dim:
             raise ValenceError("metric must be a rank-2 tensor of equal dim")
         if matrix.variance == (DOWN, DOWN):
@@ -330,10 +326,23 @@ class Tensor:
             self._check_slot(slot, DOWN)
         else:
             raise ValenceError("metric slots must share variance")
-        # The contraction puts matrix's free slot last; move it back to slot.
-        last = self.rank - 1
-        return self.contract_with(slot, matrix).permute(
-            (*range(slot), last, *range(slot, last)))
+        rank = self.rank
+        x, flipped = _word(range(rank)), chr(rank)
+        sums = _index_plan(self.dim, x[:slot] + flipped + x[slot + 1:], ((x, x[slot] + flipped),))
+        variance = self.variance[:slot] + matrix.variance[1:] + self.variance[slot + 1:]
+        return Tensor.from_ints(variance, self.dim, sums(self.nums, matrix.nums),
+                                self.den * matrix.den)
+
+
+def _check_tensor(other):
+    if not isinstance(other, Tensor):
+        raise ValenceError(f"expected Tensor, got {type(other).__name__}")
+
+
+def _word(slots: Iterable[int]) -> str:
+    """The index word of the slots, slot s read by the letter chr(s), so the
+    words of any rank below chr's bound of 0x110000 have distinct letters."""
+    return "".join(map(chr, slots))
 
 
 def _gather(offsets: list) -> Callable[[tuple], tuple]:
@@ -343,10 +352,10 @@ def _gather(offsets: list) -> Callable[[tuple], tuple]:
     return itemgetter(*offsets)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _index_plan(n: int, out: str, terms: tuple, ordered: str = "") -> Callable[..., Iterable[int]]:
     """The planned sum `terms` in dimension n: the function of (x, y) whose
-    result, an iterator, holds for each index of `out`, row-major, the sum of
+    result, an iterable, holds for each index of `out`, row-major, the sum of
     x[a] * y[b] over the terms and over every value of each term's summed
     letters, the ones `out` lacks.
 
@@ -356,7 +365,9 @@ def _index_plan(n: int, out: str, terms: tuple, ordered: str = "") -> Callable[.
     a diagonal. With every y spec None the sums are of x[a] alone and y is not
     read. The letters of `ordered`, all in `out`, run strictly increasing: only
     those indices are summed. The gathers, the products, the grouping and the
-    sums run in C.
+    sums run in C. The result is an iterator, except where each index of out
+    has one x[a] and no y: then the plan is the gather itself and returns a
+    tuple, so a permute is one itemgetter call.
     """
     rng = range(n)
     keep = repeat(True)  # whether each index of out, row-major, is summed
@@ -385,32 +396,11 @@ def _index_plan(n: int, out: str, terms: tuple, ordered: str = "") -> Callable[.
     if not xs:
         return lambda x, y=None: iter(())
     gx = _gather(xs)
+    if not ys and width == 1:  # one x[a] per index of out: the gather itself
+        return gx
     gy = _gather(ys) if ys else None
 
     def sums(x, y=None):
         products = iter(gx(x) if gy is None else map(mul, gx(x), gy(y)))
         return map(sum, zip(*[products] * width))
     return sums
-
-
-@functools.lru_cache(maxsize=None)
-def _permuted(dim: int, order: tuple) -> Callable[[tuple], tuple]:
-    """Reads the numerators of permute(order), row-major, off the source's."""
-    strides = [dim ** (len(order) - 1 - s) for s in order]
-    return _gather([sum(map(mul, idx, strides))
-                    for idx in product(range(dim), repeat=len(order))])
-
-
-@functools.lru_cache(maxsize=None)
-def _slot_getters(dim: int, rank: int, slot: int) -> tuple:
-    """Per index m of slot: reads the entries with index m there, row-major
-    over the other slots, off a rank-`rank` tensor's numerators."""
-    size = dim ** (rank - 1)
-    if slot == 0:
-        return tuple(itemgetter(slice(m * size, (m + 1) * size)) for m in range(dim))
-    # Flat offset = outer * block + m * stride + inner.
-    stride = dim ** (rank - 1 - slot)
-    block = stride * dim
-    return tuple(_gather([outer + m * stride + inner
-                          for outer in range(0, size * dim, block) for inner in range(stride)])
-                 for m in range(dim))

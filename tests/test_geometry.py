@@ -183,6 +183,23 @@ def test_identity_metric_matches_elimination(n):
         MetricFrame.identity(0)
 
 
+def test_validate_decides_sylvester_once_per_metric(monkeypatch):
+    # The metric keeps its verdict: a second validate runs no elimination.
+    import sscurv.geometry
+    spec = make_spec("sylvester", {(2, 0, 1): 1}, g_rows=[[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    runs = []
+    bareiss = sscurv.geometry._bareiss
+
+    def counting(rows):
+        runs.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(sscurv.geometry, "_bareiss", counting)
+    for _ in range(2):
+        assert validate(spec).check("metric-positive-definite").passed
+    assert runs == [3]
+
+
 def test_degenerate_metric_rejected():
     g = Tensor.from_rows((DOWN, DOWN), [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(DegenerateMetricError):

@@ -17,7 +17,8 @@ Fraction Gauss-Jordan inverse.
 Each of those kernels states its sums in index notation to
 tensor._index_plan, which is checked against a nested-loop reference on
 random words, offsets and orderings, and whose one cache must hold every
-kernel's plans of dims 1-4 at once.
+plan of dims 1-4 at once: the kernels' and those of the slot operations
+that a report and its soliton checks run.
 """
 
 from fractions import Fraction
@@ -33,7 +34,8 @@ from sscurv import (Check, Connection, ConnectionKind, CurvatureBundle, Degenera
                     DistinguishedField, FrameAlgebra, GeometrySpec, InvalidJetError, MetricFrame,
                     ProbeContext, ScalarJet, SolitonKind, SolitonProblem, Tensor,
                     ValidationReport, constant_sectional, curvature, levi_civita,
-                    non_metricity, rat, residual, ssnmc, torsion, validate)
+                    non_metricity, proof_step_probes, rat, residual, run_suite, ssnmc,
+                    torsion, validate)
 from sscurv.curvature import wedge
 from sscurv.geometry import jet_consistency_violations
 from sscurv.rat import Rat
@@ -642,5 +644,38 @@ def test_a_second_pass_over_every_kernel_builds_no_plan():
     first = _index_plan.cache_info()
     for n in range(1, 5):
         every_planned_sum(n)
+    second = _index_plan.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
+
+
+def every_public_path(n):
+    """A full report, and the residual and proof steps of each soliton kind, on a
+    fresh geometry of dimension n: [e_1, e_n] = e_1 (abelian in dim 1), a
+    non-diagonal metric, unit xi = e_1 and a consistent jet."""
+    entries = {(0, 0, n - 1): rat(1)} if n > 1 else {}
+    g = Tensor.build((DOWN, DOWN), n, lambda a, b: 1 if a == b == 0 else
+                     rat(1, 2) if {a, b} == {1, 2} else int(a == b) * (a + 1))
+    metric = MetricFrame.from_tensor(g)
+    xi = Tensor.vector([int(a == 0) for a in range(n)])
+    spec = GeometrySpec("solvable", FrameAlgebra.from_entries(n, entries), metric,
+                        DistinguishedField.from_xi(xi, metric))
+    jet = ScalarJet(Tensor.covector([int(a == n - 1) for a in range(n)]),
+                    Tensor.build((DOWN, DOWN), n, lambda a, b: a + b))
+    run_suite(spec, "all")
+    for kind, m in ((SolitonKind.RICCI, None), (SolitonKind.YAMABE, None),
+                    (SolitonKind.EINSTEIN, None), (SolitonKind.M_QUASI, 2)):
+        problem = SolitonProblem(kind, rat(1), jet, m)
+        residual(spec, problem)
+        proof_step_probes(spec, problem)
+
+
+def test_a_second_pass_over_every_public_path_builds_no_plan():
+    # The slot operations plan through the same cache as the kernels; it holds
+    # the plans of every report and soliton check of dims 1-4 at once.
+    for n in range(1, 5):
+        every_public_path(n)
+    first = _index_plan.cache_info()
+    for n in range(1, 5):
+        every_public_path(n)
     second = _index_plan.cache_info()
     assert second.misses == first.misses and second.hits > first.hits

@@ -376,6 +376,22 @@ def test_algebra_edge_cases_match_fraction_reference():
         assert fractions(t) == ref
 
 
+def test_slot_operations_take_ranks_past_any_alphabet():
+    # Slot letters run past the 52 ASCII ones; dim 1 keeps rank 70 at one entry.
+    rank = 70
+    wide = Tensor.from_ints((UP,) * rank, 1, (3,), 2)
+    low = wide.apply_metric(Tensor.from_ints((DOWN, DOWN), 1, (5,), 1), rank - 1)
+    assert low.variance == (UP,) * (rank - 1) + (DOWN,) and fractions(low) == [Fraction(15, 2)]
+    both = wide.contract_with(0, low.permute(range(rank - 1, -1, -1)))
+    assert both.rank == 2 * rank - 2 and fractions(both) == [Fraction(45, 4)]
+    # And at dim 2, rank 7 against the reference.
+    a = [Fraction(x, 3) for x in range(2 ** 7)]
+    t = of((UP,) * 6 + (DOWN,), 2, a)
+    order = (6, 0, 5, 1, 4, 2, 3)
+    assert fractions(t.permute(order)) == ref_permute(a, 7, 2, order)
+    assert fractions(t.contract_with(6, t)) == ref_contract(a, 7, 2, 6, a, 7, 0)
+
+
 def test_delta_and_permute_checks():
     assert Tensor.delta(3) == Tensor.build((UP, DOWN), 3, lambda a, b: int(a == b))
     with pytest.raises(ValenceError):
@@ -385,6 +401,19 @@ def test_delta_and_permute_checks():
     for bad in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
         with pytest.raises(ValenceError):
             t.permute(bad)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda t, x: t + x,
+    lambda t, x: t - x,
+    lambda t, x: t.tensor_product(x),
+    lambda t, x: t.contract_with(0, x),
+    lambda t, x: t.apply_metric(x, 0),
+], ids=["add", "sub", "tensor_product", "contract_with", "apply_metric"])
+@pytest.mark.parametrize("other", [[1, 2, 3], (1, 2, 3), 2, None], ids=repr)
+def test_binary_operations_refuse_a_non_tensor(operation, other):
+    with pytest.raises(ValenceError, match="expected Tensor"):
+        operation(Tensor.vector([1, 2, 3]), other)
 
 
 @given(tensor_cases(), st.data())
