@@ -174,6 +174,11 @@ class MetricFrame(Record):
         return self.g.dim
 
     def is_symmetric(self) -> bool:
+        return self._symmetric
+
+    @_memo
+    def _symmetric(self) -> bool:
+        """g == g^T, decided once per metric."""
         return self.g == self.g.permute((1, 0))
 
     def is_positive_definite(self) -> bool:

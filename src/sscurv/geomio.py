@@ -1,15 +1,19 @@
 """Geometry and jet JSON files, and the canonical strings of every value.
 
 Rationals are encoded as strings "p/q" (or bare integers); float literals
-are rejected outright since the engine admits no rounding. Structure
-constants are a list of {i, j, k, value} entries for C^k_ij with 1-based
-indices; conflicts are diagnosed field by field and FrameAlgebra.from_entries
-fills in each antisymmetric partner. serialize_value, which reports use too,
-writes rationals and tensors as canonical (nested) strings, and, given a
-report's memo, one shared nested list per distinct tensor. dumps_json, the
-one JSON writer of reports and geometry files, writes the result and renders
-each list object once per indent, however often the tree holds it, a
-tensor's nested list in one join and a table of counts in one %-format.
+are rejected outright since the engine admits no rounding. The loaders read
+each literal straight to its integers (rat.read_rat_pair) and build the
+metric, xi and jet arrays over the lcm of their denominators through
+Tensor.from_ints; what that reader refuses goes to rat_value, which names
+the fault and the field. Structure constants are a list of {i, j, k, value}
+entries for C^k_ij with 1-based indices; conflicts are diagnosed field by
+field and FrameAlgebra.from_entries fills in each antisymmetric partner.
+serialize_value, which reports use too, writes rationals and tensors as
+canonical (nested) strings, and, given a report's memo, one shared nested
+list per distinct tensor. dumps_json, the one JSON writer of reports and
+geometry files, writes the result and renders each list object once per
+indent, however often the tree holds it, a tensor's nested list in one join
+and a table of counts in one %-format.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import json
 from decimal import Decimal
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 from pathlib import Path
 
 from .errors import DegenerateMetricError, InputError
 from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
                        MetricFrame, ScalarJet)
-from .rat import Rat, format_rat, parse_rat, rat
+from .rat import Rat, format_rat, parse_rat, rat, read_rat_pair
 from .record import Record
 from .tensor import DOWN, UP, Tensor
 
@@ -70,24 +75,36 @@ def _index(value, dim, *, path, field) -> int:
     return value - 1
 
 
+def _over_lcm(variance, dim, pairs) -> Tensor:
+    """The tensor with components p / q, row-major, one (p, q) per component."""
+    nums, dens = zip(*pairs)
+    den = lcm(*dens)
+    if den != 1:
+        nums = [p * (den // q) for p, q in pairs]
+    return Tensor.from_ints(variance, dim, nums, den)
+
+
 def _square_array(data, dim, variance, *, path, field) -> Tensor:
     if not isinstance(data, list) or len(data) != dim:
         raise InputError(f"expected a {dim}x{dim} array", path=path, field=field)
-    comps = []
+    pairs = []
     for r, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"expected a {dim}x{dim} array", path=path,
                              field=f"{field}[{r}]")
-        for c, value in enumerate(row):
-            comps.append(rat_value(value, path=path, field=f"{field}[{r}][{c}]"))
-    return Tensor(variance, dim, comps)
+        for c, value in enumerate(row):  # the field is named only when the reader refuses
+            pairs.append(read_rat_pair(value) or rat_value(
+                value, path=path, field=f"{field}[{r}][{c}]").as_integer_ratio())
+    return _over_lcm(variance, dim, pairs)
 
 
 def _flat_array(data, dim, variance, *, path, field) -> Tensor:
     if not isinstance(data, list) or len(data) != dim:
         raise InputError(f"expected an array of length {dim}", path=path, field=field)
-    comps = [rat_value(v, path=path, field=f"{field}[{c}]") for c, v in enumerate(data)]
-    return Tensor(variance, dim, comps)
+    pairs = [read_rat_pair(v) or rat_value(
+                 v, path=path, field=f"{field}[{c}]").as_integer_ratio()
+             for c, v in enumerate(data)]
+    return _over_lcm(variance, dim, pairs)
 
 
 def geometry_from_dict(data: dict, *, path: str | None = None,
@@ -117,7 +134,9 @@ def geometry_from_dict(data: dict, *, path: str | None = None,
         i = _index(entry["i"], dim, path=path, field=f"{field}.i")
         j = _index(entry["j"], dim, path=path, field=f"{field}.j")
         k = _index(entry["k"], dim, path=path, field=f"{field}.k")
-        v = rat_value(entry["value"], path=path, field=f"{field}.value")
+        value = entry["value"]
+        pair = read_rat_pair(value)
+        v = Rat(*pair) if pair else rat_value(value, path=path, field=f"{field}.value")
         if i == j and v != 0:
             raise InputError(f"antisymmetry forces C^{k + 1}_({i + 1},{j + 1}) = 0",
                              path=path, field=field)

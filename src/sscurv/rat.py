@@ -9,12 +9,16 @@ and .denominator and builds one component at a time as Rat(p, q). mpq has
 all of these, but the tests only exercise the fractions backend: gmpy2 is
 an optional extra (pip install sscurv[gmpy2]) and its path is untested.
 
-format_rats is the one writer of canonical rational strings: a tensor's
-numerators over its denominator in one call, and through format_rat a single
-scalar by the same rule. It and parse_rat stay exact past CPython's limit on
-int/str conversion (sys.get_int_max_str_digits) by going through decimal,
-which has no such limit, for numbers that long; the interpreter's setting is
-left as it is.
+One pattern, _RAT_RE, decides every rational literal the engine reads.
+parse_rat reads one to a Rat; read_rat_pair, the reader next to the writer,
+reads one to its integers (p, q) as written, so a loader can put a whole
+array over one denominator without building a Rat per entry. format_rats is
+the one writer of canonical rational strings: a tensor's numerators over its
+denominator in one call, and through format_rat a single scalar by the same
+rule. Reader and writer stay exact past CPython's limit on int/str
+conversion (sys.get_int_max_str_digits) by going through decimal, which has
+no such limit, for numbers that long; the interpreter's setting is left as
+it is.
 """
 
 from __future__ import annotations
@@ -86,7 +90,23 @@ def format_rat(x) -> str:
     return format_rats((x.numerator,), x.denominator)[0]
 
 
-_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+
+
+def read_rat_pair(text) -> tuple[int, int] | None:
+    """(p, q) of a "p" or "p/q" literal as written, q > 0 and not reduced;
+    None for a non-str, a text the pattern refuses, or q = 0."""
+    if not isinstance(text, str):
+        return None
+    m = _RAT_RE.match(text.strip())
+    if m is None:
+        return None
+    p, q = m.groups()
+    try:
+        p, q = int(p), int(q) if q else 1
+    except ValueError:  # a part past the int/str digit limit: read both through decimal
+        p, q = int(Decimal(p)), int(Decimal(q)) if q else 1
+    return (p, q) if q else None
 
 
 def parse_rat(text: str) -> Rat:
@@ -103,11 +123,10 @@ def parse_rat(text: str) -> Rat:
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Rat(text)
-    except ValueError:  # a part past the int/str digit limit: read both through decimal
-        p, _, q = text.partition("/")
-        p, q = int(Decimal(p)), int(Decimal(q or "1"))
-        if q:
-            return Rat(p, q)
+    except ValueError:  # a part past the int/str digit limit: read_rat_pair reads it
+        pair = read_rat_pair(text)
+        if pair:
+            return Rat(*pair)
     except ZeroDivisionError:
         pass
     raise ValueError(f"not a rational literal: {text!r}")

@@ -23,9 +23,11 @@ and psi-xi checks; and the fuzzer's draw, which writes its numerators over
 the pool's lcm. They accumulate in plain ints and return through
 Tensor.from_ints, the one trusted constructor, which divides out the gcd and
 makes den positive; the fraction-free division of Bareiss (Math. Comp. 22,
-1968) is done once per tensor. Nothing else reads nums by position: torsion
-and metric symmetry are expressions over the operations below, and the
-report writers read through strings() and t[idx].
+1968) is done once per tensor. The geometry and jet loaders (geomio) build
+through it too: they read each literal of an array straight to integers and
+put them over the lcm of the denominators. Nothing else reads nums by
+position: torsion and metric symmetry are expressions over the operations
+below, and the report writers read through strings() and t[idx].
 
 A plan is the function of x and y, tuples of numerators (often several
 tensors' numerators, scaled to one denominator, laid end to end), that

@@ -192,7 +192,8 @@ def rat_tensor(variance):
 
 
 def count_calls(monkeypatch, module, attr):
-    """Record every call of module.attr, in each sscurv module that imported it by name."""
+    """Record every call of module.attr, in each sscurv module that imported it
+    by name; module may be a class, to count calls of one of its methods."""
     import importlib
     import pkgutil
     import sys
@@ -209,6 +210,7 @@ def count_calls(monkeypatch, module, attr):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, attr, counting)
     for name, holder in list(sys.modules.items()):
         if name.startswith("sscurv") and getattr(holder, attr, None) is original:
             monkeypatch.setattr(holder, attr, counting)

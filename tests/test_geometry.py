@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (DIM, assert_jacobi_list, c_rows_of, geometries, make_spec,
+from conftest import (DIM, assert_jacobi_list, c_rows_of, count_calls, geometries, make_spec,
                       oracle_inverse, small_rats, tensor_to_rows)
 from sscurv import (DegenerateMetricError, DistinguishedField, FrameAlgebra, GeometrySpec,
                     MetricFrame, ScalarJet, Tensor, ValenceError, builtin, gradient, rat,
@@ -198,6 +198,15 @@ def test_validate_decides_sylvester_once_per_metric(monkeypatch):
     for _ in range(2):
         assert validate(spec).check("metric-positive-definite").passed
     assert runs == [3]
+
+
+def test_validate_decides_metric_symmetry_once_per_metric(monkeypatch):
+    # The metric keeps its verdict: a second validate permutes nothing.
+    spec = make_spec("symmetry", {(2, 0, 1): 1}, g_rows=[[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    permutes = count_calls(monkeypatch, Tensor, "permute")
+    for _ in range(2):
+        assert validate(spec).check("metric-symmetry").passed
+    assert len(permutes) == 1
 
 
 def test_degenerate_metric_rejected():

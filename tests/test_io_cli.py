@@ -8,15 +8,20 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import gcd
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, example, given
 
 import sscurv
 from conftest import count_calls, int_str_limit_lifted
-from sscurv import (InputError, ProbeContext, UnknownGeometryError, builtin, dumps_geometry,
-                    geometry_from_dict, geometry_to_dict, load_geometry, rat)
+from sscurv import (InputError, ProbeContext, Tensor, UnknownGeometryError, builtin,
+                    dumps_geometry, geometry_from_dict, geometry_to_dict, load_geometry, rat)
 from sscurv.cli import main
+from sscurv.geomio import jet_from_dict
+from sscurv.tensor import DOWN, UP
 
 
 def write(tmp_path, name, data):
@@ -206,6 +211,92 @@ def test_loader_completes_only_the_missing_mirrors():
                        (1, 0, 2): rat(1, 2), (1, 2, 0): rat(-1, 2)}
     assert loaded.notes == ("completed C^1_(2,1) = 1 by antisymmetry",
                             "completed C^1_(3,2) = -2 by antisymmetry")
+
+
+# Each value the loaders refuse, with the message rat_value gives it.
+_REFUSED = [(text, f"not a rational literal: {text!r}")
+            for text in ("1/-2", "1/+2", "1/\u0662", "\u0661", "0.5", "1e3", "1/2/3", "/2",
+                         "1_000", "1/0", "")] + [
+    (True, "expected a rational, got a boolean"),
+    (None, "expected a rational, got NoneType"),
+    (0.5, 'float literal 0.5 rejected; use an exact string like "1/2"'),
+    ([1], "expected a rational, got list"),
+]
+
+
+def _refusing_geometry(bad, position):
+    """A geometry whose only fault is bad at position, after valid values."""
+    rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    data = {"dim": 3, "structure_constants": [entry(1, 2, 3, "1/2"), entry(1, 3, 2, "-2")],
+            "metric": rows, "xi": ["0", "0", "1"],
+            "jet": {"d": ["1/3", "0", "0"], "dd": [["0"] * 3 for _ in range(3)]}}
+    if position == "metric[2][1]":
+        rows[2][1] = bad
+    elif position == "xi[2]":
+        data["xi"][2] = bad
+    elif position == "jet.d[1]":
+        data["jet"]["d"][1] = bad
+    elif position == "jet.dd[0][2]":
+        data["jet"]["dd"][0][2] = bad
+    else:
+        data["structure_constants"][1]["value"] = bad
+    return data
+
+
+@pytest.mark.parametrize("position", ["metric[2][1]", "xi[2]", "jet.d[1]", "jet.dd[0][2]",
+                                      "structure_constants[1].value"])
+@pytest.mark.parametrize("bad, message", _REFUSED)
+def test_loaders_refuse_every_bad_value_where_it_stands(bad, message, position):
+    with pytest.raises(InputError) as err:
+        geometry_from_dict(_refusing_geometry(bad, position))
+    assert err.value.field == position
+    assert str(err.value) == f"[{position}] {message}"
+
+
+@st.composite
+def rational_literals(draw):
+    """"p" or "p/q" as a file may write it: reduced or not, signed, with a "+",
+    leading zeros, surrounding whitespace, zero and "p/1" among them."""
+    p = draw(st.one_of(st.integers(0, 60), st.integers(0, 10 ** 30)))
+    sign = "-" if draw(st.booleans()) else draw(st.sampled_from(("", "+")))
+    text = sign + draw(st.sampled_from(("", "0", "000"))) + str(p)
+    q = draw(st.one_of(st.none(), st.just(1), st.integers(1, 60)))
+    if q is not None:
+        text += "/" + draw(st.sampled_from(("", "0"))) + str(q)
+    pad = st.sampled_from(("", " ", "\t", " \n"))
+    return draw(pad) + text + draw(pad)
+
+
+with int_str_limit_lifted():
+    _LONG = f"{7 ** 6000}/{3 ** 9000}"  # 5071 and 4295 digits
+
+
+@given(st.lists(rational_literals(), min_size=25, max_size=25))
+@example(["1"] + [_LONG, "0", "0", "0", "1", "0", "0", "0", "1"] + ["0", "0", "1"] + ["0"] * 12)
+def test_loaders_read_literals_as_fraction_does(texts):
+    # The tensors the loaders build straight from the integers of each
+    # literal equal the Fraction reference, in canonical storage.
+    value, metric, xi, d, dd = texts[0], texts[1:10], texts[10:13], texts[13:16], texts[16:]
+    with int_str_limit_lifted():  # the reference only: the loaders must not need it
+        ref = [Fraction(s.strip()) for s in texts]
+    g = ref[1:10]
+    det = (g[0] * (g[4] * g[8] - g[5] * g[7]) - g[1] * (g[3] * g[8] - g[5] * g[6])
+           + g[2] * (g[3] * g[7] - g[4] * g[6]))
+    assume(det != 0)
+    data = {"dim": 3, "structure_constants": [entry(1, 2, 3, value)],
+            "metric": [metric[:3], metric[3:6], metric[6:]], "xi": xi,
+            "jet": {"d": d, "dd": [dd[:3], dd[3:6], dd[6:]]}}
+    spec = geometry_from_dict(data).spec
+    jet = jet_from_dict(data["jet"], 3)
+    expected = [(spec.metric.g, Tensor((DOWN, DOWN), 3, g)),
+                (spec.distinguished.xi, Tensor((UP,), 3, ref[10:13])),
+                (jet.d, Tensor((DOWN,), 3, ref[13:16])),
+                (jet.dd, Tensor((DOWN, DOWN), 3, ref[16:])),
+                (spec.jet.d, jet.d), (spec.jet.dd, jet.dd)]
+    for loaded, reference in expected:
+        assert loaded == reference
+        assert loaded.den > 0 and gcd(loaded.den, *loaded.nums) == 1
+    assert spec.frame.c[2, 0, 1] == ref[0] == -spec.frame.c[2, 1, 0]
 
 
 # -- CLI ---------------------------------------------------------------
