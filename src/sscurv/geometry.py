@@ -12,21 +12,21 @@ antisymmetry, Jacobi and jet consistency read the numerators: antisymmetry
 through two gathers, Jacobi and jet consistency as sums stated in index
 notation to tensor._index_plan. Positive-definiteness reads the pivots of
 Bareiss's fraction-free elimination, which are the leading principal
-minors; psi = g xi and g(xi, xi) = 1 compare cross-multiplied sums. The same elimination, run on
-[d g | d I], gives the metric's exact inverse.
+minors; the same elimination, run on [d g | d I], gives the metric's exact
+inverse. For psi = g xi and g(xi, xi) = 1, validate lowers xi once with
+apply_metric and compares the result with psi and contracts it with xi.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from math import lcm
 from operator import add
 
 from .errors import DegenerateMetricError, ValenceError
 from .rat import Rat, rat
 from .record import Record, _memo
-from .tensor import DOWN, UP, Tensor, _gather, _index_plan
+from .tensor import DOWN, UP, Tensor, _gather, _index_plan, _packed
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[bool, int]:
@@ -74,15 +74,14 @@ class FrameAlgebra(Record):
 
         Each entry writes C^k_ij = v, then C^k_ji = -v, so a later entry
         overwrites an earlier one and a diagonal entry reads -v. The values
-        are put over their lcm and written as integers.
+        are packed over their lcm and written as integers.
         """
         if dim < 1:
             raise ValenceError(f"dimension must be positive, got {dim}")
-        values = [rat(v) for v in entries.values()]
-        den = lcm(*[v.denominator for v in values])
+        pairs = [rat(v).as_integer_ratio() for v in entries.values()]
+        values, den = _packed(pairs) if pairs else ((), 1)
         nums = [0] * dim ** 3
-        for (k, i, j), v in zip(entries, values):
-            x = v.numerator * (den // v.denominator)
+        for (k, i, j), x in zip(entries, values):
             nums[(k * dim + i) * dim + j] = x
             nums[(k * dim + j) * dim + i] = -x
         return cls(dim, Tensor.from_ints((UP, DOWN, DOWN), dim, nums, den))
@@ -148,13 +147,15 @@ class MetricFrame(Record):
         fields = self.__dict__
         fields["g"] = g          # (DOWN, DOWN)
         fields["g_inv"] = g_inv  # (UP, UP)
+        _check_metric(g)
+        if g_inv.variance != (UP, UP) or g_inv.dim != g.dim:
+            raise ValenceError("metric inverse must be a (2,0) tensor of the metric's dim")
 
     @classmethod
     def from_tensor(cls, g: Tensor) -> "MetricFrame":
         """g^-1: the right block of [d g | d I] after _bareiss, over its last pivot;
-        d g holds the numerators of g."""
-        if g.variance != (DOWN, DOWN):
-            raise ValenceError("metric must be a (0,2) tensor")
+        d g holds the numerators of g, which must be a (0,2) tensor to be read so."""
+        _check_metric(g)
         n, ints, d = g.dim, g.nums, g.den
         rows = [[*ints[i * n:(i + 1) * n], *[0] * i, d, *[0] * (n - 1 - i)] for i in range(n)]
         det = _bareiss(rows)[1]
@@ -203,6 +204,11 @@ class MetricFrame(Record):
         return u.apply_metric(self.g, 0).contract_with(0, v)[()]
 
 
+def _check_metric(g: Tensor) -> None:
+    if g.variance != (DOWN, DOWN):
+        raise ValenceError("metric must be a (0,2) tensor")
+
+
 class DistinguishedField(Record):
     """The fixed field xi with its metric-dual 1-form psi."""
 
@@ -210,13 +216,15 @@ class DistinguishedField(Record):
         fields = self.__dict__
         fields["xi"] = xi    # (UP,)
         fields["psi"] = psi  # (DOWN,)
+        if xi.variance != (UP,) or psi.variance != (DOWN,):
+            raise ValenceError("xi must be a (1,0) tensor and psi a (0,1) tensor")
+        if xi.dim != psi.dim:
+            raise ValenceError("xi and psi dimensions disagree")
 
     @classmethod
     def from_xi(cls, xi: Tensor, metric: MetricFrame) -> "DistinguishedField":
-        if xi.variance != (UP,):
-            raise ValenceError("xi must be a (1,0) tensor")
-        psi = xi.apply_metric(metric.g, 0)
-        return cls(xi, psi)
+        """xi with psi = g(xi, .), its lowering by the metric."""
+        return cls(xi, xi.apply_metric(metric.g, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -347,9 +355,9 @@ def validate(spec: GeometrySpec) -> ValidationReport:
     checks.append(Check("metric-positive-definite", pos,
                         "" if pos else "a leading principal minor is not positive"))
 
-    g, dg = spec.metric.g.nums, spec.metric.g.den
-    xi, dx = spec.distinguished.xi.nums, spec.distinguished.xi.den
-    compat = _is_metric_dual(spec.distinguished.psi, g, xi, dg * dx)
+    xi = spec.distinguished.xi
+    lowered = xi.apply_metric(spec.metric.g, 0)
+    compat = spec.distinguished.psi == lowered
     checks.append(Check("psi-xi-compatibility", compat,
                         "" if compat else "psi_i != g_ij xi^j"))
 
@@ -359,21 +367,9 @@ def validate(spec: GeometrySpec) -> ValidationReport:
                             "" if not jet_bad else
                             f"dd_ij - dd_ji != C^k_ij d_k at (i, j) = {jet_bad[0]}"))
 
-    n = spec.dim
-    unit = sum(g[i * n + j] * xi[i] * xi[j]
-               for i in range(n) if xi[i] for j in range(n) if xi[j]) == dg * dx * dx
+    unit = lowered.contract_with(0, xi)[()] == 1
     return ValidationReport(tuple(checks), unit_xi=unit,
                             degenerate_xi=spec.distinguished.is_zero)
-
-
-def _is_metric_dual(psi: Tensor, g: tuple[int, ...], xi: tuple[int, ...], scale: int) -> bool:
-    """psi_a == g_ba xi^b for the numerators of g and xi, whose denominators multiply to scale."""
-    n = len(xi)
-    if psi.variance != (DOWN,) or psi.dim != n:
-        return False
-    p, dp = psi.nums, psi.den
-    return all(p[a] * scale == dp * sum(g[b * n + a] * xi[b] for b in range(n) if xi[b])
-               for a in range(n))
 
 
 def gradient(jet: ScalarJet, metric: MetricFrame) -> Tensor:

@@ -2,12 +2,14 @@
 
 Rationals are encoded as strings "p/q" (or bare integers); float literals
 are rejected outright since the engine admits no rounding. The loaders read
-each literal straight to its integers (rat.read_rat_pair) and build the
-metric, xi and jet arrays over the lcm of their denominators through
-Tensor.from_ints; what that reader refuses goes to rat_value, which names
-the fault and the field. Structure constants are a list of {i, j, k, value}
-entries for C^k_ij with 1-based indices; conflicts are diagnosed field by
-field and FrameAlgebra.from_entries fills in each antisymmetric partner.
+every number through rat: a JSON integer of any length with rat.read_int,
+and each literal or bare integer of an array to its integers (p, q) with
+rat.read_rat_pair, whose pairs tensor._packed puts over the lcm of their
+denominators for Tensor.from_ints; what that reader refuses goes to
+rat_value, which names the fault and the field. Structure constants are a
+list of {i, j, k, value} entries for C^k_ij with 1-based indices; conflicts
+are diagnosed field by field and FrameAlgebra.from_entries fills in each
+antisymmetric partner.
 serialize_value, which reports use too, writes rationals and tensors as
 canonical (nested) strings, and, given a report's memo, one shared nested
 list per distinct tensor. dumps_json, the one JSON writer of reports and
@@ -20,18 +22,16 @@ from __future__ import annotations
 
 import functools
 import json
-from decimal import Decimal
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
 from pathlib import Path
 
 from .errors import DegenerateMetricError, InputError
 from .geometry import (DistinguishedField, FrameAlgebra, GeometrySpec,
                        MetricFrame, ScalarJet)
-from .rat import Rat, format_rat, parse_rat, rat, read_rat_pair
+from .rat import Rat, format_rat, parse_rat, rat, read_int, read_rat_pair
 from .record import Record
-from .tensor import DOWN, UP, Tensor
+from .tensor import DOWN, UP, Tensor, _packed
 
 
 class LoadedGeometry(Record):
@@ -75,15 +75,6 @@ def _index(value, dim, *, path, field) -> int:
     return value - 1
 
 
-def _over_lcm(variance, dim, pairs) -> Tensor:
-    """The tensor with components p / q, row-major, one (p, q) per component."""
-    nums, dens = zip(*pairs)
-    den = lcm(*dens)
-    if den != 1:
-        nums = [p * (den // q) for p, q in pairs]
-    return Tensor.from_ints(variance, dim, nums, den)
-
-
 def _square_array(data, dim, variance, *, path, field) -> Tensor:
     if not isinstance(data, list) or len(data) != dim:
         raise InputError(f"expected a {dim}x{dim} array", path=path, field=field)
@@ -95,7 +86,7 @@ def _square_array(data, dim, variance, *, path, field) -> Tensor:
         for c, value in enumerate(row):  # the field is named only when the reader refuses
             pairs.append(read_rat_pair(value) or rat_value(
                 value, path=path, field=f"{field}[{r}][{c}]").as_integer_ratio())
-    return _over_lcm(variance, dim, pairs)
+    return Tensor.from_ints(variance, dim, *_packed(pairs))
 
 
 def _flat_array(data, dim, variance, *, path, field) -> Tensor:
@@ -104,7 +95,7 @@ def _flat_array(data, dim, variance, *, path, field) -> Tensor:
     pairs = [read_rat_pair(v) or rat_value(
                  v, path=path, field=f"{field}[{c}]").as_integer_ratio()
              for c, v in enumerate(data)]
-    return _over_lcm(variance, dim, pairs)
+    return Tensor.from_ints(variance, dim, *_packed(pairs))
 
 
 def geometry_from_dict(data: dict, *, path: str | None = None,
@@ -199,9 +190,7 @@ def jet_from_dict(data, dim: int, *, path: str | None = None,
 
 def _read_json(path: Path):
     try:
-        # decimal reads an integer of any length: it has no int/str digit limit
-        return json.loads(path.read_text(encoding="utf-8"),
-                          parse_int=lambda text: int(Decimal(text)))
+        return json.loads(path.read_text(encoding="utf-8"), parse_int=read_int)
     except FileNotFoundError:
         raise InputError("file not found", path=str(path)) from None
     except json.JSONDecodeError as exc:

@@ -9,16 +9,18 @@ and .denominator and builds one component at a time as Rat(p, q). mpq has
 all of these, but the tests only exercise the fractions backend: gmpy2 is
 an optional extra (pip install sscurv[gmpy2]) and its path is untested.
 
-One pattern, _RAT_RE, decides every rational literal the engine reads.
-parse_rat reads one to a Rat; read_rat_pair, the reader next to the writer,
-reads one to its integers (p, q) as written, so a loader can put a whole
-array over one denominator without building a Rat per entry. format_rats is
-the one writer of canonical rational strings: a tensor's numerators over its
+One pattern, _RAT_RE, decides every rational literal the engine reads, and
+read_rat_pair alone applies it: it reads a literal, or a bare int, to its
+integers (p, q) as written, so a loader can put a whole array over one
+denominator (tensor packs it) without building a Rat per entry; parse_rat
+is Rat of that pair. read_int reads each decimal integer, the digits of a
+literal and every integer of a JSON file alike. format_rats is the one
+writer of canonical rational strings: a tensor's numerators over its
 denominator in one call, and through format_rat a single scalar by the same
 rule. Reader and writer stay exact past CPython's limit on int/str
 conversion (sys.get_int_max_str_digits) by going through decimal, which has
-no such limit, for numbers that long; the interpreter's setting is left as
-it is.
+no such limit, for numbers that long only; the interpreter's setting is
+left as it is.
 """
 
 from __future__ import annotations
@@ -93,20 +95,29 @@ def format_rat(x) -> str:
 _RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
-def read_rat_pair(text) -> tuple[int, int] | None:
-    """(p, q) of a "p" or "p/q" literal as written, q > 0 and not reduced;
-    None for a non-str, a text the pattern refuses, or q = 0."""
-    if not isinstance(text, str):
+def read_int(digits: str) -> int:
+    """int(digits) for a decimal integer of any length: int first, and decimal,
+    which has no int/str digit limit, only for a number past it."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
+def read_rat_pair(value) -> tuple[int, int] | None:
+    """(p, q) of a "p" or "p/q" literal as written, q > 0 and not reduced, or
+    (value, 1) of a bare int; None for a bool or any other type, a text the
+    pattern refuses, or q = 0."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, str):
         return None
-    m = _RAT_RE.match(text.strip())
+    m = _RAT_RE.match(value.strip())
     if m is None:
         return None
     p, q = m.groups()
-    try:
-        p, q = int(p), int(q) if q else 1
-    except ValueError:  # a part past the int/str digit limit: read both through decimal
-        p, q = int(Decimal(p)), int(Decimal(q)) if q else 1
-    return (p, q) if q else None
+    q = read_int(q) if q else 1
+    return (read_int(p), q) if q else None
 
 
 def parse_rat(text: str) -> Rat:
@@ -118,15 +129,7 @@ def parse_rat(text: str) -> Rat:
     """
     if not isinstance(text, str):
         raise TypeError(f"expected rational string, got {type(text).__name__}")
-    text = text.strip()
-    if not _RAT_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Rat(text)
-    except ValueError:  # a part past the int/str digit limit: read_rat_pair reads it
-        pair = read_rat_pair(text)
-        if pair:
-            return Rat(*pair)
-    except ZeroDivisionError:
-        pass
-    raise ValueError(f"not a rational literal: {text!r}")
+    pair = read_rat_pair(text)
+    if pair is None:
+        raise ValueError(f"not a rational literal: {text.strip()!r}")
+    return Rat(*pair)

@@ -6,8 +6,8 @@ frame, so a frame drawn again is judged once. Every fuzz candidate has the
 same metric and xi (_fuzz_field), so equal structure constants are one
 geometry, and a Tensor compares and hashes by its exact canonical entries:
 an entry never goes stale. The table belongs to one snapshot of the probe
-definitions and starts empty under another. FuzzConfig keeps one prepared
-pool, that of the last pool tuple it was given, matched by identity.
+definitions and starts empty under another. DEFAULT_POOL is prepared once,
+at import.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import functools
 import operator
 import random
 from collections import Counter
-from math import lcm
 from typing import NamedTuple
 
 from .context import worst_component
@@ -29,7 +28,7 @@ from .rat import ONE, ZERO, Rat, RatLike, format_rat, format_rats, rat
 from .record import Record
 from .report import build_report, config_digest
 from ._version import __version__
-from .tensor import DOWN, UP, Tensor
+from .tensor import DOWN, UP, Tensor, _packed
 
 DEFAULT_POOL: tuple[Rat, ...] = (rat(-2), rat(-1), rat(-1, 2), rat(0),
                                  rat(1, 2), rat(1), rat(2))
@@ -81,30 +80,28 @@ def _prepare_pool(pool) -> _Pool:
         raise SscurvError("pool must not be empty")
     # Sorted by exact integer keys, the numerators over the pool's lcm;
     # sorted is stable, so equal values keep their order.
-    den = lcm(*[x.denominator for x in values])
-    keys = [x.numerator * (den // x.denominator) for x in values]
+    keys, den = _packed([x.as_integer_ratio() for x in values])
     order = sorted(range(len(keys)), key=keys.__getitem__)
     nums = tuple(map(keys.__getitem__, order))
     return _Pool(tuple(map(values.__getitem__, order)), (nums, den),
                  tuple(format_rats(nums, den)))
 
 
+_DEFAULT_PREPARED = _prepare_pool(DEFAULT_POOL)
+
+
 class FuzzConfig(Record):
     """One fuzz stream's settings; the pool is kept as exact Rats in ascending order.
 
-    The class keeps the prepared pool of the last pool tuple it was given
-    and reuses it when the next config is given the same tuple object
-    (identity, as ProbeContext.of matches specs): every stream of a
-    campaign passes one pool, DEFAULT_POOL unless told otherwise. Only a
-    tuple is kept, never a list, which its caller may change; and never by
-    value, since 0.5 == Fraction(1, 2) with an equal hash, and the float
-    must be refused. The kept tuple is held, so its id is never reused.
-    Each config holds the prepared pool it was made with in a slot, which
-    is not a field: equality, hash, repr and vars() skip it.
+    DEFAULT_POOL, the pool every stream passes unless told otherwise, is
+    prepared once at import and matched by identity; any other pool is
+    prepared by the config that is given it. Never by value: 0.5 ==
+    Fraction(1, 2) with an equal hash, and the float must be refused. Each
+    config holds the prepared pool it was made with in a slot, which is not
+    a field: equality, hash, repr and vars() skip it.
     """
 
     __slots__ = ("_prepared",)
-    _kept: tuple | None = None  # (the pool tuple given, its _Pool)
 
     def __init__(self, count: int = 100, seed: int = 0, pool: tuple[RatLike, ...] = DEFAULT_POOL,
                  require_parallel_xi: bool = False):
@@ -115,17 +112,13 @@ class FuzzConfig(Record):
             raise SscurvError("count must be positive")
         if not isinstance(require_parallel_xi, bool):
             raise SscurvError(f"require_parallel_xi must be a bool, got {require_parallel_xi!r}")
-        kept = FuzzConfig._kept  # read once: a racing thread costs a rebuild, never a wrong pool
-        if kept is None or kept[0] is not pool:
-            kept = (pool, _prepare_pool(pool))
-            if type(pool) is tuple:
-                FuzzConfig._kept = kept
+        prepared = _DEFAULT_PREPARED if pool is DEFAULT_POOL else _prepare_pool(pool)
         fields = self.__dict__
         fields["count"] = count
         fields["seed"] = seed
-        fields["pool"] = kept[1].rats
+        fields["pool"] = prepared.rats
         fields["require_parallel_xi"] = require_parallel_xi
-        object.__setattr__(self, "_prepared", kept[1])  # Record blocks __setattr__
+        object.__setattr__(self, "_prepared", prepared)  # Record blocks __setattr__
 
     def __reduce__(self):
         # Restoring the slot would go through the blocked __setattr__.

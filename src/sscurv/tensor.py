@@ -17,17 +17,19 @@ their row-major offsets: levi_civita and non_metricity, curvature and the
 wedge kernel, the soliton Hessian and residual, and the Jacobi and jet
 consistency checks. The others are constant_sectional; in geometry the
 Bareiss elimination (metric inverse and Sylvester's test), the structure
-constants of FrameAlgebra.from_entries, the antisymmetry check (through
-_gather pairs memoised per dimension) and validate's unit-xi
-and psi-xi checks; and the fuzzer's draw, which writes its numerators over
-the pool's lcm. They accumulate in plain ints and return through
-Tensor.from_ints, the one trusted constructor, which divides out the gcd and
-makes den positive; the fraction-free division of Bareiss (Math. Comp. 22,
-1968) is done once per tensor. The geometry and jet loaders (geomio) build
-through it too: they read each literal of an array straight to integers and
-put them over the lcm of the denominators. Nothing else reads nums by
-position: torsion and metric symmetry are expressions over the operations
-below, and the report writers read through strings() and t[idx].
+constants of FrameAlgebra.from_entries and the antisymmetry check (through
+_gather pairs memoised per dimension); and the fuzzer's draw, which writes
+its numerators over the pool's lcm. They accumulate in plain ints and
+return through Tensor.from_ints, the one trusted constructor, which divides
+out the gcd and makes den positive; the fraction-free division of Bareiss
+(Math. Comp. 22, 1968) is done once per tensor. Nothing else reads nums by
+position: torsion, metric symmetry and validate's psi-xi and unit-xi checks
+are expressions over the operations below, and the report writers read
+through strings() and t[idx].
+
+_packed alone puts rationals, as (p, q) pairs, over the lcm of their q:
+Tensor() packs its Rats, and the loaders (geomio), from_entries and the
+fuzz pool pack theirs.
 
 A plan is the function of x and y, tuples of numerators (often several
 tensors' numerators, scaled to one denominator, laid end to end), that
@@ -100,16 +102,12 @@ class Tensor:
 
     def __init__(self, variance: Iterable[str], dim: int, comps: Sequence):
         variance = _checked_shape(variance, dim)
-        comps = tuple(map(rat, comps))
-        if len(comps) != dim ** len(variance):
+        pairs = [rat(c).as_integer_ratio() for c in comps]
+        if len(pairs) != dim ** len(variance):
             raise ValenceError(
-                f"component count {len(comps)} != {dim}^{len(variance)}"
+                f"component count {len(pairs)} != {dim}^{len(variance)}"
             )
-        nums, dens = zip(*[c.as_integer_ratio() for c in comps])
-        den = lcm(*dens)
-        if den != 1:
-            nums = tuple(p * (den // q) for p, q in zip(nums, dens))
-        self._set(variance, dim, nums, den)
+        self._set(variance, dim, *_packed(pairs))  # lowest-terms pairs pack canonically
 
     def _set(self, variance, dim, nums, den):
         _setattr(self, "variance", variance)
@@ -334,6 +332,17 @@ class Tensor:
         variance = self.variance[:slot] + matrix.variance[1:] + self.variance[slot + 1:]
         return Tensor.from_ints(variance, self.dim, sums(self.nums, matrix.nums),
                                 self.den * matrix.den)
+
+
+def _packed(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of the components p / q, one (p, q) with q > 0 per component:
+    den is the lcm of the q and nums the numerators over it. Canonical when
+    every pair is in lowest terms; Tensor.from_ints reduces any other."""
+    nums, dens = zip(*pairs)
+    den = lcm(*dens)
+    if den != 1:
+        nums = tuple(map(mul, nums, map(floordiv, repeat(den), dens)))
+    return nums, den
 
 
 def _check_tensor(other):

@@ -282,6 +282,23 @@ def test_record_constructors_check_their_fields():
         ScalarJet(Tensor.zeros((DOWN,), 2), Tensor.zeros((DOWN, DOWN), 3))
     with pytest.raises(ValenceError):
         FrameAlgebra(2, Tensor.zeros((UP, DOWN, DOWN), 3))
+    # The metric and field records check their variances and dims themselves,
+    # so their factories refuse a wrong shape with the same error.
+    g, g_inv = Tensor.zeros((DOWN, DOWN), 3), Tensor.zeros((UP, UP), 3)
+    xi, psi = Tensor.zeros((UP,), 3), Tensor.zeros((DOWN,), 3)
+    for bad in ((g_inv, g_inv), (g, g), (xi, g_inv), (g, Tensor.zeros((UP, UP), 2))):
+        with pytest.raises(ValenceError):
+            MetricFrame(*bad)
+    for bad in ((psi, psi), (xi, xi), (g_inv, psi), (xi, Tensor.zeros((DOWN,), 2))):
+        with pytest.raises(ValenceError):
+            DistinguishedField(*bad)
+    for bad in (g_inv, xi, Tensor.zeros((DOWN, DOWN, DOWN), 3)):
+        with pytest.raises(ValenceError):
+            MetricFrame.from_tensor(bad)
+    for bad in (psi, Tensor.zeros((UP, UP), 3), Tensor.zeros((UP,), 2)):
+        with pytest.raises(ValenceError):
+            DistinguishedField.from_xi(bad, MetricFrame.identity(3))
+    assert MetricFrame(g, g_inv).dim == DistinguishedField(xi, psi).xi.dim == 3
     spec = builtin("h2xr")
     with pytest.raises(ValenceError, match="disagree"):
         GeometrySpec("mixed", spec.frame, MetricFrame.identity(2), spec.distinguished)

@@ -63,12 +63,15 @@ def test_pool_entries_are_normalised_to_rats():
 
 
 def test_a_kept_pool_answers_only_for_its_own_tuple():
-    # The prepared pool is kept by the identity of the tuple given. 0.5 equals
-    # 1/2 and hashes alike, so a pool kept by value would let the float in.
+    # The prepared default pool is matched by identity. 0.5 equals 1/2 and
+    # hashes alike, so a pool matched by value would let the float in.
     half = (rat(1, 2),)
     assert 0.5 == half[0] and hash(0.5) == hash(half[0])
-    kept = FuzzConfig(pool=half)
-    assert FuzzConfig(count=3, pool=half).pool is kept.pool
+    assert FuzzConfig(count=3).pool is FuzzConfig().pool  # prepared once, at import
+    floats = tuple(map(float, DEFAULT_POOL))
+    assert floats == DEFAULT_POOL
+    with pytest.raises(SscurvError, match="exact rationals"):
+        FuzzConfig(pool=floats)
     for bad in ((0.5,), (True,), (), ("1/x",), ([1, 2],)):
         FuzzConfig(pool=half)
         with pytest.raises(SscurvError):

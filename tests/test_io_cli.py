@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -18,7 +19,8 @@ from hypothesis import assume, example, given
 import sscurv
 from conftest import count_calls, int_str_limit_lifted
 from sscurv import (InputError, ProbeContext, Tensor, UnknownGeometryError, builtin,
-                    dumps_geometry, geometry_from_dict, geometry_to_dict, load_geometry, rat)
+                    dumps_geometry, geometry_from_dict, geometry_to_dict, load_geometry, parse_rat,
+                    rat)
 from sscurv.cli import main
 from sscurv.geomio import jet_from_dict
 from sscurv.tensor import DOWN, UP
@@ -256,8 +258,11 @@ def test_loaders_refuse_every_bad_value_where_it_stands(bad, message, position):
 @st.composite
 def rational_literals(draw):
     """"p" or "p/q" as a file may write it: reduced or not, signed, with a "+",
-    leading zeros, surrounding whitespace, zero and "p/1" among them."""
+    leading zeros, surrounding whitespace, zero and "p/1" among them; or p as
+    a bare int, negative ones included."""
     p = draw(st.one_of(st.integers(0, 60), st.integers(0, 10 ** 30)))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from((1, -1))) * p
     sign = "-" if draw(st.booleans()) else draw(st.sampled_from(("", "+")))
     text = sign + draw(st.sampled_from(("", "0", "000"))) + str(p)
     q = draw(st.one_of(st.none(), st.just(1), st.integers(1, 60)))
@@ -267,25 +272,29 @@ def rational_literals(draw):
     return draw(pad) + text + draw(pad)
 
 
+_BIG = 7 ** 6000  # 5071 digits, past CPython's default int/str limit of 4300
 with int_str_limit_lifted():
-    _LONG = f"{7 ** 6000}/{3 ** 9000}"  # 5071 and 4295 digits
+    _LONG = f"{_BIG}/{3 ** 9000}"  # 5071 and 4295 digits
 
 
 @given(st.lists(rational_literals(), min_size=25, max_size=25))
 @example(["1"] + [_LONG, "0", "0", "0", "1", "0", "0", "0", "1"] + ["0", "0", "1"] + ["0"] * 12)
+@example([-3] + [_BIG, 0, 0, 0, 1, "0", 0, 0, -1] + [0, -2, "1/2"] + [-1] * 12)
 def test_loaders_read_literals_as_fraction_does(texts):
     # The tensors the loaders build straight from the integers of each
-    # literal equal the Fraction reference, in canonical storage.
+    # literal or bare int equal the Fraction reference, in canonical storage;
+    # a file, whose JSON integers may be of any length, reads as its dict does.
     value, metric, xi, d, dd = texts[0], texts[1:10], texts[10:13], texts[13:16], texts[16:]
+    data = {"name": "literals", "dim": 3, "structure_constants": [entry(1, 2, 3, value)],
+            "metric": [metric[:3], metric[3:6], metric[6:]], "xi": xi,
+            "jet": {"d": d, "dd": [dd[:3], dd[3:6], dd[6:]]}}
     with int_str_limit_lifted():  # the reference only: the loaders must not need it
-        ref = [Fraction(s.strip()) for s in texts]
+        ref = [Fraction(s.strip() if isinstance(s, str) else s) for s in texts]
+        text = json.dumps(data)
     g = ref[1:10]
     det = (g[0] * (g[4] * g[8] - g[5] * g[7]) - g[1] * (g[3] * g[8] - g[5] * g[6])
            + g[2] * (g[3] * g[7] - g[4] * g[6]))
     assume(det != 0)
-    data = {"dim": 3, "structure_constants": [entry(1, 2, 3, value)],
-            "metric": [metric[:3], metric[3:6], metric[6:]], "xi": xi,
-            "jet": {"d": d, "dd": [dd[:3], dd[3:6], dd[6:]]}}
     spec = geometry_from_dict(data).spec
     jet = jet_from_dict(data["jet"], 3)
     expected = [(spec.metric.g, Tensor((DOWN, DOWN), 3, g)),
@@ -297,6 +306,20 @@ def test_loaders_read_literals_as_fraction_does(texts):
         assert loaded == reference
         assert loaded.den > 0 and gcd(loaded.den, *loaded.nums) == 1
     assert spec.frame.c[2, 0, 1] == ref[0] == -spec.frame.c[2, 1, 0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "literals.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_geometry(path).spec == spec
+    # parse_rat, rat and Tensor read each literal alike; parse_rat takes text only.
+    vector = Tensor((UP,), len(texts), texts)
+    assert vector == Tensor((UP,), len(ref), ref)
+    for i, (s, r) in enumerate(zip(texts, ref)):
+        assert rat(s) == r == vector[i]
+        if isinstance(s, str):
+            assert parse_rat(s) == r
+        else:
+            with pytest.raises(TypeError):
+                parse_rat(s)
 
 
 # -- CLI ---------------------------------------------------------------

@@ -54,8 +54,8 @@ def test_rat_returns_a_rat_unchanged():
 
 def test_parse_rat_pattern_decides_not_the_backend(monkeypatch):
     rat_module = importlib.import_module("sscurv.rat")  # sscurv.rat is the function
-    monkeypatch.setattr(rat_module, "Rat", lambda text: text)  # a backend taking anything
-    assert parse_rat(" -3/4 ") == "-3/4" and parse_rat("+7") == "+7"
+    monkeypatch.setattr(rat_module, "Rat", lambda p, q: (p, q))  # a backend taking anything
+    assert parse_rat(" -3/4 ") == (-3, 4) and parse_rat("+7") == (7, 1)
     for text in ("1/-2", "1/+2", "1/\u0662", "\u0661", "0.5", "1e3", "1/2/3", "/2"):
         with pytest.raises(ValueError, match="not a rational literal"):
             parse_rat(text)
