@@ -1,13 +1,12 @@
 """Probe-suite runner and the randomized fuzzer; both probe specs in their shared contexts.
 
-The fuzzer keeps a verdict table, the one table keyed by value: a frame's
-structure constants map to what validation and the 21 probes said of that
-frame, so a frame drawn again is judged once. Every fuzz candidate has the
-same metric and xi (_fuzz_field), so equal structure constants are one
-geometry, and a Tensor compares and hashes by its exact canonical entries:
-an entry never goes stale. The table belongs to one snapshot of the probe
-definitions and starts empty under another. DEFAULT_POOL is prepared once,
-at import.
+The fuzzer keeps its verdicts in one dict, the one store keyed by value: a
+frame's structure constants map to what the 21 probes said of that frame, so
+a frame drawn again is judged once. Every fuzz candidate has the same metric
+and xi (_fuzz_field), so equal structure constants are one geometry, and a
+Tensor compares and hashes by its exact canonical entries: an entry never
+goes stale. The dict belongs to one snapshot of the probe definitions and
+starts empty under another. DEFAULT_POOL is prepared once, at import.
 """
 
 from __future__ import annotations
@@ -166,63 +165,32 @@ def _fuzz_field() -> tuple[MetricFrame, DistinguishedField]:
     return metric, DistinguishedField.from_xi(Tensor.vector([ZERO, ZERO, ONE]), metric)
 
 
-# Frames the verdict table holds; a full table is cleared and starts again,
+# Frames the verdict dict holds; a full dict is cleared and starts again,
 # so a large custom fuzz pool cannot grow it without bound.
 VERDICT_CAP = 4096
 
 
 class Verdict(NamedTuple):
-    """What the fuzzer keeps of one frame: whether the geometry validates and
-    has parallel xi, each probe's status value in probe order, and (probe
-    id, status value, max |deviation| string, 1-based component, part key or
-    None) for each result that is an unexpected failure."""
+    """What the fuzzer keeps of one frame: whether xi is parallel, each
+    probe's status value in probe order, and (probe id, status value, max
+    |deviation| string, 1-based component, part key or None) for each result
+    that is an unexpected failure."""
 
-    ok: bool
     parallel: bool
     statuses: tuple[str, ...]
     bad: tuple[tuple, ...]
 
 
-class _VerdictTable:
-    """The verdicts of frames judged under one snapshot of the probe definitions, by frame.c."""
-
-    def __init__(self, probe_defs: tuple):
-        self.probe_defs = probe_defs
-        self.verdicts: dict[Tensor, Verdict] = {}
-        self._shared: dict = {}  # statuses tuples and verdicts, each its own key
-
-    def keep(self, c: Tensor, verdict: Verdict) -> Verdict:
-        """Enter a frame's verdict, clearing the table first when it is full.
-        Frames with one status pattern share one statuses tuple, and equal
-        verdicts one Verdict."""
-        shared = self._shared
-        if len(self.verdicts) >= VERDICT_CAP:
-            self.verdicts.clear()
-            shared.clear()
-        verdict = verdict._replace(statuses=shared.setdefault(verdict.statuses, verdict.statuses))
-        verdict = self.verdicts[c] = shared.setdefault(verdict, verdict)
-        return verdict
-
-
-_table: _VerdictTable | None = None  # the table of the last stream
-
-
-def _verdict_table() -> _VerdictTable:
-    """The kept table if the probe definitions are, element by element and by
-    identity, those it was filled under, else a new one, kept instead."""
-    global _table
-    probe_defs = tuple(map(REGISTRY.__getitem__, PROBE_ORDER))
-    table = _table
-    if table is None or not all(map(operator.is_, table.probe_defs, probe_defs)):
-        table = _table = _VerdictTable(probe_defs)
-    return table
+# (the probe definitions in probe order, {frame.c: Verdict}) of the last
+# stream; None before the first.
+_table: tuple[tuple, dict[Tensor, Verdict]] | None = None
 
 
 def _judge_frame(spec: GeometrySpec) -> Verdict:
-    """Validate a fuzz candidate and, if it is valid, run every probe on it."""
-    ctx = ProbeContext.of(spec)
-    if not ctx.validation.ok:
-        return Verdict(False, False, (), ())
+    """Run every probe on a fuzz candidate that passed Jacobi. Its draw is
+    antisymmetric on g = I and the unit, compatible xi = e3, so it validates;
+    one that did not would raise GeometryError, not be counted."""
+    ctx = ProbeContext.of(spec).require_valid()
     statuses, bad = [], []
     for pid in PROBE_ORDER:
         result = run_probe(spec, pid)
@@ -233,11 +201,11 @@ def _judge_frame(spec: GeometrySpec) -> Verdict:
             part, component = worst_component(result.lhs, result.rhs)
             bad.append((pid, status.value, format_rat(result.max_abs_deviation),
                         component, part))
-    return Verdict(True, ctx.parallel, tuple(statuses), tuple(bad))
+    return Verdict(ctx.parallel, tuple(statuses), tuple(bad))
 
 
 def fuzz(config: FuzzConfig) -> dict:
-    """Generate random frame algebras, keep the valid ones, run every probe.
+    """Generate random frame algebras, keep the ones that pass Jacobi, run every probe.
 
     Same seed, same report, byte for byte. Any probe Fail, or a
     paper-mismatch outside the two designated discrepancy probes, is
@@ -248,14 +216,19 @@ def fuzz(config: FuzzConfig) -> dict:
 
     The pool is small, so frames repeat, within a stream and across
     streams. Each frame that passes the Jacobi filter is judged once per
-    probe registry: its verdict goes into the verdict table, and a frame
-    drawn again is counted from the table, its certificates naming its own
-    index and geometry.
+    probe registry: its verdict goes into the verdict dict, and a frame
+    drawn again is counted from the dict, its certificates naming its own
+    index and geometry. The dict is kept with the probe definitions it was
+    filled under, by identity; any other definition starts a new one.
     """
+    global _table
     rng = random.Random(config.seed)
     metric, dist = _fuzz_field()
-    table = _verdict_table()
-    verdicts = table.verdicts
+    probe_defs = tuple(map(REGISTRY.__getitem__, PROBE_ORDER))
+    table = _table
+    if table is None or not all(map(operator.is_, table[0], probe_defs)):
+        table = _table = (probe_defs, {})
+    verdicts = table[1]
 
     patterns = Counter()  # statuses tuple -> accepted candidates with it
     unexpected = []
@@ -269,10 +242,12 @@ def fuzz(config: FuzzConfig) -> dict:
         # A candidate's spec is built only to judge its frame or to certify it.
         verdict = verdicts.get(frame.c)
         if verdict is None:
+            if len(verdicts) >= VERDICT_CAP:
+                verdicts.clear()
             spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
-            verdict = table.keep(frame.c, _judge_frame(spec))
-        ok, parallel, statuses, bad = verdict
-        if not ok or (config.require_parallel_xi and not parallel):
+            verdict = verdicts[frame.c] = _judge_frame(spec)
+        parallel, statuses, bad = verdict
+        if config.require_parallel_xi and not parallel:
             continue
         accepted += 1
         if parallel:

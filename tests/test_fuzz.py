@@ -7,15 +7,18 @@ import json
 import pickle
 import random
 from collections import defaultdict
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import sscurv.geometry
 import sscurv.suite
 from conftest import count_calls
-from sscurv import (DistinguishedField, FrameAlgebra, FuzzConfig, GeometrySpec, ProbeContext,
-                    ProbeStatus, SscurvError, Tensor, builtin, emit_report, exit_code,
-                    format_rat, fuzz, rat, run_probe, run_suite)
+from sscurv import (DistinguishedField, FrameAlgebra, FuzzConfig, GeometryError, GeometrySpec,
+                    ProbeContext, ProbeStatus, SscurvError, Tensor, builtin, emit_report,
+                    exit_code, format_rat, fuzz, rat, run_probe, run_suite)
 from sscurv import probes
 from sscurv.geomio import geometry_from_dict
 from sscurv.geometry import validate
@@ -304,8 +307,8 @@ def _double_b2(monkeypatch):
 
 
 def _shipped_verdicts():
-    """The fuzzer's verdict table under the probes as they are now."""
-    return sscurv.suite._verdict_table().verdicts
+    """The fuzzer's verdict dict, as the last stream left it."""
+    return sscurv.suite._table[1]
 
 
 @pytest.mark.parametrize("parallel", (False, True))
@@ -383,3 +386,40 @@ def test_a_small_verdict_cap_leaves_stream_bytes_unchanged(monkeypatch, parallel
     assert emit_report(fuzz(config), "json") == want  # on a fresh table
     assert 1 <= len(_shipped_verdicts()) <= cap
     assert emit_report(fuzz(config), "json") == want  # on the table it left
+
+
+def test_judging_a_frame_that_fails_validation_raises():
+    # Every frame the fuzzer judges passed Jacobi on g = I and the unit,
+    # compatible xi = e3, so it validates. A frame that fails ([e1,e2] = e3/2,
+    # [e1,e3] = 2e1/3: the cyclic sum at (1, 2, 3) is nonzero) is refused
+    # loudly, never counted.
+    frame = FrameAlgebra.from_entries(3, {(2, 0, 1): rat(1, 2), (0, 0, 2): rat(2, 3)})
+    assert frame.jacobi_violations()
+    metric, dist = _fuzz_field()
+    with pytest.raises(GeometryError, match="jacobi"):
+        sscurv.suite._judge_frame(GeometrySpec("fuzz-jacobi", frame, metric, dist))
+
+
+_STORE_RATS = (rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1, 2), rat(1), rat(2))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32), count=st.integers(1, 40),
+       pool=st.sets(st.sampled_from(_STORE_RATS), min_size=1, max_size=4),
+       parallel=st.booleans(), cap=st.integers(1, 3))
+def test_the_verdict_store_never_changes_stream_bytes(seed, count, pool, parallel, cap):
+    config = FuzzConfig(count=count, seed=seed, pool=tuple(pool), require_parallel_xi=parallel)
+    with mock.patch.object(sscurv.suite, "_table", None):
+        want = emit_report(fuzz(config), "json")  # on a fresh dict
+        assert emit_report(fuzz(config), "json") == want  # on the dict it left
+        with mock.patch.object(sscurv.suite, "_table", None), \
+                mock.patch.object(sscurv.suite, "VERDICT_CAP", cap):
+            assert emit_report(fuzz(config), "json") == want
+            assert len(_shipped_verdicts()) <= cap
+        # An equal but distinct B2 starts a new dict.
+        defn, warm = probes.REGISTRY["B2"], _shipped_verdicts()
+        with mock.patch.dict(probes.REGISTRY, {"B2": dataclasses.replace(defn)}):
+            assert emit_report(fuzz(config), "json") == want
+            assert _shipped_verdicts() is not warm
+        assert probes.REGISTRY["B2"] is defn
+        assert emit_report(fuzz(config), "json") == want  # the shipped B2 put back
