@@ -64,16 +64,12 @@ def levi_civita(frame: FrameAlgebra, metric: MetricFrame) -> Connection:
                              _index_plan(n, "lij", (("ijk", "kl"),))(koszul, g_inv.nums),
                              2 * frame.c.den * g.den * g_inv.den)
     conn = Connection(gamma, ConnectionKind.LEVI_CIVITA)
-    _check_levi_civita(conn, frame, metric)
-    return conn
-
-
-def _check_levi_civita(conn: Connection, frame: FrameAlgebra, metric: MetricFrame):
     # Construction-time invariants: torsion-free and metric.
     if not torsion(conn, frame).is_zero():
         raise SscurvError("Levi-Civita construction produced torsion")
     if not non_metricity(conn, metric).is_zero():
         raise SscurvError("Levi-Civita construction is not metric")
+    return conn
 
 
 def ssnmc(lc: Connection, dist: DistinguishedField) -> Connection:

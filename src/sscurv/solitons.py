@@ -12,8 +12,8 @@ first, then sums all three terms in one integer pass over one common
 denominator, and the residual adds a Ric-hat + s g + b d (x) d to that
 Hessian in one more pass, the kind choosing a, s and b; both passes are
 sums stated in index notation to tensor._index_plan. A SolitonProblem
-refuses a lambda that is not an int or a Rat, and an m that is not a
-nonzero int.
+refuses a kind that is not a SolitonKind, a jet that is not a ScalarJet, a
+lambda that is not an int or a Rat and an m that is not a nonzero int.
 Each public function takes a GeometrySpec and works in its shared
 context.ProbeContext, so a residual, its proof steps and a report on one
 spec object validate and build once.
@@ -59,8 +59,12 @@ class SolitonProblem(Record):
         fields["lam"] = lam
         fields["jet"] = jet
         fields["m"] = m
+        if not isinstance(kind, SolitonKind):
+            raise SscurvError(f"kind must be a SolitonKind, got kind={kind!r}")
         if not isinstance(lam, (int, Rat)) or isinstance(lam, bool):
             raise SscurvError(f"lambda must be an int or a Rat, got lam={lam!r}")
+        if not isinstance(jet, ScalarJet):
+            raise SscurvError(f"jet must be a ScalarJet, got jet={jet!r}")
         if kind is SolitonKind.M_QUASI:
             if not isinstance(m, int) or isinstance(m, bool) or m == 0:
                 raise SscurvError(f"the m-quasi kind needs a nonzero integer m, got m={m!r}")
@@ -143,10 +147,8 @@ def _residual_tensor(ctx: ProbeContext, problem: SolitonProblem) -> Tensor:
         a, sp, sq = 0, lp * rq - rp * lq, lq * rq
     elif problem.kind is SolitonKind.EINSTEIN:
         sp, sq = 2 * lp * rq - rp * lq, 2 * lq * rq
-    elif problem.kind is SolitonKind.M_QUASI:
-        sp, sq, bp, bq = -lp, lq, -1 if problem.m > 0 else 1, abs(problem.m)
     else:
-        raise SscurvError(f"unknown soliton kind {problem.kind!r}")
+        sp, sq, bp, bq = -lp, lq, -1 if problem.m > 0 else 1, abs(problem.m)
     ricci, d = bundle.ricci, jet.d
     dg, dd = sq * g.den, bq * d.den * d.den
     den = lcm(hess.den, dg, dd, ricci.den if a else 1)

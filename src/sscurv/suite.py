@@ -207,6 +207,10 @@ def _judge_frame(spec: GeometrySpec) -> Verdict:
 def fuzz(config: FuzzConfig) -> dict:
     """Generate random frame algebras, keep the ones that pass Jacobi, run every probe.
 
+    The draw decides which candidates belong to the parallel stream: each
+    frame it writes under require_parallel_xi has Gamma^k_i3 = 0 at g = I,
+    so xi = e3 is parallel on it and no judged candidate is dropped.
+
     Same seed, same report, byte for byte. Any probe Fail, or a
     paper-mismatch outside the two designated discrepancy probes, is
     recorded as an unexpected failure with the geometry embedded as a
@@ -247,11 +251,8 @@ def fuzz(config: FuzzConfig) -> dict:
             spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)
             verdict = verdicts[frame.c] = _judge_frame(spec)
         parallel, statuses, bad = verdict
-        if config.require_parallel_xi and not parallel:
-            continue
         accepted += 1
-        if parallel:
-            parallel_accepted += 1
+        parallel_accepted += parallel
         patterns[statuses] += 1
         if bad:
             spec = GeometrySpec(f"fuzz-{config.seed}-{index}", frame, metric, dist)

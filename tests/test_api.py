@@ -19,9 +19,10 @@ from conftest import make_spec
 from sscurv import (Check, Connection, ConnectionKind, DistinguishedField, FrameAlgebra,
                     FuzzConfig, GeometryError, GeometrySpec, LoadedGeometry, MetricFrame,
                     NamedCheck, ProbeContext, ScalarJet, SolitonKind, SolitonProblem,
-                    SscurvError, Tensor, ValenceError, ValidationReport, builtin, rat,
-                    residual, run_probe, run_suite, validate)
+                    SscurvError, Tensor, ValenceError, ValidationReport, builtin, emit_report,
+                    rat, residual, run_probe, run_suite, validate)
 from sscurv.cli import main
+from sscurv.record import _memo
 from sscurv.tensor import DOWN, UP
 
 # A child interpreter imports the same sscurv as these tests, installed or not.
@@ -45,6 +46,9 @@ def test_all_names_exist_and_none_is_a_module():
     star = {}
     exec("from sscurv import *", star)
     assert set(star) - {"__builtins__"} == set(sscurv.__all__)
+    # dir() lists every public name, loaded or not, beside the module's own.
+    listed = dir(sscurv)
+    assert listed == sorted(listed) and {"__version__", *sscurv.__all__} <= set(listed)
 
 
 def test_context_of_wraps_a_spec_and_keeps_a_context():
@@ -52,6 +56,18 @@ def test_context_of_wraps_a_spec_and_keeps_a_context():
     ctx = ProbeContext.of(spec)
     assert isinstance(ctx, ProbeContext) and ctx.spec is spec
     assert ctx.require_valid() is ctx
+    # A kept attribute read on the class is its descriptor, which keeps nothing.
+    assert isinstance(ProbeContext.lc, _memo) and "lc" not in vars(ctx)
+    assert ctx.lc is ctx.lc is vars(ctx)["lc"]
+
+
+@pytest.mark.parametrize("lookup, error", [
+    (lambda spec: emit_report(run_suite(spec, "general"), "yaml"), ValueError),
+    (lambda spec: validate(spec).check("no-such-check"), KeyError),
+], ids=["emit_report", "ValidationReport.check"])
+def test_lookups_refuse_an_unknown_name(lookup, error):
+    with pytest.raises(error, match="yaml|no-such-check"):
+        lookup(builtin("flat"))
 
 
 def test_context_of_shares_by_identity_in_one_slot():
@@ -269,6 +285,14 @@ def test_record_constructors_check_their_fields():
         with pytest.raises(SscurvError, match="m"):
             SolitonProblem(kind, rat(1), jet, m)
     assert SolitonProblem(SolitonKind.M_QUASI, rat(1), jet, 2).m == 2
+    # A kind given by its value, or a jet that is not a ScalarJet, is refused
+    # here, not left to fail differently in residual, conclusion_check and
+    # proof_step_probes.
+    for kind, bad_jet, match in (("ricci", jet, "kind"), (None, jet, "kind"),
+                                 (SolitonKind.RICCI, None, "jet"),
+                                 (SolitonKind.RICCI, jet.d, "jet")):
+        with pytest.raises(SscurvError, match=match):
+            SolitonProblem(kind, rat(0), bad_jet)
     with pytest.raises(SscurvError, match="count"):
         FuzzConfig(count=0)
     with pytest.raises(SscurvError, match="exact rationals"):

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 
 from conftest import (DIM, c_rows_of, geometries, make_spec, oracle_koszul,
                       tensor_to_rows)
-from sscurv import (DegenerateMetricError, Tensor, alpha_star, builtin,
-                    is_parallel, levi_civita, non_metricity, rat, ssnmc, torsion)
+from sscurv import (Connection, ConnectionKind, DegenerateMetricError, FrameAlgebra,
+                    SscurvError, Tensor, alpha_star, builtin, is_parallel, levi_civita,
+                    non_metricity, rat, ssnmc, torsion)
 from sscurv.connection import semi_symmetric_torsion
+from sscurv.tensor import DOWN, UP
 
 
 def gamma_table(conn):
@@ -70,6 +72,24 @@ def test_singular_metric_raises():
     from sscurv import MetricFrame
     with pytest.raises(DegenerateMetricError):
         MetricFrame.from_tensor(g)
+
+
+@pytest.mark.parametrize("build, match", [
+    # [e1, e2] = e3 written without its mirror [e2, e1] = -e3: the Koszul
+    # sums assume antisymmetric brackets, so the result has torsion.
+    (lambda spec: levi_civita(FrameAlgebra(3, Tensor.build(
+        (UP, DOWN, DOWN), 3, lambda k, i, j: int((k, i, j) == (2, 0, 1)))), spec.metric),
+     "produced torsion"),
+    (lambda spec: ssnmc(Connection(levi_civita(spec.frame, spec.metric).gamma,
+                                   ConnectionKind.CUSTOM), spec.distinguished),
+     "extends Levi-Civita"),
+    (lambda spec: alpha_star(Connection(levi_civita(spec.frame, spec.metric).gamma,
+                                        ConnectionKind.CUSTOM), spec.distinguished),
+     "through the Levi-Civita connection"),
+], ids=["levi_civita", "ssnmc", "alpha_star"])
+def test_connections_refuse_what_they_are_not_built_from(build, match):
+    with pytest.raises(SscurvError, match=match):
+        build(builtin("h2xr"))
 
 
 def test_ssnmc_with_zero_psi_is_levi_civita():

@@ -240,6 +240,19 @@ def test_wrong_probe_yields_reproducible_certificates(monkeypatch):
         assert cert["max_abs_deviation"] == "2"
     assert "probe B13 status fail at operator_xi(3)" in emit_report(doc, "text")
 
+    # A scalar-sided probe has no component to name: B14 with one added to
+    # its right side is off by 1, and its certificate names neither part nor index.
+    monkeypatch.setitem(probes.REGISTRY, "B14", dataclasses.replace(
+        probes.REGISTRY["B14"], fn=lambda ctx: (rat(0), rat(1))))
+    doc = fuzz(FuzzConfig(count=20, seed=42, require_parallel_xi=True))
+    certs = [cert for cert in doc["unexpected"] if cert["probe_id"] == "B14"]
+    assert doc["accepted"] >= 1 and len(certs) == doc["accepted"]
+    for cert in certs:
+        assert cert["component"] == [] and "part" not in cert
+        assert cert["max_abs_deviation"] == "1"
+    text = emit_report(doc, "text")
+    assert f"candidate {certs[0]['candidate_index']} probe B14 status fail\n" in text
+
 
 def test_fuzz_scans_each_candidate_for_antisymmetry_once(monkeypatch):
     # The Jacobi prefilter and validate read one pair of verdicts kept on

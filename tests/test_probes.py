@@ -1,5 +1,7 @@
 """Identity probe statuses on the oracle geometries and fuzzed streams."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -43,6 +45,20 @@ def test_unknown_probe_id():
         run_suite(spec, ids=("B2", "NOPE"))
 
 
+def test_a_probe_whose_sides_name_different_parts_raises(monkeypatch):
+    # A dict-valued probe compares its sides part by part; a B13 whose right
+    # side names other parts is refused, never judged.
+    defn = REGISTRY["B13"]
+
+    def renamed(ctx):
+        lhs, rhs = defn.fn(ctx)
+        return lhs, {f"{key}'": value for key, value in rhs.items()}
+
+    monkeypatch.setitem(REGISTRY, "B13", dataclasses.replace(defn, fn=renamed))
+    with pytest.raises(ValueError, match="mismatched comparison parts"):
+        run_probe(builtin("h2xr"), "B13")
+
+
 def test_example1_b3_passes():
     result = run_probe(builtin("example1"), "B3")
     assert result.status is ProbeStatus.PASS
@@ -77,6 +93,37 @@ def test_h2xr_b17_paper_mismatch_values():
     # hat scalar (0) sends it to +e1.
     assert [result.lhs[l, 0] for l in range(3)] == [rat(-1), rat(0), rat(0)]
     assert [result.rhs[l, 0] for l in range(3)] == [rat(1), rat(0), rat(0)]
+
+
+def _parallel_draw(name, a=0, b=0, t=0):
+    """The geometry of a fuzz parallel draw: C^1_12 = a, C^2_12 = b and
+    C^1_23 = -C^2_13 = t on g = I, xi = e3."""
+    frame = FrameAlgebra.from_entries(3, {(0, 0, 1): rat(a), (1, 0, 1): rat(b),
+                                          (0, 1, 2): rat(t), (1, 0, 2): rat(-t)})
+    metric = MetricFrame.identity(3)
+    return GeometrySpec(name, frame, metric,
+                        DistinguishedField.from_xi(Tensor.vector([0, 0, 1]), metric))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("h2xr"), lambda: builtin("flat"),
+    lambda: _parallel_draw("P1", a=1, b=1), lambda: _parallel_draw("P1", a=2, b=-1),
+    lambda: _parallel_draw("P2", t=1), lambda: _parallel_draw("P2", t=2),
+], ids=["h2xr", "flat", "P1(1,1)", "P1(2,-1)", "P2(1)", "P2(2)"])
+def test_b17_closed_form_holds_at_the_cataloged_b10_value(make):
+    # B17 has no error of its own: the engine's hat scalar is r + 2, not the
+    # cataloged r - 2 of B10, and B17's closed form (r-hat/2 + 1) I
+    # - (r-hat/2 - 1) xi (x) psi at r-hat = r - 2, that is
+    # (r/2) I - (r/2 - 2) xi (x) psi, is the engine's hat Ricci operator.
+    spec = make()
+    ctx = ProbeContext.of(spec)
+    r, rhat = ctx.lc_bundle.scalar, ctx.hat_bundle.scalar
+    assert rhat - r == 2
+    xi, psi = spec.distinguished.xi, spec.distinguished.psi
+    closed = Tensor.delta(3).scale(r / 2) - xi.tensor_product(psi).scale(r / 2 - 2)
+    assert ctx.hat_bundle.ricci_op == closed
+    result = run_probe(spec, "B17")
+    assert result.status is ProbeStatus.PAPER_MISMATCH and result.lhs == closed
 
 
 def test_h2xr_b15_passes():

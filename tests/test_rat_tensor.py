@@ -416,6 +416,22 @@ def test_binary_operations_refuse_a_non_tensor(operation, other):
         operation(Tensor.vector([1, 2, 3]), other)
 
 
+@pytest.mark.parametrize("operation, match", [
+    (lambda: Tensor.from_rows((DOWN, DOWN), [[1, 2], [3]]), "square"),
+    (lambda: Tensor.vector([1, 2]) + Tensor.covector([1, 2]), "shape mismatch"),
+    (lambda: Tensor.vector([1, 2]) - Tensor.vector([1, 2, 3]), "shape mismatch"),
+    (lambda: Tensor.covector([1, 2]).contract_with(1, Tensor.vector([1, 2])), "out of range"),
+    (lambda: Tensor.vector([1, 2]).tensor_product(Tensor.vector([1, 2, 3])), "equal dimensions"),
+    (lambda: Tensor.covector([1, 2]).contract_with(0, Tensor.vector([1, 2, 3])),
+     "equal dimensions"),
+    (lambda: Tensor.vector([1, 2]).apply_metric(Tensor.zeros((UP, DOWN), 2), 0),
+     "share variance"),
+], ids=["from_rows", "add", "sub", "slot", "tensor_product", "contract_with", "apply_metric"])
+def test_operations_refuse_a_tensor_of_the_wrong_shape(operation, match):
+    with pytest.raises(ValenceError, match=match):
+        operation()
+
+
 @given(tensor_cases(), st.data())
 def test_equality_and_hash_follow_components(case, data):
     variance, dim, a = case

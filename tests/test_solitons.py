@@ -130,6 +130,32 @@ def test_flat_psi0_gaussian_ricci_soliton():
     assert "psi = 0" in conclusion.note and "xi not unit" in conclusion.note
 
 
+@pytest.mark.parametrize("lam", [-2, 0, 3])
+@pytest.mark.parametrize("x, y", [(0, 0), (1, 2)])
+def test_flat_ricci_family_solves_the_equation_outside_the_conclusion(lam, x, y):
+    # f = x^2 + y^2 - (2 + lambda) z on flat, at (x, y, z). Under the
+    # engine's symmetric hat Hessian, Hess_LC f + (xi f) g, its 2-jet is a
+    # hat gradient Ricci soliton for every lambda, inside the paper's
+    # hypotheses (xi unit and parallel), yet the hat curvature is not of
+    # constant sectional curvature and f is not constant: the paper's Ricci
+    # theorem fails. Under the unsymmetrised U(Vf) - (nablahat_U V) f the
+    # equation changes, and this test does not speak for it.
+    spec = builtin("flat")
+    jet = make_jet([2 * x, 2 * y, -(2 + lam)], [[2, 0, 0], [0, 2, 0], [0, 0, 0]])
+    problem = SolitonProblem(SolitonKind.RICCI, rat(lam), jet)
+    verdict = residual(spec, problem)
+    assert verdict.is_soliton and verdict.residual.is_zero()
+    assert {c.name: c.holds for c in verdict.conclusion_checks} == {
+        "constant-sectional-curvature": False, "potential-constant": False,
+        "conclusion": False}
+    # C4 claims hat S(Df) = 0, but its lhs is (n - 1)(xi f) psi, with
+    # xi f = -(2 + lambda): the step drops the (xi f) g term of the hat
+    # Hessian, so it holds at lambda = -2 alone.
+    (c4,) = proof_step_probes(spec, problem)
+    assert c4.probe_id == "C4" and c4.lhs == Tensor.covector([0, 0, -2 * (2 + lam)])
+    assert c4.status is (ProbeStatus.PASS if lam == -2 else ProbeStatus.FAIL)
+
+
 def test_h2xr_ricci_negative_case():
     spec = builtin("h2xr")
     problem = SolitonProblem(SolitonKind.RICCI, rat(-2), zero_jet())
