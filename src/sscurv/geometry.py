@@ -116,9 +116,8 @@ class FrameAlgebra(Record):
         per frame and kept in its __dict__; the antisymmetry verdict picks the Jacobi plan."""
         anti = tuple(self.antisymmetry_violations())
         c = self.c.nums
-        sums = _index_plan(self.dim, "ijkl", (("mij", "lmk"), ("mjk", "lmi"), ("mki", "lmj")),
-                           "" if anti else "ijk")
-        return anti, tuple(itertools.compress(_jacobi_labels(self.dim, not anti), sums(c, c)))
+        sums, labels = _jacobi_plan(self.dim, not anti)
+        return anti, tuple(itertools.compress(labels, sums(c, c)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -132,12 +131,16 @@ def _triangles(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobi_labels(n: int, antisymmetric: bool) -> tuple:
-    """Each 1-based (i, j, k, l) of the Jacobi sums, i < j < k if antisymmetric, in
-    lexicographic order: sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj."""
+def _jacobi_plan(n: int, antisymmetric: bool) -> tuple:
+    """The planned Jacobi sums of the numerators of C, sum_m C^m_ij C^l_mk +
+    C^m_jk C^l_mi + C^m_ki C^l_mj, and each one's 1-based (i, j, k, l), i < j < k
+    if antisymmetric, in lexicographic order. Kept by shape, so a frame's
+    verdict hashes two scalars, not the nested terms _index_plan is keyed by."""
     rng = range(1, n + 1)
     triples = itertools.combinations(rng, 3) if antisymmetric else itertools.product(rng, repeat=3)
-    return tuple((*ijk, l) for ijk in triples for l in rng)
+    sums = _index_plan(n, "ijkl", (("mij", "lmk"), ("mjk", "lmi"), ("mki", "lmj")),
+                       "ijk" if antisymmetric else "")
+    return sums, tuple((*ijk, l) for ijk in triples for l in rng)
 
 
 class MetricFrame(Record):

@@ -7,6 +7,14 @@ and xi (_fuzz_field), so equal structure constants are one geometry, and a
 Tensor compares and hashes by its exact canonical entries: an entry never
 goes stale. The dict belongs to one snapshot of the probe definitions and
 starts empty under another. DEFAULT_POOL is prepared once, at import.
+
+A candidate's draw reads the stream's random.Random only through
+getrandbits (_below), in the order rng.randrange, rng.sample and rng.choice
+would: the same candidates and the same generator state after them, without
+the stdlib's pure-Python wrappers. The benchmark's oracle replays each stream
+with those stdlib calls. random.Random seeds from |seed|, so seeds n and -n
+draw the same candidates; their reports differ in the recorded seed and the
+input_digest only.
 """
 
 from __future__ import annotations
@@ -132,13 +140,31 @@ _FREE_SLOTS = tuple(((k * 3 + i) * 3 + j, (k * 3 + j) * 3 + i)
                     for k in range(3) for (i, j) in ((0, 1), (0, 2), (1, 2)))
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n > 0, drawn as CPython's Random._randbelow
+    draws it (_randbelow_with_getrandbits): k = n.bit_length() bits, redrawn
+    while the result is n or more. randrange(n), choice and sample read the
+    generator only through it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
+    """One candidate frame, its integers drawn through _below in the order
+    rng.randrange, rng.sample and rng.choice would draw them."""
     pool, den = config._prepared.ints
+    bits, size = rng.getrandbits, len(pool)
     nums = [0] * 27
     if config.require_parallel_xi:
         # Solution space of nabla xi = 0 with g = id, xi = e3: everything
-        # vanishes except C^1_12, C^2_12 and the pair C^1_23 = -C^2_13.
-        a, b, t = (rng.choice(pool) for _ in range(3))
+        # vanishes except C^1_12, C^2_12 and the pair C^1_23 = -C^2_13;
+        # each is rng.choice(pool).
+        a = pool[_below(bits, size)]
+        b = pool[_below(bits, size)]
+        t = pool[_below(bits, size)]
         nums[1], nums[3] = a, -a      # C^1_12, C^1_21
         nums[10], nums[12] = b, -b    # C^2_12, C^2_21
         nums[5], nums[7] = t, -t      # C^1_23, C^1_32
@@ -148,10 +174,20 @@ def _draw_candidate(rng: random.Random, config: FuzzConfig) -> FrameAlgebra:
         # the pool passes Jacobi on well under 1% of draws, which would
         # leave the accepted stream nearly empty. Drawing a uniform
         # sparsity level first keeps the same support (0 is in the pool)
-        # while accepting a useful fraction.
-        level = rng.randrange(len(_FREE_SLOTS) + 1)
-        for ij, ji in sorted(rng.sample(_FREE_SLOTS, level)):
-            x = rng.choice(pool)
+        # while accepting a useful fraction. The level is
+        # rng.randrange(10); the slots are rng.sample(_FREE_SLOTS, level),
+        # the partial swap sample runs on a population of 9 (its list
+        # branch); each value is rng.choice(pool).
+        free = len(_FREE_SLOTS)
+        level = _below(bits, free + 1)
+        slots = list(_FREE_SLOTS)
+        chosen = []
+        for left in range(free, free - level, -1):  # slots[:left] not yet chosen
+            j = _below(bits, left)
+            chosen.append(slots[j])
+            slots[j] = slots[left - 1]
+        for ij, ji in sorted(chosen):
+            x = pool[_below(bits, size)]
             nums[ij], nums[ji] = x, -x
     return FrameAlgebra(3, Tensor.from_ints((UP, DOWN, DOWN), 3, nums, den))
 

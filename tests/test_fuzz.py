@@ -22,7 +22,8 @@ from sscurv import (DistinguishedField, FrameAlgebra, FuzzConfig, GeometryError,
 from sscurv import probes
 from sscurv.geomio import geometry_from_dict
 from sscurv.geometry import validate
-from sscurv.suite import DEFAULT_POOL, _draw_candidate, _fuzz_field
+from sscurv.suite import _FREE_SLOTS, DEFAULT_POOL, _draw_candidate, _fuzz_field
+from sscurv.tensor import DOWN, UP
 
 
 def test_config_validation():
@@ -145,6 +146,15 @@ def test_different_seed_differs():
     a = fuzz(FuzzConfig(count=200, seed=1))
     b = fuzz(FuzzConfig(count=200, seed=2))
     assert a != b
+
+
+def test_a_seed_and_its_negation_draw_the_same_stream():
+    # random.Random seeds from |seed|: only the recorded seed and its digest differ.
+    a = fuzz(FuzzConfig(count=50, seed=-5))
+    b = fuzz(FuzzConfig(count=50, seed=5))
+    assert a["accepted"] == b["accepted"] > 0
+    assert a["probe_counts"] == b["probe_counts"]
+    assert a["fuzz"]["seed"] == -5 and a["input_digest"] != b["input_digest"]
 
 
 def test_general_stream_no_unexpected_failures():
@@ -308,6 +318,17 @@ def _accepted_frames(config):
     return [(index, frame) for index, frame in drawn if not frame.jacobi_violations()]
 
 
+@pytest.mark.parametrize("parallel", (False, True))
+def test_a_repeated_stream_plans_no_jacobi_sum(monkeypatch, parallel):
+    # The Jacobi plan is kept by shape, so a candidate's verdict never looks
+    # up the index-notation planner by its nested terms.
+    config = FuzzConfig(count=60, seed=42, require_parallel_xi=parallel)
+    fuzz(config)
+    plans = count_calls(monkeypatch, sscurv.geometry, "_index_plan")
+    fuzz(config)
+    assert plans == []
+
+
 def _double_b2(monkeypatch):
     """Swap in a B2 whose right side is doubled: it fails on every candidate."""
     defn = probes.REGISTRY["B2"]
@@ -436,3 +457,47 @@ def test_the_verdict_store_never_changes_stream_bytes(seed, count, pool, paralle
             assert _shipped_verdicts() is not warm
         assert probes.REGISTRY["B2"] is defn
         assert emit_report(fuzz(config), "json") == want  # the shipped B2 put back
+
+
+def _stdlib_draw(rng, config):
+    """The fuzzer's draw as written with rng.randrange, rng.sample and rng.choice."""
+    pool, den = config._prepared.ints
+    nums = [0] * 27
+    if config.require_parallel_xi:
+        # Solution space of nabla xi = 0 with g = id, xi = e3: everything
+        # vanishes except C^1_12, C^2_12 and the pair C^1_23 = -C^2_13.
+        a, b, t = (rng.choice(pool) for _ in range(3))
+        nums[1], nums[3] = a, -a      # C^1_12, C^1_21
+        nums[10], nums[12] = b, -b    # C^2_12, C^2_21
+        nums[5], nums[7] = t, -t      # C^1_23, C^1_32
+        nums[11], nums[15] = -t, t    # C^2_13, C^2_31
+    else:
+        # Sparsity-stratified sampling: filling all nine slots i.i.d. from
+        # the pool passes Jacobi on well under 1% of draws, which would
+        # leave the accepted stream nearly empty. Drawing a uniform
+        # sparsity level first keeps the same support (0 is in the pool)
+        # while accepting a useful fraction.
+        level = rng.randrange(len(_FREE_SLOTS) + 1)
+        for ij, ji in sorted(rng.sample(_FREE_SLOTS, level)):
+            x = rng.choice(pool)
+            nums[ij], nums[ji] = x, -x
+    return FrameAlgebra(3, Tensor.from_ints((UP, DOWN, DOWN), 3, nums, den))
+
+
+# Nine distinct values: pools of the first 1-9 take sizes at powers of two (1,
+# 2, 4, 8), where rejection redraws about half the time, and off them.
+_DRAW_RATS = (rat(-3), rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1, 2), rat(1), rat(2))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 64), count=st.integers(1, 30),
+       size=st.integers(1, len(_DRAW_RATS)), parallel=st.booleans())
+def test_the_draw_matches_the_stdlib_draw(seed, count, size, parallel):
+    # The draw reads the generator only through getrandbits, in the order the
+    # stdlib calls would: the same frames, and the generator left in the same state.
+    config = FuzzConfig(count=count, seed=seed, pool=_DRAW_RATS[:size],
+                        require_parallel_xi=parallel)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        assert _draw_candidate(rng, config) == _stdlib_draw(ref, config)
+    assert rng.getstate() == ref.getstate()
